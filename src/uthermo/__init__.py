@@ -33,6 +33,7 @@ from .oseledets import (
     HyperbolicityCertificate,
     OseledetsReport,
     certify_partial_hyperbolicity,
+    lyapunov_spectra,
     lyapunov_spectrum,
     unstable_dimension,
 )

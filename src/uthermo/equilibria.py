@@ -15,8 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .rds import Cocycle, DrivingSystem, SymbolPath, TorusPoint, sample_path
-from .oseledets import OseledetsReport, _qr_walk, _random_orthonormal
+from .rds import Cocycle, DrivingSystem, SymbolPath, TorusPoint, reduce_mod1, sample_path
+from .oseledets import (
+    OseledetsReport,
+    _frames_from_past,
+    _random_orthonormal,
+    lyapunov_spectra,
+)
 from .leafgeom import TrivialLeafError
 from .thermo import (
     GridSpec,
@@ -84,14 +89,19 @@ def geometric_potential(
     def vec(path: SymbolPath, pts: np.ndarray, cocycle=cocycle, u_dim=u_dim,
             frame_steps=frame_steps):
         steps = min(frame_steps, path.backward_reach)
-        out = np.empty(pts.shape[0])
+        pts = np.asarray(pts, dtype=float)
         q0 = _random_orthonormal(cocycle.dim, 0)
+        if cocycle.has_constant_jacobian:
+            # the walk never looks at the point: one frame serves every row
+            q = _frames_from_past(cocycle, [path], None, q0[None], steps)
+            q = np.repeat(q, len(pts), axis=0)
+        else:
+            q = _frames_from_past(cocycle, [path] * len(pts), reduce_mod1(pts),
+                                  np.repeat(q0[None], len(pts), axis=0), steps)
+        out = np.empty(pts.shape[0])
         m0 = cocycle.map_for(path.symbol(0))
         for i, row in enumerate(pts):
-            x = TorusPoint(tuple(row))
-            q, _ = _qr_walk(cocycle, path, x, -steps, steps, q0)
-            fr = q[:, :u_dim]
-            w = m0.jacobian(row) @ fr
+            w = m0.jacobian(row) @ q[i][:, :u_dim]
             gram = w.T @ w
             out[i] = -0.5 * math.log(abs(float(np.linalg.det(gram))))
         return out
@@ -172,12 +182,10 @@ class GibbsDefect:
 
 
 def _report_for(cocycle, system, seed, frame_steps=256):
-    from .oseledets import lyapunov_spectrum
-
     path = sample_path(system, max(300, frame_steps) + 2, seed)
     x = TorusPoint(tuple(np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xF0]).random(cocycle.dim)))
-    return lyapunov_spectrum(cocycle, path, x, max(128, frame_steps),
-                             frame_steps=frame_steps, frame_seed=seed)
+    return lyapunov_spectra(cocycle, [path], [x], max(128, frame_steps),
+                            frame_steps=frame_steps, frame_seeds=[seed])[0]
 
 
 def gibbs_defect(

@@ -28,9 +28,9 @@ from .rds import (
     sample_path,
     torus_distance,
 )
-from .oseledets import lyapunov_spectrum
+from .oseledets import lyapunov_spectra
 from .leafgeom import TrivialLeafError, OffLeafError, unstable_disk, leaf_growth_factors
-from .thermo import CI_FLOOR, fit_slope
+from .thermo import CI_FLOOR, fit_slope, upper_half
 
 __all__ = [
     "FiniteSkewSpace",
@@ -556,14 +556,27 @@ class EntropyEstimate:
         return out
 
 
-def _upper_half(n_grid):
-    half = n_grid[len(n_grid) // 2 :]
-    return half if len(half) >= 2 else tuple(n_grid)
-
-
 def _sample_seeds(seed: int, samples: int, salt: int):
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, salt])
     return [int(rng.integers(0, 2**63 - 1)) for _ in range(samples)]
+
+
+def _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
+    """Draw (path, point) per seed, then estimate every sample's spectrum in one batch.
+
+    A sampled path shorter than half_window is re-drawn from the same seed.
+    """
+    paths, xs = [], []
+    for s_seed in seeds:
+        path, x = sampler.sample(s_seed)
+        if path.half_window < half_window:
+            path = sample_path(sampler.system, half_window, s_seed)
+        paths.append(path)
+        xs.append(x)
+    reports = lyapunov_spectra(
+        cocycle, paths, xs, max(128, frame_steps), frame_steps=frame_steps, frame_seeds=seeds
+    )
+    return zip(paths, xs, reports)
 
 
 def _atomic_ball_information(cocycle, sampler, path, x, delta, n_grid, eps, report):
@@ -642,15 +655,9 @@ def bowen_ball_entropy(
     fit_ses: list[float] = []
     per_n_acc: dict[int, list[float]] = {n: [] for n in n_grid}
     eps_min = epsilons[0]
-    uh = _upper_half(n_grid)
+    uh = upper_half(n_grid)
 
-    for s_seed in seeds:
-        path, x = sampler.sample(s_seed)
-        if path.half_window < half_window:
-            path = sample_path(sampler.system, half_window, s_seed)
-        report = lyapunov_spectrum(
-            cocycle, path, x, max(128, frame_steps), frame_steps=frame_steps, frame_seed=s_seed
-        )
+    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
         growth = None
         if sampler.leaf_conditional == "volume":
             disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
@@ -755,11 +762,8 @@ def _polyline_information(cocycle, pair, path, disk, n_max):
     return eta_len, lengths
 
 
-def _information_profile(cocycle, sampler, pair, path, x, delta, n_max, frame_steps, s_seed):
+def _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max):
     """Per-sample information of the n-fold refined partition given the leaf atom."""
-    report = lyapunov_spectrum(
-        cocycle, path, x, max(128, frame_steps), frame_steps=frame_steps, frame_seed=s_seed
-    )
     if sampler.leaf_conditional == "atomic":
         # counting conditional on the closed orbit: compare cell itineraries
         disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
@@ -851,17 +855,12 @@ def partition_entropy_rate(
         raise InvalidSystem("disk too small relative to grid")
     seeds = _sample_seeds(seed, samples, 0x9A7)
     profiles = []
-    for s_seed in seeds:
-        path, x = sampler.sample(s_seed)
-        if path.half_window < half_window:
-            path = sample_path(sampler.system, half_window, s_seed)
-        info = _information_profile(
-            cocycle, sampler, pair, path, x, delta, n_max, frame_steps, s_seed
-        )
+    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
+        info = _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max)
         profiles.append([info[n - 1] for n in n_grid])
     profiles = np.asarray(profiles)
     mean_info = profiles.mean(axis=0)
-    uh = _upper_half(n_grid)
+    uh = upper_half(n_grid)
     sel = [n_grid.index(n) for n in uh]
     slope, se, _ = fit_slope(uh, mean_info[sel])
     per_sample_slopes = [fit_slope(uh, row[sel])[0] for row in profiles]
@@ -899,13 +898,8 @@ def smb_trace(
     half_window = max(n_max, frame_steps) + 2
     seeds = _sample_seeds(seed, samples, 0x53B)
     traces = []
-    for s_seed in seeds:
-        path, x = sampler.sample(s_seed)
-        if path.half_window < half_window:
-            path = sample_path(sampler.system, half_window, s_seed)
-        info = _information_profile(
-            cocycle, sampler, pair, path, x, delta, n_max, frame_steps, s_seed
-        )
+    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
+        info = _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max)
         traces.append([info[n - 1] / n for n in n_grid])
     traces = np.asarray(traces)
     mean_trace = traces.mean(axis=0)

@@ -20,14 +20,14 @@ from .rds import (
     EstimatorError,
     SymbolPath,
     TorusPoint,
-    compose,
-    derivative,
+    WindowExhausted,
     sample_path,
 )
 
 __all__ = [
     "OseledetsReport",
     "HyperbolicityCertificate",
+    "lyapunov_spectra",
     "lyapunov_spectrum",
     "unstable_dimension",
     "certify_partial_hyperbolicity",
@@ -50,6 +50,7 @@ class OseledetsReport:
     cluster sizes (summing to the fiber dimension).  unstable_index counts
     the expanding clusters; eu_frame / fu_frame are orthonormal bases of
     the estimated expanding bundle and its complementary bundle.
+    log_det_sum is the sum of log |det J| over the n one-step Jacobians.
     """
 
     exponents: tuple[float, ...]
@@ -59,6 +60,7 @@ class OseledetsReport:
     fu_frame: np.ndarray
     orbit_length: int
     raw_exponents: tuple[float, ...]
+    log_det_sum: float = math.nan
 
     @property
     def unstable_dim(self) -> int:
@@ -102,48 +104,221 @@ def _random_orthonormal(dim: int, seed: int) -> np.ndarray:
 
 
 def _positive_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR with a nonnegative R diagonal, for one (d, d) matrix or a stack of them."""
     q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs, r * signs[:, None]
+    return q * signs[..., None, :], r * signs[..., :, None]
 
 
-def _qr_walk(
-    cocycle: Cocycle,
-    path: SymbolPath,
-    x: TorusPoint,
-    start: int,
-    steps: int,
-    q0: np.ndarray,
-    inverse: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate QR factors over `steps` one-step Jacobians.
+def _symbol_windows(paths, start: int, steps: int, inverse: bool = False) -> np.ndarray:
+    """Symbols of each path in walk order, shape (S, steps).
 
-    Forward mode walks j = start .. start+steps-1 applying each map's
-    Jacobian; inverse mode walks backwards from `start` applying inverse
-    Jacobians.  Returns (final Q, summed log diag R).
+    Forward walks read relative times start .. start+steps-1; inverse walks
+    read start-1 down to start-steps.  Any time outside a path's sampled
+    window raises WindowExhausted, as SymbolPath.symbol does.
     """
-    d = cocycle.dim
-    logs = np.zeros(d)
-    q = q0.copy()
-    pt = compose(cocycle, path, start, x).as_array()
-    if not inverse:
-        for j in range(start, start + steps):
-            m = cocycle.map_for(path.symbol(j))
-            jac = m.jacobian(pt)
-            if abs(np.linalg.det(jac)) < 1e-12:
-                raise EstimatorError("degenerate one-step Jacobian along the orbit")
-            q, r = _positive_qr(jac @ q)
-            logs += np.log(np.abs(np.diag(r)))
-            pt = m.apply(pt)
+    if inverse:
+        times = np.arange(start - 1, start - steps - 1, -1)
     else:
-        for j in range(start - 1, start - steps - 1, -1):
-            m = cocycle.map_for(path.symbol(j))
-            pt = m.inverse_apply(pt)
-            jac = np.linalg.inv(m.jacobian(pt))
-            q, r = _positive_qr(jac @ q)
-            logs += np.log(np.abs(np.diag(r)))
-    return q, logs
+        times = np.arange(start, start + steps)
+    out = np.empty((len(paths), steps), dtype=np.int64)
+    arrays: dict[int, np.ndarray] = {}  # shifted copies of a path share its tuple
+    for i, path in enumerate(paths):
+        t = times + path.origin_offset
+        outside = np.abs(t) > path.half_window
+        if outside.any():
+            bad = int(t[np.argmax(outside)])
+            raise WindowExhausted(
+                f"time {bad} outside sampled window "
+                f"[-{path.half_window}, {path.half_window}]"
+            )
+        key = id(path.symbols)
+        if key not in arrays:
+            arrays[key] = np.asarray(path.symbols, dtype=np.int64)
+        out[i] = arrays[key][t + path.half_window]
+    return out
+
+
+def _check_symbols(cocycle: Cocycle, syms: np.ndarray) -> None:
+    """Raise InvalidSystem, as Cocycle.map_for does, for a symbol with no map."""
+    if syms.size:
+        cocycle.map_for(int(syms.max()))
+
+
+def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) -> np.ndarray:
+    """Call one MapDescriptor method on each row of pts with the map its symbol names."""
+    if len(cocycle.maps) == 1:
+        return getattr(cocycle.maps[0], method)(pts)
+    out = None
+    for s in np.unique(syms):
+        rows = syms == s
+        val = getattr(cocycle.maps[s], method)(pts[rows])
+        if out is None:
+            out = np.empty((len(syms),) + val.shape[1:])
+        out[rows] = val
+    return out
+
+
+def _move_points(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool) -> np.ndarray:
+    """Push points (S, d) through the maps along syms (S, steps), or pull them back."""
+    _check_symbols(cocycle, syms)
+    method = "inverse_apply" if inverse else "apply"
+    for k in range(syms.shape[1]):
+        pts = _map_step(cocycle, syms[:, k], pts, method)
+    return pts
+
+
+def _qr_walk_batch(
+    cocycle: Cocycle,
+    syms: np.ndarray,
+    q: np.ndarray,
+    pts: np.ndarray | None,
+    inverse: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accumulate QR factors of stacked frames q (S, d, d) along syms (S, steps).
+
+    Forward mode applies each step's Jacobian at the current point, then
+    moves the point on; inverse mode pulls the point back first and applies
+    the inverse Jacobian there.  pts (S, d) are the starting points, or None
+    for a constant-Jacobian cocycle, whose Jacobians are a per-symbol table
+    lookup.  Returns (final Q, summed log diag R (S, d), summed log |det J|
+    (S,), forward mode only).
+    """
+    _check_symbols(cocycle, syms)
+    s_count, d = q.shape[0], cocycle.dim
+    logs = np.zeros((s_count, d))
+    log_det = np.zeros(s_count)
+    if pts is None:
+        origin = np.zeros(d)
+        table = np.stack([m.jacobian(origin) for m in cocycle.maps])
+        if inverse:
+            table = np.stack([np.linalg.inv(jac) for jac in table])
+        else:
+            dets = np.array([np.linalg.det(jac) for jac in table])
+    for k in range(syms.shape[1]):
+        col = syms[:, k]
+        if inverse:
+            if pts is None:
+                jac = table[col]
+            else:
+                pts = _map_step(cocycle, col, pts, "inverse_apply")
+                jac = np.linalg.inv(_map_step(cocycle, col, pts, "jacobian"))
+        else:
+            if pts is None:
+                jac, det = table[col], dets[col]
+            else:
+                jac = _map_step(cocycle, col, pts, "jacobian")
+                det = np.linalg.det(jac)
+            if np.any(np.abs(det) < 1e-12):
+                raise EstimatorError("degenerate one-step Jacobian along the orbit")
+            log_det += np.log(np.abs(det))
+        q, r = _positive_qr(jac @ q)
+        logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        if pts is not None and not inverse:
+            pts = _map_step(cocycle, col, pts, "apply")
+    return q, logs, log_det
+
+
+def _frames_from_past(
+    cocycle: Cocycle, paths, pts: np.ndarray | None, q0: np.ndarray, steps: int
+) -> np.ndarray:
+    """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin.
+
+    pts (S, d) are the points at the origin (None for a constant-Jacobian
+    cocycle); they are first pulled back along the path.
+    """
+    if pts is not None:
+        pts = _move_points(cocycle, _symbol_windows(paths, 0, steps, inverse=True), pts, True)
+    return _qr_walk_batch(cocycle, _symbol_windows(paths, -steps, steps), q0, pts)[0]
+
+
+def _cluster(raw: np.ndarray, cluster_gap: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    clusters: list[list[float]] = [[raw[0]]]
+    for val in raw[1:]:
+        if clusters[-1][-1] - val < cluster_gap:
+            clusters[-1].append(val)
+        else:
+            clusters.append([val])
+    return tuple(float(np.mean(c)) for c in clusters), tuple(len(c) for c in clusters)
+
+
+def lyapunov_spectra(
+    cocycle: Cocycle,
+    paths,
+    xs,
+    n: int,
+    frame_steps: int | None = None,
+    frame_seeds=None,
+    cluster_gap: float = CLUSTER_GAP,
+) -> list[OseledetsReport]:
+    """QR-accumulated Lyapunov exponents and bundle frames at each (path, x).
+
+    The orbit engine: all samples walk together as stacked (S, d, d)
+    frames, one numpy call per step.  Each report is bitwise equal to
+    walking its sample alone whenever the maps' stacked calls round as
+    their one-point calls do: always for constant-Jacobian cocycles, which
+    make no map calls, and for the sheared cat map.  Exponents are averaged log diagonal entries
+    of the R factors over n forward steps, clustered by cluster_gap.  The
+    expanding frame is the limit flag of a push from frame_steps in the
+    past; the complementary frame comes from the inverse cocycle pushed
+    from the future.  Each sample starts from its own frame_seeds entry
+    (default 0) and clamps frame_steps to its own path window.
+    """
+    if n < 100:
+        raise ValueError("need n >= 100 for a usable exponent estimate")
+    paths = list(paths)
+    points = [x.as_array() for x in xs]
+    seeds = [0] * len(paths) if frame_seeds is None else list(frame_seeds)
+    if not (len(paths) == len(points) == len(seeds)):
+        raise ValueError("paths, xs and frame_seeds must have the same length")
+    if not paths:
+        return []
+    d = cocycle.dim
+    constant = cocycle.has_constant_jacobian
+    pts = None if constant else np.stack(points)
+    q0 = np.stack([_random_orthonormal(d, seed) for seed in seeds])
+
+    _, logs, log_det = _qr_walk_batch(cocycle, _symbol_windows(paths, 0, n), q0, pts)
+    raw = np.sort(logs / n, axis=1)[:, ::-1]
+
+    if frame_steps is None:
+        frame_steps = min(n, 512)
+    steps = [min(frame_steps, p.backward_reach, p.forward_reach) for p in paths]
+    if min(steps) < 1:
+        raise EstimatorError("path window too small for frame estimation")
+    q_fwd = np.empty_like(q0)
+    q_bwd = np.empty_like(q0)
+    for fs in sorted(set(steps)):
+        idx = [i for i, s in enumerate(steps) if s == fs]
+        group = [paths[i] for i in idx]
+        start = None if constant else pts[idx]
+        q_fwd[idx] = _frames_from_past(cocycle, group, start, q0[idx], fs)
+        future = None
+        if not constant:
+            future = _move_points(cocycle, _symbol_windows(group, 0, fs), start, False)
+        q_bwd[idx] = _qr_walk_batch(
+            cocycle, _symbol_windows(group, fs, fs, inverse=True), q0[idx], future, inverse=True
+        )[0]
+
+    reports = []
+    for i in range(len(paths)):
+        exponents, multiplicities = _cluster(raw[i], cluster_gap)
+        u = sum(1 for lam in exponents if lam > POSITIVE_MARGIN)
+        u_dim = int(sum(multiplicities[:u]))
+        reports.append(
+            OseledetsReport(
+                exponents=exponents,
+                multiplicities=multiplicities,
+                unstable_index=u,
+                eu_frame=q_fwd[i, :, :u_dim].copy(),
+                fu_frame=q_bwd[i, :, : d - u_dim].copy(),
+                orbit_length=n,
+                raw_exponents=tuple(float(v) for v in raw[i]),
+                log_det_sum=float(log_det[i]),
+            )
+        )
+    return reports
 
 
 def lyapunov_spectrum(
@@ -155,50 +330,11 @@ def lyapunov_spectrum(
     frame_steps: int | None = None,
     frame_seed: int = 0,
 ) -> OseledetsReport:
-    """QR-accumulated Lyapunov exponents and bundle frames at (path, x).
-
-    Exponents are averaged log diagonal entries of the R factors over n
-    forward steps, clustered by cluster_gap.  The expanding frame is the
-    limit flag of a push from frame_steps in the past; the complementary
-    frame comes from the inverse cocycle pushed from the future.
-    """
-    if n < 100:
-        raise ValueError("need n >= 100 for a usable exponent estimate")
-    d = cocycle.dim
-    q0 = _random_orthonormal(d, frame_seed)
-    _, logs = _qr_walk(cocycle, path, x, 0, n, q0)
-    raw = np.sort(logs / n)[::-1]
-
-    clusters: list[list[float]] = [[raw[0]]]
-    for val in raw[1:]:
-        if clusters[-1][-1] - val < cluster_gap:
-            clusters[-1].append(val)
-        else:
-            clusters.append([val])
-    exponents = tuple(float(np.mean(c)) for c in clusters)
-    multiplicities = tuple(len(c) for c in clusters)
-    u = sum(1 for lam in exponents if lam > POSITIVE_MARGIN)
-    u_dim = int(sum(multiplicities[:u]))
-
-    if frame_steps is None:
-        frame_steps = min(n, 512)
-    frame_steps = min(frame_steps, path.backward_reach, path.forward_reach)
-    if frame_steps < 1:
-        raise EstimatorError("path window too small for frame estimation")
-    q_fwd, _ = _qr_walk(cocycle, path, x, -frame_steps, frame_steps, q0)
-    eu_frame = q_fwd[:, :u_dim].copy()
-    q_bwd, _ = _qr_walk(cocycle, path, x, frame_steps, frame_steps, q0, inverse=True)
-    fu_frame = q_bwd[:, : d - u_dim].copy()
-
-    return OseledetsReport(
-        exponents=exponents,
-        multiplicities=multiplicities,
-        unstable_index=u,
-        eu_frame=eu_frame,
-        fu_frame=fu_frame,
-        orbit_length=n,
-        raw_exponents=tuple(float(v) for v in raw),
-    )
+    """The spectrum at one (path, x): lyapunov_spectra for a single sample."""
+    return lyapunov_spectra(
+        cocycle, [path], [x], n, frame_steps=frame_steps, frame_seeds=[frame_seed],
+        cluster_gap=cluster_gap,
+    )[0]
 
 
 def unstable_dimension(report: OseledetsReport) -> int:
@@ -241,11 +377,14 @@ def certify_partial_hyperbolicity(
     records: list[dict] = []
     any_trivial = False
 
-    for i in range(samples):
-        path_seed = int(rng.integers(0, 2**63 - 1))
-        path = sample_path(system, half_window, path_seed)
-        x = TorusPoint(tuple(rng.random(d)))
-        report = lyapunov_spectrum(cocycle, path, x, spectrum_n, frame_seed=path_seed)
+    path_seeds, paths, xs = [], [], []
+    for _ in range(samples):
+        path_seeds.append(int(rng.integers(0, 2**63 - 1)))
+        paths.append(sample_path(system, half_window, path_seeds[-1]))
+        xs.append(TorusPoint(tuple(rng.random(d))))
+    reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=path_seeds)
+
+    for i, (path, x, report) in enumerate(zip(paths, xs, reports)):
         if report.unstable_index == 0:
             any_trivial = True
             records.append({"sample": i, "unstable_index": 0})

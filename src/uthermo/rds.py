@@ -433,13 +433,6 @@ class Cocycle:
         return all(not m.shears for m in self.maps)
 
     @property
-    def has_commuting_matrices(self) -> bool:
-        mats = [m.matrix for m in self.maps]
-        return all(
-            np.array_equal(a @ b, b @ a) for i, a in enumerate(mats) for b in mats[i + 1 :]
-        )
-
-    @property
     def lipschitz(self) -> float:
         return max(m.lipschitz for m in self.maps)
 

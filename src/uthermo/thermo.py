@@ -25,20 +25,13 @@ from .rds import (
     TorusPoint,
     sample_path,
 )
-from .oseledets import OseledetsReport, lyapunov_spectrum
+from .oseledets import lyapunov_spectra
 from .leafgeom import (
     UnstableDisk,
     bowen_step_arcs,
     leaf_growth_factors,
     unstable_disk,
 )
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 __all__ = [
     "Potential",
@@ -61,6 +54,7 @@ __all__ = [
     "PropertySuiteReport",
     "pressure_property_suite",
     "fit_slope",
+    "upper_half",
 ]
 
 # Estimator discreteness (packing staircases, grid quantization) is not
@@ -255,34 +249,14 @@ def birkhoff_sum(
 # ---------------------------------------------------------------------------
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=False)
-    def _greedy_kernel(order, lo, hi, n_candidates):  # pragma: no cover - jit
-        blocked = np.zeros(n_candidates, dtype=np.bool_)
-        selected = np.empty(n_candidates, dtype=np.int64)
-        count = 0
-        for t in range(order.shape[0]):
-            idx = order[t]
-            if not blocked[idx]:
-                selected[count] = idx
-                count += 1
-                a = lo[idx]
-                b = hi[idx]
-                for j in range(a, b + 1):
-                    blocked[j] = True
-        return selected[:count]
-
-else:
-
-    def _greedy_kernel(order, lo, hi, n_candidates):
-        blocked = np.zeros(n_candidates, dtype=bool)
-        selected = []
-        for idx in order:
-            if not blocked[idx]:
-                selected.append(idx)
-                blocked[lo[idx] : hi[idx] + 1] = True
-        return np.asarray(selected, dtype=np.int64)
+def _greedy_kernel(order, lo, hi, n_candidates):
+    blocked = np.zeros(n_candidates, dtype=bool)
+    selected = []
+    for idx in order:
+        if not blocked[idx]:
+            selected.append(idx)
+            blocked[lo[idx] : hi[idx] + 1] = True
+    return np.asarray(selected, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -579,11 +553,6 @@ class GridSpec:
         if self.base_grid < 1 or self.omega_samples < 1:
             raise ValueError("base_grid and omega_samples must be >= 1")
 
-    @property
-    def upper_half(self) -> tuple[int, ...]:
-        half = self.n_grid[len(self.n_grid) // 2 :]
-        return half if len(half) >= 2 else self.n_grid
-
 
 @dataclass(frozen=True)
 class CellRecord:
@@ -595,6 +564,13 @@ class CellRecord:
     log_lower: float
     log_upper: float
     potential_id: str
+
+
+def upper_half(n_grid) -> tuple[int, ...]:
+    """The slope-fit window: the upper half of the time grid, or all of it when
+    that half would hold fewer than two points."""
+    half = tuple(n_grid[len(n_grid) // 2 :])
+    return half if len(half) >= 2 else tuple(n_grid)
 
 
 def fit_slope(ns, ys) -> tuple[float, float, float]:
@@ -719,19 +695,23 @@ def pressure_estimate(
     per_n_accum: dict[int, list[float]] = {n: [] for n in grid.n_grid}
     bracket_ok = True
 
-    for pseed in path_seeds:
-        path = sample_path(system, half_window, pseed)
-        shared_report: OseledetsReport | None = None
+    uh = upper_half(grid.n_grid)
+    sel = [grid.n_grid.index(n) for n in uh]
+
+    paths = [sample_path(system, half_window, pseed) for pseed in path_seeds]
+    # a constant-Jacobian spectrum does not depend on the point, so the one
+    # at the first base point serves every base point of its path
+    xs = base_pts[:1] if cocycle.has_constant_jacobian else base_pts
+    spectra = lyapunov_spectra(
+        cocycle, [p for p in paths for _ in xs], xs * len(paths), spectrum_n,
+        frame_steps=frame_steps, frame_seeds=[s for s in path_seeds for _ in xs],
+    )
+    k = len(xs)
+
+    for i, (pseed, path) in enumerate(zip(path_seeds, paths)):
+        path_reports = spectra[i * k : (i + 1) * k] * (len(base_pts) // k)
         best = None  # (slope, se, resid, logs_at_emin, nmax_log)
-        for xi, x in enumerate(base_pts):
-            if cocycle.has_constant_jacobian and shared_report is not None:
-                report = shared_report
-            else:
-                report = lyapunov_spectrum(
-                    cocycle, path, x, spectrum_n, frame_steps=frame_steps, frame_seed=pseed
-                )
-                if cocycle.has_constant_jacobian:
-                    shared_report = report
+        for xi, (x, report) in enumerate(zip(base_pts, path_reports)):
             state = SkewState(path=path, point=x)
             if report.unstable_index == 0:
                 # trivial leaf: the only separated set is the point itself,
@@ -770,10 +750,7 @@ def pressure_estimate(
                         )
                     if eps == eps_min:
                         logs_at_emin.append(res.log_weighted_sum)
-            sel = [grid.n_grid.index(n) for n in grid.upper_half]
-            slope, se, resid = fit_slope(
-                grid.upper_half, [logs_at_emin[i] for i in sel]
-            )
+            slope, se, resid = fit_slope(uh, [logs_at_emin[i] for i in sel])
             nmax_log = logs_at_emin[-1] / grid.n_grid[-1]
             if best is None or slope > best[0]:
                 best = (slope, se, resid, logs_at_emin, nmax_log)

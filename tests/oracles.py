@@ -98,3 +98,55 @@ def leaf_interval_by_scan(chart_fn, cell_of_fn, t_lo, t_hi, n_scan=200_001):
     while right + 1 < n_scan and cells[right + 1] == cells[mid]:
         right += 1
     return ts[left], ts[right]
+
+
+def _positive_qr(mat):
+    q, r = np.linalg.qr(mat)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs, r * signs[:, None]
+
+
+def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0, inverse: bool = False):
+    """One sample, one step at a time: (final Q, summed log diag R, summed log|det J|).
+
+    The point is first carried to time `start` (pulled back for start < 0);
+    forward mode then walks times start .. start+steps-1, inverse mode
+    walks backwards from start applying inverse Jacobians.
+    """
+    pt = np.asarray(x0, dtype=float)
+    for j in range(start) if start > 0 else range(-1, start - 1, -1):
+        m = cocycle.maps[path.symbol(j)]
+        pt = m.apply(pt) if start > 0 else m.inverse_apply(pt)
+    q, logs, log_det = q0.copy(), np.zeros(len(pt)), 0.0
+    times = range(start, start + steps) if not inverse else range(start - 1, start - steps - 1, -1)
+    for j in times:
+        m = cocycle.maps[path.symbol(j)]
+        if inverse:
+            pt = m.inverse_apply(pt)
+            jac = np.linalg.inv(m.jacobian(pt))
+        else:
+            jac = m.jacobian(pt)
+            log_det += math.log(abs(np.linalg.det(jac)))
+            pt = m.apply(pt)
+        q, r = _positive_qr(jac @ q)
+        logs += np.log(np.abs(np.diag(r)))
+    return q, logs, log_det
+
+
+def seeded_frame(dim: int, seed: int):
+    """The orthonormal starting frame a spectrum derives from its frame seed."""
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x0F])
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
+def scalar_spectrum(cocycle, path, x0, n: int, frame_steps=None, frame_seed: int = 0):
+    """(sorted raw exponents, Q pushed from the past, Q pulled from the future, log det sum)."""
+    q0 = seeded_frame(cocycle.dim, frame_seed)
+    _, logs, log_det = scalar_qr_walk(cocycle, path, x0, 0, n, q0)
+    fs = min(n, 512) if frame_steps is None else frame_steps
+    fs = min(fs, path.backward_reach, path.forward_reach)
+    q_fwd = scalar_qr_walk(cocycle, path, x0, -fs, fs, q0)[0]
+    q_bwd = scalar_qr_walk(cocycle, path, x0, fs, fs, q0, inverse=True)[0]
+    return np.sort(logs / n)[::-1], q_fwd, q_bwd, log_det

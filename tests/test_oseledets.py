@@ -7,17 +7,21 @@ import oracles
 from uthermo import (
     compose,
     Cocycle,
+    EstimatorError,
     MapDescriptor,
     OseledetsReport,
     TorusPoint,
+    WindowExhausted,
     certify_partial_hyperbolicity,
     derivative,
+    geometric_potential,
+    lyapunov_spectra,
     lyapunov_spectrum,
     sample_path,
     skew_step,
     unstable_dimension,
 )
-from uthermo.oseledets import _positive_qr
+from uthermo.oseledets import _positive_qr, _symbol_windows
 from uthermo.rds import SkewState
 
 
@@ -112,6 +116,96 @@ class TestSpectrum:
         path = sample_path(trivial_system, 200, 1)
         with pytest.raises(ValueError):
             lyapunov_spectrum(cat_cocycle, path, TorusPoint((0.1, 0.1)), 50)
+
+
+class _SingularMap(MapDescriptor):
+    """A map whose one-step Jacobian is singular at every point."""
+
+    def jacobian(self, pts):
+        return 0.0 * super().jacobian(pts)
+
+
+# (half_window, origin_offset) per sample: shifted origins, and windows short
+# enough that the frame length is clamped differently from sample to sample
+_BATCH_WINDOWS = ((260, 0), (230, 7), (260, -150), (205, -50), (500, 0))
+
+
+class TestOrbitEngine:
+    """The batched walk against the one-sample, one-step scalar reference."""
+
+    @pytest.mark.parametrize(
+        "name", ["cat_cocycle", "iid_cocycle", "t3_cocycle", "perturbed_cat_cocycle"]
+    )
+    def test_batch_bitwise_equals_scalar_walk(self, name, request, iid_system, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        system = iid_system if len(cocycle.maps) > 1 else trivial_system
+        rng = np.random.default_rng(4)
+        n = 200
+        paths = [sample_path(system, hw, 30 + i).shifted(off)
+                 for i, (hw, off) in enumerate(_BATCH_WINDOWS)]
+        xs = [TorusPoint(tuple(rng.random(cocycle.dim))) for _ in paths]
+        seeds = [11, 12, 13, 14, 15]
+        reports = lyapunov_spectra(cocycle, paths, xs, n, frame_seeds=seeds)
+        assert len({min(n, p.backward_reach, p.forward_reach) for p in paths}) == 3
+        for path, x, seed, rep in zip(paths, xs, seeds, reports):
+            raw, q_fwd, q_bwd, log_det = oracles.scalar_spectrum(
+                cocycle, path, x.as_array(), n, frame_seed=seed)
+            u_dim = rep.eu_frame.shape[1]
+            assert np.array_equal(np.array(rep.raw_exponents), raw)
+            assert np.array_equal(rep.eu_frame, q_fwd[:, :u_dim])
+            assert np.array_equal(rep.fu_frame, q_bwd[:, : cocycle.dim - u_dim])
+            assert rep.log_det_sum == pytest.approx(log_det, abs=1e-9)
+            single = lyapunov_spectrum(cocycle, path, x, n, frame_seed=seed)
+            assert single.raw_exponents == rep.raw_exponents
+            assert np.array_equal(single.eu_frame, rep.eu_frame)
+
+    def test_one_short_window_raises(self, iid_cocycle, iid_system):
+        paths = [sample_path(iid_system, 300, 1), sample_path(iid_system, 150, 2),
+                 sample_path(iid_system, 300, 3)]
+        xs = [TorusPoint((0.1, 0.2))] * 3
+        with pytest.raises(WindowExhausted):
+            lyapunov_spectra(iid_cocycle, paths, xs, 200)
+
+    def test_shifted_origin_past_window_raises(self, cat_cocycle, trivial_system):
+        path = sample_path(trivial_system, 250, 1).shifted(60)
+        with pytest.raises(WindowExhausted):
+            lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.1, 0.2))], 200)
+
+    def test_times_before_window_do_not_wrap(self, trivial_system):
+        # a negative array index would silently read the far end of the window
+        path = sample_path(trivial_system, 50, 1)
+        with pytest.raises(WindowExhausted, match="time -60"):
+            _symbol_windows([path], -60, 20)
+        with pytest.raises(WindowExhausted, match="time -51"):
+            _symbol_windows([path], 0, 60, inverse=True)
+
+    @pytest.mark.parametrize("sheared", [False, True])
+    def test_degenerate_jacobian_raises(self, sheared, iid_system, perturbed_cat_cocycle):
+        a = np.array([[2, 1], [1, 1]])
+        shears = perturbed_cat_cocycle.maps[0].shears if sheared else ()
+        cocycle = Cocycle(maps=(MapDescriptor(matrix=a, shears=shears),
+                                _SingularMap(matrix=a, shears=shears)))
+        paths = [sample_path(iid_system, 300, s) for s in (1, 2)]
+        with pytest.raises(EstimatorError, match="degenerate"):
+            lyapunov_spectra(cocycle, paths, [TorusPoint((0.1, 0.2))] * 2, 200)
+
+    def test_geometric_potential_batch_matches_scalar_frames(
+        self, perturbed_cat_cocycle, trivial_system
+    ):
+        cocycle = perturbed_cat_cocycle
+        path = sample_path(trivial_system, 300, 2)
+        rep = lyapunov_spectrum(cocycle, path, TorusPoint((0.3, 0.6)), 200)
+        phiu = geometric_potential(cocycle, rep, frame_steps=60)
+        pts = np.random.default_rng(5).random((7, 2))
+        got = phiu.values(path, pts)
+        q0 = oracles.seeded_frame(2, 0)
+        for row, val in zip(pts, got):
+            q = oracles.scalar_qr_walk(cocycle, path, row, -60, 60, q0)[0]
+            w = cocycle.maps[0].jacobian(row) @ q[:, :1]
+            assert val == -0.5 * math.log(abs(float(np.linalg.det(w.T @ w))))
+
+    def test_empty_batch(self, cat_cocycle):
+        assert lyapunov_spectra(cat_cocycle, [], [], 200) == []
 
 
 class TestUnstableDimension:
