@@ -33,7 +33,6 @@ from .oseledets import certify_partial_hyperbolicity, lyapunov_spectra
 from .thermo import (
     GridSpec,
     Potential,
-    combine_potentials,
     constant_potential,
     coordinate_potential,
     pressure_estimate,
@@ -42,7 +41,6 @@ from .thermo import (
     zero_potential,
 )
 from .measures import (
-    bowen_ball_entropy,
     build_partition_pair,
     convex_combo_sampler,
     haar_sampler,
@@ -71,6 +69,8 @@ EXPERIMENTS = (
 )
 
 ENV_PREFIX = "UTHERMO_"
+
+_WORKERS_DEPRECATED = "warning: {} is deprecated and ignored; runs are sequential"
 
 
 class ConfigError(ValueError):
@@ -110,7 +110,6 @@ class ExperimentConfig:
     seed: int = 0
     samples: int = 1
     out: str = "results"
-    workers: int = 1
     delta: float = 0.1
     n_grid: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14)
     eps_grid: tuple[float, ...] = (0.02, 0.04)
@@ -134,16 +133,14 @@ class ExperimentConfig:
             raise ConfigError("missing key 'system'")
         if self.samples < 1:
             raise ConfigError("key 'samples' must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("key 'workers' must be >= 1")
-        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])) or not self.n_grid:
-            raise ConfigError("key 'n_grid' must be strictly increasing")
-        if any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])) or not self.eps_grid:
-            raise ConfigError("key 'eps_grid' must be strictly increasing")
-        if min(self.eps_grid) <= 0:
-            raise ConfigError("key 'eps_grid' must be positive")
+        if self.spectrum_n < 100:
+            raise ConfigError("key 'spectrum_n' must be >= 100")
         if not 0 < self.delta <= 0.25:
             raise ConfigError("key 'delta' must lie in (0, 0.25]")
+        try:
+            self.grid_spec()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(
@@ -178,7 +175,9 @@ def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
             cfg.system = val
         elif key == "experiment":
             cfg.experiment = val
-        elif key in ("seed", "samples", "workers", "base_grid", "grid_k",
+        elif key == "workers":
+            print(_WORKERS_DEPRECATED.format("config key 'workers'"), file=sys.stderr)
+        elif key in ("seed", "samples", "base_grid", "grid_k",
                      "entropy_samples", "birkhoff_n", "birkhoff_samples", "spaces",
                      "certify_n", "spectrum_n"):
             try:
@@ -533,7 +532,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         ("seed", "SEED", int),
         ("samples", "SAMPLES", int),
         ("out", "OUT", str),
-        ("workers", "WORKERS", int),
     ):
         env_val = env.get(ENV_PREFIX + env_key)
         if env_val is not None:
@@ -557,8 +555,10 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--workers", type=int, default=None,
-                        help="accepted for compatibility; execution is sequential")
+                        help="deprecated and ignored; execution is sequential")
     args = parser.parse_args(argv)
+    if args.workers is not None:
+        print(_WORKERS_DEPRECATED.format("--workers"), file=sys.stderr)
 
     config_path = Path(args.config)
     experiment = args.experiment or os.environ.get(ENV_PREFIX + "EXPERIMENT")
@@ -574,8 +574,7 @@ def main(argv=None) -> int:
                 print(f"config error in {cfg_file.name}: {exc}", file=sys.stderr)
                 return 2
             cfg = _apply_overrides(cfg, argparse.Namespace(
-                experiment=None, seed=args.seed, samples=None, out=args.out,
-                workers=args.workers))
+                experiment=None, seed=args.seed, samples=None, out=args.out))
             print(f"== {cfg_file.name} ({cfg.experiment})")
             status = max(status, run(cfg))
         return status

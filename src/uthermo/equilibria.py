@@ -19,7 +19,9 @@ from .rds import Cocycle, DrivingSystem, SymbolPath, TorusPoint, reduce_mod1, sa
 from .oseledets import (
     OseledetsReport,
     _frames_from_past,
+    _jacobian_stream,
     _random_orthonormal,
+    _symbol_windows,
     lyapunov_spectra,
 )
 from .leafgeom import TrivialLeafError
@@ -33,7 +35,6 @@ from .thermo import (
     per_symbol_potential,
     pressure_estimate,
     theta_coboundary,
-    zero_potential,
 )
 from .measures import MeasureSampler, bowen_ball_entropy
 
@@ -98,13 +99,10 @@ def geometric_potential(
         else:
             q = _frames_from_past(cocycle, [path] * len(pts), reduce_mod1(pts),
                                   np.repeat(q0[None], len(pts), axis=0), steps)
-        out = np.empty(pts.shape[0])
-        m0 = cocycle.map_for(path.symbol(0))
-        for i, row in enumerate(pts):
-            w = m0.jacobian(row) @ q[i][:, :u_dim]
-            gram = w.T @ w
-            out[i] = -0.5 * math.log(abs(float(np.linalg.det(gram))))
-        return out
+        syms = _symbol_windows([path] * len(pts), 0, 1)
+        w = next(_jacobian_stream(cocycle, syms, pts)) @ q[:, :, :u_dim]
+        dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
+        return np.array([-0.5 * math.log(abs(float(v))) for v in dets])
 
     lip_bound = 2.0 * max(m.lipschitz for m in cocycle.maps)
     sup_bound = max(math.log(max(m.lipschitz, math.e)) for m in cocycle.maps) + 1.0

@@ -22,7 +22,7 @@ from .rds import (
     compose,
     reduce_mod1,
 )
-from .oseledets import OseledetsReport
+from .oseledets import OseledetsReport, _tangent_images
 
 __all__ = [
     "TrivialLeafError",
@@ -34,6 +34,7 @@ __all__ = [
     "bowen_distance",
     "leaf_volume",
     "leaf_growth_factors",
+    "leaf_growth_factors_batch",
     "bowen_step_arcs",
 ]
 
@@ -233,23 +234,32 @@ def leaf_distance(disk: UnstableDisk, y1: TorusPoint, y2: TorusPoint, tol: float
     return float(np.linalg.norm(np.asarray(t1) - np.asarray(t2)))
 
 
+def _image_norms(cocycle: Cocycle, disks, vecs: np.ndarray, n: int) -> np.ndarray:
+    """Norms (S, n) of tangent vectors vecs (S, d) at each disk's base under j-step
+    derivatives along its path, j = 0..n-1."""
+    pts = np.stack([disk.base_lift for disk in disks])
+    paths = [disk.base.path for disk in disks]
+    images = _tangent_images(cocycle, paths, pts, vecs[..., None], n - 1)[..., 0]
+    return np.sqrt(np.vecdot(images, images))
+
+
+def leaf_growth_factors_batch(cocycle: Cocycle, disks, n: int) -> np.ndarray:
+    """leaf_growth_factors for every disk at once, shape (S, n)."""
+    disks = list(disks)
+    if not disks:
+        return np.empty((0, n))
+    out = _image_norms(cocycle, disks, np.stack([disk.frame[:, 0] for disk in disks]), n)
+    out[:, 0] = 1.0
+    return out
+
+
 def leaf_growth_factors(cocycle: Cocycle, disk: UnstableDisk, n: int) -> np.ndarray:
     """Norm growth of the leaf direction under j-step derivatives, j = 0..n-1.
 
     Exact for constant-Jacobian cocycles (where the leaf is affine and the
     chart image under j steps is scaled by exactly this factor).
     """
-    v = disk.frame[:, 0]
-    out = np.empty(n)
-    out[0] = 1.0
-    w = v.copy()
-    pt = disk.base.point.as_array()
-    for j in range(1, n):
-        m = cocycle.map_for(disk.base.path.symbol(j - 1))
-        w = m.jacobian(pt) @ w
-        pt = m.apply(pt)
-        out[j] = float(np.linalg.norm(w))
-    return out
+    return leaf_growth_factors_batch(cocycle, [disk], n)[0]
 
 
 def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.ndarray) -> np.ndarray:
@@ -261,13 +271,10 @@ def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.nda
     between two parameters is max_j |S[j, i1] - S[j, i2]|.
     """
     params = np.asarray(params, dtype=float)
+    if disk.construction == "linear-exact":
+        return leaf_growth_factors(cocycle, disk, n)[:, None] * params
     out = np.empty((n, params.shape[0]))
     out[0] = params
-    if disk.construction == "linear-exact":
-        growth = leaf_growth_factors(cocycle, disk, n)
-        for j in range(1, n):
-            out[j] = growth[j] * params
-        return out
     pts = disk.points_lift.copy()
     mid = len(pts) // 2
     grid = disk.params
@@ -294,15 +301,7 @@ def bowen_distance(
     t1 = np.asarray(disk.param_of(y1))
     t2 = np.asarray(disk.param_of(y2))
     diff = disk.frame @ (t1 - t2)
-    best = float(np.linalg.norm(diff))
-    w = diff.copy()
-    pt = disk.base.point.as_array()
-    for j in range(1, n):
-        m = cocycle.map_for(disk.base.path.symbol(j - 1))
-        w = m.jacobian(pt) @ w
-        pt = m.apply(pt)
-        best = max(best, float(np.linalg.norm(w)))
-    return best
+    return float(np.max(_image_norms(cocycle, [disk], diff[None], n)))
 
 
 def leaf_volume(disk: UnstableDisk, region=None) -> float:

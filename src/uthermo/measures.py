@@ -28,8 +28,14 @@ from .rds import (
     sample_path,
     torus_distance,
 )
-from .oseledets import lyapunov_spectra
-from .leafgeom import TrivialLeafError, OffLeafError, unstable_disk, leaf_growth_factors
+from .oseledets import _tangent_images, lyapunov_spectra
+from .leafgeom import (
+    OffLeafError,
+    TrivialLeafError,
+    leaf_growth_factors,
+    leaf_growth_factors_batch,
+    unstable_disk,
+)
 from .thermo import CI_FLOOR, fit_slope, upper_half
 
 __all__ = [
@@ -579,6 +585,26 @@ def _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
     return zip(paths, xs, reports)
 
 
+def _mixed_estimate(sampler, method, n_grid, samples, estimate, epsilons=None):
+    """Weight the estimates of a mixed sampler's components; estimate(i, comp)
+    returns component i's."""
+    parts = [estimate(i, comp) for i, comp in enumerate(sampler.components)]
+
+    def mix(get):
+        return sum(w * get(p) for w, p in zip(sampler.weights, parts))
+
+    return EntropyEstimate(
+        value=mix(lambda p: p.value),
+        method=method,
+        n_grid=n_grid,
+        samples=samples,
+        ci=mix(lambda p: p.ci),
+        per_n={n: mix(lambda p: p.per_n[n]) for n in n_grid},
+        eps_values=None if epsilons is None
+        else {e: mix(lambda p: p.eps_values[e]) for e in epsilons},
+    )
+
+
 def _atomic_ball_information(cocycle, sampler, path, x, delta, n_grid, eps, report):
     """Information of dynamical balls under counting measure on a closed orbit."""
     try:
@@ -625,26 +651,12 @@ def bowen_ball_entropy(
     n_grid = tuple(n_grid)
     epsilons = tuple(sorted(epsilons))
     if sampler.leaf_conditional == "mixed":
-        parts = [
-            bowen_ball_entropy(
+        return _mixed_estimate(
+            sampler, "bowen-ball", n_grid, samples,
+            lambda i, comp: bowen_ball_entropy(
                 cocycle, comp, delta, n_grid, epsilons, samples, seed + 17 * i, frame_steps
-            )
-            for i, comp in enumerate(sampler.components)
-        ]
-        value = sum(w * p.value for w, p in zip(sampler.weights, parts))
-        ci = sum(w * p.ci for w, p in zip(sampler.weights, parts))
-        per_n = {
-            n: sum(w * p.per_n[n] for w, p in zip(sampler.weights, parts)) for n in n_grid
-        }
-        return EntropyEstimate(
-            value=value,
-            method="bowen-ball",
-            n_grid=n_grid,
-            samples=samples,
-            ci=ci,
-            per_n=per_n,
-            eps_values={e: sum(w * p.eps_values[e] for w, p in zip(sampler.weights, parts))
-                        for e in epsilons},
+            ),
+            epsilons,
         )
     if sampler.leaf_conditional not in ("volume", "atomic"):
         raise EstimatorError("unsupported conditional family for this sampler")
@@ -657,11 +669,13 @@ def bowen_ball_entropy(
     eps_min = epsilons[0]
     uh = upper_half(n_grid)
 
-    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
-        growth = None
-        if sampler.leaf_conditional == "volume":
-            disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
-            growth = leaf_growth_factors(cocycle, disk, max(n_grid))
+    drawn = list(_sample_spectra(cocycle, sampler, seeds, half_window, frame_steps))
+    growths = [None] * len(drawn)
+    if sampler.leaf_conditional == "volume":
+        disks = [unstable_disk(cocycle, SkewState(path, x), delta, report)
+                 for path, x, report in drawn]
+        growths = leaf_growth_factors_batch(cocycle, disks, max(n_grid))
+    for (path, x, report), growth in zip(drawn, growths):
         for eps in epsilons:
             if sampler.leaf_conditional == "atomic":
                 info = _atomic_ball_information(
@@ -705,8 +719,8 @@ def _interval_information(cocycle, pair, path, x, frame, n_max, delta):
     leaf atom (the cell section clipped to the disk radius).
     """
     g = pair.cell_size
-    w = frame.copy()
     y = x.as_array()
+    images = _tangent_images(cocycle, [path], y[None], frame[None, :, None], n_max - 1)
     lo, hi = -delta, delta
     lengths = np.empty(n_max)
     eta_len = None
@@ -714,7 +728,7 @@ def _interval_information(cocycle, pair, path, x, frame, n_max, delta):
         sym = path.symbol(j)
         r = pair.cell_positions(sym, y)
         for i in range(len(r)):
-            wi = w[i]
+            wi = images[0, j, i, 0]
             if abs(wi) < 1e-14:
                 continue
             a = (0.0 - r[i]) / wi
@@ -728,9 +742,7 @@ def _interval_information(cocycle, pair, path, x, frame, n_max, delta):
         if j == 0:
             eta_len = hi - lo
         lengths[j] = hi - lo
-        m = cocycle.map_for(sym)
-        w = m.jacobian(y) @ w
-        y = m.apply(y)
+        y = cocycle.map_for(sym).apply(y)
     return eta_len, lengths
 
 
@@ -762,6 +774,17 @@ def _polyline_information(cocycle, pair, path, disk, n_max):
     return eta_len, lengths
 
 
+def _cell_itinerary(cocycle, pair, path, y, n_max):
+    """Grid cells (as id tuples) that the orbit of y visits at steps 0..n_max-1."""
+    ids = []
+    cur = y.as_array()
+    for j in range(n_max):
+        sym = path.symbol(j)
+        ids.append(tuple(pair.cell_ids(sym, cur.reshape(1, -1))[0]))
+        cur = cocycle.map_for(sym).apply(cur)
+    return ids
+
+
 def _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max):
     """Per-sample information of the n-fold refined partition given the leaf atom."""
     if sampler.leaf_conditional == "atomic":
@@ -776,28 +799,13 @@ def _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max):
             members.append(y)
         if len(members) <= 1:
             return np.zeros(n_max)
-        ref_ids = None
-        counts = np.zeros(n_max)
-        itineraries = []
-        for y in members:
-            ids = []
-            cur = y.as_array()
-            for j in range(n_max):
-                sym = path.symbol(j)
-                ids.append(tuple(pair.cell_ids(sym, cur.reshape(1, -1))[0]))
-                cur = cocycle.map_for(sym).apply(cur)
-            itineraries.append(ids)
+        itineraries = [_cell_itinerary(cocycle, pair, path, y, n_max) for y in members]
         x_it = None
         for y, it in zip(members, itineraries):
             if torus_distance(y, x) <= 1e-12:
                 x_it = it
         if x_it is None:
-            cur = x.as_array()
-            x_it = []
-            for j in range(n_max):
-                sym = path.symbol(j)
-                x_it.append(tuple(pair.cell_ids(sym, cur.reshape(1, -1))[0]))
-                cur = cocycle.map_for(sym).apply(cur)
+            x_it = _cell_itinerary(cocycle, pair, path, x, n_max)
         eta_count = sum(1 for it in itineraries if it[0] == x_it[0])
         out = np.empty(n_max)
         for n in range(1, n_max + 1):
@@ -832,22 +840,11 @@ def partition_entropy_rate(
     """
     n_grid = tuple(n_grid)
     if sampler.leaf_conditional == "mixed":
-        parts = [
-            partition_entropy_rate(
+        return _mixed_estimate(
+            sampler, "partition-rate", n_grid, samples,
+            lambda i, comp: partition_entropy_rate(
                 cocycle, comp, pair, n_grid, samples, seed + 31 * i, delta, frame_steps
-            )
-            for i, comp in enumerate(sampler.components)
-        ]
-        value = sum(w * p.value for w, p in zip(sampler.weights, parts))
-        ci = sum(w * p.ci for w, p in zip(sampler.weights, parts))
-        return EntropyEstimate(
-            value=value,
-            method="partition-rate",
-            n_grid=n_grid,
-            samples=samples,
-            ci=ci,
-            per_n={n: sum(w * p.per_n[n] for w, p in zip(sampler.weights, parts))
-                   for n in n_grid},
+            ),
         )
     n_max = max(n_grid)
     half_window = max(n_max, frame_steps) + 2

@@ -169,6 +169,64 @@ def _move_points(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: b
     return pts
 
 
+def _jacobian_stream(
+    cocycle: Cocycle,
+    syms: np.ndarray,
+    pts: np.ndarray | None,
+    inverse: bool = False,
+    log_det: np.ndarray | None = None,
+):
+    """Yield the stacked one-step Jacobians (S, d, d) along syms (S, steps), step by step.
+
+    The one place that chooses how Jacobians are made.  A constant-Jacobian
+    cocycle looks them up in a per-symbol table and ignores pts (which may
+    be None).  Otherwise pts (S, d) are the starting points: forward mode
+    yields each step's Jacobian at the current point, then moves the point
+    on; inverse mode pulls the point back first and yields the inverse
+    Jacobian there.  Given log_det (S,), each step's log |det J| is added to
+    it, and a degenerate step raises EstimatorError.
+    """
+    _check_symbols(cocycle, syms)
+    constant = cocycle.has_constant_jacobian
+    if constant:
+        origin = np.zeros(cocycle.dim)
+        table = np.stack([m.jacobian(origin) for m in cocycle.maps])
+        if inverse:
+            table = np.stack([np.linalg.inv(jac) for jac in table])
+        dets = np.array([np.linalg.det(jac) for jac in table])
+    for col in syms.T:
+        if constant:
+            jac = table[col]
+        elif inverse:
+            pts = _map_step(cocycle, col, pts, "inverse_apply")
+            jac = np.linalg.inv(_map_step(cocycle, col, pts, "jacobian"))
+        else:
+            jac = _map_step(cocycle, col, pts, "jacobian")
+        if log_det is not None:
+            det = dets[col] if constant else np.linalg.det(jac)
+            if np.any(np.abs(det) < 1e-12):
+                raise EstimatorError("degenerate one-step Jacobian along the orbit")
+            log_det += np.log(np.abs(det))
+        yield jac
+        if not (constant or inverse):
+            pts = _map_step(cocycle, col, pts, "apply")
+
+
+def _tangent_images(
+    cocycle: Cocycle, paths, pts: np.ndarray | None, vecs: np.ndarray, steps: int
+) -> np.ndarray:
+    """Images of tangent vectors vecs (S, d, k) under the j-step derivatives, j = 0..steps.
+
+    Sample i starts at pts[i] on paths[i] (pts as in _jacobian_stream).
+    Returns an (S, steps + 1, d, k) array whose j = 0 slice is vecs.
+    """
+    out = np.empty((len(vecs), steps + 1) + vecs.shape[1:])
+    out[:, 0] = vecs
+    for j, jac in enumerate(_jacobian_stream(cocycle, _symbol_windows(paths, 0, steps), pts)):
+        out[:, j + 1] = jac @ out[:, j]
+    return out
+
+
 def _qr_walk_batch(
     cocycle: Cocycle,
     syms: np.ndarray,
@@ -178,45 +236,15 @@ def _qr_walk_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accumulate QR factors of stacked frames q (S, d, d) along syms (S, steps).
 
-    Forward mode applies each step's Jacobian at the current point, then
-    moves the point on; inverse mode pulls the point back first and applies
-    the inverse Jacobian there.  pts (S, d) are the starting points, or None
-    for a constant-Jacobian cocycle, whose Jacobians are a per-symbol table
-    lookup.  Returns (final Q, summed log diag R (S, d), summed log |det J|
-    (S,), forward mode only).
+    The Jacobians come from _jacobian_stream (pts as there).  Returns (final
+    Q, summed log diag R (S, d), summed log |det J| (S,), forward mode only).
     """
-    _check_symbols(cocycle, syms)
     s_count, d = q.shape[0], cocycle.dim
     logs = np.zeros((s_count, d))
     log_det = np.zeros(s_count)
-    if pts is None:
-        origin = np.zeros(d)
-        table = np.stack([m.jacobian(origin) for m in cocycle.maps])
-        if inverse:
-            table = np.stack([np.linalg.inv(jac) for jac in table])
-        else:
-            dets = np.array([np.linalg.det(jac) for jac in table])
-    for k in range(syms.shape[1]):
-        col = syms[:, k]
-        if inverse:
-            if pts is None:
-                jac = table[col]
-            else:
-                pts = _map_step(cocycle, col, pts, "inverse_apply")
-                jac = np.linalg.inv(_map_step(cocycle, col, pts, "jacobian"))
-        else:
-            if pts is None:
-                jac, det = table[col], dets[col]
-            else:
-                jac = _map_step(cocycle, col, pts, "jacobian")
-                det = np.linalg.det(jac)
-            if np.any(np.abs(det) < 1e-12):
-                raise EstimatorError("degenerate one-step Jacobian along the orbit")
-            log_det += np.log(np.abs(det))
+    for jac in _jacobian_stream(cocycle, syms, pts, inverse, None if inverse else log_det):
         q, r = _positive_qr(jac @ q)
         logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-        if pts is not None and not inverse:
-            pts = _map_step(cocycle, col, pts, "apply")
     return q, logs, log_det
 
 
@@ -371,12 +399,6 @@ def certify_partial_hyperbolicity(
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xCE57])
     d = cocycle.dim
 
-    gaps: list[float] = []
-    expansions: list[float] = []
-    c_estimates: list[float] = []
-    records: list[dict] = []
-    any_trivial = False
-
     path_seeds, paths, xs = [], [], []
     for _ in range(samples):
         path_seeds.append(int(rng.integers(0, 2**63 - 1)))
@@ -384,58 +406,52 @@ def certify_partial_hyperbolicity(
         xs.append(TorusPoint(tuple(rng.random(d))))
     reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=path_seeds)
 
-    for i, (path, x, report) in enumerate(zip(paths, xs, reports)):
-        if report.unstable_index == 0:
-            any_trivial = True
-            records.append({"sample": i, "unstable_index": 0})
+    # domination gap per sample with a nontrivial leaf; samples that share
+    # a frame shape and a tracked complement transport together
+    gaps: dict[int, float] = {}
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, report in enumerate(reports):
+        u, exps = report.unstable_index, report.exponents
+        if u == 0:
             continue
+        gaps[i] = exps[u] - exps[u - 1] if u < len(exps) else float("-inf")
+        track = report.fu_frame.shape[1] > 0 and math.isfinite(gaps[i])
+        groups.setdefault((report.eu_frame.shape[1], track), []).append(i)
 
-        u = report.unstable_index
-        if u < len(report.exponents):
-            gap = report.exponents[u] - report.exponents[u - 1]
-        else:
-            gap = float("-inf")
-        gaps.append(gap)
-
-        # transport frames and record per-step growth; the complementary
-        # span drifts toward faster directions at the domination rate, so
-        # the ratio diagnostic is windowed to stay below that horizon.
-        frame = report.eu_frame
-        fu = report.fu_frame
-        pt = x.as_array()
-        lam_min = math.inf
-        log_f_fast = 0.0
-        log_e_slow = 0.0
-        ratio_max = 1.0
-        drift_horizon = min(n, 30)
-        for j in range(n):
-            m = cocycle.map_for(path.symbol(j))
-            jac = m.jacobian(pt)
+    # transport frames and record per-step growth; the complementary span
+    # drifts toward faster directions at the domination rate, so the ratio
+    # diagnostic is windowed to stay below that horizon.
+    transported: dict[int, tuple[float, float]] = {}  # (least co-norm, ratio bound)
+    for (_, track), idx in groups.items():
+        frame = np.stack([reports[i].eu_frame for i in idx])
+        fu = np.stack([reports[i].fu_frame for i in idx])
+        gap = np.array([gaps[i] for i in idx])
+        lam_min = np.full(len(idx), math.inf)
+        log_f_fast, log_e_slow, ratio_logs = np.zeros(len(idx)), np.zeros(len(idx)), []
+        syms = _symbol_windows([paths[i] for i in idx], 0, n)
+        pts = np.stack([xs[i].as_array() for i in idx])
+        for j, jac in enumerate(_jacobian_stream(cocycle, syms, pts)):
             img = jac @ frame
-            svals = np.linalg.svd(img, compute_uv=False)
-            lam_min = min(lam_min, float(svals[-1]))
+            lam_min = np.minimum(lam_min, np.linalg.svd(img, compute_uv=False)[:, -1])
             frame, _ = _positive_qr(img)
-            if fu.shape[1] > 0 and j < drift_horizon and math.isfinite(gap):
+            if track and j < min(n, 30):
                 fu_img = jac @ fu
-                log_f_fast += float(np.max(np.log(np.linalg.norm(fu_img, axis=0))))
-                log_e_slow += float(np.min(np.log(np.linalg.norm(img, axis=0))))
+                log_f_fast += np.max(np.log(np.linalg.norm(fu_img, axis=-2)), axis=-1)
+                log_e_slow += np.min(np.log(np.linalg.norm(img, axis=-2)), axis=-1)
                 fu, _ = _positive_qr(fu_img)
-                ratio_max = max(ratio_max, math.exp(log_f_fast - log_e_slow - gap * (j + 1)))
-            pt = m.apply(pt)
-        expansions.append(lam_min)
-        c_estimates.append(ratio_max)
-        records.append(
-            {
-                "sample": i,
-                "unstable_index": report.unstable_index,
-                "gap": gap,
-                "expansion": lam_min,
-            }
-        )
+                ratio_logs.append(log_f_fast - log_e_slow - gap * (j + 1))
+        for k, i in enumerate(idx):
+            ratio_max = max([1.0] + [math.exp(r[k]) for r in ratio_logs])
+            transported[i] = (float(lam_min[k]), ratio_max)
 
-    if any_trivial or not expansions:
+    records = [
+        {"sample": i, "unstable_index": rep.unstable_index, "gap": gaps[i],
+         "expansion": transported[i][0]} if i in gaps else {"sample": i, "unstable_index": 0}
+        for i, rep in enumerate(reports)
+    ]
+    if len(gaps) < samples:
         return HyperbolicityCertificate(
-            domination_ratio_log=float("nan") if not gaps else max(gaps),
+            domination_ratio_log=float("nan") if not gaps else max(gaps.values()),
             expansion_lower=0.0,
             constants=float("nan"),
             samples=samples,
@@ -443,9 +459,9 @@ def certify_partial_hyperbolicity(
             per_sample=tuple(records),
         )
 
-    expansion_lower = min(expansions)
-    domination = max(gaps)
-    constants = max(c_estimates)
+    expansion_lower = min(transported[i][0] for i in gaps)
+    domination = max(gaps.values())
+    constants = max(transported[i][1] for i in gaps)
     if expansion_lower > 1.0 + margin and domination < -margin:
         verdict = "certified"
     elif expansion_lower <= 1.0 or domination >= 0.0:

@@ -348,10 +348,6 @@ class MapDescriptor:
     def inverse_matrix(self) -> np.ndarray:
         return self._inverse_matrix
 
-    @property
-    def perturbation_amplitude(self) -> float:
-        return float(sum(abs(s.amplitude) for s in self.shears))
-
     def apply_lift(self, pts: np.ndarray) -> np.ndarray:
         """Apply the map to lifted points in R^d (no mod 1)."""
         out = np.asarray(pts, dtype=float)
@@ -382,19 +378,6 @@ class MapDescriptor:
             jac = s.jacobian(cur) @ jac
             cur = s.apply(cur)
         return self.matrix.astype(float) @ jac
-
-    def inverse_jacobian(self, pts: np.ndarray) -> np.ndarray:
-        """Derivative of the inverse map at each (image) point."""
-        pts = np.asarray(pts, dtype=float)
-        cur = pts - np.asarray(self.translation)
-        cur = cur @ self._inverse_matrix.T.astype(float)
-        jac = np.broadcast_to(
-            self._inverse_matrix.astype(float), pts.shape[:-1] + (self.dim, self.dim)
-        ).copy()
-        for s in reversed(self.shears):
-            jac = s.jacobian(cur, inverse=True) @ jac
-            cur = s.apply(cur, inverse=True)
-        return jac
 
     @property
     def lipschitz(self) -> float:

@@ -23,9 +23,10 @@ from .rds import (
     SkewState,
     SymbolPath,
     TorusPoint,
+    WindowExhausted,
     sample_path,
 )
-from .oseledets import lyapunov_spectra
+from .oseledets import _tangent_images, lyapunov_spectra
 from .leafgeom import (
     UnstableDisk,
     bowen_step_arcs,
@@ -102,12 +103,6 @@ class Potential:
         if self.x_independent:
             return np.full(pts.shape[0], float(self.symbol_fn(path.symbol(0))))
         return np.asarray(self.vector_fn(path, pts), dtype=float)
-
-    def step_constant(self, path: SymbolPath, j: int) -> float:
-        """Value at orbit step j for x-independent potentials."""
-        if not self.x_independent:
-            raise ValueError("potential depends on the fiber point")
-        return float(self.symbol_fn(path.symbol(j)))
 
 
 def zero_potential() -> Potential:
@@ -218,14 +213,39 @@ def potential_norm(
     # x-dependent evaluators in this artifact do not read beyond symbol 0,
     # so a one-symbol window per symbol value is enough for the sup.
     total = 0.0
+    pts = _torus_grid(dim, grid)
     for s, p in enumerate(dist):
         if p == 0.0:
             continue
         path = SymbolPath(symbols=(s,) * 3, half_window=1)
-        axes = [np.linspace(0.0, 1.0, grid, endpoint=False)] * dim
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         total += p * float(np.max(np.abs(potential.values(path, pts))))
     return total
+
+
+def _torus_grid(dim: int, grid: int, centred: bool = False) -> np.ndarray:
+    """The grid**dim product lattice on the torus as rows, in C order: cell
+    corners i/grid, or cell centres (i + 0.5)/grid when centred."""
+    if centred:
+        axis = (np.arange(grid) + 0.5) / grid
+    else:
+        axis = np.linspace(0.0, 1.0, grid, endpoint=False)
+    return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _symbol_sum(potential: Potential, path: SymbolPath, n: int) -> float:
+    """Orbit sum over steps 0..n-1 of an x-independent potential.
+
+    Reads the path's symbols as one slice; a step outside the sampled
+    window raises WindowExhausted, as SymbolPath.symbol does.
+    """
+    first = path.origin_offset + path.half_window  # step 0 in path.symbols
+    if first < 0 or first + n > len(path.symbols):
+        raise WindowExhausted(
+            f"steps 0..{n - 1} leave the sampled window [-{path.half_window}, {path.half_window}]"
+        )
+    syms = path.symbols[first : first + n]
+    values = {s: float(potential.symbol_fn(s)) for s in set(syms)}
+    return sum(values[s] for s in syms)
 
 
 def birkhoff_sum(
@@ -235,7 +255,7 @@ def birkhoff_sum(
     if n < 1:
         raise ValueError("need n >= 1")
     if potential.x_independent:
-        return float(sum(potential.step_constant(path, j) for j in range(n)))
+        return _symbol_sum(potential, path, n)
     pt = x.as_array().reshape(1, -1)
     total = 0.0
     for j in range(n):
@@ -276,10 +296,6 @@ class SeparatedSetResult:
     log_upper: float
     method: str
     potential_label: str = ""
-
-    @property
-    def weighted_sum(self) -> float:
-        return float(math.exp(self.log_weighted_sum)) if self.log_weighted_sum < 700 else math.inf
 
     def verify_separation(self, cocycle: Cocycle, disk: UnstableDisk, tol: float = 0.0) -> bool:
         """Exact pairwise check (quadratic; meant for small sets in tests)."""
@@ -396,7 +412,7 @@ def maximal_separated_set(
             growth = leaf_growth_factors(cocycle, disk, n)
         gstar = float(np.max(growth[:n]))
         if potential.x_independent:
-            sn = sum(potential.step_constant(path, j) for j in range(n))
+            sn = _symbol_sum(potential, path, n)
             spacing = epsilon * (1.0 + 1e-9) / gstar
             count = math.floor(length / spacing) + 1
             cover = max(1, math.ceil(length * gstar / epsilon))
@@ -433,7 +449,7 @@ def maximal_separated_set(
         if gaps > epsilon / (2.0 * grid_factor):
             raise EstimatorError("grid too coarse for requested epsilon; refine the disk")
         if potential.x_independent:
-            sn = sum(potential.step_constant(path, j) for j in range(n))
+            sn = _symbol_sum(potential, path, n)
             pack = _profile_pack_indices(arcs, epsilon, max_candidates)
             cover = _profile_cover_indices(arcs, epsilon, max_candidates)
             return SeparatedSetResult(
@@ -480,12 +496,7 @@ def _separated_set_2d(cocycle, disk, potential, n, epsilon, max_candidates):
     """Sampled greedy packing for 2-d leaves (no exhaustive guarantee)."""
     path = disk.base.path
     # derivative images of the frame along the orbit, for pair distances
-    mats = [disk.frame.copy()]
-    pt = disk.base.point.as_array()
-    for j in range(n - 1):
-        m = cocycle.map_for(path.symbol(j))
-        mats.append(m.jacobian(pt) @ mats[-1])
-        pt = m.apply(pt)
+    mats = _tangent_images(cocycle, [path], disk.base_lift[None], disk.frame[None], n - 1)[0]
     smax = max(float(np.linalg.norm(m, 2)) for m in mats)
     side = max(2, int(min(200, math.sqrt(max_candidates))))
     axis = np.linspace(-disk.radius, disk.radius, side)
@@ -495,13 +506,12 @@ def _separated_set_2d(cocycle, disk, potential, n, epsilon, max_candidates):
     order = np.argsort(-weights, kind="stable")
     chosen: list[int] = []
     chosen_t: list[np.ndarray] = []
-    stack = [np.asarray(m) for m in mats]
     for idx in order:
         t = tt[idx]
         ok = True
         for s in chosen_t:
             diff = t - s
-            dist = max(float(np.linalg.norm(m @ diff)) for m in stack)
+            dist = max(float(np.linalg.norm(m @ diff)) for m in mats)
             if dist <= epsilon:
                 ok = False
                 break
@@ -546,6 +556,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        if self.n_grid[0] < 1:
+            raise ValueError("n_grid entries must be >= 1")
         if not self.eps_grid or any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ValueError("eps_grid must be strictly increasing")
         if min(self.eps_grid) <= 0:
@@ -588,12 +600,6 @@ def fit_slope(ns, ys) -> tuple[float, float, float]:
     else:
         se = 0.0
     return slope, se, float(np.max(np.abs(resid)))
-
-
-def _base_points(dim: int, grid: int) -> list[TorusPoint]:
-    axis = (np.arange(grid) + 0.5) / grid
-    mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    return [TorusPoint(tuple(row)) for row in mesh]
 
 
 @dataclass(frozen=True)
@@ -683,7 +689,9 @@ def pressure_estimate(
     half_window = max(n_max, frame_steps) + 2
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
     path_seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(grid.omega_samples)]
-    base_pts = _base_points(cocycle.dim, grid.base_grid)
+    base_pts = [
+        TorusPoint(tuple(row)) for row in _torus_grid(cocycle.dim, grid.base_grid, centred=True)
+    ]
     eps_min = grid.eps_grid[0]
     spectrum_n = max(128, frame_steps)
 
@@ -711,6 +719,9 @@ def pressure_estimate(
     for i, (pseed, path) in enumerate(zip(path_seeds, paths)):
         path_reports = spectra[i * k : (i + 1) * k] * (len(base_pts) // k)
         best = None  # (slope, se, resid, logs_at_emin, nmax_log)
+        # a linear-exact leaf's growth depends on its path and frame only,
+        # and every base point of a constant-Jacobian path shares one frame
+        growth = None
         for xi, (x, report) in enumerate(zip(base_pts, path_reports)):
             state = SkewState(path=path, point=x)
             if report.unstable_index == 0:
@@ -722,11 +733,8 @@ def pressure_estimate(
                     best = (0.0, 0.0, 0.0, zeros, 0.0)
                 continue
             disk = unstable_disk(cocycle, state, grid.delta, report, resolution=resolution)
-            growth = (
-                leaf_growth_factors(cocycle, disk, n_max)
-                if disk.construction == "linear-exact"
-                else None
-            )
+            if growth is None and disk.construction == "linear-exact":
+                growth = leaf_growth_factors(cocycle, disk, n_max)
             logs_at_emin = []
             for n in grid.n_grid:
                 for eps in grid.eps_grid:
@@ -833,6 +841,7 @@ def _fiber_extrema(potential: Potential, system: DrivingSystem, dim: int = 2, gr
     """Base-averaged fiber min and max of the potential."""
     dist = system.distribution_array
     lo = hi = 0.0
+    pts = _torus_grid(dim, grid)
     for s, p in enumerate(dist):
         if p == 0.0:
             continue
@@ -842,8 +851,6 @@ def _fiber_extrema(potential: Potential, system: DrivingSystem, dim: int = 2, gr
             lo += p * v
             hi += p * v
             continue
-        axes = [np.linspace(0.0, 1.0, grid, endpoint=False)] * dim
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         vals = potential.values(path, pts)
         lo += p * float(np.min(vals))
         hi += p * float(np.max(vals))
@@ -853,10 +860,9 @@ def _fiber_extrema(potential: Potential, system: DrivingSystem, dim: int = 2, gr
 def _pointwise_leq(
     phi: Potential, psi: Potential, system: DrivingSystem, dim: int = 2, grid: int = 48
 ) -> bool:
+    pts = _torus_grid(dim, grid)
     for s in range(system.symbol_count):
         path = SymbolPath(symbols=(s,) * 3, half_window=1)
-        axes = [np.linspace(0.0, 1.0, grid, endpoint=False)] * dim
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
         if np.any(phi.values(path, pts) > psi.values(path, pts) + 1e-12):
             return False
     return True

@@ -53,3 +53,16 @@ def t3_cocycle():
 def perturbed_cat_cocycle():
     shear = ShearTerm(amplitude=0.015, wavevector=(0, 1), phase=0.3)
     return Cocycle(maps=(MapDescriptor(matrix=np.array([[2, 1], [1, 1]]), shears=(shear,)),))
+
+
+@pytest.fixture(scope="session")
+def plane_leaf_cocycle():
+    """A 3-torus map with two expanding directions, so its leaves are 2-d."""
+    return Cocycle(maps=(MapDescriptor(matrix=np.array([[1, 1, 0], [1, 2, 1], [0, 1, 2]])),))
+
+
+@pytest.fixture(scope="session")
+def sheared_plane_leaf_cocycle():
+    shear = ShearTerm(amplitude=0.01, wavevector=(0, 0, 1), phase=0.2)
+    return Cocycle(maps=(MapDescriptor(matrix=np.array([[1, 1, 0], [1, 2, 1], [0, 1, 2]]),
+                                       shears=(shear,)),))

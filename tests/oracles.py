@@ -150,3 +150,83 @@ def scalar_spectrum(cocycle, path, x0, n: int, frame_steps=None, frame_seed: int
     q_fwd = scalar_qr_walk(cocycle, path, x0, -fs, fs, q0)[0]
     q_bwd = scalar_qr_walk(cocycle, path, x0, fs, fs, q0, inverse=True)[0]
     return np.sort(logs / n)[::-1], q_fwd, q_bwd, log_det
+
+
+def scalar_tangent_images(cocycle, path, x0, w0, steps: int):
+    """[w0, J_0 w0, J_1 J_0 w0, ...] (steps + 1 entries): a vector or a frame pushed
+    along the path from x0 one point and one step at a time."""
+    images = [np.array(w0, dtype=float)]
+    pt = np.asarray(x0, dtype=float)
+    for j in range(steps):
+        m = cocycle.maps[path.symbol(j)]
+        images.append(m.jacobian(pt) @ images[-1])
+        pt = m.apply(pt)
+    return images
+
+
+def scalar_leaf_growth(cocycle, path, x0, v, n: int):
+    """|Df^j v| at x0 for j = 0..n-1, with the j = 0 entry exactly 1.0."""
+    out = np.empty(n)
+    out[0] = 1.0
+    for j, w in enumerate(scalar_tangent_images(cocycle, path, x0, v, n - 1)[1:], start=1):
+        out[j] = float(np.linalg.norm(w))
+    return out
+
+
+def scalar_bowen_distance_2d(cocycle, path, x0, diff, n: int) -> float:
+    """max over j < n of |Df^j diff| at x0."""
+    return max(float(np.linalg.norm(w))
+               for w in scalar_tangent_images(cocycle, path, x0, diff, n - 1))
+
+
+def scalar_interval_information(cocycle, pair, path, x0, frame, n_max: int, delta: float):
+    """(eta length, surviving interval lengths) of a linear leaf through x0, found by
+    clipping the parameter interval against each step's grid cell, one step at a time."""
+    g = pair.cell_size
+    w = np.array(frame, dtype=float)
+    y = np.asarray(x0, dtype=float)
+    lo, hi = -delta, delta
+    lengths = np.empty(n_max)
+    for j in range(n_max):
+        sym = path.symbol(j)
+        r = pair.cell_positions(sym, y)
+        for i in range(len(r)):
+            if abs(w[i]) < 1e-14:
+                continue
+            a, b = sorted(((0.0 - r[i]) / w[i], (g - r[i]) / w[i]))
+            lo, hi = max(lo, a), min(hi, b)
+        lengths[j] = hi - lo
+        m = cocycle.maps[sym]
+        w = m.jacobian(y) @ w
+        y = m.apply(y)
+    return lengths[0], lengths
+
+
+def scalar_certify_transport(cocycle, path, x0, frame, fu, gap: float, n: int):
+    """(least co-norm, domination constant) of one sample's frames carried n steps.
+
+    The expanding frame is re-orthonormalised each step; the complementary
+    frame is tracked over the first min(n, 30) steps when the gap is finite.
+    """
+    pt = np.asarray(x0, dtype=float)
+    lam_min, log_f_fast, log_e_slow, ratio_max = math.inf, 0.0, 0.0, 1.0
+    for j in range(n):
+        m = cocycle.maps[path.symbol(j)]
+        jac = m.jacobian(pt)
+        img = jac @ frame
+        lam_min = min(lam_min, float(np.linalg.svd(img, compute_uv=False)[-1]))
+        frame = _positive_qr(img)[0]
+        if fu.shape[1] > 0 and j < min(n, 30) and math.isfinite(gap):
+            fu_img = jac @ fu
+            log_f_fast += float(np.max(np.log(np.linalg.norm(fu_img, axis=0))))
+            log_e_slow += float(np.min(np.log(np.linalg.norm(img, axis=0))))
+            fu = _positive_qr(fu_img)[0]
+            ratio_max = max(ratio_max, math.exp(log_f_fast - log_e_slow - gap * (j + 1)))
+        pt = m.apply(pt)
+    return lam_min, ratio_max
+
+
+def scalar_phiu(cocycle, path, x0, q, u_dim: int) -> float:
+    """-log of the u-volume growth of the one-step derivative at x0 on frame q[:, :u_dim]."""
+    w = cocycle.maps[path.symbol(0)].jacobian(np.asarray(x0, dtype=float)) @ q[:, :u_dim]
+    return -0.5 * math.log(abs(float(np.linalg.det(w.T @ w))))

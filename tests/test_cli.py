@@ -119,11 +119,36 @@ class TestRunner:
         assert (out / "info_identities_1.json").exists()
         assert (out / "entropy_1.json").exists()
 
-    def test_workers_flag_accepted(self, tmp_path):
-        assert main([
-            "--config", str(CONFIG_DIR / "cat_entropy.cfg"), "--out", str(tmp_path),
-            "--workers", "4",
-        ]) == 0
+    @pytest.mark.parametrize("experiment, key, val", [
+        ("spectrum", "spectrum_n", "50"),
+        ("entropy", "base_grid", "0"),
+        ("entropy", "n_grid", "0:3"),
+    ])
+    def test_out_of_range_key_exits_2(self, tmp_path, capsys, experiment, key, val):
+        (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
+        bad = _write(tmp_path, "bad.cfg",
+                     f"system = cat.system\nexperiment = {experiment}\n{key} = {val}\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_flag_accepted(self, tmp_path, capsys):
+        cfg = str(CONFIG_DIR / "cat_entropy.cfg")
+        assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+        assert "deprecated" not in capsys.readouterr().err
+        assert main(["--config", cfg, "--out", str(tmp_path / "workers"), "--workers", "4"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers is deprecated" in err
+        for name in ("entropy_1.csv", "entropy_1.json"):
+            assert ((tmp_path / "workers" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
+    def test_workers_key_accepted_and_ignored(self, tmp_path, capsys):
+        cfg = parse_config_text("system = cat.system\nexperiment = entropy\nworkers = 4\n",
+                                tmp_path)
+        assert "config key 'workers' is deprecated" in capsys.readouterr().err
+        assert cfg == parse_config_text("system = cat.system\nexperiment = entropy\n", tmp_path)
 
 
 class TestExperimentSurfaces:

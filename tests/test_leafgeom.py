@@ -15,12 +15,13 @@ from uthermo import (
     bowen_distance,
     leaf_distance,
     leaf_volume,
+    lyapunov_spectra,
     lyapunov_spectrum,
     sample_path,
     skew_step,
     unstable_disk,
 )
-from uthermo.leafgeom import bowen_step_arcs, leaf_growth_factors
+from uthermo.leafgeom import bowen_step_arcs, leaf_growth_factors, leaf_growth_factors_batch
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +217,60 @@ class TestLeafVolume:
 
     def test_region_clipped_to_disk(self, cat_disk):
         assert leaf_volume(cat_disk, (-1.0, 1.0)) == pytest.approx(0.2)
+
+
+def _disks(cocycle, system, count, seed=0):
+    """count linear-exact disks at random base states (the chart kind does not
+    change the tangent walk, and skips the graph transform on sheared maps)."""
+    rng = np.random.default_rng(seed)
+    paths = [sample_path(system, 260, seed + i) for i in range(count)]
+    xs = [TorusPoint(tuple(rng.random(cocycle.dim))) for _ in paths]
+    reports = lyapunov_spectra(cocycle, paths, xs, 200)
+    return [unstable_disk(cocycle, SkewState(p, x), 0.1, r, construction="linear-exact")
+            for p, x, r in zip(paths, xs, reports)]
+
+
+def _system_for(cocycle, iid_system, trivial_system):
+    return iid_system if len(cocycle.maps) > 1 else trivial_system
+
+
+_COCYCLES = ["cat_cocycle", "iid_cocycle", "t3_cocycle", "perturbed_cat_cocycle"]
+
+
+class TestTangentWalks:
+    """The stacked tangent pushes against one-point, one-step scalar references."""
+
+    @pytest.mark.parametrize("name", _COCYCLES)
+    def test_growth_bitwise_equals_scalar_push(self, name, request, iid_system, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        disks = _disks(cocycle, _system_for(cocycle, iid_system, trivial_system), 5)
+        batch = leaf_growth_factors_batch(cocycle, disks, 40)
+        assert batch.shape == (5, 40)
+        for disk, row in zip(disks, batch):
+            ref = oracles.scalar_leaf_growth(
+                cocycle, disk.base.path, disk.base_lift, disk.frame[:, 0], 40)
+            assert np.array_equal(row, ref)
+            assert np.array_equal(leaf_growth_factors(cocycle, disk, 40), ref)
+
+    @pytest.mark.parametrize("name", _COCYCLES)
+    def test_growth_alone_equals_growth_in_batch(self, name, request, iid_system, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        disks = _disks(cocycle, _system_for(cocycle, iid_system, trivial_system), 16, seed=3)
+        batch = leaf_growth_factors_batch(cocycle, disks, 30)
+        assert np.array_equal(leaf_growth_factors(cocycle, disks[7], 30), batch[7])
+
+    def test_empty_growth_batch(self, cat_cocycle):
+        assert leaf_growth_factors_batch(cat_cocycle, [], 12).shape == (0, 12)
+
+    @pytest.mark.parametrize("name", ["plane_leaf_cocycle", "sheared_plane_leaf_cocycle"])
+    def test_bowen_distance_2d_bitwise_equals_scalar_push(self, name, request, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        disk = _disks(cocycle, trivial_system, 1, seed=4)[0]
+        assert disk.leaf_dim == 2
+        t1, t2 = np.array([0.03, -0.02]), np.array([-0.01, 0.04])
+        y1, y2 = (TorusPoint(tuple(disk.chart(t))) for t in (t1, t2))
+        for n in (1, 2, 9):
+            diff = disk.frame @ (np.asarray(disk.param_of(y1)) - np.asarray(disk.param_of(y2)))
+            ref = oracles.scalar_bowen_distance_2d(
+                cocycle, disk.base.path, disk.base_lift, diff, n)
+            assert bowen_distance(cocycle, disk, n, y1, y2) == ref

@@ -355,3 +355,21 @@ class TestEntropyGapReport:
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 8, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 8, seed=7, delta=0.1)
         assert entropy_estimator_gap(bowen, part).gap <= 0.02
+
+
+class TestIntervalInformationPush:
+    @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "t3_cocycle"])
+    def test_bitwise_equals_scalar_push(self, name, request, iid_system, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        system = iid_system if len(cocycle.maps) > 1 else trivial_system
+        pair = build_partition_pair(system, [], 16, offset_seed=5, dim=cocycle.dim)
+        rng = np.random.default_rng(8)
+        for i in range(4):
+            path = sample_path(system, 300, 40 + i)
+            x = TorusPoint(tuple(rng.random(cocycle.dim)))
+            frame = lyapunov_spectrum(cocycle, path, x, 200).eu_frame[:, 0]
+            got = _interval_information(cocycle, pair, path, x, frame, 8, 0.1)
+            ref = oracles.scalar_interval_information(
+                cocycle, pair, path, x.as_array(), frame, 8, 0.1)
+            assert got[0] == ref[0]
+            assert np.array_equal(got[1], ref[1])

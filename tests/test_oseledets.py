@@ -201,8 +201,7 @@ class TestOrbitEngine:
         q0 = oracles.seeded_frame(2, 0)
         for row, val in zip(pts, got):
             q = oracles.scalar_qr_walk(cocycle, path, row, -60, 60, q0)[0]
-            w = cocycle.maps[0].jacobian(row) @ q[:, :1]
-            assert val == -0.5 * math.log(abs(float(np.linalg.det(w.T @ w))))
+            assert val == oracles.scalar_phiu(cocycle, path, row, q, 1)
 
     def test_empty_batch(self, cat_cocycle):
         assert lyapunov_spectra(cat_cocycle, [], [], 200) == []
@@ -237,6 +236,31 @@ class TestCertificates:
         assert cert.verdict == "certified"
         assert cert.expansion_lower == pytest.approx(oracles.CAT_EIGENVALUE, abs=1e-6)
         assert cert.domination_ratio_log == pytest.approx(-oracles.CAT_LOG, abs=0.05)
+
+    @pytest.mark.parametrize(
+        "name", ["perturbed_cat_cocycle", "t3_cocycle", "iid_cocycle", "plane_leaf_cocycle"]
+    )
+    def test_transport_bitwise_equals_scalar_loop(self, name, request, iid_system, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        system = iid_system if len(cocycle.maps) > 1 else trivial_system
+        n, seed = 40, 6
+        cert = certify_partial_hyperbolicity(cocycle, system, samples=10, n=n, seed=seed,
+                                             spectrum_n=200)
+        # the certificate's own draws, then one sample at a time
+        rng = np.random.default_rng([seed, 0xCE57])
+        constants = []
+        for i, rec in enumerate(cert.per_sample):
+            pseed = int(rng.integers(0, 2**63 - 1))
+            path = sample_path(system, 202, pseed)
+            x = TorusPoint(tuple(rng.random(cocycle.dim)))
+            rep = lyapunov_spectrum(cocycle, path, x, 200, frame_seed=pseed)
+            u = rep.unstable_index
+            gap = rep.exponents[u] - rep.exponents[u - 1] if u < len(rep.exponents) else -math.inf
+            lam, c = oracles.scalar_certify_transport(
+                cocycle, path, x.as_array(), rep.eu_frame, rep.fu_frame, gap, n)
+            assert rec == {"sample": i, "unstable_index": u, "gap": gap, "expansion": lam}
+            constants.append(c)
+        assert cert.constants == max(constants)
 
     def test_too_few_samples_rejected(self, cat_cocycle, trivial_system):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from uthermo import (
     EstimatorError,
+    WindowExhausted,
     GridSpec,
     SkewState,
     TorusPoint,
@@ -23,6 +24,7 @@ from uthermo import (
     unstable_disk,
     zero_potential,
 )
+from uthermo import thermo
 from uthermo.thermo import fit_slope, potential_norm, theta_coboundary
 
 
@@ -84,6 +86,17 @@ class TestBirkhoffSum:
         assert birkhoff_sum(cat_cocycle, pot, path, TorusPoint((0.2, 0.2)), 7) == pytest.approx(
             2.1
         )
+
+    def test_symbol_sum_reads_the_path_window(self, iid_cocycle, iid_system):
+        pot = per_symbol_potential([0.25, -1.5])
+        path = sample_path(iid_system, 10, 3).shifted(-4)
+        x = TorusPoint((0.2, 0.2))
+        expected = sum((0.25, -1.5)[path.symbol(j)] for j in range(15))
+        assert birkhoff_sum(iid_cocycle, pot, path, x, 15) == expected
+        with pytest.raises(WindowExhausted):
+            birkhoff_sum(iid_cocycle, pot, path, x, 16)
+        with pytest.raises(WindowExhausted):
+            birkhoff_sum(iid_cocycle, pot, path.shifted(-7), x, 1)
 
     def test_single_step_is_value(self, cat_cocycle, cat_setup):
         path, _, _ = cat_setup
@@ -222,6 +235,8 @@ class TestPressurePipeline:
             GridSpec(eps_grid=(0.04, 0.02))
         with pytest.raises(ValueError):
             GridSpec(base_grid=0)
+        with pytest.raises(ValueError, match="n_grid"):
+            GridSpec(n_grid=(0, 1, 2))
 
     def test_cat_entropy_hits_eigen_rate(self, cat_cocycle, trivial_system):
         grid = GridSpec(delta=0.1, n_grid=tuple(range(8, 13)), eps_grid=(0.02, 0.04),
@@ -326,3 +341,33 @@ class TestPropertySuite:
         combo = combine_potentials([(2.0, a), (1.0, b)])
         assert combo.l1_bound == pytest.approx(1.1)
         assert combo.lipschitz == pytest.approx(2.0 * a.lipschitz)
+
+
+class TestPlaneLeafPacking:
+    @pytest.mark.parametrize("name", ["plane_leaf_cocycle", "sheared_plane_leaf_cocycle"])
+    def test_frames_bitwise_equal_scalar_push(self, name, request, trivial_system, monkeypatch):
+        # the packing run as it is, and again with its frame images taken from
+        # the one-point scalar push: the two results must agree bit for bit
+        cocycle = request.getfixturevalue(name)
+        path = sample_path(trivial_system, 300, 2)
+        state = SkewState(path=path, point=TorusPoint((0.21, 0.57, 0.83)))
+        rep = lyapunov_spectrum(cocycle, path, state.point, 200)
+        disk = unstable_disk(cocycle, state, 0.05, rep, construction="linear-exact")
+        assert disk.leaf_dim == 2
+        pot = coordinate_potential(0.3, [1, 0, 1])
+
+        def run():
+            return maximal_separated_set(cocycle, disk, pot, 4, 0.04, max_candidates=256)
+
+        got = run()
+
+        def scalar_images(cocycle, paths, pts, vecs, steps):
+            return np.array([oracles.scalar_tangent_images(cocycle, p, x, v, steps)
+                             for p, x, v in zip(paths, pts, vecs)])
+
+        monkeypatch.setattr(thermo, "_tangent_images", scalar_images)
+        ref = run()
+        assert got.method == ref.method == "greedy-max"
+        assert np.array_equal(got.points, ref.points)
+        assert (got.count, got.log_weighted_sum, got.log_upper) == (
+            ref.count, ref.log_weighted_sum, ref.log_upper)
