@@ -59,6 +59,7 @@ from .thermo import (
     maximal_separated_set,
     per_symbol_potential,
     pressure_estimate,
+    pressure_estimates,
     pressure_property_suite,
     topological_entropy,
     zero_potential,

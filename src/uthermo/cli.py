@@ -2,7 +2,8 @@
 
 Reads a plain key/value experiment config naming a system definition,
 runs one named experiment, and writes deterministic CSV/JSON artifacts
-(`<experiment>_<seed>.csv/.json`); wall-clock timestamps go only to a
+(`<experiment>_<seed>.csv/.json`; `--experiment all` writes each config's
+into `<out>/<config stem>/`); wall-clock timestamps go only to a
 sidecar `.log` so repeated runs are byte-identical.  Exit codes: 0 all
 asserted invariants passed, 1 invariant failure, 2 config error, 3
 estimator failure.
@@ -575,6 +576,8 @@ def main(argv=None) -> int:
                 return 2
             cfg = _apply_overrides(cfg, argparse.Namespace(
                 experiment=None, seed=args.seed, samples=None, out=args.out))
+            # one directory per config: two configs may share an experiment and seed
+            cfg.out = str(Path(cfg.out) / cfg_file.stem)
             print(f"== {cfg_file.name} ({cfg.experiment})")
             status = max(status, run(cfg))
         return status

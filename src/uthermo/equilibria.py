@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rds import Cocycle, DrivingSystem, SymbolPath, TorusPoint, reduce_mod1, sample_path
 from .oseledets import (
@@ -29,11 +28,13 @@ from .thermo import (
     GridSpec,
     Potential,
     PressureEstimate,
+    _logsumexp,
     birkhoff_sum,
     combine_potentials,
     constant_potential,
     per_symbol_potential,
     pressure_estimate,
+    pressure_estimates,
     theta_coboundary,
 )
 from .measures import MeasureSampler, bowen_ball_entropy
@@ -342,9 +343,10 @@ def dual_vp_check(
     h = bowen_ball_entropy(
         cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
     )
+    pressures = pressure_estimates(cocycle, system, potential_family, grid, seed,
+                                   keep_cells=False)
     best = math.inf
-    for phi in potential_family:
-        pressure = pressure_estimate(cocycle, system, phi, grid, seed, keep_cells=False)
+    for phi, pressure in zip(potential_family, pressures):
         integral, _ = birkhoff_integral(
             cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
         )
@@ -369,6 +371,6 @@ def mixing_inequality_check(p, a) -> tuple[bool, float]:
         raise ValueError("sum of p must be positive")
     plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
     lhs = float(np.sum(p * a) - np.sum(plogp))
-    rhs = s * (float(logsumexp(a)) - math.log(s))
+    rhs = s * (_logsumexp(a) - math.log(s))
     slack = rhs - lhs
     return bool(slack >= -1e-12), float(slack)

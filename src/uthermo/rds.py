@@ -157,14 +157,14 @@ def sample_path(system: DrivingSystem, half_window: int, seed: int) -> SymbolPat
     dist = system.distribution_array
     if system.kind == "iid":
         draws = rng.choice(system.symbol_count, size=size, p=dist)
-        return SymbolPath(symbols=tuple(int(s) for s in draws), half_window=half_window)
+        return SymbolPath(symbols=tuple(draws.tolist()), half_window=half_window)
     # markov: start at stationary law at the left edge, then run the chain
     q = np.asarray(system.transition, dtype=float)
     out = np.empty(size, dtype=np.int64)
     out[0] = rng.choice(system.symbol_count, p=dist)
     for i in range(1, size):
         out[i] = rng.choice(system.symbol_count, p=q[out[i - 1]])
-    return SymbolPath(symbols=tuple(int(s) for s in out), half_window=half_window)
+    return SymbolPath(symbols=tuple(out.tolist()), half_window=half_window)
 
 
 # ---------------------------------------------------------------------------

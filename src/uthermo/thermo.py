@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .rds import (
     Cocycle,
@@ -46,10 +45,12 @@ __all__ = [
     "birkhoff_sum",
     "SeparatedSetResult",
     "maximal_separated_set",
+    "maximal_separated_sets",
     "GridSpec",
     "CellRecord",
     "PressureEstimate",
     "pressure_estimate",
+    "pressure_estimates",
     "topological_entropy",
     "PropertyCheck",
     "PropertySuiteReport",
@@ -78,7 +79,8 @@ class Potential:
     x-independent potentials carry symbol_fn (value per current symbol) and
     admit closed-form orbit sums; x-dependent ones carry a vectorized
     evaluator.  l1_bound bounds the per-fiber sup of |phi|; lipschitz is a
-    modulus for |phi(w,x)-phi(w,y)| <= lipschitz * d(x,y).
+    modulus for |phi(w,x)-phi(w,y)| <= lipschitz * d(x,y).  A weighted sum
+    from combine_potentials records its (weight, Potential) terms.
     """
 
     kind: str
@@ -87,6 +89,7 @@ class Potential:
     lipschitz: float
     symbol_fn: Callable[[int], float] | None = None
     vector_fn: Callable[[SymbolPath, np.ndarray], np.ndarray] | None = None
+    terms: tuple[tuple[float, Potential], ...] = ()
 
     @property
     def x_independent(self) -> bool:
@@ -157,34 +160,53 @@ def coordinate_potential(
 
 def combine_potentials(terms, label: str | None = None) -> Potential:
     """Weighted sum of potentials: terms is a list of (weight, Potential)."""
-    terms = [(float(w), p) for w, p in terms]
-    l1 = sum(abs(w) * p.l1_bound for w, p in terms)
-    lip = sum(abs(w) * p.lipschitz for w, p in terms)
+    terms = tuple((float(w), p) for w, p in terms)
+    fields = dict(
+        kind="custom-sum",
+        label=label or "+".join(f"{w:g}*{p.label}" for w, p in terms),
+        l1_bound=sum(abs(w) * p.l1_bound for w, p in terms),
+        lipschitz=sum(abs(w) * p.lipschitz for w, p in terms),
+        terms=terms,
+    )
     if all(p.x_independent for _, p in terms):
         def sym(s, terms=terms):
             return sum(w * p.symbol_fn(s) for w, p in terms)
 
-        return Potential(
-            kind="custom-sum",
-            label=label or "+".join(f"{w:g}*{p.label}" for w, p in terms),
-            l1_bound=l1,
-            lipschitz=lip,
-            symbol_fn=sym,
-        )
+        return Potential(symbol_fn=sym, **fields)
 
     def vec(path, pts, terms=terms):
-        out = np.zeros(pts.shape[0])
-        for w, p in terms:
-            out += w * p.values(path, pts)
-        return out
+        return _sum_terms(terms, lambda leaf: leaf.values(path, pts))
 
-    return Potential(
-        kind="custom-sum",
-        label=label or "+".join(f"{w:g}*{p.label}" for w, p in terms),
-        l1_bound=l1,
-        lipschitz=lip,
-        vector_fn=vec,
-    )
+    return Potential(vector_fn=vec, **fields)
+
+
+def _expands(potential: Potential) -> bool:
+    """True for an x-dependent weighted sum, which is evaluated through its terms."""
+    return bool(potential.terms) and not potential.x_independent
+
+
+def _leaves(potential: Potential) -> list[Potential]:
+    """The potentials whose values make up this one's: its terms' leaves when it
+    expands, else itself."""
+    if not _expands(potential):
+        return [potential]
+    return [leaf for _, p in potential.terms for leaf in _leaves(p)]
+
+
+def _sum_terms(terms, value) -> np.ndarray:
+    """The sum of w * value(p) over the (w, p) terms, added in order onto zeros.
+
+    value(leaf) gives a leaf's values; terms that expand are summed from their
+    own terms first.  This is the one evaluator of x-dependent sums, so values
+    shared between sums give results bitwise equal to evaluating each alone.
+    """
+    out = None
+    for w, p in terms:
+        v = _sum_terms(p.terms, value) if _expands(p) else value(p)
+        if out is None:
+            out = np.zeros(v.shape)
+        out += w * v
+    return out
 
 
 def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = None) -> Potential:
@@ -269,14 +291,53 @@ def birkhoff_sum(
 # ---------------------------------------------------------------------------
 
 
-def _greedy_kernel(order, lo, hi, n_candidates):
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) over all entries, by the arithmetic of scipy.special.logsumexp:
+    the (tied) maxima are split off the shifted sum, so results are bitwise equal to it."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a)))
+        a_max = np.max(a)
+        at_max = a == a_max
+        m = np.sum(at_max, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+    # infinite or NaN results come from the direct formula, as in scipy
+    return float(out) if np.isfinite(out) else float(direct)
+
+
+def _greedy_kernel(order, width: int, n_candidates: int) -> np.ndarray:
+    """Sorted indices of the candidates picked in `order`, each pick blocking the
+    candidates within `width` grid steps of it (the linear-exact window).
+
+    A pick marks itself 2 and its window 1; a later pick lies outside every
+    earlier window, so the marks of 2 left at the end are exactly the picks.
+    """
+    span = 2 * width + 1
+    blocked = bytearray(n_candidates + span - 1)  # candidate i sits at i + width
+    block = b"\x01" * width + b"\x02" + b"\x01" * width
+    for idx in order.tolist():
+        if not blocked[idx + width]:
+            blocked[idx : idx + span] = block
+    marks = np.frombuffer(blocked, dtype=np.uint8)[width : width + n_candidates]
+    return np.flatnonzero(marks == 2)
+
+
+def _greedy_windows(order, lo, hi, n_candidates: int) -> np.ndarray:
+    """Sorted indices of the candidates picked in `order`, each pick blocking
+    its window lo..hi (the polyline-profile windows)."""
     blocked = np.zeros(n_candidates, dtype=bool)
+    lo, hi = lo.tolist(), hi.tolist()
     selected = []
-    for idx in order:
+    for idx in order.tolist():
         if not blocked[idx]:
             selected.append(idx)
             blocked[lo[idx] : hi[idx] + 1] = True
-    return np.asarray(selected, dtype=np.int64)
+    return np.sort(np.asarray(selected, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -311,12 +372,24 @@ class SeparatedSetResult:
         return True
 
 
-def _orbit_sums(cocycle, path, potential, pts: np.ndarray, n: int) -> np.ndarray:
-    """Vector of orbit sums S_n(phi) over an array of starting points."""
-    total = np.zeros(pts.shape[0])
+def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarray:
+    """Orbit sums S_n(phi) over an array of starting points, one row per potential.
+
+    One walk serves every potential: at each step each distinct leaf potential
+    is evaluated once at the current points, and weighted sums are added up
+    from those values in their own term order.
+    """
+    leaves = {id(leaf): leaf for p in potentials for leaf in _leaves(p)}
+    total = np.zeros((len(potentials), pts.shape[0]))
     cur = pts
     for j in range(n):
-        total += potential.values(path.shifted(j), cur)
+        at = path.shifted(j)
+        values = {key: leaf.values(at, cur) for key, leaf in leaves.items()}
+        for row, p in zip(total, potentials):
+            if _expands(p):
+                row += _sum_terms(p.terms, lambda leaf: values[id(leaf)])
+            else:
+                row += values[id(p)]
         cur = cocycle.map_for(path.symbol(j)).apply(cur)
     return total
 
@@ -390,45 +463,77 @@ def maximal_separated_set(
 ) -> SeparatedSetResult:
     """Greedy weighted packing of the disk at dynamical scale (n, epsilon).
 
+    The one-potential case of maximal_separated_sets.
+    """
+    return maximal_separated_sets(
+        cocycle, disk, [potential], n, epsilon, grid_factor=grid_factor,
+        max_candidates=max_candidates, materialize=materialize, growth=growth,
+    )[0]
+
+
+def maximal_separated_sets(
+    cocycle: Cocycle,
+    disk: UnstableDisk,
+    potentials,
+    n: int,
+    epsilon: float,
+    grid_factor: int = 8,
+    max_candidates: int = 6_000_000,
+    materialize: bool = True,
+    growth: np.ndarray | None = None,
+) -> list[SeparatedSetResult]:
+    """Greedy weighted packing of the disk at dynamical scale (n, epsilon), per potential.
+
     Candidates on a grid of dynamical step epsilon/grid_factor are selected
     in decreasing exp(S_n phi) order subject to pairwise separation > eps;
     for x-independent potentials the selection collapses to the analytic
     left-to-right lattice (identical outcome, no enumeration).  The upper
     bound comes from an (n, epsilon/2) spanning set plus the orbit-sum
-    modulus n * lipschitz * epsilon / 2.
+    modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
+    grid, the chart and one orbit walk over the candidates and one over the
+    cover; the selection runs per potential.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    potentials = list(potentials)
     path = disk.base.path
     if disk.leaf_dim == 2:
-        return _separated_set_2d(cocycle, disk, potential, n, epsilon, max_candidates)
+        return _separated_sets_2d(cocycle, disk, potentials, n, epsilon, max_candidates)
 
     length = 2.0 * disk.radius
+    results: list[SeparatedSetResult | None] = [None] * len(potentials)
+    varying = [k for k, p in enumerate(potentials) if not p.x_independent]
+
+    def lattice(pack_count, cover_count, pts):
+        for k, p in enumerate(potentials):
+            if p.x_independent:
+                sn = _symbol_sum(p, path, n)
+                results[k] = SeparatedSetResult(
+                    points=pts,
+                    count=float(pack_count),
+                    n=n,
+                    epsilon=epsilon,
+                    log_weighted_sum=math.log(pack_count) + sn,
+                    log_upper=math.log(cover_count) + sn,
+                    method="grid-exhaustive",
+                    potential_label=p.label,
+                )
 
     if disk.construction == "linear-exact":
         if growth is None or len(growth) < n:
             growth = leaf_growth_factors(cocycle, disk, n)
         gstar = float(np.max(growth[:n]))
-        if potential.x_independent:
-            sn = _symbol_sum(potential, path, n)
+        if len(varying) < len(potentials):
             spacing = epsilon * (1.0 + 1e-9) / gstar
             count = math.floor(length / spacing) + 1
-            cover = max(1, math.ceil(length * gstar / epsilon))
             pts = None
             if materialize and count <= _MAX_MATERIALIZED:
                 pts = -disk.radius + spacing * np.arange(count)
-            return SeparatedSetResult(
-                points=pts,
-                count=float(count),
-                n=n,
-                epsilon=epsilon,
-                log_weighted_sum=math.log(count) + sn,
-                log_upper=math.log(cover) + sn,
-                method="grid-exhaustive",
-                potential_label=potential.label,
-            )
+            lattice(count, max(1, math.ceil(length * gstar / epsilon)), pts)
+        if not varying:
+            return results
         h = epsilon / (grid_factor * gstar)
         n_cand = math.floor(length / h) + 1
         if n_cand > max_candidates:
@@ -436,8 +541,10 @@ def maximal_separated_set(
                 f"separated-set grid needs {n_cand} candidates; raise epsilon or lower n"
             )
         params = -disk.radius + h * np.arange(n_cand)
-        lo = np.maximum(np.arange(n_cand) - grid_factor, 0)
-        hi = np.minimum(np.arange(n_cand) + grid_factor, n_cand - 1)
+
+        def select(order):
+            return _greedy_kernel(order, grid_factor, n_cand)
+
         cover_step = epsilon / gstar
         n_cover = max(1, math.ceil(length / cover_step))
         cover_params = -disk.radius + cover_step * (np.arange(n_cover) + 0.5)
@@ -448,52 +555,39 @@ def maximal_separated_set(
         gaps = np.max(np.diff(arcs, axis=1))
         if gaps > epsilon / (2.0 * grid_factor):
             raise EstimatorError("grid too coarse for requested epsilon; refine the disk")
-        if potential.x_independent:
-            sn = _symbol_sum(potential, path, n)
-            pack = _profile_pack_indices(arcs, epsilon, max_candidates)
-            cover = _profile_cover_indices(arcs, epsilon, max_candidates)
-            return SeparatedSetResult(
-                points=params[pack],
-                count=float(len(pack)),
-                n=n,
-                epsilon=epsilon,
-                log_weighted_sum=math.log(len(pack)) + sn,
-                log_upper=math.log(len(cover)) + sn,
-                method="grid-exhaustive",
-                potential_label=potential.label,
-            )
-        lo, hi = _profile_windows(arcs, epsilon)
         cover_idx = _profile_cover_indices(arcs, epsilon, max_candidates)
+        if len(varying) < len(potentials):
+            pack = _profile_pack_indices(arcs, epsilon, max_candidates)
+            lattice(len(pack), len(cover_idx), params[pack])
+        if not varying:
+            return results
+        lo, hi = _profile_windows(arcs, epsilon)
+
+        def select(order):
+            return _greedy_windows(order, lo, hi, len(params))
+
         cover_params = params[cover_idx]
-        n_cand = len(params)
 
-    pts0 = disk.chart(params)
-    weights = _orbit_sums(cocycle, path, potential, pts0, n)
-    order = np.argsort(-weights, kind="stable")
-    selected = _greedy_kernel(
-        order.astype(np.int64), lo.astype(np.int64), hi.astype(np.int64), n_cand
-    )
-    selected = np.sort(selected)
-    log_lower = float(logsumexp(weights[selected]))
-
-    cover_pts = disk.chart(cover_params)
-    cover_weights = _orbit_sums(cocycle, path, potential, cover_pts, n)
-    log_upper = float(logsumexp(cover_weights)) + n * potential.lipschitz * epsilon / 2.0
-
-    return SeparatedSetResult(
-        points=params[selected],
-        count=float(len(selected)),
-        n=n,
-        epsilon=epsilon,
-        log_weighted_sum=log_lower,
-        log_upper=log_upper,
-        method="grid-exhaustive",
-        potential_label=potential.label,
-    )
+    walked = [potentials[k] for k in varying]
+    weights = _orbit_sums(cocycle, path, walked, disk.chart(params), n)
+    cover_weights = _orbit_sums(cocycle, path, walked, disk.chart(cover_params), n)
+    for k, p, w, cw in zip(varying, walked, weights, cover_weights):
+        selected = select(np.argsort(-w, kind="stable"))
+        results[k] = SeparatedSetResult(
+            points=params[selected],
+            count=float(len(selected)),
+            n=n,
+            epsilon=epsilon,
+            log_weighted_sum=_logsumexp(w[selected]),
+            log_upper=_logsumexp(cw) + n * p.lipschitz * epsilon / 2.0,
+            method="grid-exhaustive",
+            potential_label=p.label,
+        )
+    return results
 
 
-def _separated_set_2d(cocycle, disk, potential, n, epsilon, max_candidates):
-    """Sampled greedy packing for 2-d leaves (no exhaustive guarantee)."""
+def _separated_sets_2d(cocycle, disk, potentials, n, epsilon, max_candidates):
+    """Sampled greedy packing for 2-d leaves (no exhaustive guarantee), per potential."""
     path = disk.base.path
     # derivative images of the frame along the orbit, for pair distances
     mats = _tangent_images(cocycle, [path], disk.base_lift[None], disk.frame[None], n - 1)[0]
@@ -501,41 +595,41 @@ def _separated_set_2d(cocycle, disk, potential, n, epsilon, max_candidates):
     side = max(2, int(min(200, math.sqrt(max_candidates))))
     axis = np.linspace(-disk.radius, disk.radius, side)
     tt = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    pts = disk.chart(tt)
-    weights = _orbit_sums(cocycle, path, potential, pts, n)
-    order = np.argsort(-weights, kind="stable")
-    chosen: list[int] = []
-    chosen_t: list[np.ndarray] = []
-    for idx in order:
-        t = tt[idx]
-        ok = True
-        for s in chosen_t:
-            diff = t - s
-            dist = max(float(np.linalg.norm(m @ diff)) for m in mats)
-            if dist <= epsilon:
-                ok = False
-                break
-        if ok:
-            chosen.append(int(idx))
-            chosen_t.append(t)
-    log_lower = float(logsumexp(weights[chosen]))
     cover_step = epsilon / (math.sqrt(2.0) * smax)
     n_cover = max(1, math.ceil(2.0 * disk.radius / cover_step))
-    log_upper = (
-        math.log(n_cover**2)
-        + float(np.max(weights))
-        + n * potential.lipschitz * epsilon / 2.0
-    )
-    return SeparatedSetResult(
-        points=tt[chosen],
-        count=float(len(chosen)),
-        n=n,
-        epsilon=epsilon,
-        log_weighted_sum=log_lower,
-        log_upper=max(log_upper, log_lower),
-        method="greedy-max",
-        potential_label=potential.label,
-    )
+    results = []
+    for p, weights in zip(potentials, _orbit_sums(cocycle, path, potentials, disk.chart(tt), n)):
+        chosen: list[int] = []
+        chosen_t: list[np.ndarray] = []
+        for idx in np.argsort(-weights, kind="stable"):
+            t = tt[idx]
+            ok = True
+            for s in chosen_t:
+                diff = t - s
+                dist = max(float(np.linalg.norm(m @ diff)) for m in mats)
+                if dist <= epsilon:
+                    ok = False
+                    break
+            if ok:
+                chosen.append(int(idx))
+                chosen_t.append(t)
+        log_lower = _logsumexp(weights[chosen])
+        log_upper = (
+            math.log(n_cover**2)
+            + float(np.max(weights))
+            + n * p.lipschitz * epsilon / 2.0
+        )
+        results.append(SeparatedSetResult(
+            points=tt[chosen],
+            count=float(len(chosen)),
+            n=n,
+            epsilon=epsilon,
+            log_weighted_sum=log_lower,
+            log_upper=max(log_upper, log_lower),
+            method="greedy-max",
+            potential_label=p.label,
+        ))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -679,12 +773,41 @@ def pressure_estimate(
 ) -> PressureEstimate:
     """Estimate the leafwise pressure of the potential on the given system.
 
+    The one-potential case of pressure_estimates.
+    """
+    return pressure_estimates(
+        cocycle, system, [potential], grid, seed, frame_steps=frame_steps,
+        resolution=resolution, keep_cells=keep_cells,
+    )[0]
+
+
+def pressure_estimates(
+    cocycle: Cocycle,
+    system: DrivingSystem,
+    potentials,
+    grid: GridSpec,
+    seed: int,
+    frame_steps: int = 256,
+    resolution: float | None = None,
+    keep_cells: bool = True,
+) -> list[PressureEstimate]:
+    """Estimate the leafwise pressure of each potential on the given system.
+
     For each sampled base path and each base point: pack separated sets at
     every (n, eps) cell, fit the growth slope at the smallest eps over the
     upper half of n_grid, take the largest slope over base points, then
     average over base samples.  The per-sample value spread at the largest
     n is recorded as a concentration diagnostic.
+
+    The potentials share the sample paths, the spectra, the disks, the leaf
+    growth and, per cell, the packing's candidate grid and orbit walks
+    (maximal_separated_sets), so each estimate equals its own
+    pressure_estimate.  On a constant-Jacobian cocycle every base point of
+    a path shares one frame and one leaf growth, so an x-independent
+    potential's cell depends only on the path, the growth, n and eps: it
+    is packed at the path's first base point and reused at the others.
     """
+    potentials = list(potentials)
     n_max = grid.n_grid[-1]
     half_window = max(n_max, frame_steps) + 2
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
@@ -694,22 +817,21 @@ def pressure_estimate(
     ]
     eps_min = grid.eps_grid[0]
     spectrum_n = max(128, frame_steps)
+    count = len(potentials)
+    varying = [k for k, p in enumerate(potentials) if not p.x_independent]
+    # a constant-Jacobian path gives every base point one spectrum, one frame
+    # and one leaf growth
+    shared_frame = cocycle.has_constant_jacobian
 
-    cells: list[CellRecord] = []
-    omega_slopes: list[float] = []
-    omega_fit_se: list[float] = []
-    omega_residual: list[float] = []
-    omega_nmax_vals: list[float] = []
-    per_n_accum: dict[int, list[float]] = {n: [] for n in grid.n_grid}
-    bracket_ok = True
+    cells: list[list[CellRecord]] = [[] for _ in potentials]
+    omega_best: list[list[tuple]] = [[] for _ in potentials]
+    bracket_ok = [True] * count
 
     uh = upper_half(grid.n_grid)
     sel = [grid.n_grid.index(n) for n in uh]
 
     paths = [sample_path(system, half_window, pseed) for pseed in path_seeds]
-    # a constant-Jacobian spectrum does not depend on the point, so the one
-    # at the first base point serves every base point of its path
-    xs = base_pts[:1] if cocycle.has_constant_jacobian else base_pts
+    xs = base_pts[:1] if shared_frame else base_pts
     spectra = lyapunov_spectra(
         cocycle, [p for p in paths for _ in xs], xs * len(paths), spectrum_n,
         frame_steps=frame_steps, frame_seeds=[s for s in path_seeds for _ in xs],
@@ -718,61 +840,77 @@ def pressure_estimate(
 
     for i, (pseed, path) in enumerate(zip(path_seeds, paths)):
         path_reports = spectra[i * k : (i + 1) * k] * (len(base_pts) // k)
-        best = None  # (slope, se, resid, logs_at_emin, nmax_log)
-        # a linear-exact leaf's growth depends on its path and frame only,
-        # and every base point of a constant-Jacobian path shares one frame
+        best = [None] * count  # per potential: (slope, se, resid, logs_at_emin, nmax_log)
+        # a linear-exact leaf's growth depends on its path and frame only
         growth = None
+        first_cells = {}  # (n, eps) -> results at the path's first disk
         for xi, (x, report) in enumerate(zip(base_pts, path_reports)):
             state = SkewState(path=path, point=x)
             if report.unstable_index == 0:
                 # trivial leaf: the only separated set is the point itself,
                 # so every cell contributes log 1 = 0
                 zeros = [0.0] * len(grid.n_grid)
-                slope = 0.0
-                if best is None or slope > best[0]:
-                    best = (0.0, 0.0, 0.0, zeros, 0.0)
+                for j in range(count):
+                    if best[j] is None or 0.0 > best[j][0]:
+                        best[j] = (0.0, 0.0, 0.0, zeros, 0.0)
                 continue
             disk = unstable_disk(cocycle, state, grid.delta, report, resolution=resolution)
             if growth is None and disk.construction == "linear-exact":
                 growth = leaf_growth_factors(cocycle, disk, n_max)
-            logs_at_emin = []
+            logs_at_emin = [[] for _ in potentials]
             for n in grid.n_grid:
                 for eps in grid.eps_grid:
-                    res = maximal_separated_set(
-                        cocycle, disk, potential, n, eps, materialize=False, growth=growth
+                    # with a shared frame, x-independent cells repeat the first disk's
+                    known = first_cells.get((n, eps)) if shared_frame else None
+                    todo = varying if known else range(count)
+                    results = list(known) if known else [None] * count
+                    packed = maximal_separated_sets(
+                        cocycle, disk, [potentials[j] for j in todo], n, eps,
+                        materialize=False, growth=growth,
                     )
-                    if res.log_weighted_sum > res.log_upper + 1e-9:
-                        bracket_ok = False
-                    if keep_cells:
-                        cells.append(
-                            CellRecord(
-                                omega_seed=pseed,
-                                x_index=xi,
-                                delta=grid.delta,
-                                n=n,
-                                epsilon=eps,
-                                log_lower=res.log_weighted_sum,
-                                log_upper=res.log_upper,
-                                potential_id=potential.label,
+                    for j, res in zip(todo, packed):
+                        results[j] = res
+                    first_cells.setdefault((n, eps), results)
+                    for j, (p, res) in enumerate(zip(potentials, results)):
+                        if res.log_weighted_sum > res.log_upper + 1e-9:
+                            bracket_ok[j] = False
+                        if keep_cells:
+                            cells[j].append(
+                                CellRecord(
+                                    omega_seed=pseed,
+                                    x_index=xi,
+                                    delta=grid.delta,
+                                    n=n,
+                                    epsilon=eps,
+                                    log_lower=res.log_weighted_sum,
+                                    log_upper=res.log_upper,
+                                    potential_id=p.label,
+                                )
                             )
-                        )
-                    if eps == eps_min:
-                        logs_at_emin.append(res.log_weighted_sum)
-            slope, se, resid = fit_slope(uh, [logs_at_emin[i] for i in sel])
-            nmax_log = logs_at_emin[-1] / grid.n_grid[-1]
-            if best is None or slope > best[0]:
-                best = (slope, se, resid, logs_at_emin, nmax_log)
-        omega_slopes.append(best[0])
-        omega_fit_se.append(best[1])
-        omega_residual.append(best[2])
-        omega_nmax_vals.append(best[4])
-        for n, val in zip(grid.n_grid, best[3]):
-            per_n_accum[n].append(val)
+                        if eps == eps_min:
+                            logs_at_emin[j].append(res.log_weighted_sum)
+            for j, logs in enumerate(logs_at_emin):
+                slope, se, resid = fit_slope(uh, [logs[m] for m in sel])
+                if best[j] is None or slope > best[j][0]:
+                    best[j] = (slope, se, resid, logs, logs[-1] / grid.n_grid[-1])
+        for j in range(count):
+            omega_best[j].append(best[j])
 
+    return [
+        _summarize(grid, p.label, omega_best[j], cells[j], bracket_ok[j])
+        for j, p in enumerate(potentials)
+    ]
+
+
+def _summarize(grid: GridSpec, label: str, omega_best, cells, bracket_ok) -> PressureEstimate:
+    """A potential's estimate from its best base point per path:
+    (slope, fit se, residual, logs at the smallest eps, per-step log at n max)."""
+    omega_slopes = [b[0] for b in omega_best]
     value = float(np.mean(omega_slopes))
     s = grid.omega_samples
     sem = float(np.std(omega_slopes, ddof=1) / math.sqrt(s)) if s > 1 else 0.0
-    slope_ci = 2.0 * sem + 2.0 * float(np.mean(omega_fit_se)) + CI_FLOOR
+    slope_ci = 2.0 * sem + 2.0 * float(np.mean([b[1] for b in omega_best])) + CI_FLOOR
+    omega_nmax_vals = [b[4] for b in omega_best]
     mean_nmax = float(np.mean(omega_nmax_vals))
     spread = (
         float(np.std(omega_nmax_vals, ddof=1)) / abs(mean_nmax)
@@ -782,16 +920,18 @@ def pressure_estimate(
     return PressureEstimate(
         value=value,
         slope_ci=slope_ci,
-        per_n_log={n: float(np.mean(v)) for n, v in per_n_accum.items()},
+        per_n_log={
+            n: float(np.mean([b[3][i] for b in omega_best])) for i, n in enumerate(grid.n_grid)
+        },
         eps_grid=grid.eps_grid,
         delta=grid.delta,
         n_grid=grid.n_grid,
         omega_samples=grid.omega_samples,
         spread=spread,
-        residual=float(np.max(omega_residual)),
+        residual=float(np.max([b[2] for b in omega_best])),
         omega_values=tuple(omega_slopes),
         cells=tuple(cells),
-        potential_label=potential.label,
+        potential_label=label,
         bracket_ok=bracket_ok,
     )
 
@@ -886,19 +1026,41 @@ def pressure_property_suite(
     if sigma is None:
         sigma = coordinate_potential(0.3, [1] + [0] * (cocycle.dim - 1), label="sigma")
 
-    est: dict[str, PressureEstimate] = {}
+    # the whole family, in the order the checks below first use each label
+    zero = zero_potential()
+    c = 0.3
+    base = potentials[0]
+    shifted = combine_potentials([(1.0, base), (1.0, constant_potential(c))],
+                                 label=f"{base.label}+{c:g}")
+    # convexity along a five-point segment; prefer an x-dependent pair
+    # so the check does not collapse to the exact constant case.
+    nonconst = [p for p in potentials if not p.x_independent]
+    if len(nonconst) >= 2:
+        pa, pb = nonconst[0], nonconst[1]
+    else:
+        pa, pb = potentials[0], potentials[1]
+    segment = [
+        (t, combine_potentials(
+            [(t, pa), (1.0 - t, pb)], label=f"seg:{t:g}*{pa.label}+{1 - t:g}*{pb.label}"
+        ))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0)
+    ]
+    cob = combine_potentials(
+        [(1.0, base), (1.0, theta_coboundary(cocycle, sigma))],
+        label=f"{base.label}+cobdry",
+    )
+    both = combine_potentials([(1.0, pa), (1.0, pb)], label=f"{pa.label}+{pb.label}")
+    family: dict[str, Potential] = {}
+    for p in [zero, *potentials, shifted, *(combo for _, combo in segment), cob, both]:
+        family.setdefault(p.label, p)
+    est = dict(zip(family, pressure_estimates(
+        cocycle, system, list(family.values()), grid, seed, keep_cells=False
+    )))
 
     def estimate(p: Potential) -> PressureEstimate:
-        if p.label not in est:
-            est[p.label] = pressure_estimate(
-                cocycle, system, p, grid, seed, keep_cells=False
-            )
         return est[p.label]
 
-    zero = zero_potential()
     h_top = estimate(zero)
-    for p in potentials:
-        estimate(p)
 
     checks: list[PropertyCheck] = []
 
@@ -931,10 +1093,6 @@ def pressure_property_suite(
         )
 
     # (ii) constant shift exactness on shared sets.
-    c = 0.3
-    base = potentials[0]
-    shifted = combine_potentials([(1.0, base), (1.0, constant_potential(c))],
-                                 label=f"{base.label}+{c:g}")
     diff = estimate(shifted).value - estimate(base).value - c
     checks.append(
         PropertyCheck("constant-shift", abs(diff) <= 1e-9, -abs(diff), f"|diff|={abs(diff):.2e}")
@@ -964,34 +1122,21 @@ def pressure_property_suite(
             )
     checks.append(PropertyCheck("lipschitz", slack4 >= 0.0, slack4, "all pairs"))
 
-    # (v) convexity along a five-point segment; prefer an x-dependent pair
-    # so the check does not collapse to the exact constant case.
-    nonconst = [p for p in potentials if not p.x_independent]
-    if len(nonconst) >= 2:
-        a, b = nonconst[0], nonconst[1]
-    else:
-        a, b = potentials[0], potentials[1]
+    # (v) convexity along the five-point segment.
     slack5 = math.inf
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        combo = combine_potentials(
-            [(t, a), (1.0 - t, b)], label=f"seg:{t:g}*{a.label}+{1 - t:g}*{b.label}"
-        )
+    for t, combo in segment:
         tol = 2.0 * (
-            t * estimate(a).slope_ci + (1.0 - t) * estimate(b).slope_ci
+            t * estimate(pa).slope_ci + (1.0 - t) * estimate(pb).slope_ci
             + estimate(combo).slope_ci
         )
         slack5 = min(
             slack5,
-            t * estimate(a).value + (1.0 - t) * estimate(b).value
+            t * estimate(pa).value + (1.0 - t) * estimate(pb).value
             - estimate(combo).value + tol,
         )
     checks.append(PropertyCheck("convexity", slack5 >= 0.0, slack5, "5-point segment"))
 
     # (vi) coboundary invariance.
-    cob = combine_potentials(
-        [(1.0, base), (1.0, theta_coboundary(cocycle, sigma))],
-        label=f"{base.label}+cobdry",
-    )
     tol6 = 2.0 * (estimate(base).slope_ci + estimate(cob).slope_ci)
     diff6 = abs(estimate(cob).value - estimate(base).value)
     checks.append(
@@ -999,9 +1144,8 @@ def pressure_property_suite(
     )
 
     # (vii) subadditivity.
-    both = combine_potentials([(1.0, a), (1.0, b)], label=f"{a.label}+{b.label}")
-    tol7 = 2.0 * (estimate(a).slope_ci + estimate(b).slope_ci + estimate(both).slope_ci)
-    slack7 = estimate(a).value + estimate(b).value + tol7 - estimate(both).value
+    tol7 = 2.0 * (estimate(pa).slope_ci + estimate(pb).slope_ci + estimate(both).slope_ci)
+    slack7 = estimate(pa).value + estimate(pb).value + tol7 - estimate(both).value
     checks.append(PropertyCheck("subadditivity", slack7 >= 0.0, slack7, ""))
 
     return PropertySuiteReport(checks=tuple(checks), estimates=est)

@@ -230,3 +230,90 @@ def scalar_phiu(cocycle, path, x0, q, u_dim: int) -> float:
     """-log of the u-volume growth of the one-step derivative at x0 on frame q[:, :u_dim]."""
     w = cocycle.maps[path.symbol(0)].jacobian(np.asarray(x0, dtype=float)) @ q[:, :u_dim]
     return -0.5 * math.log(abs(float(np.linalg.det(w.T @ w))))
+
+
+def greedy_kernel(order, lo, hi, n_candidates):
+    """Candidates picked in `order`, each pick blocking its window lo..hi (unsorted)."""
+    blocked = np.zeros(n_candidates, dtype=bool)
+    selected = []
+    for idx in order:
+        if not blocked[idx]:
+            selected.append(idx)
+            blocked[lo[idx] : hi[idx] + 1] = True
+    return np.asarray(selected, dtype=np.int64)
+
+
+def scalar_values(potential, path, pts):
+    """A potential's values at pts, a weighted sum's added term by term onto zeros."""
+    if potential.terms and not potential.x_independent:
+        out = np.zeros(pts.shape[0])
+        for w, p in potential.terms:
+            out += w * scalar_values(p, path, pts)
+        return out
+    return potential.values(path, pts)
+
+
+def scalar_orbit_sums(cocycle, path, potential, pts, n: int):
+    """S_n(phi) at each row of pts, one potential walked on its own."""
+    total = np.zeros(pts.shape[0])
+    for j in range(n):
+        total += scalar_values(potential, path.shifted(j), pts)
+        pts = cocycle.maps[path.symbol(j)].apply(pts)
+    return total
+
+
+def scalar_linear_packing(cocycle, disk, potential, n: int, eps: float, growth,
+                          grid_factor: int = 8):
+    """(log lower, log upper) of one potential's packing of a linear-exact 1-d disk:
+    the analytic lattice for an x-independent potential, else the greedy pass over
+    explicit lo/hi windows, with scipy's logsumexp."""
+    from scipy.special import logsumexp
+
+    path = disk.base.path
+    length = 2.0 * disk.radius
+    gstar = float(np.max(growth[:n]))
+    if potential.x_independent:
+        sn = sum(float(potential.symbol_fn(path.symbol(j))) for j in range(n))
+        count = math.floor(length / (eps * (1.0 + 1e-9) / gstar)) + 1
+        cover = max(1, math.ceil(length * gstar / eps))
+        return math.log(count) + sn, math.log(cover) + sn
+    h = eps / (grid_factor * gstar)
+    n_cand = math.floor(length / h) + 1
+    params = -disk.radius + h * np.arange(n_cand)
+    lo = np.maximum(np.arange(n_cand) - grid_factor, 0)
+    hi = np.minimum(np.arange(n_cand) + grid_factor, n_cand - 1)
+    weights = scalar_orbit_sums(cocycle, path, potential, disk.chart(params), n)
+    selected = np.sort(greedy_kernel(np.argsort(-weights, kind="stable"), lo, hi, n_cand))
+    cover_step = eps / gstar
+    n_cover = max(1, math.ceil(length / cover_step))
+    cover = np.clip(-disk.radius + cover_step * (np.arange(n_cover) + 0.5),
+                    -disk.radius, disk.radius)
+    cover_weights = scalar_orbit_sums(cocycle, path, potential, disk.chart(cover), n)
+    return (float(logsumexp(weights[selected])),
+            float(logsumexp(cover_weights)) + n * potential.lipschitz * eps / 2.0)
+
+
+def scalar_pressure_cells(cocycle, system, potential, grid, seed: int, frame_steps: int = 256):
+    """Cell rows (path seed, x index, n, eps, log lower, log upper) of one potential's
+    pressure estimate on a constant-Jacobian cocycle: every path and base point
+    packed on its own, with the paths, spectra and disks the estimator draws."""
+    from uthermo import SkewState, TorusPoint, lyapunov_spectra, sample_path, unstable_disk
+    from uthermo.leafgeom import leaf_growth_factors
+
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
+    seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(grid.omega_samples)]
+    axis = (np.arange(grid.base_grid) + 0.5) / grid.base_grid
+    base_pts = [TorusPoint((a, b)) for a in axis for b in axis]
+    rows = []
+    for pseed in seeds:
+        path = sample_path(system, max(grid.n_grid[-1], frame_steps) + 2, pseed)
+        report = lyapunov_spectra(cocycle, [path], base_pts[:1], max(128, frame_steps),
+                                  frame_steps=frame_steps, frame_seeds=[pseed])[0]
+        for xi, x in enumerate(base_pts):
+            disk = unstable_disk(cocycle, SkewState(path=path, point=x), grid.delta, report)
+            growth = leaf_growth_factors(cocycle, disk, grid.n_grid[-1])
+            for n in grid.n_grid:
+                for eps in grid.eps_grid:
+                    rows.append((pseed, xi, n, eps)
+                                + scalar_linear_packing(cocycle, disk, potential, n, eps, growth))
+    return rows

@@ -116,8 +116,8 @@ class TestRunner:
         out = tmp_path / "out"
         code = main(["--config", str(cfg_dir), "--experiment", "all", "--out", str(out)])
         assert code == 0
-        assert (out / "info_identities_1.json").exists()
-        assert (out / "entropy_1.json").exists()
+        assert (out / "01_identities" / "info_identities_1.json").exists()
+        assert (out / "02_entropy" / "entropy_1.json").exists()
 
     @pytest.mark.parametrize("experiment, key, val", [
         ("spectrum", "spectrum_n", "50"),
@@ -169,13 +169,22 @@ class TestExperimentSurfaces:
             "--config", str(CONFIG_DIR), "--experiment", "all", "--out", str(tmp_path)
         ])
         assert code == 0
-        produced = {p.name for p in tmp_path.glob("*.json")}
-        for cfg_file in sorted(CONFIG_DIR.glob("*.cfg")):
+        cfg_files = sorted(CONFIG_DIR.glob("*.cfg"))
+        # one artifact set per config, in its own directory, none shared
+        produced = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.json"))
+        assert len(produced) == len(cfg_files)
+        artifacts = []
+        for cfg_file in cfg_files:
             cfg = load_config(cfg_file)
-            name = f"{cfg.experiment.replace('-', '_')}_{cfg.seed}.json"
-            assert name in produced, f"missing artifact for {cfg_file.name}"
-            summary = json.loads((tmp_path / name).read_text())
+            name = f"{cfg.experiment.replace('-', '_')}_{cfg.seed}"
+            assert Path(cfg_file.stem, f"{name}.json") in produced, cfg_file.name
+            summary = json.loads((tmp_path / cfg_file.stem / f"{name}.json").read_text())
             assert summary["invariants_ok"] is True, cfg_file.name
+            artifacts.append(tuple(
+                (tmp_path / cfg_file.stem / f"{name}.{ext}").read_bytes()
+                for ext in ("csv", "json")
+            ))
+        assert len(set(artifacts)) == len(cfg_files)
 
     def test_certify_artifacts(self, tmp_path):
         code = main([

@@ -163,7 +163,7 @@ class TestSeparatedSets:
 
         fine = np.linspace(-0.1, 0.1, 2001)
         best_single = float(
-            np.max(_orbit_sums(cat_cocycle, disk.base.path, pot, disk.chart(fine), 3))
+            np.max(_orbit_sums(cat_cocycle, disk.base.path, [pot], disk.chart(fine), 3))
         )
         assert res.log_weighted_sum >= best_single - 1e-6
 
@@ -371,3 +371,150 @@ class TestPlaneLeafPacking:
         assert np.array_equal(got.points, ref.points)
         assert (got.count, got.log_weighted_sum, got.log_upper) == (
             ref.count, ref.log_weighted_sum, ref.log_upper)
+
+
+def _mixed_family(cocycle, symbols: int):
+    cos = coordinate_potential(0.4, [1, 0], label="cos")
+    sin = coordinate_potential(0.4, [1, 0], fn="sin", label="sin")
+    seg = combine_potentials([(0.25, cos), (0.75, sin)], label="seg")
+    family = [
+        zero_potential(),
+        constant_potential(0.3),
+        cos,
+        sin,
+        combine_potentials([(0.0, cos), (1.0, sin)], label="seg0"),
+        seg,
+        combine_potentials([(1.0, cos), (1.0, theta_coboundary(
+            cocycle, coordinate_potential(0.3, [1, 0], label="sigma"))
+        )], label="cos+cobdry"),
+        combine_potentials([(1.0, seg), (-0.5, constant_potential(0.2)), (2.0, cos)],
+                           label="nested"),
+        combine_potentials([(1.0, zero_potential()), (1.0, constant_potential(-0.2))],
+                           label="const-sum"),
+    ]
+    if symbols > 1:
+        family.append(per_symbol_potential([0.1, -0.4], label="table"))
+        family.append(combine_potentials([(1.0, family[-1]), (1.0, sin)], label="table+sin"))
+    return family
+
+
+class TestPotentialFamily:
+    @pytest.mark.parametrize("system_name, cocycle_name, grid", [
+        ("trivial_system", "cat_cocycle",
+         GridSpec(delta=0.05, n_grid=(5, 6, 7), eps_grid=(0.04, 0.08), base_grid=2,
+                  omega_samples=1)),
+        ("iid_system", "iid_cocycle",
+         GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04, 0.08), base_grid=2,
+                  omega_samples=2)),
+    ])
+    def test_family_bitwise_equal_scalar_packing(self, system_name, cocycle_name, grid, request):
+        # one call for the whole family against each potential packed on its own,
+        # at every path and base point, with the explicit lo/hi greedy pass
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        family = _mixed_family(cocycle, system.symbol_count)
+        estimates = thermo.pressure_estimates(cocycle, system, family, grid, seed=7)
+        assert [e.potential_label for e in estimates] == [p.label for p in family]
+        uh = thermo.upper_half(grid.n_grid)
+        for p, est in zip(family, estimates):
+            rows = oracles.scalar_pressure_cells(cocycle, system, p, grid, seed=7)
+            got = [(c.omega_seed, c.x_index, c.n, c.epsilon, c.log_lower, c.log_upper)
+                   for c in est.cells]
+            assert got == rows, p.label
+            assert all(c.potential_id == p.label for c in est.cells)
+            # the fit: the best base point's slope per path, averaged over paths
+            slopes = []
+            for seed in dict.fromkeys(r[0] for r in rows):
+                fits = []
+                for xi in range(grid.base_grid ** 2):
+                    logs = {r[2]: r[4] for r in rows
+                            if r[:2] == (seed, xi) and r[3] == grid.eps_grid[0]}
+                    fits.append(fit_slope(uh, [logs[n] for n in uh])[0])
+                slopes.append(max(fits))
+            assert est.omega_values == tuple(slopes), p.label
+            assert est.value == float(np.mean(slopes)), p.label
+
+    def test_single_estimate_is_family_member(self, iid_cocycle, iid_system):
+        grid = GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04,), base_grid=2,
+                        omega_samples=2)
+        family = _mixed_family(iid_cocycle, 2)
+        together = thermo.pressure_estimates(iid_cocycle, iid_system, family, grid, seed=3)
+        for p, est in zip(family, together):
+            assert pressure_estimate(iid_cocycle, iid_system, p, grid, seed=3) == est
+
+    @pytest.mark.parametrize("name, leaf_dim", [
+        ("perturbed_cat_cocycle", 1), ("plane_leaf_cocycle", 2),
+    ])
+    def test_packing_family_matches_single_packings(self, name, leaf_dim, request,
+                                                    trivial_system):
+        # the polyline-profile and 2-d branches: a family call equals each
+        # potential packed alone
+        cocycle = request.getfixturevalue(name)
+        dim = cocycle.dim
+        path = sample_path(trivial_system, 300, 2)
+        state = SkewState(path=path, point=TorusPoint((0.21, 0.57, 0.83)[:dim]))
+        rep = lyapunov_spectrum(cocycle, path, state.point, 200)
+        disk = unstable_disk(cocycle, state, 0.05, rep)
+        assert disk.leaf_dim == leaf_dim
+        cos = coordinate_potential(0.3, [1] + [0] * (dim - 1), label="cos")
+        sin = coordinate_potential(0.2, [0] * (dim - 1) + [1], fn="sin", label="sin")
+        family = [zero_potential(), cos, sin, constant_potential(0.1),
+                  combine_potentials([(0.5, cos), (0.5, sin)], label="mix")]
+        n, eps = (3, 0.04) if leaf_dim == 1 else (2, 0.06)
+        together = thermo.maximal_separated_sets(cocycle, disk, family, n, eps,
+                                                 max_candidates=400)
+        for p, res in zip(family, together):
+            alone = maximal_separated_set(cocycle, disk, p, n, eps, max_candidates=400)
+            assert np.array_equal(res.points, alone.points)
+            assert (res.count, res.log_weighted_sum, res.log_upper, res.potential_label) == (
+                alone.count, alone.log_weighted_sum, alone.log_upper, alone.potential_label)
+
+
+class TestKernels:
+    def test_greedy_kernel_matches_window_pass(self):
+        rng = np.random.default_rng(4)
+        for n_cand, width in ((1, 8), (5, 8), (300, 1), (2000, 8), (2000, 3)):
+            # coarse weights force ties, which the stable order breaks by index
+            weights = np.round(rng.standard_normal(n_cand), 1)
+            order = np.argsort(-weights, kind="stable")
+            lo = np.maximum(np.arange(n_cand) - width, 0)
+            hi = np.minimum(np.arange(n_cand) + width, n_cand - 1)
+            expected = np.sort(oracles.greedy_kernel(order, lo, hi, n_cand))
+            got = thermo._greedy_kernel(order, width, n_cand)
+            assert np.array_equal(got, expected)
+            windows = thermo._greedy_windows(order, lo, hi, n_cand)
+            assert np.array_equal(windows, expected)
+
+    def test_logsumexp_bitwise_equal_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(11)
+        cases = [np.array([]), np.array([np.inf]), np.array([-np.inf, -np.inf]),
+                 np.array([np.nan, 1.0]), np.array([np.inf, -np.inf, 2.0]),
+                 np.array([np.inf, np.inf]), np.array([800.0, 800.0, 1.0])]
+        for i in range(600):
+            a = rng.standard_normal(int(rng.integers(1, 500))) * rng.choice([1e-3, 1.0, 300.0])
+            if i % 4 == 1:
+                a = np.round(a, 1)  # ties at the max
+            elif i % 4 == 2:
+                a[rng.integers(0, len(a))] = rng.choice([np.inf, -np.inf, np.nan])
+            elif i % 4 == 3:
+                a = np.full(len(a), a[0])
+            cases.append(a)
+        for a in cases:
+            got, want = thermo._logsumexp(a), float(logsumexp(a))
+            assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True), a
+            assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(got)
+
+    def test_library_does_not_import_scipy(self):
+        import os
+        import subprocess
+        import sys
+
+        from conftest import REPO_ROOT
+
+        code = "import sys, uthermo.cli; print('scipy' in sys.modules)"
+        path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=path))
+        assert out.stdout.strip() == "False"
