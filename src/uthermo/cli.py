@@ -78,30 +78,6 @@ class ConfigError(ValueError):
     """Bad or unknown experiment configuration."""
 
 
-_KNOWN_KEYS = {
-    "system",
-    "experiment",
-    "seed",
-    "samples",
-    "out",
-    "workers",
-    "delta",
-    "n_grid",
-    "eps_grid",
-    "base_grid",
-    "potential",
-    "potentials",
-    "grid_k",
-    "entropy_samples",
-    "birkhoff_n",
-    "birkhoff_samples",
-    "spaces",
-    "measures",
-    "certify_n",
-    "spectrum_n",
-}
-
-
 @dataclass
 class ExperimentConfig:
     """Parsed experiment description; grids must be strictly increasing."""
@@ -161,6 +137,36 @@ def _parse_int_grid(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split())
 
 
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+# every config key and the parser of its value; None marks the deprecated,
+# ignored 'workers'
+_PARSERS = {
+    "system": str,
+    "experiment": str,
+    "seed": int,
+    "samples": int,
+    "out": str,
+    "workers": None,
+    "delta": float,
+    "n_grid": _parse_int_grid,
+    "eps_grid": lambda text: tuple(float(t) for t in text.split()),
+    "base_grid": int,
+    "potential": str,
+    "potentials": _words,
+    "grid_k": int,
+    "entropy_samples": int,
+    "birkhoff_n": int,
+    "birkhoff_samples": int,
+    "spaces": int,
+    "measures": _words,
+    "certify_n": int,
+    "spectrum_n": int,
+}
+
+
 def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
     cfg = ExperimentConfig(config_dir=config_dir)
     for raw in text.splitlines():
@@ -170,35 +176,15 @@ def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"malformed config line {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "system":
-            cfg.system = val
-        elif key == "experiment":
-            cfg.experiment = val
-        elif key == "workers":
-            print(_WORKERS_DEPRECATED.format("config key 'workers'"), file=sys.stderr)
-        elif key in ("seed", "samples", "base_grid", "grid_k",
-                     "entropy_samples", "birkhoff_n", "birkhoff_samples", "spaces",
-                     "certify_n", "spectrum_n"):
-            try:
-                setattr(cfg, key, int(val))
-            except ValueError:
-                raise ConfigError(f"key {key!r} needs an integer, got {val!r}") from None
-        elif key == "out":
-            cfg.out = val
-        elif key == "delta":
-            cfg.delta = float(val)
-        elif key == "n_grid":
-            cfg.n_grid = _parse_int_grid(val)
-        elif key == "eps_grid":
-            cfg.eps_grid = tuple(float(t) for t in val.split())
-        elif key == "potential":
-            cfg.potential = val
-        elif key == "potentials":
-            cfg.potentials = tuple(val.split())
-        elif key == "measures":
-            cfg.measures = tuple(val.split())
+        if _PARSERS[key] is None:
+            print(_WORKERS_DEPRECATED.format(f"config key {key!r}"), file=sys.stderr)
+            continue
+        try:
+            setattr(cfg, key, _PARSERS[key](val))
+        except ValueError:
+            raise ConfigError(f"key {key!r} has a malformed value {val!r}") from None
     return cfg
 
 
@@ -211,36 +197,48 @@ def load_config(path) -> ExperimentConfig:
 def _resolve_potential(spec: str, cocycle: Cocycle, system: DrivingSystem, seed: int) -> Potential:
     if spec == "zero":
         return zero_potential()
-    if spec.startswith("const:"):
-        return constant_potential(float(spec.split(":", 1)[1]))
-    if spec.startswith(("cos:", "sin:")):
-        fn, rest = spec.split(":", 1)
+    if spec == "phiu":
+        return geometric_potential(cocycle, _report_for(cocycle, system, seed))
+    kind, _, rest = spec.partition(":")
+    if kind not in ("const", "cos", "sin"):
+        raise ConfigError(f"unknown potential spec {spec!r}")
+    try:
+        if kind == "const":
+            return constant_potential(float(rest))
         parts = rest.split(":")
         amp = float(parts[0])
         k = [int(t) for t in parts[1].split(",")] if len(parts) > 1 else [1] + [0] * (cocycle.dim - 1)
+        if len(k) != cocycle.dim:
+            raise ValueError(f"the wavevector needs {cocycle.dim} entries")
         phase = float(parts[2]) if len(parts) > 2 else 0.0
-        return coordinate_potential(amp, k, phase=phase, fn=fn, label=spec)
-    if spec == "phiu":
-        return geometric_potential(cocycle, _report_for(cocycle, system, seed))
-    raise ConfigError(f"unknown potential spec {spec!r}")
+    except ValueError as exc:
+        raise ConfigError(f"malformed potential spec {spec!r}: {exc}") from None
+    return coordinate_potential(amp, k, phase=phase, fn=kind, label=spec)
 
 
 def _resolve_measure(spec: str, cocycle: Cocycle, system: DrivingSystem):
     if spec == "haar":
         return haar_sampler(system, dim=cocycle.dim)
-    if spec.startswith("atomic:"):
-        coords = tuple(float(t) for t in spec.split(":", 1)[1].split(","))
+    kind, _, rest = spec.partition(":")
+    if kind not in ("atomic", "combo"):
+        raise ConfigError(f"unknown measure spec {spec!r}")
+    try:
+        if kind == "atomic":
+            coords = tuple(float(t) for t in rest.split(","))
+            if len(coords) != cocycle.dim:
+                raise ValueError(f"the point needs {cocycle.dim} coordinates")
+        else:
+            # combo:w1*spec1+w2*spec2 with nested specs free of '+'
+            weighted = [term.split("*", 1) for term in rest.split("+")]
+            if any(len(pair) != 2 for pair in weighted):
+                raise ValueError("each term needs the form <weight>*<spec>")
+            weights = [float(w) for w, _ in weighted]
+    except ValueError as exc:
+        raise ConfigError(f"malformed measure spec {spec!r}: {exc}") from None
+    if kind == "atomic":
         return periodic_atomic_sampler(system, cocycle, TorusPoint(coords))
-    if spec.startswith("combo:"):
-        # combo:w1*spec1+w2*spec2 with nested specs free of '+'
-        terms = spec.split(":", 1)[1].split("+")
-        comps, weights = [], []
-        for term in terms:
-            w, sub = term.split("*", 1)
-            comps.append(_resolve_measure(sub, cocycle, system))
-            weights.append(float(w))
-        return convex_combo_sampler(comps, weights)
-    raise ConfigError(f"unknown measure spec {spec!r}")
+    comps = [_resolve_measure(sub, cocycle, system) for _, sub in weighted]
+    return convex_combo_sampler(comps, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +351,14 @@ def _run_certify(cfg, cocycle, system):
     return rows, header, summary, consistent, line, records
 
 
-def _run_pressure(cfg, cocycle, system, potential=None):
-    pot = potential or _resolve_potential(cfg.potential, cocycle, system, cfg.seed)
+def _run_pressure(cfg, cocycle, system):
+    pot = _resolve_potential(cfg.potential, cocycle, system, cfg.seed)
     est = pressure_estimate(cocycle, system, pot, cfg.grid_spec(), cfg.seed)
     header, rows = est.csv_rows()
     summary = dict(est.to_json_dict(), experiment="pressure")
     ok = est.bracket_ok
     line = f"pressure[{pot.label}]: value {est.value:.4f} +- {est.slope_ci:.4f}"
-    return rows, header, summary, ok, line
+    return rows, header, summary, ok, line, None
 
 
 def _run_entropy(cfg, cocycle, system):
@@ -369,11 +367,15 @@ def _run_entropy(cfg, cocycle, system):
     summary = dict(est.to_json_dict(), experiment="entropy")
     ok = est.bracket_ok and est.value >= -est.slope_ci
     line = f"entropy: value {est.value:.4f} +- {est.slope_ci:.4f} (spread {est.spread:.3f})"
-    return rows, header, summary, ok, line
+    return rows, header, summary, ok, line, None
 
 
 def _run_smb(cfg, cocycle, system):
     sampler = _resolve_measure(cfg.measures[0], cocycle, system)
+    if sampler.leaf_conditional == "mixed":
+        raise ConfigError(
+            f"key 'measures': smb needs one leaf conditional, not the mix {cfg.measures[0]!r}"
+        )
     pair = build_partition_pair(system, [], cfg.grid_k, cfg.seed)
     if cfg.delta <= pair.cell_size:
         raise ConfigError("key 'grid_k' too coarse for delta (need delta > 1/grid_k)")
@@ -391,7 +393,7 @@ def _run_smb(cfg, cocycle, system):
         f"smb[{sampler.label}]: terminal trace {est.value:.4f}, "
         f"sd {est.trace_sd[0]:.4f}->{est.trace_sd[-1]:.4f}"
     )
-    return rows, header, summary, ok, line
+    return rows, header, summary, ok, line, None
 
 
 def _run_gibbs(cfg, cocycle, system):
@@ -413,7 +415,7 @@ def _run_gibbs(cfg, cocycle, system):
     combined = gd.pressure_ci + gd.entropy_ci + gd.integral_ci
     ok = gd.pesin_gap >= -combined
     line = f"gibbs[{gd.measure_id}]: P(phi-u) {gd.pressure_at_phiu:+.4f}, gap {gd.pesin_gap:+.4f}"
-    return rows, header, summary, ok, line
+    return rows, header, summary, ok, line, None
 
 
 def _run_vp_scan(cfg, cocycle, system):
@@ -447,7 +449,7 @@ def _run_vp_scan(cfg, cocycle, system):
     summary = dict(report.to_json_dict(), experiment="vp-scan", dual_gap=dual_gap)
     ok = all(c.defect >= -c.combined_ci for c in report.candidates)
     line = f"vp-scan[{phi.label}]: best {report.best}, dual gap {dual_gap:+.4f}"
-    return rows, header, summary, ok, line
+    return rows, header, summary, ok, line, None
 
 
 def _run_property_suite(cfg, cocycle, system):
@@ -458,7 +460,7 @@ def _run_property_suite(cfg, cocycle, system):
     rows = [[c.name, int(c.passed), c.slack, c.detail] for c in report.checks]
     summary = dict(report.to_json_dict(), experiment="property-suite")
     line = "property-suite: " + ("all passed" if report.all_passed else "FAILURES")
-    return rows, header, summary, report.all_passed, line
+    return rows, header, summary, report.all_passed, line, None
 
 
 def _run_info_identities(cfg, cocycle=None, system=None):
@@ -473,9 +475,10 @@ def _run_info_identities(cfg, cocycle=None, system=None):
         "all_within_1e-12": ok,
     }
     line = f"info-identities: worst error {max(worst.values()):.3e} over {cfg.spaces} spaces"
-    return rows, header, summary, ok, line
+    return rows, header, summary, ok, line, None
 
 
+# each runner returns (rows, header, summary, ok, log line, .jsonl records or None)
 _RUNNERS = {
     "spectrum": _run_spectrum,
     "certify": _run_certify,
@@ -504,18 +507,15 @@ def run(cfg: ExperimentConfig) -> int:
         return 2
 
     try:
-        result = _RUNNERS[cfg.experiment](cfg, cocycle, system)
+        rows, header, summary, ok, line, json_lines = _RUNNERS[cfg.experiment](
+            cfg, cocycle, system
+        )
     except (ConfigError, InvalidSystem) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EstimatorError as exc:
         print(f"estimator error: {exc}", file=sys.stderr)
         return 3
-    if len(result) == 6:
-        rows, header, summary, ok, line, json_lines = result
-    else:
-        rows, header, summary, ok, line = result
-        json_lines = None
     summary["invariants_ok"] = bool(ok)
     emit_report(cfg.out, cfg.experiment, cfg.seed, header, rows, summary, [line],
                 json_lines=json_lines)

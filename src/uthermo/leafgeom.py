@@ -40,6 +40,8 @@ __all__ = [
 
 GRAPH_TOL = 1e-9
 GRAPH_MAX_ITER = 200
+# Polyline charts have 2 * CHART_HALF_POINTS + 1 vertices, spaced delta / CHART_HALF_POINTS.
+CHART_HALF_POINTS = 512
 
 
 class TrivialLeafError(ValueError):
@@ -168,7 +170,6 @@ def unstable_disk(
     delta: float,
     report: OseledetsReport,
     construction: str | None = None,
-    resolution: float | None = None,
 ) -> UnstableDisk:
     """Build the local expanding-leaf chart of radius delta at `state`.
 
@@ -193,9 +194,7 @@ def unstable_disk(
     if u_dim != 1:
         raise ValueError("graph-transform charts support leaf dimension 1 only")
 
-    if resolution is None:
-        resolution = delta / 512.0
-    n_pts = 2 * int(math.ceil(delta / resolution)) + 1
+    n_pts = 2 * CHART_HALF_POINTS + 1
     direction = report.eu_frame[:, 0]
     seed_radius = delta * 1.5  # slack so one trim always succeeds
     x_lift = state.point.as_array()

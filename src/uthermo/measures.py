@@ -62,6 +62,9 @@ __all__ = [
     "entropy_estimator_gap",
 ]
 
+# Forward steps behind each entropy sample's expanding frame.
+ENTROPY_FRAME_STEPS = 192
+
 
 # ---------------------------------------------------------------------------
 # Exact finite stage
@@ -189,19 +192,7 @@ def _perm_cycles(perm: np.ndarray):
 def _invariant_fiber_weights(rng, fiber_count, return_map):
     """Random positive vector invariant under the given return permutation."""
     q = np.zeros(fiber_count)
-    seen = np.zeros(fiber_count, dtype=bool)
-    orbits = []
-    for a in range(fiber_count):
-        if seen[a]:
-            continue
-        orb = [a]
-        seen[a] = True
-        cur = int(return_map[a])
-        while cur != a:
-            orb.append(cur)
-            seen[cur] = True
-            cur = int(return_map[cur])
-        orbits.append(orb)
+    orbits = _perm_cycles(return_map)
     w = rng.random(len(orbits)) + 0.1
     w /= w.sum()
     for orb, mass in zip(orbits, w):
@@ -567,7 +558,7 @@ def _sample_seeds(seed: int, samples: int, salt: int):
     return [int(rng.integers(0, 2**63 - 1)) for _ in range(samples)]
 
 
-def _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
+def _sample_spectra(cocycle, sampler, seeds, half_window):
     """Draw (path, point) per seed, then estimate every sample's spectrum in one batch.
 
     A sampled path shorter than half_window is re-drawn from the same seed.
@@ -580,7 +571,8 @@ def _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
         paths.append(path)
         xs.append(x)
     reports = lyapunov_spectra(
-        cocycle, paths, xs, max(128, frame_steps), frame_steps=frame_steps, frame_seeds=seeds
+        cocycle, paths, xs, ENTROPY_FRAME_STEPS, frame_steps=ENTROPY_FRAME_STEPS,
+        frame_seeds=seeds,
     )
     return zip(paths, xs, reports)
 
@@ -605,19 +597,24 @@ def _mixed_estimate(sampler, method, n_grid, samples, estimate, epsilons=None):
     )
 
 
+def _orbit_on_leaf(disk, orbit):
+    """(point, leaf parameter) for each orbit point that lies on the disk."""
+    out = []
+    for y in orbit:
+        try:
+            out.append((y, disk.param_of(y, tol=1e-8)))
+        except OffLeafError:
+            continue
+    return out
+
+
 def _atomic_ball_information(cocycle, sampler, path, x, delta, n_grid, eps, report):
     """Information of dynamical balls under counting measure on a closed orbit."""
     try:
         disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
     except TrivialLeafError:
         return {n: 0.0 for n in n_grid}
-    on_leaf = []
-    for y in sampler.orbit:
-        try:
-            t = disk.param_of(y, tol=1e-8)
-        except OffLeafError:
-            continue
-        on_leaf.append(t)
+    on_leaf = [t for _, t in _orbit_on_leaf(disk, sampler.orbit)]
     if len(on_leaf) <= 1:
         return {n: 0.0 for n in n_grid}
     t0 = disk.param_of(x)
@@ -639,7 +636,6 @@ def bowen_ball_entropy(
     epsilons,
     samples: int,
     seed: int,
-    frame_steps: int = 192,
 ) -> EntropyEstimate:
     """Decay rate of conditional measure of dynamical leaf balls.
 
@@ -654,14 +650,14 @@ def bowen_ball_entropy(
         return _mixed_estimate(
             sampler, "bowen-ball", n_grid, samples,
             lambda i, comp: bowen_ball_entropy(
-                cocycle, comp, delta, n_grid, epsilons, samples, seed + 17 * i, frame_steps
+                cocycle, comp, delta, n_grid, epsilons, samples, seed + 17 * i
             ),
             epsilons,
         )
     if sampler.leaf_conditional not in ("volume", "atomic"):
         raise EstimatorError("unsupported conditional family for this sampler")
 
-    half_window = max(max(n_grid), frame_steps) + 2
+    half_window = max(max(n_grid), ENTROPY_FRAME_STEPS) + 2
     seeds = _sample_seeds(seed, samples, 0xB0E)
     slopes_per_eps: dict[float, list[float]] = {e: [] for e in epsilons}
     fit_ses: list[float] = []
@@ -669,7 +665,7 @@ def bowen_ball_entropy(
     eps_min = epsilons[0]
     uh = upper_half(n_grid)
 
-    drawn = list(_sample_spectra(cocycle, sampler, seeds, half_window, frame_steps))
+    drawn = list(_sample_spectra(cocycle, sampler, seeds, half_window))
     growths = [None] * len(drawn)
     if sampler.leaf_conditional == "volume":
         disks = [unstable_disk(cocycle, SkewState(path, x), delta, report)
@@ -790,13 +786,7 @@ def _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max):
     if sampler.leaf_conditional == "atomic":
         # counting conditional on the closed orbit: compare cell itineraries
         disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
-        members = []
-        for y in sampler.orbit:
-            try:
-                disk.param_of(y, tol=1e-8)
-            except OffLeafError:
-                continue
-            members.append(y)
+        members = [y for y, _ in _orbit_on_leaf(disk, sampler.orbit)]
         if len(members) <= 1:
             return np.zeros(n_max)
         itineraries = [_cell_itinerary(cocycle, pair, path, y, n_max) for y in members]
@@ -829,7 +819,6 @@ def partition_entropy_rate(
     samples: int,
     seed: int,
     delta: float = 0.1,
-    frame_steps: int = 192,
 ) -> EntropyEstimate:
     """Growth rate of the conditional entropy of the n-fold refined partition.
 
@@ -843,16 +832,16 @@ def partition_entropy_rate(
         return _mixed_estimate(
             sampler, "partition-rate", n_grid, samples,
             lambda i, comp: partition_entropy_rate(
-                cocycle, comp, pair, n_grid, samples, seed + 31 * i, delta, frame_steps
+                cocycle, comp, pair, n_grid, samples, seed + 31 * i, delta
             ),
         )
     n_max = max(n_grid)
-    half_window = max(n_max, frame_steps) + 2
+    half_window = max(n_max, ENTROPY_FRAME_STEPS) + 2
     if delta <= pair.cell_size:
         raise InvalidSystem("disk too small relative to grid")
     seeds = _sample_seeds(seed, samples, 0x9A7)
     profiles = []
-    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
+    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window):
         info = _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max)
         profiles.append([info[n - 1] for n in n_grid])
     profiles = np.asarray(profiles)
@@ -883,19 +872,23 @@ def smb_trace(
     samples: int,
     seed: int,
     delta: float = 0.1,
-    frame_steps: int = 192,
 ) -> EntropyEstimate:
     """Per-orbit information traces (1/n) I(refined partition | leaf atom).
 
     Convergence evidence: the cross-sample standard deviation of the trace
-    shrinks with n, and the terminal mean matches the partition rate.
+    shrinks with n, and the terminal mean matches the partition rate.  A
+    trace follows one orbit's own leaf conditional, so a mixed sampler,
+    whose samples come from components with different conditionals, is
+    rejected.
     """
+    if sampler.leaf_conditional not in ("volume", "atomic"):
+        raise EstimatorError("unsupported conditional family for this sampler")
     n_grid = tuple(n_grid)
     n_max = max(n_grid)
-    half_window = max(n_max, frame_steps) + 2
+    half_window = max(n_max, ENTROPY_FRAME_STEPS) + 2
     seeds = _sample_seeds(seed, samples, 0x53B)
     traces = []
-    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window, frame_steps):
+    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window):
         info = _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max)
         traces.append([info[n - 1] / n for n in n_grid])
     traces = np.asarray(traces)

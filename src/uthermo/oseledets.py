@@ -261,10 +261,10 @@ def _frames_from_past(
     return _qr_walk_batch(cocycle, _symbol_windows(paths, -steps, steps), q0, pts)[0]
 
 
-def _cluster(raw: np.ndarray, cluster_gap: float) -> tuple[tuple[float, ...], tuple[int, ...]]:
+def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
     clusters: list[list[float]] = [[raw[0]]]
     for val in raw[1:]:
-        if clusters[-1][-1] - val < cluster_gap:
+        if clusters[-1][-1] - val < CLUSTER_GAP:
             clusters[-1].append(val)
         else:
             clusters.append([val])
@@ -278,7 +278,6 @@ def lyapunov_spectra(
     n: int,
     frame_steps: int | None = None,
     frame_seeds=None,
-    cluster_gap: float = CLUSTER_GAP,
 ) -> list[OseledetsReport]:
     """QR-accumulated Lyapunov exponents and bundle frames at each (path, x).
 
@@ -287,7 +286,7 @@ def lyapunov_spectra(
     walking its sample alone whenever the maps' stacked calls round as
     their one-point calls do: always for constant-Jacobian cocycles, which
     make no map calls, and for the sheared cat map.  Exponents are averaged log diagonal entries
-    of the R factors over n forward steps, clustered by cluster_gap.  The
+    of the R factors over n forward steps, clustered by CLUSTER_GAP.  The
     expanding frame is the limit flag of a push from frame_steps in the
     past; the complementary frame comes from the inverse cocycle pushed
     from the future.  Each sample starts from its own frame_seeds entry
@@ -331,7 +330,7 @@ def lyapunov_spectra(
 
     reports = []
     for i in range(len(paths)):
-        exponents, multiplicities = _cluster(raw[i], cluster_gap)
+        exponents, multiplicities = _cluster(raw[i])
         u = sum(1 for lam in exponents if lam > POSITIVE_MARGIN)
         u_dim = int(sum(multiplicities[:u]))
         reports.append(
@@ -354,14 +353,12 @@ def lyapunov_spectrum(
     path: SymbolPath,
     x: TorusPoint,
     n: int,
-    cluster_gap: float = CLUSTER_GAP,
     frame_steps: int | None = None,
     frame_seed: int = 0,
 ) -> OseledetsReport:
     """The spectrum at one (path, x): lyapunov_spectra for a single sample."""
     return lyapunov_spectra(
-        cocycle, [path], [x], n, frame_steps=frame_steps, frame_seeds=[frame_seed],
-        cluster_gap=cluster_gap,
+        cocycle, [path], [x], n, frame_steps=frame_steps, frame_seeds=[frame_seed]
     )[0]
 
 

@@ -579,6 +579,7 @@ def parse_system_text(text: str) -> tuple[DrivingSystem, Cocycle]:
             if len(vals) != dim:
                 raise InvalidSystem(f"{tr_key} needs {dim} entries")
             translation = tuple(vals)
+        # an absent bound stays AUTO, the closed form of the matrix and shears
         c2 = entries.get(f"map.{k}.c2")
         c2inv = entries.get(f"map.{k}.c2inv")
         maps.append(
@@ -586,8 +587,8 @@ def parse_system_text(text: str) -> tuple[DrivingSystem, Cocycle]:
                 matrix=matrix,
                 shears=shears,
                 translation=translation,
-                c2_bound=float(c2) if c2 is not None else None,
-                c2_bound_inverse=float(c2inv) if c2inv is not None else None,
+                c2_bound=AUTO if c2 is None else float(c2),
+                c2_bound_inverse=AUTO if c2inv is None else float(c2inv),
             )
         )
     # reject stray map keys beyond the declared alphabet

@@ -64,6 +64,14 @@ __all__ = [
 # carries this floor.
 CI_FLOOR = 0.01
 
+# The linear-exact packing grid has step epsilon / (GRID_FACTOR * leaf growth),
+# so a pick blocks GRID_FACTOR candidates on each side; sheared arcs must be
+# finer than epsilon / (2 * GRID_FACTOR).
+GRID_FACTOR = 8
+
+# Forward steps behind each pressure sample's expanding frame.
+PRESSURE_FRAME_STEPS = 256
+
 _MAX_MATERIALIZED = 2_000_000
 
 
@@ -96,9 +104,7 @@ class Potential:
         return self.vector_fn is None
 
     def value(self, path: SymbolPath, point: TorusPoint) -> float:
-        if self.x_independent:
-            return float(self.symbol_fn(path.symbol(0)))
-        return float(self.vector_fn(path, point.as_array().reshape(1, -1))[0])
+        return float(self.values(path, point.as_array().reshape(1, -1))[0])
 
     __call__ = value
 
@@ -229,29 +235,25 @@ def potential_norm(
     potential: Potential, system: DrivingSystem, grid: int = 64, dim: int = 2
 ) -> float:
     """Base-averaged fiber sup of |phi|, evaluated per symbol on a grid."""
-    dist = system.distribution_array
-    if potential.x_independent:
-        return float(sum(p * abs(potential.symbol_fn(s)) for s, p in enumerate(dist)))
-    # x-dependent evaluators in this artifact do not read beyond symbol 0,
-    # so a one-symbol window per symbol value is enough for the sup.
-    total = 0.0
-    pts = _torus_grid(dim, grid)
-    for s, p in enumerate(dist):
-        if p == 0.0:
-            continue
-        path = SymbolPath(symbols=(s,) * 3, half_window=1)
-        total += p * float(np.max(np.abs(potential.values(path, pts))))
-    return total
+    return float(sum(
+        p * float(np.max(np.abs(v))) for p, v in _fiber_values(potential, system, dim, grid)
+    ))
 
 
-def _torus_grid(dim: int, grid: int, centred: bool = False) -> np.ndarray:
-    """The grid**dim product lattice on the torus as rows, in C order: cell
-    corners i/grid, or cell centres (i + 0.5)/grid when centred."""
-    if centred:
-        axis = (np.arange(grid) + 0.5) / grid
-    else:
-        axis = np.linspace(0.0, 1.0, grid, endpoint=False)
+def _product_grid(axis: np.ndarray, dim: int) -> np.ndarray:
+    """The dim-fold product of axis with itself as rows, in C order."""
     return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _fiber_values(potential: Potential, system: DrivingSystem, dim: int, grid: int):
+    """(p, values on the torus lattice of cell corners i/grid) per symbol s of probability p.
+
+    The potentials here do not read beyond symbol 0, so a one-symbol window
+    per symbol value stands for every path with that current symbol.
+    """
+    pts = _product_grid(np.linspace(0.0, 1.0, grid, endpoint=False), dim)
+    for s, p in enumerate(system.distribution_array):
+        yield p, potential.values(SymbolPath(symbols=(s,) * 3, half_window=1), pts)
 
 
 def _symbol_sum(potential: Potential, path: SymbolPath, n: int) -> float:
@@ -278,12 +280,7 @@ def birkhoff_sum(
         raise ValueError("need n >= 1")
     if potential.x_independent:
         return _symbol_sum(potential, path, n)
-    pt = x.as_array().reshape(1, -1)
-    total = 0.0
-    for j in range(n):
-        total += float(potential.vector_fn(path.shifted(j), pt)[0])
-        pt = cocycle.map_for(path.symbol(j)).apply(pt)
-    return total
+    return float(_orbit_sums(cocycle, path, [potential], x.as_array()[None], n)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,57 +403,12 @@ def _profile_windows(arcs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def _profile_pack_indices(arcs: np.ndarray, epsilon: float, limit: int) -> np.ndarray:
-    """Left-to-right walk selecting indices pairwise > epsilon apart."""
-    n, m = arcs.shape
-    out = [0]
-    i = 0
-    while True:
-        nxt = m
-        for j in range(n):
-            row = arcs[j]
-            nxt = min(nxt, int(np.searchsorted(row, row[i] + epsilon, side="right")))
-        if nxt >= m:
-            break
-        out.append(nxt)
-        i = nxt
-        if len(out) > limit:
-            raise EstimatorError("separated set exceeds materialization limit")
-    return np.asarray(out, dtype=np.int64)
-
-
-def _profile_cover_indices(arcs: np.ndarray, epsilon: float, limit: int) -> np.ndarray:
-    """Centers of a cover by dynamical balls of radius epsilon/2."""
-    n, m = arcs.shape
-    half = epsilon / 2.0
-    centers = []
-    edge = 0
-    while edge < m:
-        c = m - 1
-        for j in range(n):
-            row = arcs[j]
-            c = min(c, int(np.searchsorted(row, row[edge] + half, side="right")) - 1)
-        c = max(c, edge)
-        centers.append(c)
-        nxt = m
-        for j in range(n):
-            row = arcs[j]
-            nxt = min(nxt, int(np.searchsorted(row, row[c] + half, side="right")))
-        if nxt <= edge:
-            nxt = edge + 1
-        edge = nxt
-        if len(centers) > limit:
-            raise EstimatorError("cover exceeds materialization limit")
-    return np.asarray(centers, dtype=np.int64)
-
-
 def maximal_separated_set(
     cocycle: Cocycle,
     disk: UnstableDisk,
     potential: Potential,
     n: int,
     epsilon: float,
-    grid_factor: int = 8,
     max_candidates: int = 6_000_000,
     materialize: bool = True,
     growth: np.ndarray | None = None,
@@ -466,8 +418,8 @@ def maximal_separated_set(
     The one-potential case of maximal_separated_sets.
     """
     return maximal_separated_sets(
-        cocycle, disk, [potential], n, epsilon, grid_factor=grid_factor,
-        max_candidates=max_candidates, materialize=materialize, growth=growth,
+        cocycle, disk, [potential], n, epsilon, max_candidates=max_candidates,
+        materialize=materialize, growth=growth,
     )[0]
 
 
@@ -477,21 +429,20 @@ def maximal_separated_sets(
     potentials,
     n: int,
     epsilon: float,
-    grid_factor: int = 8,
     max_candidates: int = 6_000_000,
     materialize: bool = True,
     growth: np.ndarray | None = None,
 ) -> list[SeparatedSetResult]:
     """Greedy weighted packing of the disk at dynamical scale (n, epsilon), per potential.
 
-    Candidates on a grid of dynamical step epsilon/grid_factor are selected
+    Candidates on a grid of dynamical step epsilon/GRID_FACTOR are selected
     in decreasing exp(S_n phi) order subject to pairwise separation > eps;
     for x-independent potentials the selection collapses to the analytic
     left-to-right lattice (identical outcome, no enumeration).  The upper
     bound comes from an (n, epsilon/2) spanning set plus the orbit-sum
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
     grid, the chart and one orbit walk over the candidates and one over the
-    cover; the selection runs per potential.
+    cover; the selection runs once per distinct row of orbit sums.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -503,86 +454,93 @@ def maximal_separated_sets(
         return _separated_sets_2d(cocycle, disk, potentials, n, epsilon, max_candidates)
 
     length = 2.0 * disk.radius
-    results: list[SeparatedSetResult | None] = [None] * len(potentials)
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
-
-    def lattice(pack_count, cover_count, pts):
-        for k, p in enumerate(potentials):
-            if p.x_independent:
-                sn = _symbol_sum(p, path, n)
-                results[k] = SeparatedSetResult(
-                    points=pts,
-                    count=float(pack_count),
-                    n=n,
-                    epsilon=epsilon,
-                    log_weighted_sum=math.log(pack_count) + sn,
-                    log_upper=math.log(cover_count) + sn,
-                    method="grid-exhaustive",
-                    potential_label=p.label,
-                )
 
     if disk.construction == "linear-exact":
         if growth is None or len(growth) < n:
             growth = leaf_growth_factors(cocycle, disk, n)
         gstar = float(np.max(growth[:n]))
-        if len(varying) < len(potentials):
-            spacing = epsilon * (1.0 + 1e-9) / gstar
-            count = math.floor(length / spacing) + 1
-            pts = None
-            if materialize and count <= _MAX_MATERIALIZED:
-                pts = -disk.radius + spacing * np.arange(count)
-            lattice(count, max(1, math.ceil(length * gstar / epsilon)), pts)
-        if not varying:
-            return results
-        h = epsilon / (grid_factor * gstar)
-        n_cand = math.floor(length / h) + 1
-        if n_cand > max_candidates:
-            raise EstimatorError(
-                f"separated-set grid needs {n_cand} candidates; raise epsilon or lower n"
-            )
-        params = -disk.radius + h * np.arange(n_cand)
+        spacing = epsilon * (1.0 + 1e-9) / gstar
+        pack_count = math.floor(length / spacing) + 1
+        cover_count = max(1, math.ceil(length * gstar / epsilon))
+        pack_pts = None
+        if materialize and pack_count <= _MAX_MATERIALIZED:
+            pack_pts = -disk.radius + spacing * np.arange(pack_count)
+        if varying:
+            h = epsilon / (GRID_FACTOR * gstar)
+            n_cand = math.floor(length / h) + 1
+            if n_cand > max_candidates:
+                raise EstimatorError(
+                    f"separated-set grid needs {n_cand} candidates; raise epsilon or lower n"
+                )
+            params = -disk.radius + h * np.arange(n_cand)
 
-        def select(order):
-            return _greedy_kernel(order, grid_factor, n_cand)
+            def select(order):
+                return _greedy_kernel(order, GRID_FACTOR, n_cand)
 
-        cover_step = epsilon / gstar
-        n_cover = max(1, math.ceil(length / cover_step))
-        cover_params = -disk.radius + cover_step * (np.arange(n_cover) + 0.5)
-        cover_params = np.clip(cover_params, -disk.radius, disk.radius)
+            cover_step = epsilon / gstar
+            n_cover = max(1, math.ceil(length / cover_step))
+            cover_params = -disk.radius + cover_step * (np.arange(n_cover) + 0.5)
+            cover_params = np.clip(cover_params, -disk.radius, disk.radius)
     else:
         params = disk.params
+        m = len(params)
         arcs = bowen_step_arcs(cocycle, disk, n, params)
-        gaps = np.max(np.diff(arcs, axis=1))
-        if gaps > epsilon / (2.0 * grid_factor):
+        if np.max(np.diff(arcs, axis=1)) > epsilon / (2.0 * GRID_FACTOR):
             raise EstimatorError("grid too coarse for requested epsilon; refine the disk")
-        cover_idx = _profile_cover_indices(arcs, epsilon, max_candidates)
-        if len(varying) < len(potentials):
-            pack = _profile_pack_indices(arcs, epsilon, max_candidates)
-            lattice(len(pack), len(cover_idx), params[pack])
-        if not varying:
-            return results
         lo, hi = _profile_windows(arcs, epsilon)
+        # the left-to-right lattice is the greedy pass in index order
+        pack = _greedy_windows(np.arange(m), lo, hi, m)
+        # cover by (n, eps/2)-balls: the first uncovered index's farthest
+        # neighbour within eps/2 is the centre, which reaches eps/2 past itself
+        half_hi = _profile_windows(arcs, epsilon / 2.0)[1]
+        cover_idx = []
+        edge = 0
+        while edge < m:
+            cover_idx.append(half_hi[edge])
+            edge = half_hi[cover_idx[-1]] + 1
+        pack_count, cover_count, pack_pts = len(pack), len(cover_idx), params[pack]
 
         def select(order):
-            return _greedy_windows(order, lo, hi, len(params))
+            return _greedy_windows(order, lo, hi, m)
 
         cover_params = params[cover_idx]
 
-    walked = [potentials[k] for k in varying]
-    weights = _orbit_sums(cocycle, path, walked, disk.chart(params), n)
-    cover_weights = _orbit_sums(cocycle, path, walked, disk.chart(cover_params), n)
-    for k, p, w, cw in zip(varying, walked, weights, cover_weights):
-        selected = select(np.argsort(-w, kind="stable"))
-        results[k] = SeparatedSetResult(
-            points=params[selected],
-            count=float(len(selected)),
-            n=n,
-            epsilon=epsilon,
-            log_weighted_sum=_logsumexp(w[selected]),
-            log_upper=_logsumexp(cw) + n * p.lipschitz * epsilon / 2.0,
-            method="grid-exhaustive",
-            potential_label=p.label,
-        )
+    results: list[SeparatedSetResult | None] = [None] * len(potentials)
+    for k, p in enumerate(potentials):
+        if p.x_independent:
+            sn = _symbol_sum(p, path, n)
+            results[k] = SeparatedSetResult(
+                points=pack_pts,
+                count=float(pack_count),
+                n=n,
+                epsilon=epsilon,
+                log_weighted_sum=math.log(pack_count) + sn,
+                log_upper=math.log(cover_count) + sn,
+                method="grid-exhaustive",
+                potential_label=p.label,
+            )
+    if varying:
+        walked = [potentials[k] for k in varying]
+        weights = _orbit_sums(cocycle, path, walked, disk.chart(params), n)
+        cover_weights = _orbit_sums(cocycle, path, walked, disk.chart(cover_params), n)
+        picks = {}  # bitwise-equal rows of orbit sums share one selection
+        for k, p, w, cw in zip(varying, walked, weights, cover_weights):
+            key = w.tobytes()
+            if key not in picks:
+                selected = select(np.argsort(-w, kind="stable"))
+                picks[key] = selected, _logsumexp(w[selected])
+            selected, log_sum = picks[key]
+            results[k] = SeparatedSetResult(
+                points=params[selected],
+                count=float(len(selected)),
+                n=n,
+                epsilon=epsilon,
+                log_weighted_sum=log_sum,
+                log_upper=_logsumexp(cw) + n * p.lipschitz * epsilon / 2.0,
+                method="grid-exhaustive",
+                potential_label=p.label,
+            )
     return results
 
 
@@ -593,8 +551,7 @@ def _separated_sets_2d(cocycle, disk, potentials, n, epsilon, max_candidates):
     mats = _tangent_images(cocycle, [path], disk.base_lift[None], disk.frame[None], n - 1)[0]
     smax = max(float(np.linalg.norm(m, 2)) for m in mats)
     side = max(2, int(min(200, math.sqrt(max_candidates))))
-    axis = np.linspace(-disk.radius, disk.radius, side)
-    tt = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    tt = _product_grid(np.linspace(-disk.radius, disk.radius, side), 2)
     cover_step = epsilon / (math.sqrt(2.0) * smax)
     n_cover = max(1, math.ceil(2.0 * disk.radius / cover_step))
     results = []
@@ -767,8 +724,6 @@ def pressure_estimate(
     potential: Potential,
     grid: GridSpec,
     seed: int,
-    frame_steps: int = 256,
-    resolution: float | None = None,
     keep_cells: bool = True,
 ) -> PressureEstimate:
     """Estimate the leafwise pressure of the potential on the given system.
@@ -776,8 +731,7 @@ def pressure_estimate(
     The one-potential case of pressure_estimates.
     """
     return pressure_estimates(
-        cocycle, system, [potential], grid, seed, frame_steps=frame_steps,
-        resolution=resolution, keep_cells=keep_cells,
+        cocycle, system, [potential], grid, seed, keep_cells=keep_cells
     )[0]
 
 
@@ -787,8 +741,6 @@ def pressure_estimates(
     potentials,
     grid: GridSpec,
     seed: int,
-    frame_steps: int = 256,
-    resolution: float | None = None,
     keep_cells: bool = True,
 ) -> list[PressureEstimate]:
     """Estimate the leafwise pressure of each potential on the given system.
@@ -809,14 +761,12 @@ def pressure_estimates(
     """
     potentials = list(potentials)
     n_max = grid.n_grid[-1]
-    half_window = max(n_max, frame_steps) + 2
+    half_window = max(n_max, PRESSURE_FRAME_STEPS) + 2
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
     path_seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(grid.omega_samples)]
-    base_pts = [
-        TorusPoint(tuple(row)) for row in _torus_grid(cocycle.dim, grid.base_grid, centred=True)
-    ]
+    centres = (np.arange(grid.base_grid) + 0.5) / grid.base_grid
+    base_pts = [TorusPoint(tuple(row)) for row in _product_grid(centres, cocycle.dim)]
     eps_min = grid.eps_grid[0]
-    spectrum_n = max(128, frame_steps)
     count = len(potentials)
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
     # a constant-Jacobian path gives every base point one spectrum, one frame
@@ -833,8 +783,8 @@ def pressure_estimates(
     paths = [sample_path(system, half_window, pseed) for pseed in path_seeds]
     xs = base_pts[:1] if shared_frame else base_pts
     spectra = lyapunov_spectra(
-        cocycle, [p for p in paths for _ in xs], xs * len(paths), spectrum_n,
-        frame_steps=frame_steps, frame_seeds=[s for s in path_seeds for _ in xs],
+        cocycle, [p for p in paths for _ in xs], xs * len(paths), PRESSURE_FRAME_STEPS,
+        frame_steps=PRESSURE_FRAME_STEPS, frame_seeds=[s for s in path_seeds for _ in xs],
     )
     k = len(xs)
 
@@ -854,7 +804,7 @@ def pressure_estimates(
                     if best[j] is None or 0.0 > best[j][0]:
                         best[j] = (0.0, 0.0, 0.0, zeros, 0.0)
                 continue
-            disk = unstable_disk(cocycle, state, grid.delta, report, resolution=resolution)
+            disk = unstable_disk(cocycle, state, grid.delta, report)
             if growth is None and disk.construction == "linear-exact":
                 growth = leaf_growth_factors(cocycle, disk, n_max)
             logs_at_emin = [[] for _ in potentials]
@@ -937,10 +887,10 @@ def _summarize(grid: GridSpec, label: str, omega_best, cells, bracket_ok) -> Pre
 
 
 def topological_entropy(
-    cocycle: Cocycle, system: DrivingSystem, grid: GridSpec, seed: int, **kwargs
+    cocycle: Cocycle, system: DrivingSystem, grid: GridSpec, seed: int
 ) -> PressureEstimate:
     """Leafwise growth rate of packing counts: pressure at the zero potential."""
-    return pressure_estimate(cocycle, system, zero_potential(), grid, seed, **kwargs)
+    return pressure_estimate(cocycle, system, zero_potential(), grid, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -979,19 +929,8 @@ class PropertySuiteReport:
 
 def _fiber_extrema(potential: Potential, system: DrivingSystem, dim: int = 2, grid: int = 96):
     """Base-averaged fiber min and max of the potential."""
-    dist = system.distribution_array
     lo = hi = 0.0
-    pts = _torus_grid(dim, grid)
-    for s, p in enumerate(dist):
-        if p == 0.0:
-            continue
-        path = SymbolPath(symbols=(s,) * 3, half_window=1)
-        if potential.x_independent:
-            v = potential.symbol_fn(s)
-            lo += p * v
-            hi += p * v
-            continue
-        vals = potential.values(path, pts)
+    for p, vals in _fiber_values(potential, system, dim, grid):
         lo += p * float(np.min(vals))
         hi += p * float(np.max(vals))
     return lo, hi
@@ -1000,12 +939,11 @@ def _fiber_extrema(potential: Potential, system: DrivingSystem, dim: int = 2, gr
 def _pointwise_leq(
     phi: Potential, psi: Potential, system: DrivingSystem, dim: int = 2, grid: int = 48
 ) -> bool:
-    pts = _torus_grid(dim, grid)
-    for s in range(system.symbol_count):
-        path = SymbolPath(symbols=(s,) * 3, half_window=1)
-        if np.any(phi.values(path, pts) > psi.values(path, pts) + 1e-12):
-            return False
-    return True
+    return all(
+        not np.any(a > b + 1e-12)
+        for (_, a), (_, b) in zip(_fiber_values(phi, system, dim, grid),
+                                  _fiber_values(psi, system, dim, grid))
+    )
 
 
 def pressure_property_suite(

@@ -317,3 +317,106 @@ def scalar_pressure_cells(cocycle, system, potential, grid, seed: int, frame_ste
                     rows.append((pseed, xi, n, eps)
                                 + scalar_linear_packing(cocycle, disk, potential, n, eps, growth))
     return rows
+
+
+def profile_pack_indices(arcs: np.ndarray, eps: float) -> np.ndarray:
+    """Left-to-right walk over Bowen arcs selecting indices pairwise > eps apart,
+    one scalar search per step and row."""
+    n, m = arcs.shape
+    out = [0]
+    i = 0
+    while True:
+        nxt = m
+        for j in range(n):
+            nxt = min(nxt, int(np.searchsorted(arcs[j], arcs[j][i] + eps, side="right")))
+        if nxt >= m:
+            break
+        out.append(nxt)
+        i = nxt
+    return np.asarray(out, dtype=np.int64)
+
+
+def profile_cover_indices(arcs: np.ndarray, eps: float) -> np.ndarray:
+    """Centres of a left-to-right cover of the Bowen arcs by dynamical balls of
+    radius eps/2, one scalar search per step and row."""
+    n, m = arcs.shape
+    half = eps / 2.0
+    centers = []
+    edge = 0
+    while edge < m:
+        c = m - 1
+        for j in range(n):
+            c = min(c, int(np.searchsorted(arcs[j], arcs[j][edge] + half, side="right")) - 1)
+        c = max(c, edge)
+        centers.append(c)
+        nxt = m
+        for j in range(n):
+            nxt = min(nxt, int(np.searchsorted(arcs[j], arcs[j][c] + half, side="right")))
+        edge = max(nxt, edge + 1)
+    return np.asarray(centers, dtype=np.int64)
+
+
+def loop_birkhoff_sum(cocycle, potential, path, x, n: int) -> float:
+    """S_n(phi)(x), one point and one step at a time."""
+    pt = x.as_array().reshape(1, -1)
+    total = 0.0
+    for j in range(n):
+        if potential.x_independent:
+            total += float(potential.symbol_fn(path.symbol(j)))
+        else:
+            total += float(potential.vector_fn(path.shifted(j), pt)[0])
+        pt = cocycle.maps[path.symbol(j)].apply(pt)
+    return total
+
+
+def _fiber_corners(dim: int, grid: int) -> np.ndarray:
+    axis = np.linspace(0.0, 1.0, grid, endpoint=False)
+    return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _symbol_window(s: int):
+    from uthermo import SymbolPath
+
+    return SymbolPath(symbols=(s,) * 3, half_window=1)
+
+
+def fiber_sup_norm(potential, system, grid: int = 64, dim: int = 2) -> float:
+    """Base-averaged fiber sup of |phi| on the corner lattice, symbol by symbol."""
+    dist = system.distribution_array
+    if potential.x_independent:
+        return float(sum(p * abs(potential.symbol_fn(s)) for s, p in enumerate(dist)))
+    total = 0.0
+    pts = _fiber_corners(dim, grid)
+    for s, p in enumerate(dist):
+        if p == 0.0:
+            continue
+        total += p * float(np.max(np.abs(potential.values(_symbol_window(s), pts))))
+    return total
+
+
+def fiber_extrema(potential, system, dim: int = 2, grid: int = 96):
+    """Base-averaged fiber min and max of phi on the corner lattice."""
+    lo = hi = 0.0
+    pts = _fiber_corners(dim, grid)
+    for s, p in enumerate(system.distribution_array):
+        if p == 0.0:
+            continue
+        if potential.x_independent:
+            v = potential.symbol_fn(s)
+            lo += p * v
+            hi += p * v
+            continue
+        vals = potential.values(_symbol_window(s), pts)
+        lo += p * float(np.min(vals))
+        hi += p * float(np.max(vals))
+    return lo, hi
+
+
+def pointwise_leq(phi, psi, system, dim: int = 2, grid: int = 48) -> bool:
+    """phi <= psi (to 1e-12) at every corner-lattice point of every symbol's fiber."""
+    pts = _fiber_corners(dim, grid)
+    for s in range(system.symbol_count):
+        path = _symbol_window(s)
+        if np.any(phi.values(path, pts) > psi.values(path, pts) + 1e-12):
+            return False
+    return True

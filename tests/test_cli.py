@@ -133,6 +133,36 @@ class TestRunner:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, key, val, named", [
+        ("entropy", "delta", "abc", "delta"),
+        ("entropy", "n_grid", "a:b", "n_grid"),
+        ("entropy", "n_grid", "5:", "n_grid"),
+        ("entropy", "eps_grid", "0.02 x", "eps_grid"),
+        ("pressure", "potential", "cos:abc", "cos:abc"),
+        ("pressure", "potential", "cos:0.4:1", "cos:0.4:1"),
+        ("smb", "measures", "atomic:x,0", "atomic:x,0"),
+        ("smb", "measures", "combo:0.5haar", "combo:0.5haar"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, experiment, key, val, named):
+        (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
+        bad = _write(tmp_path, "bad.cfg",
+                     f"system = cat.system\nexperiment = {experiment}\n{key} = {val}\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_smb_rejects_mixed_measure(self, tmp_path, capsys):
+        (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
+        bad = _write(tmp_path, "mix.cfg",
+                     "system = cat.system\nexperiment = smb\nseed = 11\n"
+                     "measures = combo:0.5*haar+0.5*atomic:0,0\nn_grid = 2:6\n"
+                     "entropy_samples = 4\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "measures" in err
+        assert not (tmp_path / "out").exists()
+
     def test_workers_flag_accepted(self, tmp_path, capsys):
         cfg = str(CONFIG_DIR / "cat_entropy.cfg")
         assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0

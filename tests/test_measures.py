@@ -336,6 +336,17 @@ class TestSmbTraces:
         sd = e1.trace_sd[-1] / math.sqrt(24) + e2.trace_sd[-1] / math.sqrt(24)
         assert abs(e1.value - e2.value) <= 2.0 * sd + 1e-6
 
+    def test_mixed_sampler_rejected(self, cat_cocycle, trivial_system):
+        # a trace follows one orbit's leaf conditional; a mix has two
+        mix = convex_combo_sampler(
+            [haar_sampler(trivial_system, dim=2),
+             periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))],
+            [0.5, 0.5],
+        )
+        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        with pytest.raises(EstimatorError, match="conditional family"):
+            smb_trace(cat_cocycle, mix, pair, (4, 8), 4, seed=11, delta=0.1)
+
 
 class TestEntropyGapReport:
     def test_cat_gap_small(self, cat_cocycle, trivial_system):

@@ -18,6 +18,7 @@ from uthermo import (
     compose,
     derivative,
     integrability_check,
+    load_system,
     parse_system_text,
     sample_path,
     skew_step,
@@ -266,6 +267,27 @@ class TestIntegrability:
         assert m.c2_bound is None
         with pytest.raises(InvalidSystem):
             integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
+
+    @pytest.mark.parametrize("name", ["cat.system", "iid_aa2.system", "t3_rot.system"])
+    def test_bundled_systems_without_bounds_pass(self, name):
+        # the c2 keys are optional: absent ones take the closed-form bound
+        from conftest import CONFIG_DIR
+
+        system, cocycle = load_system(CONFIG_DIR / name)
+        est = integrability_check(system, cocycle, samples=100)
+        assert math.isfinite(est) and est > 0.0
+        for m in cocycle.maps:
+            assert m.c2_bound == m._default_c2(m.matrix)
+
+    def test_explicit_bound_in_file_honoured(self):
+        text = ("base.kind = deterministic-trivial\nbase.symbols = 1\nfiber.dim = 2\n"
+                "map.0.matrix = 2 1 1 1\nmap.0.c2 = 7.389056098930650\n")
+        system, cocycle = parse_system_text(text)
+        m = cocycle.maps[0]
+        assert m.c2_bound == 7.389056098930650
+        assert m.c2_bound_inverse == m._default_c2(m._inverse_matrix)
+        est = integrability_check(system, cocycle, samples=10)
+        assert est == pytest.approx(2.0 + math.log(m.c2_bound_inverse), abs=1e-12)
 
 
 class TestSystemFiles:

@@ -25,6 +25,7 @@ from uthermo import (
     zero_potential,
 )
 from uthermo import thermo
+from uthermo.leafgeom import bowen_step_arcs
 from uthermo.thermo import fit_slope, potential_norm, theta_coboundary
 
 
@@ -468,6 +469,112 @@ class TestPotentialFamily:
             assert np.array_equal(res.points, alone.points)
             assert (res.count, res.log_weighted_sum, res.log_upper, res.potential_label) == (
                 alone.count, alone.log_weighted_sum, alone.log_upper, alone.potential_label)
+
+
+class TestOneCodePath:
+    """Sheared packs and covers, Birkhoff sums and the fiber-grid helpers against
+    the separate loops they once had (kept in oracles as references)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_sheared_pack_and_cover_indices(self, seed, perturbed_cat_cocycle, trivial_system,
+                                            monkeypatch):
+        cocycle = perturbed_cat_cocycle
+        walked = []
+        orbit_sums = thermo._orbit_sums
+
+        def spy(cocycle, path, potentials, pts, n):
+            walked.append(pts)
+            return orbit_sums(cocycle, path, potentials, pts, n)
+
+        monkeypatch.setattr(thermo, "_orbit_sums", spy)
+        path = sample_path(trivial_system, 800, seed)
+        x = TorusPoint(tuple(np.random.default_rng(seed).random(2)))
+        rep = lyapunov_spectrum(cocycle, path, x, 600)
+        cos = coordinate_potential(0.4, [1, 0])
+        cells = 0
+        for delta in (0.05, 0.1):
+            disk = unstable_disk(cocycle, SkewState(path=path, point=x), delta, rep)
+            for n in range(1, 5):
+                arcs = bowen_step_arcs(cocycle, disk, n, disk.params)
+                for eps in (0.03, 0.045, 0.06, 0.08, 0.11, 0.15, 0.3):
+                    walked.clear()
+                    try:
+                        lattice, _ = thermo.maximal_separated_sets(
+                            cocycle, disk, [zero_potential(), cos], n, eps)
+                    except EstimatorError:  # the arcs are too coarse for eps
+                        continue
+                    pack = oracles.profile_pack_indices(arcs, eps)
+                    cover = oracles.profile_cover_indices(arcs, eps)
+                    assert np.array_equal(lattice.points, disk.params[pack])
+                    assert lattice.count == len(pack)
+                    assert lattice.log_upper == math.log(len(cover))
+                    # the second walk runs over the cover centres
+                    assert np.array_equal(walked[1], disk.chart(disk.params[cover]))
+                    cells += 1
+        assert cells >= 40
+
+    def test_birkhoff_sum_bitwise_equal_point_loop(self, request):
+        from uthermo import geometric_potential
+
+        for system_name, cocycle_name in (("trivial_system", "cat_cocycle"),
+                                          ("iid_system", "iid_cocycle"),
+                                          ("trivial_system", "perturbed_cat_cocycle")):
+            system = request.getfixturevalue(system_name)
+            cocycle = request.getfixturevalue(cocycle_name)
+            path = sample_path(system, 400, 5)
+            rng = np.random.default_rng(8)
+            rep = lyapunov_spectrum(cocycle, path, TorusPoint((0.3, 0.6)), 200)
+            cos = coordinate_potential(0.4, [1, 0])
+            sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin")
+            family = [
+                cos, sin,
+                combine_potentials([(0.5, cos), (-1.5, sin), (1.0, constant_potential(0.2))]),
+                combine_potentials([(1.0, cos), (1.0, theta_coboundary(cocycle, sin))]),
+                geometric_potential(cocycle, rep),
+            ]
+            assert family[-1].x_independent == cocycle.has_constant_jacobian
+            for pot in family:
+                for x in rng.random((3, 2)):
+                    for n in (1, 6, 25):
+                        got = birkhoff_sum(cocycle, pot, path, TorusPoint(tuple(x)), n)
+                        want = oracles.loop_birkhoff_sum(cocycle, pot, path,
+                                                         TorusPoint(tuple(x)), n)
+                        assert got == want, (cocycle_name, pot.label, n)
+
+    def test_fiber_helpers_bitwise_equal_symbol_loops(self, trivial_system, iid_system):
+        cos = coordinate_potential(0.4, [1, 0])
+        sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin")
+        table = per_symbol_potential([0.1, -0.4])
+        for system in (trivial_system, iid_system):
+            family = [zero_potential(), constant_potential(0.3), constant_potential(-0.2),
+                      cos, sin, combine_potentials([(1.0, cos), (-1.0, sin)]),
+                      combine_potentials([(2.0, cos), (1.0, constant_potential(0.3))])]
+            if system.symbol_count == 2:
+                family += [table, combine_potentials([(1.0, table), (0.5, sin)])]
+            for a in family:
+                assert potential_norm(a, system) == oracles.fiber_sup_norm(a, system)
+                assert thermo._fiber_extrema(a, system) == oracles.fiber_extrema(a, system)
+                for b in family:
+                    assert thermo._pointwise_leq(a, b, system) == oracles.pointwise_leq(
+                        a, b, system)
+
+    def test_equal_weight_rows_share_one_selection(self, cat_cocycle, cat_setup, monkeypatch):
+        _, _, disk = cat_setup
+        cos = coordinate_potential(0.4, [1, 0], label="cos")
+        sin = coordinate_potential(0.4, [1, 0], fn="sin", label="sin")
+        family = [cos, sin, combine_potentials([(0.0, cos), (1.0, sin)], label="seg0"),
+                  combine_potentials([(1.0, cos), (0.0, sin)], label="seg1")]
+        alone = [maximal_separated_set(cat_cocycle, disk, p, 4, 0.04) for p in family]
+        calls = []
+        kernel = thermo._greedy_kernel
+        monkeypatch.setattr(thermo, "_greedy_kernel",
+                            lambda *a: calls.append(1) or kernel(*a))
+        together = thermo.maximal_separated_sets(cat_cocycle, disk, family, 4, 0.04)
+        assert len(calls) == 2
+        for res, ref in zip(together, alone):
+            assert np.array_equal(res.points, ref.points)
+            assert (res.count, res.log_weighted_sum, res.log_upper, res.potential_label) == (
+                ref.count, ref.log_weighted_sum, ref.log_upper, ref.potential_label)
 
 
 class TestKernels:
