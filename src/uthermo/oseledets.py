@@ -147,26 +147,52 @@ def _check_symbols(cocycle: Cocycle, syms: np.ndarray) -> None:
 
 
 def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) -> np.ndarray:
-    """Call one MapDescriptor method on each row of pts with the map its symbol names."""
-    if len(cocycle.maps) == 1:
+    """Call one MapDescriptor method on points pts (..., d) with the maps syms (...) name."""
+    if len(cocycle.maps) == 1 or not syms.size:
         return getattr(cocycle.maps[0], method)(pts)
     out = None
     for s in np.unique(syms):
         rows = syms == s
         val = getattr(cocycle.maps[s], method)(pts[rows])
         if out is None:
-            out = np.empty((len(syms),) + val.shape[1:])
+            out = np.empty(syms.shape + val.shape[1:])
         out[rows] = val
     return out
 
 
-def _move_points(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool) -> np.ndarray:
-    """Push points (S, d) through the maps along syms (S, steps), or pull them back."""
+def _orbit(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The orbit (steps, S, d) of points pts (S, d) along syms (S, steps), walked once.
+
+    Forward, row j is the point the map of column j acts on: row 0 is pts
+    itself.  Inverse, row j is pts pulled back through columns 0..j.  Only
+    apply/inverse_apply are called, one stacked call per step.
+    """
+    out = np.empty((syms.shape[1],) + pts.shape)
+    if inverse:
+        for j, col in enumerate(syms.T):
+            pts = out[j] = _map_step(cocycle, col, pts, "inverse_apply")
+    elif len(out):
+        out[0] = pts
+        for j in range(1, len(out)):
+            out[j] = _map_step(cocycle, syms[:, j - 1], out[j - 1], "apply")
+    return out
+
+
+def _orbit_jacobians(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool = False
+) -> np.ndarray:
+    """Df (steps, S, d, d) at each point of _orbit(syms, pts, inverse), by the map
+    that acts there; one jacobian call per symbol for the whole walk."""
     _check_symbols(cocycle, syms)
-    method = "inverse_apply" if inverse else "apply"
-    for k in range(syms.shape[1]):
-        pts = _map_step(cocycle, syms[:, k], pts, method)
-    return pts
+    return _map_step(cocycle, syms.T, _orbit(cocycle, syms, pts, inverse), "jacobian")
+
+
+def _log_abs_dets(jacs: np.ndarray) -> np.ndarray:
+    """log |det J| of each Jacobian in a stack; a degenerate one raises EstimatorError."""
+    det = np.linalg.det(jacs)
+    if np.any(np.abs(det) < 1e-12):
+        raise EstimatorError("degenerate one-step Jacobian along the orbit")
+    return np.log(np.abs(det))
 
 
 def _jacobian_stream(
@@ -180,36 +206,35 @@ def _jacobian_stream(
 
     The one place that chooses how Jacobians are made.  A constant-Jacobian
     cocycle looks them up in a per-symbol table and ignores pts (which may
-    be None).  Otherwise pts (S, d) are the starting points: forward mode
-    yields each step's Jacobian at the current point, then moves the point
-    on; inverse mode pulls the point back first and yields the inverse
-    Jacobian there.  Given log_det (S,), each step's log |det J| is added to
-    it, and a degenerate step raises EstimatorError.
+    be None).  Otherwise pts (S, d) are the starting points: the whole
+    orbit is walked first and its Jacobians made in one batch.  Forward
+    mode yields the Jacobian at each point of the orbit through pts; inverse
+    mode pulls the point back and yields the inverse Jacobian there.  Given
+    log_det (S,), each step's log |det J| is added to it, and a degenerate
+    step raises EstimatorError.
     """
     _check_symbols(cocycle, syms)
-    constant = cocycle.has_constant_jacobian
-    if constant:
-        origin = np.zeros(cocycle.dim)
-        table = np.stack([m.jacobian(origin) for m in cocycle.maps])
+    if not cocycle.has_constant_jacobian:
+        jacs = _orbit_jacobians(cocycle, syms, pts, inverse)
         if inverse:
-            table = np.stack([np.linalg.inv(jac) for jac in table])
-        dets = np.array([np.linalg.det(jac) for jac in table])
-    for col in syms.T:
-        if constant:
-            jac = table[col]
-        elif inverse:
-            pts = _map_step(cocycle, col, pts, "inverse_apply")
-            jac = np.linalg.inv(_map_step(cocycle, col, pts, "jacobian"))
-        else:
-            jac = _map_step(cocycle, col, pts, "jacobian")
+            jacs = np.linalg.inv(jacs)
         if log_det is not None:
-            det = dets[col] if constant else np.linalg.det(jac)
+            log_det += np.cumsum(_log_abs_dets(jacs), axis=0)[-1]
+        yield from jacs
+        return
+    origin = np.zeros(cocycle.dim)
+    table = np.stack([m.jacobian(origin) for m in cocycle.maps])
+    if inverse:
+        table = np.stack([np.linalg.inv(jac) for jac in table])
+    dets = np.array([np.linalg.det(jac) for jac in table])
+    for col in syms.T:
+        jac = table[col]
+        if log_det is not None:
+            det = dets[col]
             if np.any(np.abs(det) < 1e-12):
                 raise EstimatorError("degenerate one-step Jacobian along the orbit")
             log_det += np.log(np.abs(det))
         yield jac
-        if not (constant or inverse):
-            pts = _map_step(cocycle, col, pts, "apply")
 
 
 def _tangent_images(
@@ -227,38 +252,51 @@ def _tangent_images(
     return out
 
 
-def _qr_walk_batch(
-    cocycle: Cocycle,
-    syms: np.ndarray,
-    q: np.ndarray,
-    pts: np.ndarray | None,
-    inverse: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate QR factors of stacked frames q (S, d, d) along syms (S, steps).
-
-    The Jacobians come from _jacobian_stream (pts as there).  Returns (final
-    Q, summed log diag R (S, d), summed log |det J| (S,), forward mode only).
-    """
-    s_count, d = q.shape[0], cocycle.dim
-    logs = np.zeros((s_count, d))
-    log_det = np.zeros(s_count)
-    for jac in _jacobian_stream(cocycle, syms, pts, inverse, None if inverse else log_det):
+def _qr_walk(jacs, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate QR factors of stacked frames q (S, d, d) through the Jacobians
+    jacs, (S, d, d) each, in order.  Returns (final Q, summed log diag R (S, d))."""
+    logs = np.zeros(q.shape[:2])
+    for jac in jacs:
         q, r = _positive_qr(jac @ q)
         logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-    return q, logs, log_det
+    return q, logs
+
+
+def _past_jacobians(cocycle: Cocycle, paths, pts: np.ndarray | None, steps: int):
+    """The Jacobians from `steps` in the past up to each path's origin, in time order.
+
+    pts (S, d) are the points at the origin (None for a constant-Jacobian
+    cocycle); the Jacobians are taken on their pulled-back orbit.
+    """
+    if pts is None:
+        return _jacobian_stream(cocycle, _symbol_windows(paths, -steps, steps), None)
+    syms = _symbol_windows(paths, 0, steps, inverse=True)
+    return _orbit_jacobians(cocycle, syms, pts, inverse=True)[::-1]
+
+
+def _future_inverses(
+    cocycle: Cocycle, paths, pts: np.ndarray | None, steps: int, known: np.ndarray | None = None
+):
+    """The inverse Jacobians from `steps` in the future back to each path's origin,
+    in walk order: the inverses of the forward orbit's Jacobians, last step first.
+
+    pts as in _past_jacobians.  known, if given, holds the forward orbit's
+    Jacobians (at least `steps` of them are reused, fewer are re-walked).
+    """
+    if pts is None:
+        syms = _symbol_windows(paths, steps, steps, inverse=True)
+        return _jacobian_stream(cocycle, syms, None, inverse=True)
+    if known is None or len(known) < steps:
+        known = _orbit_jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)
+    return np.linalg.inv(known[steps - 1 :: -1])
 
 
 def _frames_from_past(
     cocycle: Cocycle, paths, pts: np.ndarray | None, q0: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin.
-
-    pts (S, d) are the points at the origin (None for a constant-Jacobian
-    cocycle); they are first pulled back along the path.
-    """
-    if pts is not None:
-        pts = _move_points(cocycle, _symbol_windows(paths, 0, steps, inverse=True), pts, True)
-    return _qr_walk_batch(cocycle, _symbol_windows(paths, -steps, steps), q0, pts)[0]
+    """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin,
+    along the orbit through pts (as in _past_jacobians)."""
+    return _qr_walk(_past_jacobians(cocycle, paths, pts, steps), q0)[0]
 
 
 def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -306,27 +344,33 @@ def lyapunov_spectra(
     pts = None if constant else np.stack(points)
     q0 = np.stack([_random_orthonormal(d, seed) for seed in seeds])
 
-    _, logs, log_det = _qr_walk_batch(cocycle, _symbol_windows(paths, 0, n), q0, pts)
-    raw = np.sort(logs / n, axis=1)[:, ::-1]
-
+    syms = _symbol_windows(paths, 0, n)
     if frame_steps is None:
         frame_steps = min(n, 512)
     steps = [min(frame_steps, p.backward_reach, p.forward_reach) for p in paths]
     if min(steps) < 1:
         raise EstimatorError("path window too small for frame estimation")
+    groups = [(fs, [i for i, s in enumerate(steps) if s == fs]) for fs in sorted(set(steps))]
+
+    # the forward orbit is walked once for every sample: its Jacobians give
+    # the exponents and, inverted, the frame from the future
+    if constant:
+        log_det = np.zeros(len(paths))
+        forward = _jacobian_stream(cocycle, syms, None, log_det=log_det)
+    else:
+        forward = _orbit_jacobians(cocycle, syms, pts)
+        log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
+    logs = _qr_walk(forward, q0)[1]
+
     q_fwd = np.empty_like(q0)
     q_bwd = np.empty_like(q0)
-    for fs in sorted(set(steps)):
-        idx = [i for i, s in enumerate(steps) if s == fs]
+    for fs, idx in groups:
         group = [paths[i] for i in idx]
         start = None if constant else pts[idx]
         q_fwd[idx] = _frames_from_past(cocycle, group, start, q0[idx], fs)
-        future = None
-        if not constant:
-            future = _move_points(cocycle, _symbol_windows(group, 0, fs), start, False)
-        q_bwd[idx] = _qr_walk_batch(
-            cocycle, _symbol_windows(group, fs, fs, inverse=True), q0[idx], future, inverse=True
-        )[0]
+        known = None if constant else forward[:, idx]
+        q_bwd[idx] = _qr_walk(_future_inverses(cocycle, group, start, fs, known), q0[idx])[0]
+    raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []
     for i in range(len(paths)):

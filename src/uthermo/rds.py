@@ -230,47 +230,46 @@ class ShearTerm:
             raise InvalidSystem("shear wavevector must be nonzero")
         if not np.allclose(k, np.round(k)):
             raise InvalidSystem("shear wavevector must be integer")
-
-    @property
-    def direction(self) -> np.ndarray:
-        """Unit displacement direction perpendicular to the wavevector."""
-        k = np.asarray(self.wavevector, dtype=float)
+        # the constants every apply/jacobian call reads, built once
         if k.shape[0] == 2:
             v = np.array([-k[1], k[0]])
         else:
             e = np.zeros(3)
             e[int(np.argmin(np.abs(k)))] = 1.0
             v = np.cross(k, e)
-        return v / np.linalg.norm(v)
+        v = v / np.linalg.norm(v)
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_direction", v)
+        object.__setattr__(self, "_outer", np.einsum("i,j->ij", v, k))
+        object.__setattr__(self, "_eye", np.eye(k.shape[0]))
+
+    @property
+    def direction(self) -> np.ndarray:
+        """Unit displacement direction perpendicular to the wavevector."""
+        return self._direction
 
     def _phase_values(self, pts: np.ndarray) -> np.ndarray:
-        k = np.asarray(self.wavevector, dtype=float)
-        return 2.0 * math.pi * (pts @ k) + self.phase
+        return 2.0 * math.pi * (pts @ self._k) + self.phase
 
     def apply(self, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
         amp = -self.amplitude if inverse else self.amplitude
         disp = amp * np.sin(self._phase_values(pts))
-        return pts + disp[..., None] * self.direction
+        return pts + disp[..., None] * self._direction
 
     def jacobian(self, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Jacobian I + 2*pi*a*cos(...)*v k^T at each point (N, d, d)."""
+        """Jacobian I + 2*pi*a*cos(...)*v k^T at each point (..., d, d)."""
         amp = -self.amplitude if inverse else self.amplitude
-        k = np.asarray(self.wavevector, dtype=float)
         c = 2.0 * math.pi * amp * np.cos(self._phase_values(pts))
-        d = k.shape[0]
-        outer = np.einsum("i,j->ij", self.direction, k)
-        return np.eye(d) + c[..., None, None] * outer
+        return self._eye + c[..., None, None] * self._outer
 
     @property
     def derivative_factor(self) -> float:
         """Upper bound factor for the first derivative norm of the shear."""
-        k = np.asarray(self.wavevector, dtype=float)
-        return 1.0 + 2.0 * math.pi * abs(self.amplitude) * float(np.linalg.norm(k))
+        return 1.0 + 2.0 * math.pi * abs(self.amplitude) * float(np.linalg.norm(self._k))
 
     @property
     def second_derivative_bound(self) -> float:
-        k = np.asarray(self.wavevector, dtype=float)
-        return (2.0 * math.pi * float(np.linalg.norm(k))) ** 2 * abs(self.amplitude)
+        return (2.0 * math.pi * float(np.linalg.norm(self._k))) ** 2 * abs(self.amplitude)
 
 
 class _AutoBound:
@@ -330,6 +329,11 @@ class MapDescriptor:
             object.__setattr__(self, "c2_bound", self._default_c2(m))
         if self.c2_bound_inverse is AUTO:
             object.__setattr__(self, "c2_bound_inverse", self._default_c2(inv))
+        # float forms of the matrices and translation, built once for apply/jacobian
+        object.__setattr__(self, "_matrix_float", m.astype(float))
+        object.__setattr__(self, "_matrix_t", m.T.astype(float))
+        object.__setattr__(self, "_inverse_t", inv.T.astype(float))
+        object.__setattr__(self, "_shift", np.asarray(self.translation))
 
     def _default_c2(self, mat: np.ndarray) -> float:
         base = float(np.linalg.norm(mat.astype(float), 2))
@@ -353,15 +357,20 @@ class MapDescriptor:
         out = np.asarray(pts, dtype=float)
         for s in self.shears:
             out = s.apply(out)
-        out = out @ self.matrix.T.astype(float)
-        return out + np.asarray(self.translation)
+        out = out @ self._matrix_t
+        return out + self._shift
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return reduce_mod1(self.apply_lift(pts))
 
     def inverse_apply_lift(self, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(pts, dtype=float) - np.asarray(self.translation)
-        out = out @ self._inverse_matrix.T.astype(float)
+        out = np.asarray(pts, dtype=float) - self._shift
+        # column by column, so a row rounds alike alone and stacked (a pulled-back
+        # orbit is where every frame from the past is read)
+        rows = out[..., 0, None] * self._inverse_t[0]
+        for k in range(1, self.dim):
+            rows = rows + out[..., k, None] * self._inverse_t[k]
+        out = rows
         for s in reversed(self.shears):
             out = s.apply(out, inverse=True)
         return out
@@ -371,13 +380,14 @@ class MapDescriptor:
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         """Derivative at each point, shape (..., d, d); exact chain rule."""
-        pts = np.asarray(pts, dtype=float)
-        jac = np.broadcast_to(np.eye(self.dim), pts.shape[:-1] + (self.dim, self.dim)).copy()
-        cur = pts
-        for s in self.shears:
+        cur = np.asarray(pts, dtype=float)
+        if not self.shears:
+            return np.broadcast_to(self._matrix_float, cur.shape[:-1] + (self.dim, self.dim)).copy()
+        jac = self.shears[0].jacobian(cur)
+        for prev, s in zip(self.shears, self.shears[1:]):
+            cur = prev.apply(cur)
             jac = s.jacobian(cur) @ jac
-            cur = s.apply(cur)
-        return self.matrix.astype(float) @ jac
+        return self._matrix_float @ jac
 
     @property
     def lipschitz(self) -> float:

@@ -107,28 +107,36 @@ def _positive_qr(mat):
     return q * signs, r * signs[:, None]
 
 
+def scalar_orbit(cocycle, path, x0, lo: int, hi: int) -> dict:
+    """{t: x_t} for lo <= t <= hi on the orbit through x_0 = x0: applied forward one
+    map at a time for t > 0, pulled back one map at a time for t < 0."""
+    pts = {0: np.asarray(x0, dtype=float)}
+    for t in range(hi):
+        pts[t + 1] = cocycle.maps[path.symbol(t)].apply(pts[t])
+    for t in range(-1, lo - 1, -1):
+        pts[t] = cocycle.maps[path.symbol(t)].inverse_apply(pts[t + 1])
+    return pts
+
+
 def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0, inverse: bool = False):
     """One sample, one step at a time: (final Q, summed log diag R, summed log|det J|).
 
-    The point is first carried to time `start` (pulled back for start < 0);
-    forward mode then walks times start .. start+steps-1, inverse mode
-    walks backwards from start applying inverse Jacobians.
+    Every Jacobian is taken on the orbit through x0 (scalar_orbit).  Forward
+    mode walks times start .. start+steps-1 with Df(x_t); inverse mode walks
+    times start-1 down to start-steps with Df(x_t)^-1.
     """
-    pt = np.asarray(x0, dtype=float)
-    for j in range(start) if start > 0 else range(-1, start - 1, -1):
-        m = cocycle.maps[path.symbol(j)]
-        pt = m.apply(pt) if start > 0 else m.inverse_apply(pt)
-    q, logs, log_det = q0.copy(), np.zeros(len(pt)), 0.0
-    times = range(start, start + steps) if not inverse else range(start - 1, start - steps - 1, -1)
-    for j in times:
-        m = cocycle.maps[path.symbol(j)]
+    if inverse:
+        times = range(start - 1, start - steps - 1, -1)
+    else:
+        times = range(start, start + steps)
+    orbit = scalar_orbit(cocycle, path, x0, min(times), max(times))
+    q, logs, log_det = q0.copy(), np.zeros(len(q0)), 0.0
+    for t in times:
+        jac = cocycle.maps[path.symbol(t)].jacobian(orbit[t])
         if inverse:
-            pt = m.inverse_apply(pt)
-            jac = np.linalg.inv(m.jacobian(pt))
+            jac = np.linalg.inv(jac)
         else:
-            jac = m.jacobian(pt)
             log_det += math.log(abs(np.linalg.det(jac)))
-            pt = m.apply(pt)
         q, r = _positive_qr(jac @ q)
         logs += np.log(np.abs(np.diag(r)))
     return q, logs, log_det

@@ -134,7 +134,8 @@ class TestOrbitEngine:
     """The batched walk against the one-sample, one-step scalar reference."""
 
     @pytest.mark.parametrize(
-        "name", ["cat_cocycle", "iid_cocycle", "t3_cocycle", "perturbed_cat_cocycle"]
+        "name", ["cat_cocycle", "iid_cocycle", "t3_cocycle", "perturbed_cat_cocycle",
+                 "sheared_plane_leaf_cocycle"]
     )
     def test_batch_bitwise_equals_scalar_walk(self, name, request, iid_system, trivial_system):
         cocycle = request.getfixturevalue(name)
@@ -205,6 +206,30 @@ class TestOrbitEngine:
 
     def test_empty_batch(self, cat_cocycle):
         assert lyapunov_spectra(cat_cocycle, [], [], 200) == []
+
+
+def _angle(u: np.ndarray, v: np.ndarray) -> float:
+    """Angle in radians between the lines spanned by two planar vectors."""
+    sine = abs(u[0] * v[1] - u[1] * v[0]) / (np.linalg.norm(u) * np.linalg.norm(v))
+    return math.asin(min(1.0, sine))
+
+
+class TestFrameEquivariance:
+    """Both frames are read on the orbit through x, so Df(x) carries them onto
+    the frames at f(x) (the past is pulled back from x, not re-walked forward)."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_df_carries_frames_to_image_point(self, seed, perturbed_cat_cocycle, trivial_system):
+        cocycle = perturbed_cat_cocycle
+        path = sample_path(trivial_system, 300, seed)
+        x = TorusPoint(tuple(np.random.default_rng(seed).random(2)))
+        fx = compose(cocycle, path, 1, x)
+        here, there = lyapunov_spectra(cocycle, [path, path.shifted(1)], [x, fx], 256,
+                                       frame_steps=256, frame_seeds=[seed, seed])
+        jac = derivative(cocycle, path, 1, x)
+        assert here.unstable_dim == there.unstable_dim == 1
+        assert _angle(jac @ here.eu_frame[:, 0], there.eu_frame[:, 0]) < 1e-8
+        assert _angle(jac @ here.fu_frame[:, 0], there.fu_frame[:, 0]) < 1e-8
 
 
 class TestUnstableDimension:
