@@ -252,14 +252,15 @@ def _tangent_images(
     return out
 
 
-def _qr_walk(jacs, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate QR factors of stacked frames q (S, d, d) through the Jacobians
-    jacs, (S, d, d) each, in order.  Returns (final Q, summed log diag R (S, d))."""
-    logs = np.zeros(q.shape[:2])
+def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
+    """Push stacked frames q (S, d, d) through the Jacobians jacs, (S, d, d) each, in
+    order, re-orthonormalising by QR; returns the final Q.  Given logs (S, d),
+    each step's log |diag R| is added to it."""
     for jac in jacs:
         q, r = _positive_qr(jac @ q)
-        logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-    return q, logs
+        if logs is not None:
+            logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+    return q
 
 
 def _past_jacobians(cocycle: Cocycle, paths, pts: np.ndarray | None, steps: int):
@@ -296,7 +297,7 @@ def _frames_from_past(
 ) -> np.ndarray:
     """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin,
     along the orbit through pts (as in _past_jacobians)."""
-    return _qr_walk(_past_jacobians(cocycle, paths, pts, steps), q0)[0]
+    return _qr_walk(_past_jacobians(cocycle, paths, pts, steps), q0)
 
 
 def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -323,12 +324,15 @@ def lyapunov_spectra(
     frames, one numpy call per step.  Each report is bitwise equal to
     walking its sample alone whenever the maps' stacked calls round as
     their one-point calls do: always for constant-Jacobian cocycles, which
-    make no map calls, and for the sheared cat map.  Exponents are averaged log diagonal entries
-    of the R factors over n forward steps, clustered by CLUSTER_GAP.  The
-    expanding frame is the limit flag of a push from frame_steps in the
-    past; the complementary frame comes from the inverse cocycle pushed
-    from the future.  Each sample starts from its own frame_seeds entry
-    (default 0) and clamps frame_steps to its own path window.
+    make no map calls, and for the sheared cat and 3-torus maps.  Both
+    frames lie on the orbit through x.  The expanding frame is the limit
+    flag of a push from frame_steps in the past, along the pulled-back
+    orbit; the complementary frame comes from the inverse cocycle pushed
+    from the future, along the forward orbit.  Exponents are averaged log
+    diagonal entries of the R factors over n forward steps, starting from
+    the expanding frame, clustered by CLUSTER_GAP.  Each sample starts its
+    frame pushes from its own frame_seeds entry (default 0) and clamps
+    frame_steps to its own path window.
     """
     if n < 100:
         raise ValueError("need n >= 100 for a usable exponent estimate")
@@ -360,16 +364,21 @@ def lyapunov_spectra(
     else:
         forward = _orbit_jacobians(cocycle, syms, pts)
         log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
-    logs = _qr_walk(forward, q0)[1]
 
+    # the exponent walk starts from the frame pushed from the past, which
+    # already spans the Oseledets flag, so it carries no start-up transient
     q_fwd = np.empty_like(q0)
+    for fs, idx in groups:
+        start = None if constant else pts[idx]
+        q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], start, q0[idx], fs)
+    logs = np.zeros((len(paths), d))
+    _qr_walk(forward, q_fwd, logs)
+
     q_bwd = np.empty_like(q0)
     for fs, idx in groups:
-        group = [paths[i] for i in idx]
-        start = None if constant else pts[idx]
-        q_fwd[idx] = _frames_from_past(cocycle, group, start, q0[idx], fs)
-        known = None if constant else forward[:, idx]
-        q_bwd[idx] = _qr_walk(_future_inverses(cocycle, group, start, fs, known), q0[idx])[0]
+        start, known = (None, None) if constant else (pts[idx], forward[:, idx])
+        future = _future_inverses(cocycle, [paths[i] for i in idx], start, fs, known)
+        q_bwd[idx] = _qr_walk(future, q0[idx])
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []

@@ -150,13 +150,15 @@ def seeded_frame(dim: int, seed: int):
 
 
 def scalar_spectrum(cocycle, path, x0, n: int, frame_steps=None, frame_seed: int = 0):
-    """(sorted raw exponents, Q pushed from the past, Q pulled from the future, log det sum)."""
+    """(sorted raw exponents, Q pushed from the past, Q pulled from the future, log det sum).
+
+    The exponent walk starts from the Q pushed from the past."""
     q0 = seeded_frame(cocycle.dim, frame_seed)
-    _, logs, log_det = scalar_qr_walk(cocycle, path, x0, 0, n, q0)
     fs = min(n, 512) if frame_steps is None else frame_steps
     fs = min(fs, path.backward_reach, path.forward_reach)
     q_fwd = scalar_qr_walk(cocycle, path, x0, -fs, fs, q0)[0]
     q_bwd = scalar_qr_walk(cocycle, path, x0, fs, fs, q0, inverse=True)[0]
+    _, logs, log_det = scalar_qr_walk(cocycle, path, x0, 0, n, q_fwd)
     return np.sort(logs / n)[::-1], q_fwd, q_bwd, log_det
 
 

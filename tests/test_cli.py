@@ -6,7 +6,9 @@ import pytest
 
 import oracles
 from conftest import CONFIG_DIR
+from uthermo import thermo
 from uthermo.cli import emit_report, load_config, main, parse_config_text, ConfigError
+from uthermo.oseledets import lyapunov_spectra
 
 
 def _write(tmp_path, name, text):
@@ -50,6 +52,26 @@ class TestRunner:
         csv_lines = (tmp_path / "entropy_1.csv").read_text().splitlines()
         assert csv_lines[0] == "omega_seed,x_index,delta,n,epsilon,log_lower,log_upper,potential_id"
         assert len(csv_lines) > 1
+
+    @pytest.mark.parametrize("seed", [2, 5, 10])
+    def test_t3_entropy_sees_one_expanding_direction(self, seed, tmp_path, monkeypatch):
+        # at these seeds a start-up transient in the exponent walk once lifted the
+        # centre exponent over the margin, and the 2-d leaf packing then hung
+        seen = []
+
+        def checked_spectra(*args, **kwargs):
+            reports = lyapunov_spectra(*args, **kwargs)
+            # checked here, before a 2-d leaf could reach the packing
+            assert [r.unstable_dim for r in reports] == [1] * len(reports)
+            seen.extend(reports)
+            return reports
+
+        monkeypatch.setattr(thermo, "lyapunov_spectra", checked_spectra)
+        code = main(["--config", str(CONFIG_DIR / "t3_entropy.cfg"), "--seed", str(seed),
+                     "--out", str(tmp_path)])
+        assert code == 0 and seen
+        summary = json.loads((tmp_path / f"entropy_{seed}.json").read_text())
+        assert summary["value"] == pytest.approx(oracles.CAT_LOG, rel=0.05)
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = _write(
