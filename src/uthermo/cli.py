@@ -527,16 +527,15 @@ def run(cfg: ExperimentConfig) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    env = os.environ
-    for attr, env_key, cast in (
-        ("experiment", "EXPERIMENT", str),
-        ("seed", "SEED", int),
-        ("samples", "SAMPLES", int),
-        ("out", "OUT", str),
-    ):
-        env_val = env.get(ENV_PREFIX + env_key)
+    """Overlay UTHERMO_* environment values, then command-line flags, on cfg."""
+    for attr in ("experiment", "seed", "samples", "out"):
+        env_key = ENV_PREFIX + attr.upper()
+        env_val = os.environ.get(env_key)
         if env_val is not None:
-            setattr(cfg, attr, cast(env_val))
+            try:
+                setattr(cfg, attr, _PARSERS[attr](env_val))
+            except ValueError:
+                raise ConfigError(f"{env_key} has a malformed value {env_val!r}") from None
         flag_val = getattr(args, attr, None)
         if flag_val is not None:
             setattr(cfg, attr, flag_val)
@@ -570,12 +569,11 @@ def main(argv=None) -> int:
         status = 0
         for cfg_file in sorted(config_path.glob("*.cfg")):
             try:
-                cfg = load_config(cfg_file)
+                cfg = _apply_overrides(load_config(cfg_file), argparse.Namespace(
+                    experiment=None, seed=args.seed, samples=None, out=args.out))
             except ConfigError as exc:
                 print(f"config error in {cfg_file.name}: {exc}", file=sys.stderr)
                 return 2
-            cfg = _apply_overrides(cfg, argparse.Namespace(
-                experiment=None, seed=args.seed, samples=None, out=args.out))
             # one directory per config: two configs may share an experiment and seed
             cfg.out = str(Path(cfg.out) / cfg_file.stem)
             print(f"== {cfg_file.name} ({cfg.experiment})")
@@ -583,14 +581,10 @@ def main(argv=None) -> int:
         return status
 
     try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
+        cfg = _apply_overrides(load_config(config_path), args)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    cfg = _apply_overrides(cfg, args)
     return run(cfg)
 
 

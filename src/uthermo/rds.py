@@ -515,6 +515,16 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _cast(key: str, text: str, parse):
+    """parse(text); a malformed number raises InvalidSystem naming the key."""
+    try:
+        return parse(text)
+    except InvalidSystem:
+        raise
+    except ValueError:
+        raise InvalidSystem(f"system key {key!r} has a malformed value {text!r}") from None
+
+
 def _parse_shear_group(group: str) -> ShearTerm:
     parts = group.split(":")
     if len(parts) != 3:
@@ -554,17 +564,17 @@ def parse_system_text(text: str) -> tuple[DrivingSystem, Cocycle]:
         raise InvalidSystem(f"unknown system key {key!r}")
 
     kind = entries.get("base.kind", "deterministic-trivial")
-    symbols = int(entries.get("base.symbols", "1"))
-    dim = int(entries.get("fiber.dim", "2"))
-    seed = int(entries.get("seed", "0"))
+    symbols = _cast("base.symbols", entries.get("base.symbols", "1"), int)
+    dim = _cast("fiber.dim", entries.get("fiber.dim", "2"), int)
+    seed = _cast("seed", entries.get("seed", "0"), int)
     if "base.dist" in entries:
-        dist = tuple(_parse_floats(entries["base.dist"]))
+        dist = tuple(_cast("base.dist", entries["base.dist"], _parse_floats))
     else:
         dist = tuple([1.0 / symbols] * symbols)
     transition = None
     if "base.transition" in entries:
-        rows = [tuple(_parse_floats(r)) for r in entries["base.transition"].split(";")]
-        transition = tuple(rows)
+        rows = entries["base.transition"].split(";")
+        transition = tuple(tuple(_cast("base.transition", r, _parse_floats)) for r in rows)
     system = DrivingSystem(
         kind=kind, symbol_count=symbols, distribution=dist, transition=transition, seed=seed
     )
@@ -574,18 +584,19 @@ def parse_system_text(text: str) -> tuple[DrivingSystem, Cocycle]:
         mat_key = f"map.{k}.matrix"
         if mat_key not in entries:
             raise InvalidSystem(f"missing {mat_key}")
-        flat = _parse_floats(entries[mat_key])
+        flat = _cast(mat_key, entries[mat_key], _parse_floats)
         if len(flat) != dim * dim:
             raise InvalidSystem(f"{mat_key} needs {dim * dim} entries")
         matrix = np.asarray(flat, dtype=float).reshape(dim, dim)
         shears: tuple[ShearTerm, ...] = ()
         pert_key = f"map.{k}.perturbation"
         if pert_key in entries and entries[pert_key]:
-            shears = tuple(_parse_shear_group(g) for g in entries[pert_key].split())
+            shears = tuple(_cast(pert_key, g, _parse_shear_group)
+                           for g in entries[pert_key].split())
         translation = None
         tr_key = f"map.{k}.translation"
         if tr_key in entries:
-            vals = _parse_floats(entries[tr_key])
+            vals = _cast(tr_key, entries[tr_key], _parse_floats)
             if len(vals) != dim:
                 raise InvalidSystem(f"{tr_key} needs {dim} entries")
             translation = tuple(vals)
@@ -597,8 +608,8 @@ def parse_system_text(text: str) -> tuple[DrivingSystem, Cocycle]:
                 matrix=matrix,
                 shears=shears,
                 translation=translation,
-                c2_bound=AUTO if c2 is None else float(c2),
-                c2_bound_inverse=AUTO if c2inv is None else float(c2inv),
+                c2_bound=AUTO if c2 is None else _cast(f"map.{k}.c2", c2, float),
+                c2_bound_inverse=AUTO if c2inv is None else _cast(f"map.{k}.c2inv", c2inv, float),
             )
         )
     # reject stray map keys beyond the declared alphabet

@@ -174,6 +174,32 @@ class TestRunner:
         assert err.startswith("config error:") and named in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", [
+        "map.0.c2 = abc",
+        "seed = x1",
+        "map.0.matrix = 2 1 1 one",
+        "map.0.perturbation = 0.01:0,a:0",
+    ])
+    def test_malformed_system_number_exits_2(self, tmp_path, capsys, line):
+        system = (CONFIG_DIR / "cat.system").read_text() + line + "\n"
+        (tmp_path / "bad.system").write_text(system)
+        cfg = _write(tmp_path, "bad.cfg", "system = bad.system\nexperiment = entropy\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and line.split(" = ")[0] in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("var", ["UTHERMO_SEED", "UTHERMO_SAMPLES"])
+    def test_malformed_env_override_exits_2(self, tmp_path, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "abc")
+        assert main(["--config", str(CONFIG_DIR / "cat_entropy.cfg"), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and var in err
+        assert main(["--config", str(CONFIG_DIR), "--experiment", "all",
+                     "--out", str(tmp_path)]) == 2
+        assert var in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_smb_rejects_mixed_measure(self, tmp_path, capsys):
         (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
         bad = _write(tmp_path, "mix.cfg",
