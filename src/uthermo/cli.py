@@ -37,6 +37,7 @@ from .thermo import (
     constant_potential,
     coordinate_potential,
     pressure_estimate,
+    pressure_estimates,
     pressure_property_suite,
     topological_entropy,
     zero_potential,
@@ -419,8 +420,15 @@ def _run_gibbs(cfg, cocycle, system):
 
 
 def _run_vp_scan(cfg, cocycle, system):
-    phi = _resolve_potential(cfg.potential, cocycle, system, cfg.seed)
+    # one family pass packs the scanned potential and the dual check's family
+    pots = cfg.potentials or (cfg.potential,)
+    specs = pots if cfg.potential in pots else pots + (cfg.potential,)
+    resolved = [_resolve_potential(p, cocycle, system, cfg.seed) for p in specs]
     family = [_resolve_measure(m, cocycle, system) for m in cfg.measures]
+    pressures = pressure_estimates(cocycle, system, resolved, cfg.grid_spec(), cfg.seed,
+                                   keep_cells=False)
+    at_phi = specs.index(cfg.potential)
+    phi = resolved[at_phi]
     report = equilibrium_scan(
         cocycle,
         system,
@@ -431,19 +439,19 @@ def _run_vp_scan(cfg, cocycle, system):
         entropy_samples=cfg.entropy_samples,
         birkhoff_n=cfg.birkhoff_n,
         birkhoff_samples=cfg.birkhoff_samples,
+        pressure=pressures[at_phi],
     )
-    pots = cfg.potentials or (cfg.potential,)
-    pot_family = [_resolve_potential(p, cocycle, system, cfg.seed) for p in pots]
     dual_gap = dual_vp_check(
         cocycle,
         system,
         family[0],
-        pot_family,
+        resolved[: len(pots)],
         cfg.grid_spec(),
         cfg.seed,
         entropy_samples=cfg.entropy_samples,
         birkhoff_n=cfg.birkhoff_n,
         birkhoff_samples=cfg.birkhoff_samples,
+        pressures=pressures[: len(pots)],
     )
     header, rows = report.csv_rows()
     summary = dict(report.to_json_dict(), experiment="vp-scan", dual_gap=dual_gap)

@@ -281,16 +281,19 @@ def equilibrium_scan(
     entropy_samples: int = 64,
     birkhoff_n: int = 64,
     birkhoff_samples: int = 64,
+    pressure: PressureEstimate | None = None,
 ) -> EquilibriumReport:
     """Evaluate entropy + integral defects of candidate measures against P(phi).
 
     Convex-combination candidates get their entropy by affine combination
     of component estimates.  Candidates whose defect is within the combined
-    confidence width are flagged as numerical equilibrium states.
+    confidence width are flagged as numerical equilibrium states.  pressure,
+    if given, is phi's estimate on the same grid and seed, already made.
     """
     if len(measure_family) < 2:
         raise ValueError("need at least two candidate measures")
-    pressure = pressure_estimate(cocycle, system, phi, grid, seed, keep_cells=False)
+    if pressure is None:
+        pressure = pressure_estimate(cocycle, system, phi, grid, seed, keep_cells=False)
     records = []
     for sampler in measure_family:
         h = bowen_ball_entropy(
@@ -332,19 +335,23 @@ def dual_vp_check(
     entropy_samples: int = 64,
     birkhoff_n: int = 64,
     birkhoff_samples: int = 64,
+    pressures=None,
 ) -> float:
     """Min over the family of (pressure - integral) minus the measure's entropy.
 
     Nonnegative up to confidence width; approaches zero when the family
     contains a potential for which the measure is an equilibrium.
+    pressures, if given, are the family's estimates on the same grid and
+    seed, already made.
     """
     if len(potential_family) < 1:
         raise ValueError("need a nonempty potential family")
     h = bowen_ball_entropy(
         cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
     )
-    pressures = pressure_estimates(cocycle, system, potential_family, grid, seed,
-                                   keep_cells=False)
+    if pressures is None:
+        pressures = pressure_estimates(cocycle, system, potential_family, grid, seed,
+                                       keep_cells=False)
     best = math.inf
     for phi, pressure in zip(potential_family, pressures):
         integral, _ = birkhoff_integral(
