@@ -138,12 +138,6 @@ class UnstableDisk:
             raise OffLeafError(f"point off leaf (residual {best_res:.2e})")
         return float(best_t)
 
-    @property
-    def resolution(self) -> float:
-        if self.params is None:
-            return 0.0
-        return float(self.params[1] - self.params[0])
-
 
 def _arc_lengths(pts: np.ndarray) -> np.ndarray:
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -336,7 +330,6 @@ class BowenMetric:
     cocycle: Cocycle
     disk: UnstableDisk
     n: int
-    resolution: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
