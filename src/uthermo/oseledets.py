@@ -263,41 +263,20 @@ def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
     return q
 
 
-def _past_jacobians(cocycle: Cocycle, paths, pts: np.ndarray | None, steps: int):
-    """The Jacobians from `steps` in the past up to each path's origin, in time order.
+def _frames_from_past(
+    cocycle: Cocycle, paths, pts: np.ndarray | None, q0: np.ndarray, steps: int
+) -> np.ndarray:
+    """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin.
 
     pts (S, d) are the points at the origin (None for a constant-Jacobian
     cocycle); the Jacobians are taken on their pulled-back orbit.
     """
     if pts is None:
-        return _jacobian_stream(cocycle, _symbol_windows(paths, -steps, steps), None)
-    syms = _symbol_windows(paths, 0, steps, inverse=True)
-    return _orbit_jacobians(cocycle, syms, pts, inverse=True)[::-1]
-
-
-def _future_inverses(
-    cocycle: Cocycle, paths, pts: np.ndarray | None, steps: int, known: np.ndarray | None = None
-):
-    """The inverse Jacobians from `steps` in the future back to each path's origin,
-    in walk order: the inverses of the forward orbit's Jacobians, last step first.
-
-    pts as in _past_jacobians.  known, if given, holds the forward orbit's
-    Jacobians (at least `steps` of them are reused, fewer are re-walked).
-    """
-    if pts is None:
-        syms = _symbol_windows(paths, steps, steps, inverse=True)
-        return _jacobian_stream(cocycle, syms, None, inverse=True)
-    if known is None or len(known) < steps:
-        known = _orbit_jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)
-    return np.linalg.inv(known[steps - 1 :: -1])
-
-
-def _frames_from_past(
-    cocycle: Cocycle, paths, pts: np.ndarray | None, q0: np.ndarray, steps: int
-) -> np.ndarray:
-    """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin,
-    along the orbit through pts (as in _past_jacobians)."""
-    return _qr_walk(_past_jacobians(cocycle, paths, pts, steps), q0)
+        jacs = _jacobian_stream(cocycle, _symbol_windows(paths, -steps, steps), None)
+    else:
+        syms = _symbol_windows(paths, 0, steps, inverse=True)
+        jacs = _orbit_jacobians(cocycle, syms, pts, inverse=True)[::-1]
+    return _qr_walk(jacs, q0)
 
 
 def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -374,10 +353,18 @@ def lyapunov_spectra(
     logs = np.zeros((len(paths), d))
     _qr_walk(forward, q_fwd, logs)
 
+    # the frame from the future: inverse Jacobians from fs steps ahead back to x
     q_bwd = np.empty_like(q0)
     for fs, idx in groups:
-        start, known = (None, None) if constant else (pts[idx], forward[:, idx])
-        future = _future_inverses(cocycle, [paths[i] for i in idx], start, fs, known)
+        group = [paths[i] for i in idx]
+        if constant:
+            ahead = _symbol_windows(group, fs, fs, inverse=True)
+            future = _jacobian_stream(cocycle, ahead, None, inverse=True)
+        else:
+            # a frame_steps beyond n walks this group's forward orbit further
+            jacs = forward[:, idx] if fs <= n else _orbit_jacobians(
+                cocycle, _symbol_windows(group, 0, fs), pts[idx])
+            future = np.linalg.inv(jacs[fs - 1 :: -1])
         q_bwd[idx] = _qr_walk(future, q0[idx])
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 

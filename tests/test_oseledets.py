@@ -146,19 +146,24 @@ class TestOrbitEngine:
                  for i, (hw, off) in enumerate(_BATCH_WINDOWS)]
         xs = [TorusPoint(tuple(rng.random(cocycle.dim))) for _ in paths]
         seeds = [11, 12, 13, 14, 15]
-        reports = lyapunov_spectra(cocycle, paths, xs, n, frame_seeds=seeds)
-        assert len({min(n, p.backward_reach, p.forward_reach) for p in paths}) == 3
-        for path, x, seed, rep in zip(paths, xs, seeds, reports):
-            raw, q_fwd, q_bwd, log_det = oracles.scalar_spectrum(
-                cocycle, path, x.as_array(), n, frame_seed=seed)
-            u_dim = rep.eu_frame.shape[1]
-            assert np.array_equal(np.array(rep.raw_exponents), raw)
-            assert np.array_equal(rep.eu_frame, q_fwd[:, :u_dim])
-            assert np.array_equal(rep.fu_frame, q_bwd[:, : cocycle.dim - u_dim])
-            assert rep.log_det_sum == pytest.approx(log_det, abs=1e-9)
-            single = lyapunov_spectrum(cocycle, path, x, n, frame_seed=seed)
-            assert single.raw_exponents == rep.raw_exponents
-            assert np.array_equal(single.eu_frame, rep.eu_frame)
+        # the default frame length, and one beyond n that some samples reach
+        for frame_steps, groups in ((None, 3), (250, 4)):
+            reports = lyapunov_spectra(cocycle, paths, xs, n, frame_steps=frame_steps,
+                                       frame_seeds=seeds)
+            fs = frame_steps or n
+            assert len({min(fs, p.backward_reach, p.forward_reach) for p in paths}) == groups
+            for path, x, seed, rep in zip(paths, xs, seeds, reports):
+                raw, q_fwd, q_bwd, log_det = oracles.scalar_spectrum(
+                    cocycle, path, x.as_array(), n, frame_steps=frame_steps, frame_seed=seed)
+                u_dim = rep.eu_frame.shape[1]
+                assert np.array_equal(np.array(rep.raw_exponents), raw)
+                assert np.array_equal(rep.eu_frame, q_fwd[:, :u_dim])
+                assert np.array_equal(rep.fu_frame, q_bwd[:, : cocycle.dim - u_dim])
+                assert rep.log_det_sum == pytest.approx(log_det, abs=1e-9)
+                single = lyapunov_spectrum(cocycle, path, x, n, frame_steps=frame_steps,
+                                           frame_seed=seed)
+                assert single.raw_exponents == rep.raw_exponents
+                assert np.array_equal(single.eu_frame, rep.eu_frame)
 
     def test_one_short_window_raises(self, iid_cocycle, iid_system):
         paths = [sample_path(iid_system, 300, 1), sample_path(iid_system, 150, 2),
