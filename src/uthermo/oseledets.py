@@ -160,7 +160,9 @@ def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) 
     return out
 
 
-def _orbit(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _orbit(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool = False
+) -> np.ndarray:
     """The orbit (steps, S, d) of points pts (S, d) along syms (S, steps), walked once.
 
     Forward, row j is the point the map of column j acts on: row 0 is pts

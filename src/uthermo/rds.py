@@ -364,13 +364,12 @@ class MapDescriptor:
         return reduce_mod1(self.apply_lift(pts))
 
     def inverse_apply_lift(self, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(pts, dtype=float) - self._shift
+        shifted = np.asarray(pts, dtype=float) - self._shift
         # column by column, so a row rounds alike alone and stacked (a pulled-back
         # orbit is where every frame from the past is read)
-        rows = out[..., 0, None] * self._inverse_t[0]
+        out = shifted[..., 0, None] * self._inverse_t[0]
         for k in range(1, self.dim):
-            rows = rows + out[..., k, None] * self._inverse_t[k]
-        out = rows
+            out = out + shifted[..., k, None] * self._inverse_t[k]
         for s in reversed(self.shears):
             out = s.apply(out, inverse=True)
         return out
@@ -382,7 +381,8 @@ class MapDescriptor:
         """Derivative at each point, shape (..., d, d); exact chain rule."""
         cur = np.asarray(pts, dtype=float)
         if not self.shears:
-            return np.broadcast_to(self._matrix_float, cur.shape[:-1] + (self.dim, self.dim)).copy()
+            shape = cur.shape[:-1] + (self.dim, self.dim)
+            return np.broadcast_to(self._matrix_float, shape).copy()
         jac = self.shears[0].jacobian(cur)
         for prev, s in zip(self.shears, self.shears[1:]):
             cur = prev.apply(cur)
