@@ -335,7 +335,7 @@ def dual_vp_check(
     entropy_samples: int = 64,
     birkhoff_n: int = 64,
     birkhoff_samples: int = 64,
-    pressures=None,
+    pressures: list[PressureEstimate] | None = None,
 ) -> float:
     """Min over the family of (pressure - integral) minus the measure's entropy.
 
