@@ -70,6 +70,9 @@ EXPERIMENTS = (
     "info-identities",
 )
 
+# the experiments that fit a growth rate over n_grid
+_SLOPE_EXPERIMENTS = ("pressure", "entropy", "gibbs", "vp-scan", "property-suite")
+
 ENV_PREFIX = "UTHERMO_"
 
 _WORKERS_DEPRECATED = "warning: {} is deprecated and ignored; runs are sequential"
@@ -115,6 +118,9 @@ class ExperimentConfig:
             raise ConfigError("key 'spectrum_n' must be >= 100")
         if not 0 < self.delta <= 0.25:
             raise ConfigError("key 'delta' must lie in (0, 0.25]")
+        if len(self.n_grid) < 2 and self.experiment in _SLOPE_EXPERIMENTS:
+            raise ConfigError(f"key 'n_grid' needs two or more entries for the slope fit "
+                              f"of {self.experiment}")
         try:
             self.grid_spec()
         except ValueError as exc:

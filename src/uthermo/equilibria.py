@@ -18,7 +18,7 @@ from .rds import Cocycle, DrivingSystem, SymbolPath, TorusPoint, reduce_mod1, sa
 from .oseledets import (
     OseledetsReport,
     _frames_from_past,
-    _jacobian_stream,
+    _jacobians,
     _random_orthonormal,
     _symbol_windows,
     lyapunov_spectra,
@@ -93,15 +93,10 @@ def geometric_potential(
         steps = min(frame_steps, path.backward_reach)
         pts = np.asarray(pts, dtype=float)
         q0 = _random_orthonormal(cocycle.dim, 0)
-        if cocycle.has_constant_jacobian:
-            # the walk never looks at the point: one frame serves every row
-            q = _frames_from_past(cocycle, [path], None, q0[None], steps)
-            q = np.repeat(q, len(pts), axis=0)
-        else:
-            q = _frames_from_past(cocycle, [path] * len(pts), reduce_mod1(pts),
-                                  np.repeat(q0[None], len(pts), axis=0), steps)
+        q = _frames_from_past(cocycle, [path] * len(pts), reduce_mod1(pts),
+                              np.repeat(q0[None], len(pts), axis=0), steps)
         syms = _symbol_windows([path] * len(pts), 0, 1)
-        w = next(_jacobian_stream(cocycle, syms, pts)) @ q[:, :, :u_dim]
+        w = _jacobians(cocycle, syms, pts)[0] @ q[:, :, :u_dim]
         dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
         return np.array([-0.5 * math.log(abs(float(v))) for v in dets])
 

@@ -41,6 +41,10 @@ CLUSTER_GAP = 0.02
 # an exactly-neutral direction estimated at +1e-15 is not misclassified.
 POSITIVE_MARGIN = CLUSTER_GAP / 2.0
 
+# A certificate is issued only if the least leaf co-norm exceeds 1 and the
+# domination gap lies below 0, each by this much.
+CERTIFY_MARGIN = 0.02
+
 
 @dataclass(frozen=True)
 class OseledetsReport:
@@ -140,12 +144,6 @@ def _symbol_windows(paths, start: int, steps: int, inverse: bool = False) -> np.
     return out
 
 
-def _check_symbols(cocycle: Cocycle, syms: np.ndarray) -> None:
-    """Raise InvalidSystem, as Cocycle.map_for does, for a symbol with no map."""
-    if syms.size:
-        cocycle.map_for(int(syms.max()))
-
-
 def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) -> np.ndarray:
     """Call one MapDescriptor method on points pts (..., d) with the maps syms (...) name."""
     if len(cocycle.maps) == 1 or not syms.size:
@@ -161,16 +159,16 @@ def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) 
 
 
 def _orbit(
-    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool = False
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
 ) -> np.ndarray:
     """The orbit (steps, S, d) of points pts (S, d) along syms (S, steps), walked once.
 
     Forward, row j is the point the map of column j acts on: row 0 is pts
-    itself.  Inverse, row j is pts pulled back through columns 0..j.  Only
+    itself.  Backward, row j is pts pulled back through columns 0..j.  Only
     apply/inverse_apply are called, one stacked call per step.
     """
     out = np.empty((syms.shape[1],) + pts.shape)
-    if inverse:
+    if backward:
         for j, col in enumerate(syms.T):
             pts = out[j] = _map_step(cocycle, col, pts, "inverse_apply")
     elif len(out):
@@ -180,13 +178,23 @@ def _orbit(
     return out
 
 
-def _orbit_jacobians(
-    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, inverse: bool = False
+def _jacobians(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
 ) -> np.ndarray:
-    """Df (steps, S, d, d) at each point of _orbit(syms, pts, inverse), by the map
-    that acts there; one jacobian call per symbol for the whole walk."""
-    _check_symbols(cocycle, syms)
-    return _map_step(cocycle, syms.T, _orbit(cocycle, syms, pts, inverse), "jacobian")
+    """The one-step Jacobians (steps, S, d, d) along syms (S, steps), in walk order.
+
+    The one place that chooses how Jacobians are made: a constant-Jacobian
+    cocycle gathers them from a per-symbol table; otherwise the orbit
+    through pts (S, d) is walked first (_orbit) and all of its Jacobians
+    are made in one jacobian call per symbol.  Row j is Df, by the map of
+    column j, at row j of _orbit(syms, pts, backward).
+    """
+    if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
+        cocycle.map_for(int(syms.max()))
+    if cocycle.has_constant_jacobian:
+        origin = np.zeros(cocycle.dim)
+        return np.stack([m.jacobian(origin) for m in cocycle.maps])[syms.T]
+    return _map_step(cocycle, syms.T, _orbit(cocycle, syms, pts, backward), "jacobian")
 
 
 def _log_abs_dets(jacs: np.ndarray) -> np.ndarray:
@@ -197,59 +205,18 @@ def _log_abs_dets(jacs: np.ndarray) -> np.ndarray:
     return np.log(np.abs(det))
 
 
-def _jacobian_stream(
-    cocycle: Cocycle,
-    syms: np.ndarray,
-    pts: np.ndarray | None,
-    inverse: bool = False,
-    log_det: np.ndarray | None = None,
-):
-    """Yield the stacked one-step Jacobians (S, d, d) along syms (S, steps), step by step.
-
-    The one place that chooses how Jacobians are made.  A constant-Jacobian
-    cocycle looks them up in a per-symbol table and ignores pts (which may
-    be None).  Otherwise pts (S, d) are the starting points: the whole
-    orbit is walked first and its Jacobians made in one batch.  Forward
-    mode yields the Jacobian at each point of the orbit through pts; inverse
-    mode pulls the point back and yields the inverse Jacobian there.  Given
-    log_det (S,), each step's log |det J| is added to it, and a degenerate
-    step raises EstimatorError.
-    """
-    _check_symbols(cocycle, syms)
-    if not cocycle.has_constant_jacobian:
-        jacs = _orbit_jacobians(cocycle, syms, pts, inverse)
-        if inverse:
-            jacs = np.linalg.inv(jacs)
-        if log_det is not None:
-            log_det += np.cumsum(_log_abs_dets(jacs), axis=0)[-1]
-        yield from jacs
-        return
-    origin = np.zeros(cocycle.dim)
-    table = np.stack([m.jacobian(origin) for m in cocycle.maps])
-    if inverse:
-        table = np.stack([np.linalg.inv(jac) for jac in table])
-    dets = np.array([np.linalg.det(jac) for jac in table])
-    for col in syms.T:
-        jac = table[col]
-        if log_det is not None:
-            det = dets[col]
-            if np.any(np.abs(det) < 1e-12):
-                raise EstimatorError("degenerate one-step Jacobian along the orbit")
-            log_det += np.log(np.abs(det))
-        yield jac
-
-
 def _tangent_images(
-    cocycle: Cocycle, paths, pts: np.ndarray | None, vecs: np.ndarray, steps: int
+    cocycle: Cocycle, paths, pts: np.ndarray, vecs: np.ndarray, steps: int
 ) -> np.ndarray:
     """Images of tangent vectors vecs (S, d, k) under the j-step derivatives, j = 0..steps.
 
-    Sample i starts at pts[i] on paths[i] (pts as in _jacobian_stream).
-    Returns an (S, steps + 1, d, k) array whose j = 0 slice is vecs.
+    Sample i starts at pts[i] on paths[i] and is pushed by the Jacobians of
+    its forward orbit.  Returns an (S, steps + 1, d, k) array whose j = 0
+    slice is vecs.
     """
     out = np.empty((len(vecs), steps + 1) + vecs.shape[1:])
     out[:, 0] = vecs
-    for j, jac in enumerate(_jacobian_stream(cocycle, _symbol_windows(paths, 0, steps), pts)):
+    for j, jac in enumerate(_jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)):
         out[:, j + 1] = jac @ out[:, j]
     return out
 
@@ -266,19 +233,15 @@ def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
 
 
 def _frames_from_past(
-    cocycle: Cocycle, paths, pts: np.ndarray | None, q0: np.ndarray, steps: int
+    cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, steps: int
 ) -> np.ndarray:
     """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin.
 
-    pts (S, d) are the points at the origin (None for a constant-Jacobian
-    cocycle); the Jacobians are taken on their pulled-back orbit.
+    The Jacobians are those of the orbit pulled back from the origin points
+    pts (S, d), at x_-steps .. x_-1, taken in reverse walk order.
     """
-    if pts is None:
-        jacs = _jacobian_stream(cocycle, _symbol_windows(paths, -steps, steps), None)
-    else:
-        syms = _symbol_windows(paths, 0, steps, inverse=True)
-        jacs = _orbit_jacobians(cocycle, syms, pts, inverse=True)[::-1]
-    return _qr_walk(jacs, q0)
+    syms = _symbol_windows(paths, 0, steps, inverse=True)
+    return _qr_walk(_jacobians(cocycle, syms, pts, backward=True)[::-1], q0)
 
 
 def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -302,14 +265,16 @@ def lyapunov_spectra(
     """QR-accumulated Lyapunov exponents and bundle frames at each (path, x).
 
     The orbit engine: all samples walk together as stacked (S, d, d)
-    frames, one numpy call per step.  Each report is bitwise equal to
-    walking its sample alone whenever the maps' stacked calls round as
-    their one-point calls do: always for constant-Jacobian cocycles, which
-    make no map calls, and for the sheared cat and 3-torus maps.  Both
-    frames lie on the orbit through x.  The expanding frame is the limit
-    flag of a push from frame_steps in the past, along the pulled-back
-    orbit; the complementary frame comes from the inverse cocycle pushed
-    from the future, along the forward orbit.  Exponents are averaged log
+    frames, one numpy call per step, through the Jacobian stacks of
+    _jacobians.  Each report is bitwise equal to walking its sample alone
+    whenever the maps' stacked calls round as their one-point calls do:
+    always for constant-Jacobian cocycles, which make no map calls, and for
+    the sheared cat and 3-torus maps.  Both frames lie on the orbit through
+    x.  The expanding frame is the limit flag of a push from frame_steps in
+    the past, along the pulled-back orbit; the complementary frame comes
+    from the inverses of the forward orbit's Jacobians, pushed from
+    frame_steps ahead back to x.  log_det_sum adds log |det J| over the n
+    forward Jacobians in step order.  Exponents are averaged log
     diagonal entries of the R factors over n forward steps, starting from
     the expanding frame, clustered by CLUSTER_GAP.  Each sample starts its
     frame pushes from its own frame_seeds entry (default 0) and clamps
@@ -325,8 +290,7 @@ def lyapunov_spectra(
     if not paths:
         return []
     d = cocycle.dim
-    constant = cocycle.has_constant_jacobian
-    pts = None if constant else np.stack(points)
+    pts = np.stack(points)
     q0 = np.stack([_random_orthonormal(d, seed) for seed in seeds])
 
     syms = _symbol_windows(paths, 0, n)
@@ -337,37 +301,26 @@ def lyapunov_spectra(
         raise EstimatorError("path window too small for frame estimation")
     groups = [(fs, [i for i, s in enumerate(steps) if s == fs]) for fs in sorted(set(steps))]
 
-    # the forward orbit is walked once for every sample: its Jacobians give
-    # the exponents and, inverted, the frame from the future
-    if constant:
-        log_det = np.zeros(len(paths))
-        forward = _jacobian_stream(cocycle, syms, None, log_det=log_det)
-    else:
-        forward = _orbit_jacobians(cocycle, syms, pts)
-        log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
+    # the forward orbit's Jacobians give the exponents, log |det J| and,
+    # inverted, the frame from the future
+    forward = _jacobians(cocycle, syms, pts)
+    log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
 
     # the exponent walk starts from the frame pushed from the past, which
     # already spans the Oseledets flag, so it carries no start-up transient
     q_fwd = np.empty_like(q0)
     for fs, idx in groups:
-        start = None if constant else pts[idx]
-        q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], start, q0[idx], fs)
+        q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], pts[idx], q0[idx], fs)
     logs = np.zeros((len(paths), d))
     _qr_walk(forward, q_fwd, logs)
 
     # the frame from the future: inverse Jacobians from fs steps ahead back to x
     q_bwd = np.empty_like(q0)
     for fs, idx in groups:
-        group = [paths[i] for i in idx]
-        if constant:
-            ahead = _symbol_windows(group, fs, fs, inverse=True)
-            future = _jacobian_stream(cocycle, ahead, None, inverse=True)
-        else:
-            # a frame_steps beyond n walks this group's forward orbit further
-            jacs = forward[:, idx] if fs <= n else _orbit_jacobians(
-                cocycle, _symbol_windows(group, 0, fs), pts[idx])
-            future = np.linalg.inv(jacs[fs - 1 :: -1])
-        q_bwd[idx] = _qr_walk(future, q0[idx])
+        # a frame_steps beyond n walks this group's forward orbit further
+        jacs = forward[:, idx] if fs <= n else _jacobians(
+            cocycle, _symbol_windows([paths[i] for i in idx], 0, fs), pts[idx])
+        q_bwd[idx] = _qr_walk(np.linalg.inv(jacs[fs - 1 :: -1]), q0[idx])
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []
@@ -416,7 +369,6 @@ def certify_partial_hyperbolicity(
     n: int,
     seed: int = 0,
     spectrum_n: int | None = None,
-    margin: float = 0.02,
 ) -> HyperbolicityCertificate:
     """Monte-Carlo certificate of domination and one-step leaf expansion.
 
@@ -426,8 +378,8 @@ def certify_partial_hyperbolicity(
     vectors forward amplifies rounding along the expanding direction), and
     track the co-norm of each one-step derivative restricted to the
     transported expanding frame.  The verdict is certified only when every
-    sample expands (co-norm > 1) and is dominated (gap < 0) beyond the
-    margin; decisive counterevidence yields violated; anything in between
+    sample expands (co-norm > 1) and is dominated (gap < 0) beyond
+    CERTIFY_MARGIN; decisive counterevidence yields violated; anything in between
     is inconclusive.
     """
     if samples < 10:
@@ -469,7 +421,7 @@ def certify_partial_hyperbolicity(
         log_f_fast, log_e_slow, ratio_logs = np.zeros(len(idx)), np.zeros(len(idx)), []
         syms = _symbol_windows([paths[i] for i in idx], 0, n)
         pts = np.stack([xs[i].as_array() for i in idx])
-        for j, jac in enumerate(_jacobian_stream(cocycle, syms, pts)):
+        for j, jac in enumerate(_jacobians(cocycle, syms, pts)):
             img = jac @ frame
             lam_min = np.minimum(lam_min, np.linalg.svd(img, compute_uv=False)[:, -1])
             frame, _ = _positive_qr(img)
@@ -501,7 +453,7 @@ def certify_partial_hyperbolicity(
     expansion_lower = min(transported[i][0] for i in gaps)
     domination = max(gaps.values())
     constants = max(transported[i][1] for i in gaps)
-    if expansion_lower > 1.0 + margin and domination < -margin:
+    if expansion_lower > 1.0 + CERTIFY_MARGIN and domination < -CERTIFY_MARGIN:
         verdict = "certified"
     elif expansion_lower <= 1.0 or domination >= 0.0:
         verdict = "violated"

@@ -348,10 +348,6 @@ class MapDescriptor:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def inverse_matrix(self) -> np.ndarray:
-        return self._inverse_matrix
-
     def apply_lift(self, pts: np.ndarray) -> np.ndarray:
         """Apply the map to lifted points in R^d (no mod 1)."""
         out = np.asarray(pts, dtype=float)

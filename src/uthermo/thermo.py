@@ -611,8 +611,8 @@ class GridSpec:
             raise ValueError("n_grid entries must be >= 1")
         if not self.eps_grid or any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ValueError("eps_grid must be strictly increasing")
-        if min(self.eps_grid) <= 0:
-            raise ValueError("eps_grid must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+            raise ValueError("eps_grid entries must be finite and positive")
         if self.base_grid < 1 or self.omega_samples < 1:
             raise ValueError("base_grid and omega_samples must be >= 1")
 

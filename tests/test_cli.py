@@ -145,6 +145,10 @@ class TestRunner:
         ("spectrum", "spectrum_n", "50"),
         ("entropy", "base_grid", "0"),
         ("entropy", "n_grid", "0:3"),
+        ("entropy", "n_grid", "8"),
+        ("gibbs", "n_grid", "8"),
+        ("entropy", "eps_grid", "nan"),
+        ("entropy", "eps_grid", "0.02 inf"),
     ])
     def test_out_of_range_key_exits_2(self, tmp_path, capsys, experiment, key, val):
         (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
