@@ -93,8 +93,13 @@ def geometric_potential(
         steps = min(frame_steps, path.backward_reach)
         pts = np.asarray(pts, dtype=float)
         q0 = _random_orthonormal(cocycle.dim, 0)
-        q = _frames_from_past(cocycle, [path] * len(pts), reduce_mod1(pts),
-                              np.repeat(q0[None], len(pts), axis=0), steps)
+        # with constant Jacobians the frame is the same at every point: walk one row
+        shared = cocycle.has_constant_jacobian
+        start = reduce_mod1(pts[:1] if shared else pts)
+        q = _frames_from_past(cocycle, [path] * len(start), start,
+                              np.repeat(q0[None], len(start), axis=0), steps)
+        if shared:
+            q = np.repeat(q, len(pts), axis=0)
         syms = _symbol_windows([path] * len(pts), 0, 1)
         w = _jacobians(cocycle, syms, pts)[0] @ q[:, :, :u_dim]
         dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
