@@ -318,9 +318,9 @@ def lyapunov_spectra(
     q_bwd = np.empty_like(q0)
     for fs, idx in groups:
         # a frame_steps beyond n walks this group's forward orbit further
-        jacs = forward[:, idx] if fs <= n else _jacobians(
+        jacs = forward[:fs, idx] if fs <= n else _jacobians(
             cocycle, _symbol_windows([paths[i] for i in idx], 0, fs), pts[idx])
-        q_bwd[idx] = _qr_walk(np.linalg.inv(jacs[fs - 1 :: -1]), q0[idx])
+        q_bwd[idx] = _qr_walk(np.linalg.inv(jacs[::-1]), q0[idx])
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []
