@@ -121,6 +121,8 @@ class ExperimentConfig:
         if len(self.n_grid) < 2 and self.experiment in _SLOPE_EXPERIMENTS:
             raise ConfigError(f"key 'n_grid' needs two or more entries for the slope fit "
                               f"of {self.experiment}")
+        if len(self.measures) < 2 and self.experiment == "vp-scan":
+            raise ConfigError("key 'measures' needs two or more candidate measures for vp-scan")
         try:
             self.grid_spec()
         except ValueError as exc:
@@ -383,7 +385,7 @@ def _run_smb(cfg, cocycle, system):
         raise ConfigError(
             f"key 'measures': smb needs one leaf conditional, not the mix {cfg.measures[0]!r}"
         )
-    pair = build_partition_pair(system, [], cfg.grid_k, cfg.seed)
+    pair = build_partition_pair(system, [], cfg.grid_k, cfg.seed, dim=cocycle.dim)
     if cfg.delta <= pair.cell_size:
         raise ConfigError("key 'grid_k' too coarse for delta (need delta > 1/grid_k)")
     est = smb_trace(

@@ -44,8 +44,10 @@ GRAPH_MAX_ITER = 200
 CHART_HALF_POINTS = 512
 
 
-class TrivialLeafError(ValueError):
-    """The expanding bundle is trivial; the leaf through the point is a point."""
+class TrivialLeafError(EstimatorError, ValueError):
+    """The expanding bundle is trivial; the leaf through the point is a point,
+    and what needs a leaf direction (a chart, the geometric potential) is
+    undefined there."""
 
 
 class OffLeafError(ValueError):

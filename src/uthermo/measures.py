@@ -5,8 +5,10 @@ information calculus is verified to machine precision, and Monte-Carlo
 estimators (ball volume decay, refined-partition rates, per-orbit
 information traces) for the toral systems.  Leaf conditionals are
 normalized leaf volume for the uniform measure on our volume-preserving
-map families and counting measure for periodic atomic measures; other
-empirical measures are rejected rather than approximated.
+map families and a point mass for periodic atomic measures (a closed
+orbit has zero fiber entropy, so no other orbit point shares a local
+leaf, and a trivial leaf is a point); other empirical measures are
+rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from .rds import (
     torus_distance,
 )
 from .oseledets import _tangent_images, lyapunov_spectra
-from .leafgeom import (
-    OffLeafError,
-    TrivialLeafError,
-    leaf_growth_factors,
-    leaf_growth_factors_batch,
-    unstable_disk,
-)
+from .leafgeom import leaf_growth_factors_batch, unstable_disk
 from .thermo import CI_FLOOR, fit_slope, upper_half
 
 __all__ = [
@@ -354,8 +350,10 @@ class MeasureSampler:
 
     leaf_conditional records the supported conditional family on leaf
     pieces: "volume" (normalized leaf volume, the uniform measure on the
-    torus for our volume-preserving maps), "atomic" (counting on a closed
-    orbit), or "mixed" for convex combinations.
+    torus for our volume-preserving maps), "atomic" (the point mass at the
+    sampled point, for a measure on a closed orbit: its information is 0
+    at every n, so the estimators draw nothing for it), or "mixed" for
+    convex combinations.
     """
 
     kind: str
@@ -597,37 +595,6 @@ def _mixed_estimate(sampler, method, n_grid, samples, estimate, epsilons=None):
     )
 
 
-def _orbit_on_leaf(disk, orbit):
-    """(point, leaf parameter) for each orbit point that lies on the disk."""
-    out = []
-    for y in orbit:
-        try:
-            out.append((y, disk.param_of(y, tol=1e-8)))
-        except OffLeafError:
-            continue
-    return out
-
-
-def _atomic_ball_information(cocycle, sampler, path, x, delta, n_grid, eps, report):
-    """Information of dynamical balls under counting measure on a closed orbit."""
-    try:
-        disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
-    except TrivialLeafError:
-        return {n: 0.0 for n in n_grid}
-    on_leaf = [t for _, t in _orbit_on_leaf(disk, sampler.orbit)]
-    if len(on_leaf) <= 1:
-        return {n: 0.0 for n in n_grid}
-    t0 = disk.param_of(x)
-    growth = leaf_growth_factors(cocycle, disk, max(n_grid))
-    out = {}
-    atom_count = len(on_leaf)
-    for n in n_grid:
-        gstar = float(np.max(growth[:n]))
-        ball = sum(1 for t in on_leaf if gstar * abs(t - t0) < eps)
-        out[n] = -math.log(max(ball, 1) / atom_count)
-    return out
-
-
 def bowen_ball_entropy(
     cocycle: Cocycle,
     sampler: MeasureSampler,
@@ -646,6 +613,7 @@ def bowen_ball_entropy(
     """
     n_grid = tuple(n_grid)
     epsilons = tuple(sorted(epsilons))
+    uh = upper_half(n_grid)
     if sampler.leaf_conditional == "mixed":
         return _mixed_estimate(
             sampler, "bowen-ball", n_grid, samples,
@@ -657,26 +625,27 @@ def bowen_ball_entropy(
     if sampler.leaf_conditional not in ("volume", "atomic"):
         raise EstimatorError("unsupported conditional family for this sampler")
 
-    half_window = max(max(n_grid), ENTROPY_FRAME_STEPS) + 2
     seeds = _sample_seeds(seed, samples, 0xB0E)
     slopes_per_eps: dict[float, list[float]] = {e: [] for e in epsilons}
     fit_ses: list[float] = []
     per_n_acc: dict[int, list[float]] = {n: [] for n in n_grid}
     eps_min = epsilons[0]
-    uh = upper_half(n_grid)
 
-    drawn = list(_sample_spectra(cocycle, sampler, seeds, half_window))
-    growths = [None] * len(drawn)
+    # a point mass (an atomic sample, or a trivial leaf) keeps growth None
+    growths = [None] * samples
     if sampler.leaf_conditional == "volume":
-        disks = [unstable_disk(cocycle, SkewState(path, x), delta, report)
-                 for path, x, report in drawn]
-        growths = leaf_growth_factors_batch(cocycle, disks, max(n_grid))
-    for (path, x, report), growth in zip(drawn, growths):
+        half_window = max(max(n_grid), ENTROPY_FRAME_STEPS) + 2
+        disks = {i: unstable_disk(cocycle, SkewState(path, x), delta, report)
+                 for i, (path, x, report)
+                 in enumerate(_sample_spectra(cocycle, sampler, seeds, half_window))
+                 if report.unstable_index > 0}
+        for i, growth in zip(disks, leaf_growth_factors_batch(cocycle, disks.values(),
+                                                               max(n_grid))):
+            growths[i] = growth
+    for growth in growths:
         for eps in epsilons:
-            if sampler.leaf_conditional == "atomic":
-                info = _atomic_ball_information(
-                    cocycle, sampler, path, x, delta, n_grid, eps, report
-                )
+            if growth is None:
+                info = dict.fromkeys(n_grid, 0.0)
             else:
                 info = {}
                 for n in n_grid:
@@ -770,45 +739,28 @@ def _polyline_information(cocycle, pair, path, disk, n_max):
     return eta_len, lengths
 
 
-def _cell_itinerary(cocycle, pair, path, y, n_max):
-    """Grid cells (as id tuples) that the orbit of y visits at steps 0..n_max-1."""
-    ids = []
-    cur = y.as_array()
-    for j in range(n_max):
-        sym = path.symbol(j)
-        ids.append(tuple(pair.cell_ids(sym, cur.reshape(1, -1))[0]))
-        cur = cocycle.map_for(sym).apply(cur)
-    return ids
+def _information_profiles(cocycle, sampler, pair, seeds, delta, n_max):
+    """Per-sample information of the n-fold refined partition given the leaf
+    atom, n = 1..n_max: a (samples, n_max) array.
 
-
-def _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max):
-    """Per-sample information of the n-fold refined partition given the leaf atom."""
+    A point mass (an atomic sampler, or a sample on a trivial leaf) gives
+    its atom all the mass, so its row is 0; an atomic sampler draws nothing.
+    """
+    info = np.zeros((len(seeds), n_max))
     if sampler.leaf_conditional == "atomic":
-        # counting conditional on the closed orbit: compare cell itineraries
-        disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
-        members = [y for y, _ in _orbit_on_leaf(disk, sampler.orbit)]
-        if len(members) <= 1:
-            return np.zeros(n_max)
-        itineraries = [_cell_itinerary(cocycle, pair, path, y, n_max) for y in members]
-        x_it = None
-        for y, it in zip(members, itineraries):
-            if torus_distance(y, x) <= 1e-12:
-                x_it = it
-        if x_it is None:
-            x_it = _cell_itinerary(cocycle, pair, path, x, n_max)
-        eta_count = sum(1 for it in itineraries if it[0] == x_it[0])
-        out = np.empty(n_max)
-        for n in range(1, n_max + 1):
-            match = sum(1 for it in itineraries if it[:n] == x_it[:n])
-            out[n - 1] = -math.log(max(match, 1) / max(eta_count, 1))
-        return out
-    if cocycle.has_constant_jacobian:
-        frame = report.eu_frame[:, 0]
-        eta_len, lengths = _interval_information(cocycle, pair, path, x, frame, n_max, delta)
-    else:
-        disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
-        eta_len, lengths = _polyline_information(cocycle, pair, path, disk, n_max)
-    return -np.log(lengths / eta_len)
+        return info
+    half_window = max(n_max, ENTROPY_FRAME_STEPS) + 2
+    for row, (path, x, report) in zip(info, _sample_spectra(cocycle, sampler, seeds, half_window)):
+        if report.unstable_index == 0:
+            continue
+        if cocycle.has_constant_jacobian:
+            frame = report.eu_frame[:, 0]
+            eta_len, lengths = _interval_information(cocycle, pair, path, x, frame, n_max, delta)
+        else:
+            disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
+            eta_len, lengths = _polyline_information(cocycle, pair, path, disk, n_max)
+        row[:] = -np.log(lengths / eta_len)
+    return info
 
 
 def partition_entropy_rate(
@@ -828,6 +780,7 @@ def partition_entropy_rate(
     upper half of n_grid.
     """
     n_grid = tuple(n_grid)
+    uh = upper_half(n_grid)
     if sampler.leaf_conditional == "mixed":
         return _mixed_estimate(
             sampler, "partition-rate", n_grid, samples,
@@ -835,18 +788,13 @@ def partition_entropy_rate(
                 cocycle, comp, pair, n_grid, samples, seed + 31 * i, delta
             ),
         )
-    n_max = max(n_grid)
-    half_window = max(n_max, ENTROPY_FRAME_STEPS) + 2
     if delta <= pair.cell_size:
         raise InvalidSystem("disk too small relative to grid")
     seeds = _sample_seeds(seed, samples, 0x9A7)
-    profiles = []
-    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window):
-        info = _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max)
-        profiles.append([info[n - 1] for n in n_grid])
-    profiles = np.asarray(profiles)
+    info = _information_profiles(cocycle, sampler, pair, seeds, delta, max(n_grid))
+    # np.take keeps the rows C-contiguous, so the mean sums in row order
+    profiles = np.take(info, [n - 1 for n in n_grid], axis=1)
     mean_info = profiles.mean(axis=0)
-    uh = upper_half(n_grid)
     sel = [n_grid.index(n) for n in uh]
     slope, se, _ = fit_slope(uh, mean_info[sel])
     per_sample_slopes = [fit_slope(uh, row[sel])[0] for row in profiles]
@@ -884,14 +832,9 @@ def smb_trace(
     if sampler.leaf_conditional not in ("volume", "atomic"):
         raise EstimatorError("unsupported conditional family for this sampler")
     n_grid = tuple(n_grid)
-    n_max = max(n_grid)
-    half_window = max(n_max, ENTROPY_FRAME_STEPS) + 2
     seeds = _sample_seeds(seed, samples, 0x53B)
-    traces = []
-    for path, x, report in _sample_spectra(cocycle, sampler, seeds, half_window):
-        info = _information_profile(cocycle, sampler, pair, path, x, report, delta, n_max)
-        traces.append([info[n - 1] / n for n in n_grid])
-    traces = np.asarray(traces)
+    info = _information_profiles(cocycle, sampler, pair, seeds, delta, max(n_grid))
+    traces = np.take(info, [n - 1 for n in n_grid], axis=1) / np.asarray(n_grid)
     mean_trace = traces.mean(axis=0)
     sd_trace = traces.std(axis=0, ddof=1) if samples > 1 else np.zeros(len(n_grid))
     value = float(mean_trace[-1])

@@ -632,6 +632,8 @@ class CellRecord:
 def upper_half(n_grid) -> tuple[int, ...]:
     """The slope-fit window: the upper half of the time grid, or all of it when
     that half would hold fewer than two points."""
+    if len(n_grid) < 2:
+        raise ValueError("n_grid needs two or more entries for a slope fit")
     half = tuple(n_grid[len(n_grid) // 2 :])
     return half if len(half) >= 2 else tuple(n_grid)
 
@@ -760,6 +762,8 @@ def pressure_estimates(
     is packed at the path's first base point and reused at the others.
     """
     potentials = list(potentials)
+    uh = upper_half(grid.n_grid)
+    sel = [grid.n_grid.index(n) for n in uh]
     n_max = grid.n_grid[-1]
     half_window = max(n_max, PRESSURE_FRAME_STEPS) + 2
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
@@ -776,9 +780,6 @@ def pressure_estimates(
     cells: list[list[CellRecord]] = [[] for _ in potentials]
     omega_best: list[list[tuple]] = [[] for _ in potentials]
     bracket_ok = [True] * count
-
-    uh = upper_half(grid.n_grid)
-    sel = [grid.n_grid.index(n) for n in uh]
 
     paths = [sample_path(system, half_window, pseed) for pseed in path_seeds]
     xs = base_pts[:1] if shared_frame else base_pts
@@ -814,12 +815,13 @@ def pressure_estimates(
                     known = first_cells.get((n, eps)) if shared_frame else None
                     todo = varying if known else range(count)
                     results = list(known) if known else [None] * count
-                    packed = maximal_separated_sets(
-                        cocycle, disk, [potentials[j] for j in todo], n, eps,
-                        materialize=False, growth=growth,
-                    )
-                    for j, res in zip(todo, packed):
-                        results[j] = res
+                    if todo:
+                        packed = maximal_separated_sets(
+                            cocycle, disk, [potentials[j] for j in todo], n, eps,
+                            materialize=False, growth=growth,
+                        )
+                        for j, res in zip(todo, packed):
+                            results[j] = res
                     first_cells.setdefault((n, eps), results)
                     for j, (p, res) in enumerate(zip(potentials, results)):
                         if res.log_weighted_sum > res.log_upper + 1e-9:

@@ -149,6 +149,7 @@ class TestRunner:
         ("gibbs", "n_grid", "8"),
         ("entropy", "eps_grid", "nan"),
         ("entropy", "eps_grid", "0.02 inf"),
+        ("vp-scan", "measures", "haar"),
     ])
     def test_out_of_range_key_exits_2(self, tmp_path, capsys, experiment, key, val):
         (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
@@ -294,3 +295,54 @@ class TestExperimentSurfaces:
         summary = json.loads((tmp_path / "spectrum_5.json").read_text())
         top = summary["records"][0]["exponents"][0]
         assert top == pytest.approx(oracles.CAT_LOG, abs=2e-3)
+
+    def test_smb_on_the_3_torus(self, tmp_path):
+        cfg = _write(tmp_path, "t3.cfg",
+                     f"system = {CONFIG_DIR / 't3_rot.system'}\nexperiment = smb\nseed = 1\n"
+                     "measures = haar\nn_grid = 2:8\nentropy_samples = 4\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "smb_1.json").exists()
+
+
+# every leaf of a rotation (or of the identity) is a point
+_ROTATION = ("base.kind = deterministic-trivial\nbase.symbols = 1\nfiber.dim = 2\n"
+             "map.0.matrix = 1 0 0 1\nmap.0.translation = 0.41421356 0.73205081\n")
+_IDENTITY = ("base.kind = deterministic-trivial\nbase.symbols = 1\nfiber.dim = 2\n"
+             "map.0.matrix = 1 0 0 1\n")
+
+
+class TestTrivialLeaves:
+    def _run(self, tmp_path, system_text, body):
+        (tmp_path / "flat.system").write_text(system_text)
+        cfg = _write(tmp_path, "flat.cfg", "system = flat.system\nseed = 1\n" + body)
+        return main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_smb_reads_a_point_mass(self, tmp_path):
+        code = self._run(tmp_path, _ROTATION, "experiment = smb\nmeasures = haar\n"
+                         "n_grid = 2:8\nentropy_samples = 4\n")
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "smb_1.json").read_text())
+        assert summary["value"] == 0.0
+        assert summary["ci"] == thermo.CI_FLOOR / 2.0
+
+    def test_vp_scan_on_the_identity(self, tmp_path):
+        code = self._run(tmp_path, _IDENTITY,
+                         "experiment = vp-scan\npotential = zero\nmeasures = haar atomic:0,0\n"
+                         "n_grid = 5:8\neps_grid = 0.04\nbase_grid = 2\n"
+                         "entropy_samples = 4\nbirkhoff_samples = 4\n")
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "vp_scan_1.json").read_text())
+        assert [c["h"] for c in summary["candidates"]] == [0.0, 0.0]
+        assert summary["pressure"]["value"] == 0.0
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("pressure", "potential = phiu\n"),
+        ("gibbs", "measures = haar\nentropy_samples = 4\nbirkhoff_samples = 4\n"),
+    ])
+    def test_undefined_geometric_potential_exits_3(self, tmp_path, capsys, experiment, extra):
+        code = self._run(tmp_path, _ROTATION, f"experiment = {experiment}\n" + extra
+                         + "n_grid = 5:8\neps_grid = 0.04\nbase_grid = 2\n")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("estimator error:") and "geometric potential" in err
+        assert not (tmp_path / "out").exists()

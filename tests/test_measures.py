@@ -7,9 +7,12 @@ from scipy.stats import kstest
 
 import oracles
 from uthermo import (
+    Cocycle,
     EstimatorError,
     FiniteSkewSpace,
     InvalidSystem,
+    MapDescriptor,
+    OffLeafError,
     SkewState,
     TorusPoint,
     bowen_ball_entropy,
@@ -25,6 +28,8 @@ from uthermo import (
     entropy_estimator_gap,
     unstable_disk,
 )
+from uthermo import measures
+from uthermo.thermo import CI_FLOOR
 from uthermo.measures import (
     _interval_information,
     information_at,
@@ -261,7 +266,7 @@ class TestBowenBallEntropy:
         est = bowen_ball_entropy(
             cat_cocycle, sampler, 0.1, tuple(range(4, 11)), (0.02,), 8, seed=5
         )
-        assert abs(est.value) <= 0.02
+        assert est.value == 0.0
 
     def test_ball_lengths_contract_at_expansion_rate(self, cat_cocycle, trivial_system):
         # per-step ball-length ratio sits in [0.99/expansion, 1)
@@ -325,7 +330,7 @@ class TestSmbTraces:
         sampler = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.4, 0.2)))
         pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
         est = smb_trace(cat_cocycle, sampler, pair, (4, 8, 12), 10, seed=11, delta=0.1)
-        assert abs(est.value) <= 0.02
+        assert est.value == 0.0
 
     def test_seed_consistency(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
@@ -348,6 +353,87 @@ class TestSmbTraces:
             smb_trace(cat_cocycle, mix, pair, (4, 8), 4, seed=11, delta=0.1)
 
 
+def _three_estimates(cocycle, system, sampler, grid=(4, 6, 8, 10)):
+    pair = build_partition_pair(system, [], 16, offset_seed=3, dim=cocycle.dim)
+    return [
+        bowen_ball_entropy(cocycle, sampler, 0.1, grid, (0.02, 0.04), 8, seed=5),
+        partition_entropy_rate(cocycle, sampler, pair, grid, 8, seed=7, delta=0.1),
+        smb_trace(cocycle, sampler, pair, grid, 8, seed=11, delta=0.1),
+    ]
+
+
+class TestPointMass:
+    """A closed orbit has zero fiber entropy, so its leaf conditional is a
+    point mass; so is every conditional on a trivial leaf."""
+
+    @pytest.mark.parametrize("point", [(0.4, 0.2), (0.0, 0.0)])
+    def test_atomic_estimates_are_exactly_zero(self, point, cat_cocycle, trivial_system):
+        sampler = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint(point))
+        for est in _three_estimates(cat_cocycle, trivial_system, sampler):
+            assert est.value == 0.0, est.method
+            assert est.ci == CI_FLOOR / 2.0, est.method
+            assert set(est.per_n.values()) == {0.0}, est.method
+
+    def test_atomic_estimates_draw_nothing(self, monkeypatch, cat_cocycle, trivial_system):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an atomic estimate drew spectra")
+
+        monkeypatch.setattr(measures, "_sample_spectra", no_draw)
+        sampler = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.4, 0.2)))
+        for est in _three_estimates(cat_cocycle, trivial_system, sampler):
+            assert est.value == 0.0, est.method
+
+    def test_trivial_leaf_samples_are_point_masses(self, trivial_system):
+        rotation = Cocycle(maps=(MapDescriptor(matrix=np.eye(2, dtype=int),
+                                               translation=(0.41421356, 0.73205081)),))
+        sampler = haar_sampler(trivial_system, dim=2)
+        for est in _three_estimates(rotation, trivial_system, sampler):
+            assert est.value == 0.0, est.method
+            assert est.ci == CI_FLOOR / 2.0, est.method
+
+    @pytest.mark.parametrize("system_name, cocycle_name, point, period", [
+        ("trivial_system", "cat_cocycle", (0.4, 0.2), 10),
+        ("trivial_system", "cat_cocycle", (0.2, 0.4), 2),
+        ("trivial_system", "cat_cocycle", (1 / 3, 2 / 3), 4),
+        ("iid_system", "iid_cocycle", (0.0, 0.0), 1),
+    ])
+    def test_no_other_orbit_point_on_the_local_leaf(self, system_name, cocycle_name, point,
+                                                    period, request):
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        orbit = periodic_atomic_sampler(system, cocycle, TorusPoint(point)).orbit
+        assert len(orbit) == period
+        for k, x in enumerate(orbit):
+            path = sample_path(system, 300, k)
+            disk = unstable_disk(cocycle, SkewState(path, x), 0.1,
+                                 lyapunov_spectrum(cocycle, path, x, 200))
+            assert disk.param_of(x) == pytest.approx(0.0, abs=1e-12)
+            for y in orbit[:k] + orbit[k + 1:]:
+                with pytest.raises(OffLeafError):
+                    disk.param_of(y, tol=1e-8)
+
+    def test_one_entry_grid_fails_before_sampling(self, monkeypatch, cat_cocycle,
+                                                  trivial_system):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before checking n_grid")
+
+        monkeypatch.setattr(measures, "_sample_spectra", no_draw)
+        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        for sampler in (haar_sampler(trivial_system, dim=2),
+                        periodic_atomic_sampler(trivial_system, cat_cocycle,
+                                                TorusPoint((0.0, 0.0)))):
+            with pytest.raises(ValueError, match="n_grid"):
+                bowen_ball_entropy(cat_cocycle, sampler, 0.1, (8,), (0.02,), 4, seed=5)
+            with pytest.raises(ValueError, match="n_grid"):
+                partition_entropy_rate(cat_cocycle, sampler, pair, (8,), 4, seed=7)
+
+    def test_smb_accepts_one_entry_grid(self, cat_cocycle, trivial_system):
+        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        est = smb_trace(cat_cocycle, haar_sampler(trivial_system, dim=2), pair, (8,), 4,
+                        seed=11, delta=0.1)
+        assert est.n_grid == (8,) and est.traces.shape == (4, 1)
+
+
 class TestEntropyGapReport:
     def test_cat_gap_small(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
@@ -365,7 +451,7 @@ class TestEntropyGapReport:
         grid = (4, 6, 8, 10)
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 8, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 8, seed=7, delta=0.1)
-        assert entropy_estimator_gap(bowen, part).gap <= 0.02
+        assert entropy_estimator_gap(bowen, part).gap == 0.0
 
 
 class TestIntervalInformationPush:

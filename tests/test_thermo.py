@@ -239,6 +239,40 @@ class TestPressurePipeline:
         with pytest.raises(ValueError, match="n_grid"):
             GridSpec(n_grid=(0, 1, 2))
 
+    def test_one_entry_grid_fails_before_sampling(self, monkeypatch, cat_cocycle,
+                                                  trivial_system):
+        # a one-entry grid is a valid GridSpec (smb uses one) but has no slope
+        with pytest.raises(ValueError, match="n_grid"):
+            thermo.upper_half((8,))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before checking n_grid")
+
+        monkeypatch.setattr(thermo, "sample_path", no_draw)
+        monkeypatch.setattr(thermo, "lyapunov_spectra", no_draw)
+        with pytest.raises(ValueError, match="n_grid"):
+            pressure_estimate(cat_cocycle, trivial_system, zero_potential(),
+                              GridSpec(n_grid=(8,)), seed=1)
+
+    def test_shared_frame_packs_nothing_empty(self, monkeypatch, iid_cocycle, iid_system):
+        # x-independent cells are packed at each path's first base point only,
+        # and the other base points make no packing call at all
+        grid = GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04, 0.08), base_grid=2,
+                        omega_samples=2)
+        sizes = []
+        pack = thermo.maximal_separated_sets
+
+        def counted(cocycle, disk, potentials, *args, **kwargs):
+            sizes.append(len(potentials))
+            return pack(cocycle, disk, potentials, *args, **kwargs)
+
+        monkeypatch.setattr(thermo, "maximal_separated_sets", counted)
+        est = thermo.pressure_estimates(
+            iid_cocycle, iid_system, [zero_potential(), constant_potential(0.3)], grid, seed=3
+        )
+        assert sizes == [2] * (grid.omega_samples * len(grid.n_grid) * len(grid.eps_grid))
+        assert len(est[0].cells) == grid.omega_samples * grid.base_grid ** 2 * 6
+
     def test_cat_entropy_hits_eigen_rate(self, cat_cocycle, trivial_system):
         grid = GridSpec(delta=0.1, n_grid=tuple(range(8, 13)), eps_grid=(0.02, 0.04),
                         base_grid=2, omega_samples=1)
