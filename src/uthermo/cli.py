@@ -112,8 +112,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if not self.system and self.experiment != "info-identities":
             raise ConfigError("missing key 'system'")
-        if self.samples < 1:
-            raise ConfigError("key 'samples' must be >= 1")
+        for key in ("samples", "certify_n", "entropy_samples", "birkhoff_n",
+                    "birkhoff_samples", "spaces"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"key {key!r} must be >= 1")
         if self.spectrum_n < 100:
             raise ConfigError("key 'spectrum_n' must be >= 100")
         if not 0 < self.delta <= 0.25:

@@ -316,15 +316,6 @@ def leaf_volume(disk: UnstableDisk, region=None) -> float:
     return max(0.0, hi1 - lo1) * max(0.0, hi2 - lo2)
 
 
-def disk_polyline_rows(disk: UnstableDisk, samples: int = 129):
-    """Sampled chart rows (parameter, coordinates...) for plotting dumps."""
-    header = ["parameter"] + [f"x{c}" for c in range(disk.dim)]
-    ts = np.linspace(-disk.radius, disk.radius, samples)
-    pts = reduce_mod1(disk.chart_lift(ts))
-    rows = [[float(t)] + [float(v) for v in row] for t, row in zip(ts, pts)]
-    return header, rows
-
-
 @dataclass(frozen=True)
 class BowenMetric:
     """The n-step dynamical metric on a disk, d(y1,y2) = max image leaf distance."""

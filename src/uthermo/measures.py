@@ -746,6 +746,10 @@ def _information_profiles(cocycle, sampler, pair, seeds, delta, n_max):
     A point mass (an atomic sampler, or a sample on a trivial leaf) gives
     its atom all the mass, so its row is 0; an atomic sampler draws nothing.
     """
+    if pair.dim != cocycle.dim:
+        raise InvalidSystem(
+            f"partition pair has dim {pair.dim}, but the cocycle's fiber has dim {cocycle.dim}"
+        )
     info = np.zeros((len(seeds), n_max))
     if sampler.leaf_conditional == "atomic":
         return info

@@ -1,8 +1,8 @@
-"""Lyapunov spectra, expanding/complementary bundles, and expansion certificates.
+"""Lyapunov spectra, expanding bundles, and expansion certificates.
 
 Exponents come from QR accumulation along a sampled orbit.  The expanding
 bundle at the orbit's origin is recovered by pushing a frame forward from
-the past; the complementary bundle by pulling one back from the future.
+the past; the certificate pulls the complementary bundle from the future.
 Certificates are sampled statements ("no counterexample at this
 resolution"), never proofs.
 """
@@ -52,8 +52,8 @@ class OseledetsReport:
 
     exponents are cluster means in decreasing order, multiplicities the
     cluster sizes (summing to the fiber dimension).  unstable_index counts
-    the expanding clusters; eu_frame / fu_frame are orthonormal bases of
-    the estimated expanding bundle and its complementary bundle.
+    the expanding clusters; eu_frame is an orthonormal basis of the
+    estimated expanding bundle.
     log_det_sum is the sum of log |det J| over the n one-step Jacobians.
     """
 
@@ -61,7 +61,6 @@ class OseledetsReport:
     multiplicities: tuple[int, ...]
     unstable_index: int
     eu_frame: np.ndarray
-    fu_frame: np.ndarray
     orbit_length: int
     raw_exponents: tuple[float, ...]
     log_det_sum: float = math.nan
@@ -244,6 +243,15 @@ def _frames_from_past(
     return _qr_walk(_jacobians(cocycle, syms, pts, backward=True)[::-1], q0)
 
 
+def _frames_from_future(
+    cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, steps: int
+) -> np.ndarray:
+    """Pull frames q0 (S, d, d) back from `steps` ahead to each path's origin, through
+    the inverse Jacobians of the forward orbit from pts (S, d), last step first."""
+    syms = _symbol_windows(paths, 0, steps)
+    return _qr_walk(np.linalg.inv(_jacobians(cocycle, syms, pts)[::-1]), q0)
+
+
 def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
     clusters: list[list[float]] = [[raw[0]]]
     for val in raw[1:]:
@@ -262,23 +270,21 @@ def lyapunov_spectra(
     frame_steps: int | None = None,
     frame_seeds=None,
 ) -> list[OseledetsReport]:
-    """QR-accumulated Lyapunov exponents and bundle frames at each (path, x).
+    """QR-accumulated Lyapunov exponents and the expanding frame at each (path, x).
 
     The orbit engine: all samples walk together as stacked (S, d, d)
     frames, one numpy call per step, through the Jacobian stacks of
     _jacobians.  Each report is bitwise equal to walking its sample alone
     whenever the maps' stacked calls round as their one-point calls do:
     always for constant-Jacobian cocycles, which make no map calls, and for
-    the sheared cat and 3-torus maps.  Both frames lie on the orbit through
-    x.  The expanding frame is the limit flag of a push from frame_steps in
-    the past, along the pulled-back orbit; the complementary frame comes
-    from the inverses of the forward orbit's Jacobians, pushed from
-    frame_steps ahead back to x.  log_det_sum adds log |det J| over the n
-    forward Jacobians in step order.  Exponents are averaged log
-    diagonal entries of the R factors over n forward steps, starting from
-    the expanding frame, clustered by CLUSTER_GAP.  Each sample starts its
-    frame pushes from its own frame_seeds entry (default 0) and clamps
-    frame_steps to its own path window.
+    the sheared cat and 3-torus maps.  The expanding frame is the limit
+    flag of a push from frame_steps in the past, along the orbit pulled
+    back from x.  log_det_sum adds log |det J| over the n forward
+    Jacobians in step order.  Exponents are averaged log diagonal entries
+    of the R factors over n forward steps, starting from the expanding
+    frame, clustered by CLUSTER_GAP.  Each sample starts its frame push
+    from its own frame_seeds entry (default 0) and clamps frame_steps to
+    its own path window.
     """
     if n < 100:
         raise ValueError("need n >= 100 for a usable exponent estimate")
@@ -301,8 +307,7 @@ def lyapunov_spectra(
         raise EstimatorError("path window too small for frame estimation")
     groups = [(fs, [i for i, s in enumerate(steps) if s == fs]) for fs in sorted(set(steps))]
 
-    # the forward orbit's Jacobians give the exponents, log |det J| and,
-    # inverted, the frame from the future
+    # the forward orbit's Jacobians give the exponents and log |det J|
     forward = _jacobians(cocycle, syms, pts)
     log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
 
@@ -313,14 +318,6 @@ def lyapunov_spectra(
         q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], pts[idx], q0[idx], fs)
     logs = np.zeros((len(paths), d))
     _qr_walk(forward, q_fwd, logs)
-
-    # the frame from the future: inverse Jacobians from fs steps ahead back to x
-    q_bwd = np.empty_like(q0)
-    for fs, idx in groups:
-        # a frame_steps beyond n walks this group's forward orbit further
-        jacs = forward[:fs, idx] if fs <= n else _jacobians(
-            cocycle, _symbol_windows([paths[i] for i in idx], 0, fs), pts[idx])
-        q_bwd[idx] = _qr_walk(np.linalg.inv(jacs[::-1]), q0[idx])
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []
@@ -334,7 +331,6 @@ def lyapunov_spectra(
                 multiplicities=multiplicities,
                 unstable_index=u,
                 eu_frame=q_fwd[i, :, :u_dim].copy(),
-                fu_frame=q_bwd[i, :, : d - u_dim].copy(),
                 orbit_length=n,
                 raw_exponents=tuple(float(v) for v in raw[i]),
                 log_det_sum=float(log_det[i]),
@@ -377,13 +373,16 @@ def certify_partial_hyperbolicity(
     the last expanding block (QR-stable; pushing individual complementary
     vectors forward amplifies rounding along the expanding direction), and
     track the co-norm of each one-step derivative restricted to the
-    transported expanding frame.  The verdict is certified only when every
-    sample expands (co-norm > 1) and is dominated (gap < 0) beyond
-    CERTIFY_MARGIN; decisive counterevidence yields violated; anything in between
-    is inconclusive.
+    transported expanding frame; the complementary frame, pulled back from
+    min(spectrum_n, 512) steps ahead, is transported with it.  The verdict
+    is certified only when every sample expands (co-norm > 1) and is
+    dominated (gap < 0) beyond CERTIFY_MARGIN; decisive counterevidence
+    yields violated; anything in between is inconclusive.
     """
     if samples < 10:
         raise ValueError("need samples >= 10")
+    if n < 1:
+        raise ValueError("need n >= 1")
     if spectrum_n is None:
         spectrum_n = max(600, n)
     half_window = max(spectrum_n, n) + 2
@@ -396,6 +395,9 @@ def certify_partial_hyperbolicity(
         paths.append(sample_path(system, half_window, path_seeds[-1]))
         xs.append(TorusPoint(tuple(rng.random(d))))
     reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=path_seeds)
+    pts = np.stack([x.as_array() for x in xs])
+    q0 = np.stack([_random_orthonormal(d, s) for s in path_seeds])
+    q_bwd = _frames_from_future(cocycle, paths, pts, q0, min(spectrum_n, 512))
 
     # domination gap per sample with a nontrivial leaf; samples that share
     # a frame shape and a tracked complement transport together
@@ -406,22 +408,20 @@ def certify_partial_hyperbolicity(
         if u == 0:
             continue
         gaps[i] = exps[u] - exps[u - 1] if u < len(exps) else float("-inf")
-        track = report.fu_frame.shape[1] > 0 and math.isfinite(gaps[i])
-        groups.setdefault((report.eu_frame.shape[1], track), []).append(i)
+        groups.setdefault((report.unstable_dim, report.unstable_dim < d), []).append(i)
 
     # transport frames and record per-step growth; the complementary span
     # drifts toward faster directions at the domination rate, so the ratio
     # diagnostic is windowed to stay below that horizon.
     transported: dict[int, tuple[float, float]] = {}  # (least co-norm, ratio bound)
-    for (_, track), idx in groups.items():
+    for (u_dim, track), idx in groups.items():
         frame = np.stack([reports[i].eu_frame for i in idx])
-        fu = np.stack([reports[i].fu_frame for i in idx])
+        fu = q_bwd[idx, :, : d - u_dim]
         gap = np.array([gaps[i] for i in idx])
         lam_min = np.full(len(idx), math.inf)
         log_f_fast, log_e_slow, ratio_logs = np.zeros(len(idx)), np.zeros(len(idx)), []
         syms = _symbol_windows([paths[i] for i in idx], 0, n)
-        pts = np.stack([xs[i].as_array() for i in idx])
-        for j, jac in enumerate(_jacobians(cocycle, syms, pts)):
+        for j, jac in enumerate(_jacobians(cocycle, syms, pts[idx])):
             img = jac @ frame
             lam_min = np.minimum(lam_min, np.linalg.svd(img, compute_uv=False)[:, -1])
             frame, _ = _positive_qr(img)

@@ -150,6 +150,14 @@ class TestRunner:
         ("entropy", "eps_grid", "nan"),
         ("entropy", "eps_grid", "0.02 inf"),
         ("vp-scan", "measures", "haar"),
+        ("certify", "certify_n", "0"),
+        ("certify", "certify_n", "-3"),
+        ("gibbs", "entropy_samples", "0"),
+        ("smb", "entropy_samples", "0"),
+        ("gibbs", "birkhoff_samples", "0"),
+        ("gibbs", "birkhoff_n", "0"),
+        ("info-identities", "spaces", "0"),
+        ("info-identities", "spaces", "-2"),
     ])
     def test_out_of_range_key_exits_2(self, tmp_path, capsys, experiment, key, val):
         (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())

@@ -191,18 +191,6 @@ class TestExpansionAndNesting:
         assert np.allclose(arcs, np.outer(growth, params))
 
 
-class TestPolylineDump:
-    def test_rows_cover_disk(self, cat_disk):
-        from uthermo.leafgeom import disk_polyline_rows
-
-        header, rows = disk_polyline_rows(cat_disk, samples=33)
-        assert header == ["parameter", "x0", "x1"]
-        assert len(rows) == 33
-        assert rows[0][0] == -0.1 and rows[-1][0] == 0.1
-        mid = rows[16]
-        assert mid[1] == pytest.approx(0.0, abs=1e-12)
-
-
 class TestLeafVolume:
     def test_full_disk_length(self, cat_disk):
         assert leaf_volume(cat_disk) == pytest.approx(0.2)

@@ -205,6 +205,19 @@ class TestPartitionPair:
             build_partition_pair(trivial_system, [disk], 16, offset_seed=1)
         build_partition_pair(trivial_system, [disk], 32, offset_seed=1)
 
+    def test_pair_of_another_dim_fails_before_sampling(self, monkeypatch, t3_cocycle,
+                                                       t3_system):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled before checking the pair's dim")
+
+        monkeypatch.setattr(measures, "_sample_spectra", no_draw)
+        pair = build_partition_pair(t3_system, [], 16, 3)  # no disks and no dim: 2-d
+        sampler = haar_sampler(t3_system, dim=3)
+        with pytest.raises(InvalidSystem, match="dim 2"):
+            partition_entropy_rate(t3_cocycle, sampler, pair, (8, 9, 10), 4, seed=7)
+        with pytest.raises(InvalidSystem, match="dim 2"):
+            smb_trace(t3_cocycle, sampler, pair, (8, 9, 10), 4, seed=7)
+
     def test_leaf_section_matches_scan_oracle(self, cat_cocycle, trivial_system):
         # the exact cell-crossing interval against a dense parameter scan
         pair = build_partition_pair(trivial_system, [], 16, offset_seed=5)

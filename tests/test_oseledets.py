@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from uthermo import (
+    bowen_ball_entropy,
     compose,
     Cocycle,
     EstimatorError,
@@ -15,13 +16,17 @@ from uthermo import (
     certify_partial_hyperbolicity,
     derivative,
     geometric_potential,
+    GridSpec,
+    haar_sampler,
     lyapunov_spectra,
     lyapunov_spectrum,
     sample_path,
     skew_step,
+    topological_entropy,
     unstable_dimension,
 )
-from uthermo.oseledets import _positive_qr, _symbol_windows
+from uthermo import oseledets
+from uthermo.oseledets import _frames_from_future, _positive_qr, _symbol_windows
 from uthermo.rds import SkewState
 
 
@@ -36,7 +41,6 @@ def _report_with(exponents, multiplicities=None):
         multiplicities=mult,
         unstable_index=u,
         eu_frame=np.eye(d)[:, :udim],
-        fu_frame=np.eye(d)[:, udim:],
         orbit_length=1000,
         raw_exponents=exps,
     )
@@ -151,14 +155,22 @@ class TestOrbitEngine:
             reports = lyapunov_spectra(cocycle, paths, xs, n, frame_steps=frame_steps,
                                        frame_seeds=seeds)
             fs = frame_steps or n
-            assert len({min(fs, p.backward_reach, p.forward_reach) for p in paths}) == groups
-            for path, x, seed, rep in zip(paths, xs, seeds, reports):
+            clamped = [min(fs, p.backward_reach, p.forward_reach) for p in paths]
+            assert len(set(clamped)) == groups
+            # the frame from the future, walked in one batch per clamped length
+            q_future = np.empty((len(paths), cocycle.dim, cocycle.dim))
+            for steps in set(clamped):
+                idx = [i for i, s in enumerate(clamped) if s == steps]
+                q_future[idx] = _frames_from_future(
+                    cocycle, [paths[i] for i in idx], np.stack([xs[i].as_array() for i in idx]),
+                    np.stack([oracles.seeded_frame(cocycle.dim, seeds[i]) for i in idx]), steps)
+            for path, x, seed, rep, q in zip(paths, xs, seeds, reports, q_future):
                 raw, q_fwd, q_bwd, log_det = oracles.scalar_spectrum(
                     cocycle, path, x.as_array(), n, frame_steps=frame_steps, frame_seed=seed)
                 u_dim = rep.eu_frame.shape[1]
                 assert np.array_equal(np.array(rep.raw_exponents), raw)
                 assert np.array_equal(rep.eu_frame, q_fwd[:, :u_dim])
-                assert np.array_equal(rep.fu_frame, q_bwd[:, : cocycle.dim - u_dim])
+                assert np.array_equal(q, q_bwd)
                 if cocycle.has_constant_jacobian:
                     # summed in step order, as the reference sums math.log
                     assert rep.log_det_sum == log_det
@@ -225,7 +237,9 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 
 class TestFrameEquivariance:
     """Both frames are read on the orbit through x, so Df(x) carries them onto
-    the frames at f(x) (the past is pulled back from x, not re-walked forward)."""
+    the frames at f(x) (the past is pulled back from x, not re-walked forward).
+    The expanding frame comes from the spectrum, the complementary frame from
+    _frames_from_future."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_df_carries_frames_to_image_point(self, seed, perturbed_cat_cocycle, trivial_system):
@@ -235,10 +249,14 @@ class TestFrameEquivariance:
         fx = compose(cocycle, path, 1, x)
         here, there = lyapunov_spectra(cocycle, [path, path.shifted(1)], [x, fx], 256,
                                        frame_steps=256, frame_seeds=[seed, seed])
+        q0 = oracles.seeded_frame(2, seed)
+        fu_here, fu_there = _frames_from_future(
+            cocycle, [path, path.shifted(1)], np.stack([x.as_array(), fx.as_array()]),
+            np.stack([q0, q0]), 256)[:, :, 0]
         jac = derivative(cocycle, path, 1, x)
         assert here.unstable_dim == there.unstable_dim == 1
         assert _angle(jac @ here.eu_frame[:, 0], there.eu_frame[:, 0]) < 1e-8
-        assert _angle(jac @ here.fu_frame[:, 0], there.fu_frame[:, 0]) < 1e-8
+        assert _angle(jac @ fu_here, fu_there) < 1e-8
 
 
 class TestUnstableDimension:
@@ -288,10 +306,13 @@ class TestCertificates:
             path = sample_path(system, 202, pseed)
             x = TorusPoint(tuple(rng.random(cocycle.dim)))
             rep = lyapunov_spectrum(cocycle, path, x, 200, frame_seed=pseed)
+            q_bwd = oracles.scalar_spectrum(cocycle, path, x.as_array(), 200,
+                                            frame_seed=pseed)[2]
             u = rep.unstable_index
             gap = rep.exponents[u] - rep.exponents[u - 1] if u < len(rep.exponents) else -math.inf
             lam, c = oracles.scalar_certify_transport(
-                cocycle, path, x.as_array(), rep.eu_frame, rep.fu_frame, gap, n)
+                cocycle, path, x.as_array(), rep.eu_frame,
+                q_bwd[:, : cocycle.dim - rep.unstable_dim], gap, n)
             assert rec == {"sample": i, "unstable_index": u, "gap": gap, "expansion": lam}
             constants.append(c)
         assert cert.constants == max(constants)
@@ -299,3 +320,24 @@ class TestCertificates:
     def test_too_few_samples_rejected(self, cat_cocycle, trivial_system):
         with pytest.raises(ValueError):
             certify_partial_hyperbolicity(cat_cocycle, trivial_system, samples=3, n=10)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_transport_rejected(self, n, cat_cocycle, trivial_system):
+        # with no transport step the least co-norm would stay inf and certify
+        with pytest.raises(ValueError, match="need n >= 1"):
+            certify_partial_hyperbolicity(cat_cocycle, trivial_system, samples=10, n=n)
+
+    def test_only_certify_walks_the_future(self, monkeypatch, cat_cocycle, trivial_system):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked the frame from the future")
+
+        monkeypatch.setattr(oseledets, "_frames_from_future", no_walk)
+        path = sample_path(trivial_system, 300, 1)
+        assert lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.3, 0.4))], 200)
+        grid = GridSpec(n_grid=(8, 9, 10), eps_grid=(0.04,), base_grid=2)
+        assert topological_entropy(cat_cocycle, trivial_system, grid, seed=1).value > 0
+        est = bowen_ball_entropy(cat_cocycle, haar_sampler(trivial_system, dim=2), 0.1,
+                                 (8, 9, 10), (0.04,), 4, seed=5)
+        assert est.value > 0
+        with pytest.raises(AssertionError, match="from the future"):
+            certify_partial_hyperbolicity(cat_cocycle, trivial_system, samples=10, n=20)
