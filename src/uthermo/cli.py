@@ -430,7 +430,8 @@ def _run_gibbs(cfg, cocycle, system):
 
 
 def _run_vp_scan(cfg, cocycle, system):
-    # one family pass packs the scanned potential and the dual check's family
+    # one family pass packs the scanned potential and the dual check's family,
+    # and the dual check reads measures[0]'s entropy from the scan
     pots = cfg.potentials or (cfg.potential,)
     specs = pots if cfg.potential in pots else pots + (cfg.potential,)
     resolved = [_resolve_potential(p, cocycle, system, cfg.seed) for p in specs]
@@ -462,6 +463,7 @@ def _run_vp_scan(cfg, cocycle, system):
         birkhoff_n=cfg.birkhoff_n,
         birkhoff_samples=cfg.birkhoff_samples,
         pressures=pressures[: len(pots)],
+        entropy=report.candidates[0].h_estimate,
     )
     header, rows = report.csv_rows()
     summary = dict(report.to_json_dict(), experiment="vp-scan", dual_gap=dual_gap)

@@ -286,19 +286,25 @@ def equilibrium_scan(
     """Evaluate entropy + integral defects of candidate measures against P(phi).
 
     Convex-combination candidates get their entropy by affine combination
-    of component estimates.  Candidates whose defect is within the combined
-    confidence width are flagged as numerical equilibrium states.  pressure,
-    if given, is phi's estimate on the same grid and seed, already made.
+    of component estimates; each distinct (measure, seed) entropy, a
+    component's included, is estimated once.  Candidates whose defect is
+    within the combined confidence width are flagged as numerical
+    equilibrium states.  pressure, if given, is phi's estimate on the same
+    grid and seed, already made.
     """
     if len(measure_family) < 2:
         raise ValueError("need at least two candidate measures")
     if pressure is None:
         pressure = pressure_estimate(cocycle, system, phi, grid, seed, keep_cells=False)
     records = []
+    known: dict = {}
     for sampler in measure_family:
-        h = bowen_ball_entropy(
-            cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
-        )
+        if (sampler, seed) not in known:
+            known[sampler, seed] = bowen_ball_entropy(
+                cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples,
+                seed, known,
+            )
+        h = known[sampler, seed]
         integral, integral_sem = birkhoff_integral(
             cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
         )
@@ -336,19 +342,22 @@ def dual_vp_check(
     birkhoff_n: int = 64,
     birkhoff_samples: int = 64,
     pressures: list[PressureEstimate] | None = None,
+    entropy: float | None = None,
 ) -> float:
     """Min over the family of (pressure - integral) minus the measure's entropy.
 
     Nonnegative up to confidence width; approaches zero when the family
     contains a potential for which the measure is an equilibrium.
     pressures, if given, are the family's estimates on the same grid and
-    seed, already made.
+    seed, already made; entropy, if given, is the measure's Bowen-ball
+    entropy on the same grid, seed and entropy_samples, already made.
     """
     if len(potential_family) < 1:
         raise ValueError("need a nonempty potential family")
-    h = bowen_ball_entropy(
-        cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
-    )
+    if entropy is None:
+        entropy = bowen_ball_entropy(
+            cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
+        ).value
     if pressures is None:
         pressures = pressure_estimates(cocycle, system, potential_family, grid, seed,
                                        keep_cells=False)
@@ -357,7 +366,7 @@ def dual_vp_check(
         integral, _ = birkhoff_integral(
             cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
         )
-        best = min(best, pressure.value - integral - h.value)
+        best = min(best, pressure.value - integral - entropy)
     return float(best)
 
 

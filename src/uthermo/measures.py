@@ -603,6 +603,7 @@ def bowen_ball_entropy(
     epsilons,
     samples: int,
     seed: int,
+    known: dict | None = None,
 ) -> EntropyEstimate:
     """Decay rate of conditional measure of dynamical leaf balls.
 
@@ -610,18 +611,25 @@ def bowen_ball_entropy(
     the local leaf atom; the estimate is the fitted slope of the
     information in n at the smallest scale, averaged over samples.  Scale
     insensitivity is recorded by estimating at every given epsilon.
+    known, if given, maps (sampler, seed) to estimates already made with the
+    same cocycle, delta, grids and samples: a mixed sampler reads its
+    components' estimates there and adds those it has to make.
     """
     n_grid = tuple(n_grid)
     epsilons = tuple(sorted(epsilons))
     uh = upper_half(n_grid)
     if sampler.leaf_conditional == "mixed":
-        return _mixed_estimate(
-            sampler, "bowen-ball", n_grid, samples,
-            lambda i, comp: bowen_ball_entropy(
-                cocycle, comp, delta, n_grid, epsilons, samples, seed + 17 * i
-            ),
-            epsilons,
-        )
+        known = {} if known is None else known
+
+        def component(i, comp):
+            key = (comp, seed + 17 * i)
+            if key not in known:
+                known[key] = bowen_ball_entropy(
+                    cocycle, comp, delta, n_grid, epsilons, samples, key[1], known
+                )
+            return known[key]
+
+        return _mixed_estimate(sampler, "bowen-ball", n_grid, samples, component, epsilons)
     if sampler.leaf_conditional not in ("volume", "atomic"):
         raise EstimatorError("unsupported conditional family for this sampler")
 

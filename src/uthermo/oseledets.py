@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .rds import (
     Cocycle,
@@ -102,16 +103,25 @@ class HyperbolicityCertificate:
 
 def _random_orthonormal(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x0F])
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    return _positive_q(rng.standard_normal((dim, dim)))
 
 
-def _positive_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR with a nonnegative R diagonal, for one (d, d) matrix or a stack of them."""
-    q, r = np.linalg.qr(mat)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :], r * signs[..., :, None]
+# Every QR in this module is these two LAPACK calls (geqrf, then orgqr), made
+# through numpy's private gufuncs.  np.linalg.qr makes the same two calls and
+# so returns the same bits, but its Python wrapper (dtype checks, a copy, two
+# errstate blocks, a triu) costs more than LAPACK on the small stacks of a walk.
+def _householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and the diagonal of R, signs as LAPACK leaves them, for a (..., d, k) stack
+    with k <= d.  mat must be a float64 array the caller no longer needs: it is
+    overwritten with the factorisation, and the diagonal returned is a view of it."""
+    tau = _umath_linalg.qr_r_raw(mat)
+    return _umath_linalg.qr_reduced(mat, tau), np.diagonal(mat, axis1=-2, axis2=-1)
+
+
+def _positive_q(mat: np.ndarray) -> np.ndarray:
+    """Q of a QR with a nonnegative R diagonal; mat is overwritten (_householder_qr)."""
+    q, diag = _householder_qr(mat)
+    return np.negative(q, out=q, where=(diag < 0)[..., None, :])
 
 
 def _symbol_windows(paths, start: int, steps: int, inverse: bool = False) -> np.ndarray:
@@ -222,13 +232,22 @@ def _tangent_images(
 
 def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
     """Push stacked frames q (S, d, d) through the Jacobians jacs, (S, d, d) each, in
-    order, re-orthonormalising by QR; returns the final Q.  Given logs (S, d),
-    each step's log |diag R| is added to it."""
+    order, re-orthonormalising by QR with a nonnegative R diagonal; returns the
+    final Q.  Given logs (S, d), each step's log |diag R| is added to it.
+
+    The signs are fixed once, at the end.  Householder QR is odd in each
+    column, qr(A D) = (Q, R D) bitwise for D = diag(+-1), so the walk can carry
+    LAPACK's Q and flip the columns whose R diagonal was negative an odd number
+    of times.  This equals fixing the signs at every step unless some step's R
+    diagonal is exactly 0, which only an exactly singular step can make.
+    """
+    flip = np.zeros(q.shape[:-2] + q.shape[-1:], dtype=bool)
     for jac in jacs:
-        q, r = _positive_qr(jac @ q)
+        q, diag = _householder_qr(jac @ q)
+        flip ^= diag < 0
         if logs is not None:
-            logs += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-    return q
+            logs += np.log(np.abs(diag))
+    return np.negative(q, out=q, where=flip[..., None, :])
 
 
 def _frames_from_past(
@@ -424,13 +443,13 @@ def certify_partial_hyperbolicity(
         for j, jac in enumerate(_jacobians(cocycle, syms, pts[idx])):
             img = jac @ frame
             lam_min = np.minimum(lam_min, np.linalg.svd(img, compute_uv=False)[:, -1])
-            frame, _ = _positive_qr(img)
             if track and j < min(n, 30):
                 fu_img = jac @ fu
                 log_f_fast += np.max(np.log(np.linalg.norm(fu_img, axis=-2)), axis=-1)
                 log_e_slow += np.min(np.log(np.linalg.norm(img, axis=-2)), axis=-1)
-                fu, _ = _positive_qr(fu_img)
+                fu = _positive_q(fu_img)
                 ratio_logs.append(log_f_fast - log_e_slow - gap * (j + 1))
+            frame = _positive_q(img)  # last: the QR overwrites img
         for k, i in enumerate(idx):
             ratio_max = max([1.0] + [math.exp(r[k]) for r in ratio_logs])
             transported[i] = (float(lam_min[k]), ratio_max)

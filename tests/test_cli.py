@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import CONFIG_DIR
-from uthermo import thermo
+from uthermo import equilibria, measures, thermo
 from uthermo.cli import emit_report, load_config, main, parse_config_text, ConfigError
 from uthermo.oseledets import lyapunov_spectra
 
@@ -91,6 +91,25 @@ class TestRunner:
         assert code == 0
         summary = json.loads((tmp_path / "info_identities_3.json").read_text())
         assert summary["all_within_1e-12"] is True
+
+    def test_vp_scan_estimates_each_entropy_once(self, tmp_path, monkeypatch):
+        # haar is a candidate, the combo's first component and the dual check's
+        # measure, all at the config's seed
+        estimated = []
+        estimate = measures.bowen_ball_entropy
+
+        def counted(cocycle, sampler, *args, **kwargs):
+            estimated.append(sampler.label)
+            return estimate(cocycle, sampler, *args, **kwargs)
+
+        monkeypatch.setattr(measures, "bowen_ball_entropy", counted)
+        monkeypatch.setattr(equilibria, "bowen_ball_entropy", counted)
+        code = main(["--config", str(CONFIG_DIR / "cat_vp_scan.cfg"), "--out", str(tmp_path)])
+        assert code == 0
+        assert estimated.count("haar") == 1
+        summary = json.loads((tmp_path / "vp_scan_13.json").read_text())
+        assert [c["measure_id"] for c in summary["candidates"]] == [
+            "haar", "atomic:0,0", "combo(0.5*haar+0.5*atomic:0,0)"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"

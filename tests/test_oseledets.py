@@ -26,7 +26,9 @@ from uthermo import (
     unstable_dimension,
 )
 from uthermo import oseledets
-from uthermo.oseledets import _frames_from_future, _positive_qr, _symbol_windows
+from uthermo.oseledets import (
+    _frames_from_future, _householder_qr, _positive_q, _qr_walk, _symbol_windows,
+)
 from uthermo.rds import SkewState
 
 
@@ -112,7 +114,7 @@ class TestSpectrum:
         nxt = skew_step(cat_cocycle, state, 1)
         rep_next = lyapunov_spectrum(cat_cocycle, nxt.path, nxt.point, 1000)
         pushed = cat_cocycle.maps[0].matrix.astype(float) @ rep.eu_frame
-        pushed, _ = _positive_qr(pushed)
+        pushed = _positive_q(pushed)
         angle = math.acos(min(1.0, abs(float(pushed[:, 0] @ rep_next.eu_frame[:, 0]))))
         assert angle <= 1e-3
 
@@ -227,6 +229,67 @@ class TestOrbitEngine:
 
     def test_empty_batch(self, cat_cocycle):
         assert lyapunov_spectra(cat_cocycle, [], [], 200) == []
+
+
+def _qr_stack(d: int, stacks: int, seed: int) -> np.ndarray:
+    """Seeded (stacks, d, d) matrices with the cases a sign fix must get right:
+    a zero subdiagonal column (LAPACK's tau = 0) under a negative or -0.0
+    diagonal entry, and negative and -0.0 diagonal entries elsewhere."""
+    rng = np.random.default_rng([seed, d, stacks])
+    mats = rng.standard_normal((stacks, d, d))
+    mats[0, 1:, 0] = 0.0
+    mats[0, 0, 0] = -0.0
+    mats[-1, 1:, 0] = 0.0
+    mats[-1, 0, 0] = -abs(mats[-1, 0, 0])
+    mats[:, -1, -1] = -0.0 if stacks == 1 else -np.abs(mats[:, -1, -1])
+    return mats
+
+
+class TestQRKernel:
+    """The two-gufunc QR against np.linalg.qr with a sign fix per step."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("stacks", [1, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equals_positive_qr(self, d, stacks, seed):
+        mats = _qr_stack(d, stacks, seed)
+        flips = np.where(np.random.default_rng(seed).random((stacks, 1, d)) < 0.5, -1.0, 1.0)
+        for mat in (mats, mats * flips, -mats):
+            q = _positive_q(mat.copy())
+            raw_q, diag = _householder_qr(mat.copy())
+            for k in range(stacks):
+                ref_q, ref_r = oracles._positive_qr(mat[k])
+                assert np.array_equal(q[k], ref_q)
+                assert np.array_equal(np.signbit(q[k]), np.signbit(ref_q))
+                assert np.array_equal(np.abs(diag[k]), np.diag(ref_r))
+        # Householder QR is odd in each column: a negated column leaves Q
+        # alone and negates that column of R, bit for bit
+        raw_q, diag = _householder_qr(mats.copy())
+        flip_q, flip_diag = _householder_qr(mats * flips)
+        assert np.array_equal(flip_q, raw_q)
+        assert np.array_equal(flip_diag, diag * flips[:, 0])
+
+    def test_tall_frames_bitwise_equal_positive_qr(self):
+        mats = np.random.default_rng(5).standard_normal((7, 3, 2))
+        mats[0, 1:, 0] = 0.0
+        q = _positive_q(mats.copy())
+        for k in range(len(mats)):
+            assert np.array_equal(q[k], oracles._positive_qr(mats[k])[0])
+
+    def test_deferred_signs_walk_equals_stepwise_walk(self):
+        # 300 cat-map steps, signs fixed once at the end against every step
+        jac = np.array([[2.0, 1.0], [1.0, 1.0]])
+        q0 = np.stack([oracles.seeded_frame(2, s) for s in range(7)])
+        q0[3] = -q0[3]
+        logs = np.zeros((7, 2))
+        q = _qr_walk(np.broadcast_to(jac, (300, 7, 2, 2)), q0.copy(), logs)
+        for k in range(7):
+            ref_q, ref_logs = q0[k], np.zeros(2)
+            for _ in range(300):
+                ref_q, ref_r = oracles._positive_qr(jac @ ref_q)
+                ref_logs += np.log(np.abs(np.diag(ref_r)))
+            assert np.array_equal(q[k], ref_q)
+            assert np.array_equal(logs[k], ref_logs)
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
