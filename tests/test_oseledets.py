@@ -256,7 +256,7 @@ class TestQRKernel:
         flips = np.where(np.random.default_rng(seed).random((stacks, 1, d)) < 0.5, -1.0, 1.0)
         for mat in (mats, mats * flips, -mats):
             q = _positive_q(mat.copy())
-            raw_q, diag = _householder_qr(mat.copy())
+            _, diag = _householder_qr(mat.copy())
             for k in range(stacks):
                 ref_q, ref_r = oracles._positive_qr(mat[k])
                 assert np.array_equal(q[k], ref_q)
