@@ -37,7 +37,7 @@ from .thermo import (
     pressure_estimates,
     theta_coboundary,
 )
-from .measures import MeasureSampler, bowen_ball_entropy
+from .measures import MeasureSampler, _bowen_ball_entropy, bowen_ball_entropy
 
 __all__ = [
     "geometric_potential",
@@ -300,7 +300,7 @@ def equilibrium_scan(
     known: dict = {}
     for sampler in measure_family:
         if (sampler, seed) not in known:
-            known[sampler, seed] = bowen_ball_entropy(
+            known[sampler, seed] = _bowen_ball_entropy(
                 cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples,
                 seed, known,
             )

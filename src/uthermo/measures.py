@@ -603,7 +603,6 @@ def bowen_ball_entropy(
     epsilons,
     samples: int,
     seed: int,
-    known: dict | None = None,
 ) -> EntropyEstimate:
     """Decay rate of conditional measure of dynamical leaf balls.
 
@@ -611,20 +610,26 @@ def bowen_ball_entropy(
     the local leaf atom; the estimate is the fitted slope of the
     information in n at the smallest scale, averaged over samples.  Scale
     insensitivity is recorded by estimating at every given epsilon.
-    known, if given, maps (sampler, seed) to estimates already made with the
-    same cocycle, delta, grids and samples: a mixed sampler reads its
+    """
+    return _bowen_ball_entropy(cocycle, sampler, delta, n_grid, epsilons, samples, seed, {})
+
+
+def _bowen_ball_entropy(cocycle, sampler, delta, n_grid, epsilons, samples, seed, known):
+    """bowen_ball_entropy, sharing component estimates through known.
+
+    known maps (sampler, seed) to estimates already made with this cocycle,
+    delta, grids and samples, and nothing else: a mixed sampler reads its
     components' estimates there and adds those it has to make.
     """
     n_grid = tuple(n_grid)
     epsilons = tuple(sorted(epsilons))
     uh = upper_half(n_grid)
     if sampler.leaf_conditional == "mixed":
-        known = {} if known is None else known
 
         def component(i, comp):
             key = (comp, seed + 17 * i)
             if key not in known:
-                known[key] = bowen_ball_entropy(
+                known[key] = _bowen_ball_entropy(
                     cocycle, comp, delta, n_grid, epsilons, samples, key[1], known
                 )
             return known[key]

@@ -107,7 +107,8 @@ def _random_orthonormal(dim: int, seed: int) -> np.ndarray:
 
 
 # Every QR in this module is these two LAPACK calls (geqrf, then orgqr), made
-# through numpy's private gufuncs.  np.linalg.qr makes the same two calls and
+# through numpy's private gufuncs (qr_r_raw needs numpy >= 2.0; 1.x splits it
+# into qr_r_raw_m and qr_r_raw_n).  np.linalg.qr makes the same two calls and
 # so returns the same bits, but its Python wrapper (dtype checks, a copy, two
 # errstate blocks, a triu) costs more than LAPACK on the small stacks of a walk.
 def _householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

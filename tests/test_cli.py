@@ -94,16 +94,17 @@ class TestRunner:
 
     def test_vp_scan_estimates_each_entropy_once(self, tmp_path, monkeypatch):
         # haar is a candidate, the combo's first component and the dual check's
-        # measure, all at the config's seed
+        # measure, all at the config's seed; every Bowen-ball estimate, a mixed
+        # sampler's components included, goes through measures._bowen_ball_entropy
         estimated = []
-        estimate = measures.bowen_ball_entropy
+        estimate = measures._bowen_ball_entropy
 
         def counted(cocycle, sampler, *args, **kwargs):
             estimated.append(sampler.label)
             return estimate(cocycle, sampler, *args, **kwargs)
 
-        monkeypatch.setattr(measures, "bowen_ball_entropy", counted)
-        monkeypatch.setattr(equilibria, "bowen_ball_entropy", counted)
+        monkeypatch.setattr(measures, "_bowen_ball_entropy", counted)
+        monkeypatch.setattr(equilibria, "_bowen_ball_entropy", counted)
         code = main(["--config", str(CONFIG_DIR / "cat_vp_scan.cfg"), "--out", str(tmp_path)])
         assert code == 0
         assert estimated.count("haar") == 1
