@@ -75,8 +75,6 @@ _SLOPE_EXPERIMENTS = ("pressure", "entropy", "gibbs", "vp-scan", "property-suite
 
 ENV_PREFIX = "UTHERMO_"
 
-_WORKERS_DEPRECATED = "warning: {} is deprecated and ignored; runs are sequential"
-
 
 class ConfigError(ValueError):
     """Bad or unknown experiment configuration."""
@@ -152,15 +150,13 @@ def _words(text: str) -> tuple[str, ...]:
     return tuple(text.split())
 
 
-# every config key and the parser of its value; None marks the deprecated,
-# ignored 'workers'
+# every config key and the parser of its value
 _PARSERS = {
     "system": str,
     "experiment": str,
     "seed": int,
     "samples": int,
     "out": str,
-    "workers": None,
     "delta": float,
     "n_grid": _parse_int_grid,
     "eps_grid": lambda text: tuple(float(t) for t in text.split()),
@@ -189,9 +185,6 @@ def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
-        if _PARSERS[key] is None:
-            print(_WORKERS_DEPRECATED.format(f"config key {key!r}"), file=sys.stderr)
-            continue
         try:
             setattr(cfg, key, _PARSERS[key](val))
         except ValueError:
@@ -430,8 +423,10 @@ def _run_gibbs(cfg, cocycle, system):
 
 
 def _run_vp_scan(cfg, cocycle, system):
-    # one family pass packs the scanned potential and the dual check's family,
-    # and the dual check reads measures[0]'s entropy from the scan
+    # one family pass packs the scanned potential and the dual check's family;
+    # the dual check reads from the scan measures[0]'s entropy and its integral
+    # of the scanned potential (at_phi lies past the dual family when the
+    # scanned potential is not in it, and is then never read)
     pots = cfg.potentials or (cfg.potential,)
     specs = pots if cfg.potential in pots else pots + (cfg.potential,)
     resolved = [_resolve_potential(p, cocycle, system, cfg.seed) for p in specs]
@@ -464,6 +459,7 @@ def _run_vp_scan(cfg, cocycle, system):
         birkhoff_samples=cfg.birkhoff_samples,
         pressures=pressures[: len(pots)],
         entropy=report.candidates[0].h_estimate,
+        integrals={at_phi: report.candidates[0].integral_estimate},
     )
     header, rows = report.csv_rows()
     summary = dict(report.to_json_dict(), experiment="vp-scan", dual_gap=dual_gap)
@@ -574,11 +570,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="deprecated and ignored; execution is sequential")
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        print(_WORKERS_DEPRECATED.format("--workers"), file=sys.stderr)
 
     config_path = Path(args.config)
     experiment = args.experiment or os.environ.get(ENV_PREFIX + "EXPERIMENT")

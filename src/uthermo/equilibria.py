@@ -343,6 +343,7 @@ def dual_vp_check(
     birkhoff_samples: int = 64,
     pressures: list[PressureEstimate] | None = None,
     entropy: float | None = None,
+    integrals: dict[int, float] | None = None,
 ) -> float:
     """Min over the family of (pressure - integral) minus the measure's entropy.
 
@@ -350,7 +351,10 @@ def dual_vp_check(
     contains a potential for which the measure is an equilibrium.
     pressures, if given, are the family's estimates on the same grid and
     seed, already made; entropy, if given, is the measure's Bowen-ball
-    entropy on the same grid, seed and entropy_samples, already made.
+    entropy on the same grid, seed and entropy_samples, already made;
+    integrals, if given, maps family positions to the measure's Birkhoff
+    integral of that potential at the same birkhoff_n, birkhoff_samples and
+    seed, already made.
     """
     if len(potential_family) < 1:
         raise ValueError("need a nonempty potential family")
@@ -361,11 +365,15 @@ def dual_vp_check(
     if pressures is None:
         pressures = pressure_estimates(cocycle, system, potential_family, grid, seed,
                                        keep_cells=False)
+    integrals = integrals or {}
     best = math.inf
-    for phi, pressure in zip(potential_family, pressures):
-        integral, _ = birkhoff_integral(
-            cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
-        )
+    for k, (phi, pressure) in enumerate(zip(potential_family, pressures)):
+        if k in integrals:
+            integral = integrals[k]
+        else:
+            integral, _ = birkhoff_integral(
+                cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
+            )
         best = min(best, pressure.value - integral - entropy)
     return float(best)
 

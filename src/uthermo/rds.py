@@ -173,9 +173,15 @@ def sample_path(system: DrivingSystem, half_window: int, seed: int) -> SymbolPat
 
 
 def reduce_mod1(values: np.ndarray) -> np.ndarray:
-    """Reduce coordinates into [0, 1), sending 1.0 - eps rounding to 0.0."""
-    out = values - np.floor(values)
-    return np.where(out >= 1.0, 0.0, out)
+    """Reduce coordinates into [0, 1), sending 1.0 - eps rounding to 0.0.
+
+    values - floor(values), reduced in one new float array (of values' dtype
+    when that is floating); the input is not changed.
+    """
+    out = np.floor(values, dtype=np.result_type(values, 0.0))
+    np.subtract(values, out, out=out)
+    out[out >= 1.0] = 0.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,9 @@ class Potential:
     admit closed-form orbit sums; x-dependent ones carry a vectorized
     evaluator.  l1_bound bounds the per-fiber sup of |phi|; lipschitz is a
     modulus for |phi(w,x)-phi(w,y)| <= lipschitz * d(x,y).  A weighted sum
-    from combine_potentials records its (weight, Potential) terms.
+    from combine_potentials records its (weight, Potential) terms; a coboundary
+    from theta_coboundary records its (cocycle, sigma), so an orbit walk over
+    that cocycle reads it off sigma's values along the walk.
     """
 
     kind: str
@@ -98,6 +100,7 @@ class Potential:
     symbol_fn: Callable[[int], float] | None = None
     vector_fn: Callable[[SymbolPath, np.ndarray], np.ndarray] | None = None
     terms: tuple[tuple[float, Potential], ...] = ()
+    coboundary: tuple[Cocycle, Potential] | None = None
 
     @property
     def x_independent(self) -> bool:
@@ -228,6 +231,7 @@ def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = Non
         l1_bound=2.0 * sigma.l1_bound,
         lipschitz=sigma.lipschitz * (1.0 + cocycle.lipschitz),
         vector_fn=vec,
+        coboundary=(cocycle, sigma),
     )
 
 
@@ -372,23 +376,47 @@ class SeparatedSetResult:
 def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarray:
     """Orbit sums S_n(phi) over an array of starting points, one row per potential.
 
-    One walk serves every potential: at each step each distinct leaf potential
-    is evaluated once at the current points, and weighted sums are added up
-    from those values in their own term order.
+    One walk serves every potential: each step maps the points once, each
+    distinct leaf potential is evaluated once at the current points, and
+    weighted sums are added up from those values in their own term order.  A
+    coboundary sigma o Theta - sigma over this cocycle is sigma at the next
+    point minus sigma at the current one; sigma's values are carried from step
+    to step, so the walk makes n map calls and n + 1 evaluations of each sigma.
     """
     leaves = {id(leaf): leaf for p in potentials for leaf in _leaves(p)}
+    # each coboundary over this cocycle, by leaf key, and the key of its sigma
+    cobs = {key: id(leaf.coboundary[1]) for key, leaf in leaves.items()
+            if leaf.coboundary is not None and leaf.coboundary[0] is cocycle}
+    sigmas = {cobs[key]: leaves[key].coboundary[1] for key in cobs}
     total = np.zeros((len(potentials), pts.shape[0]))
-    cur = pts
+    cur, at = pts, path
+    sigma_cur = {key: s.values(at, cur) for key, s in sigmas.items()}
     for j in range(n):
-        at = path.shifted(j)
-        values = {key: leaf.values(at, cur) for key, leaf in leaves.items()}
+        nxt = cocycle.map_for(path.symbol(j)).apply(cur)
+        at_next = path.shifted(j + 1)
+        sigma_next = {key: s.values(at_next, nxt) for key, s in sigmas.items()}
+        values = {key: sigma_next[s] - sigma_cur[s] for key, s in cobs.items()}
+        values.update((key, leaf.values(at, cur)) for key, leaf in leaves.items()
+                      if key not in cobs)
         for row, p in zip(total, potentials):
             if _expands(p):
                 row += _sum_terms(p.terms, lambda leaf: values[id(leaf)])
             else:
                 row += values[id(p)]
-        cur = cocycle.map_for(path.symbol(j)).apply(cur)
+        cur, at, sigma_cur = nxt, at_next, sigma_next
     return total
+
+
+def _pick_order(weights: np.ndarray) -> np.ndarray:
+    """Candidate indices by decreasing weight, ties by index: np.argsort(-weights,
+    kind="stable").  Without ties the order is unique, so the default sort gives
+    it; the stable sort runs only when two sorted keys are not strictly apart."""
+    keys = -weights
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.all(ranked[1:] > ranked[:-1]):
+        return order
+    return np.argsort(keys, kind="stable")
 
 
 def _profile_windows(arcs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -528,7 +556,7 @@ def maximal_separated_sets(
         for k, p, w, cw in zip(varying, walked, weights, cover_weights):
             key = w.tobytes()
             if key not in picks:
-                selected = select(np.argsort(-w, kind="stable"))
+                selected = select(_pick_order(w))
                 picks[key] = selected, _logsumexp(w[selected])
             selected, log_sum = picks[key]
             results[k] = SeparatedSetResult(
@@ -558,7 +586,7 @@ def _separated_sets_2d(cocycle, disk, potentials, n, epsilon, max_candidates):
     for p, weights in zip(potentials, _orbit_sums(cocycle, path, potentials, disk.chart(tt), n)):
         chosen: list[int] = []
         chosen_t: list[np.ndarray] = []
-        for idx in np.argsort(-weights, kind="stable"):
+        for idx in _pick_order(weights):
             t = tt[idx]
             ok = True
             for s in chosen_t:

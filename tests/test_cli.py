@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,13 @@ from conftest import CONFIG_DIR
 from uthermo import equilibria, measures, thermo
 from uthermo.cli import emit_report, load_config, main, parse_config_text, ConfigError
 from uthermo.oseledets import lyapunov_spectra
+
+
+def _bundled_manifest() -> dict[str, str]:
+    """Artifact path under the --experiment all output -> sha256, from the pinned
+    manifest (sha256sum format)."""
+    lines = (Path(__file__).parent / "bundled_artifacts.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
 
 
 def _write(tmp_path, name, text):
@@ -111,6 +119,27 @@ class TestRunner:
         summary = json.loads((tmp_path / "vp_scan_13.json").read_text())
         assert [c["measure_id"] for c in summary["candidates"]] == [
             "haar", "atomic:0,0", "combo(0.5*haar+0.5*atomic:0,0)"]
+
+    def test_vp_scan_integrates_each_potential_once(self, tmp_path, monkeypatch):
+        # the scanned potential (zero) is also in the dual family, and the dual
+        # check's measure is the scan's first candidate, haar: the dual check
+        # reads that integral from the scan
+        integrated = []
+        integrate = equilibria.birkhoff_integral
+
+        def counted(cocycle, potential, sampler, *args, **kwargs):
+            integrated.append((potential.label, sampler.label))
+            return integrate(cocycle, potential, sampler, *args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "birkhoff_integral", counted)
+        code = main(["--config", str(CONFIG_DIR / "cat_vp_scan.cfg"), "--out", str(tmp_path)])
+        assert code == 0
+        assert len(integrated) == 7 and len(set(integrated)) == 7
+        assert integrated.count(("zero", "haar")) == 1
+        manifest = _bundled_manifest()
+        for name in ("vp_scan_13.csv", "vp_scan_13.json"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == manifest[f"cat_vp_scan/{name}"], name
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
@@ -244,22 +273,23 @@ class TestRunner:
         assert err.startswith("config error:") and "measures" in err
         assert not (tmp_path / "out").exists()
 
-    def test_workers_flag_accepted(self, tmp_path, capsys):
+    def test_workers_flag_rejected(self, tmp_path, capsys):
         cfg = str(CONFIG_DIR / "cat_entropy.cfg")
-        assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-        assert main(["--config", cfg, "--out", str(tmp_path / "workers"), "--workers", "4"]) == 0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--workers is deprecated" in err
-        for name in ("entropy_1.csv", "entropy_1.json"):
-            assert ((tmp_path / "workers" / name).read_bytes()
-                    == (tmp_path / "plain" / name).read_bytes())
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out", str(tmp_path / "workers"), "--workers", "4"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "workers").exists()
 
-    def test_workers_key_accepted_and_ignored(self, tmp_path, capsys):
-        cfg = parse_config_text("system = cat.system\nexperiment = entropy\nworkers = 4\n",
-                                tmp_path)
-        assert "config key 'workers' is deprecated" in capsys.readouterr().err
-        assert cfg == parse_config_text("system = cat.system\nexperiment = entropy\n", tmp_path)
+    def test_workers_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="unknown config key 'workers'"):
+            parse_config_text("system = cat.system\nexperiment = entropy\nworkers = 4\n",
+                              tmp_path)
+        (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
+        cfg = _write(tmp_path, "w.cfg", "system = cat.system\nexperiment = entropy\nworkers = 4\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestExperimentSurfaces:
@@ -296,6 +326,13 @@ class TestExperimentSurfaces:
                 for ext in ("csv", "json")
             ))
         assert len(set(artifacts)) == len(cfg_files)
+        # every CSV/JSON/JSONL artifact is byte-identical to the pinned manifest
+        digests = {
+            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.rglob("*")
+            if path.suffix in (".csv", ".json", ".jsonl")
+        }
+        assert digests == _bundled_manifest()
 
     def test_certify_artifacts(self, tmp_path):
         code = main([

@@ -24,6 +24,7 @@ from uthermo import (
     skew_step,
     torus_distance,
 )
+from uthermo.rds import reduce_mod1
 
 
 class TestDrivingSystem:
@@ -119,6 +120,70 @@ class TestTorusGeometry:
             assert dxy >= 0.0
             assert torus_distance(x, x) == 0.0
             assert dxy <= torus_distance(x, z) + torus_distance(z, y) + 1e-15
+
+
+def _reduce_mod1_by_where(values):
+    """The two-temporary form of reduce_mod1: values - floor, then np.where."""
+    out = values - np.floor(values)
+    return np.where(out >= 1.0, 0.0, out)
+
+
+class TestReduceMod1:
+    def _cases(self):
+        rng = np.random.default_rng(23)
+        edge = np.array([-1e-20, -1e-300, -0.0, 0.0, -1.0, -2.5, 1.0, 3.0, 0.5,
+                         np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+                         np.nextafter(3.0, -np.inf), -np.nextafter(0.0, 1.0),
+                         -1e-16, -1e-17, 1e300, -1e300, np.inf, -np.inf, np.nan])
+        yield edge
+        yield rng.standard_normal(1000) * 50.0
+        yield -np.abs(rng.standard_normal((40, 3))) * 1e-17  # rounds to 1 - eps
+        yield rng.standard_normal((5, 7, 2)) * 1e6
+        yield np.arange(-6, 7)  # integer input
+        yield np.arange(-6, 6).reshape(3, 4)
+
+    def test_bitwise_equal_the_where_form(self):
+        for values in self._cases():
+            before = values.copy()
+            with np.errstate(invalid="ignore"):  # inf - inf is nan in both forms
+                got = reduce_mod1(values)
+                want = _reduce_mod1_by_where(values)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), values
+            assert np.array_equal(values, before, equal_nan=True)  # the input is kept
+            assert np.all(got[np.isfinite(values)] >= 0.0)
+            assert np.all(got[np.isfinite(values)] < 1.0)
+        assert reduce_mod1(np.array([-1e-20]))[0] == 0.0
+        assert math.copysign(1.0, reduce_mod1(np.array([-0.0]))[0]) == 1.0
+
+    def test_callers_unchanged(self, perturbed_cat_cocycle, trivial_system, monkeypatch):
+        from uthermo import equilibria, geometric_potential, leafgeom, lyapunov_spectrum, rds
+        from uthermo import unstable_disk
+
+        m = perturbed_cat_cocycle.maps[0]
+        path = sample_path(trivial_system, 400, 2)
+        rng = np.random.default_rng(5)
+        lifts = rng.standard_normal((200, 2)) * 3.0
+        lifts[:4] = [[-1e-20, 0.5], [-0.0, -1e-17], [2.0, -3.0], [0.25, 1.0 - 1e-17]]
+        rep = lyapunov_spectrum(perturbed_cat_cocycle, path, TorusPoint((0.3, 0.6)), 200)
+        disk = unstable_disk(perturbed_cat_cocycle,
+                             SkewState(path=path, point=TorusPoint((0.3, 0.6))), 0.1, rep)
+        phiu = geometric_potential(perturbed_cat_cocycle, rep)
+        params = np.linspace(-0.1, 0.1, 33)
+
+        def run():
+            return (m.apply(lifts), m.inverse_apply(lifts),
+                    np.array(TorusPoint(tuple(lifts[0])).coords),
+                    np.array([torus_distance(a, b) for a, b in zip(lifts[:50], lifts[50:100])]),
+                    disk.chart(params), np.array(disk.chart(0.05).coords),
+                    phiu.values(path, lifts[:20]))
+
+        got = run()
+        for module in (rds, leafgeom, equilibria):
+            monkeypatch.setattr(module, "reduce_mod1", _reduce_mod1_by_where)
+        want = run()
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestMapDescriptor:

@@ -659,3 +659,97 @@ class TestKernels:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=path))
         assert out.stdout.strip() == "False"
+
+
+class TestPackingWalk:
+    """The packing walk maps the points once per step, reads each coboundary off it
+    and orders the picks by the stable order without always paying for it."""
+
+    @pytest.mark.parametrize("system_name, cocycle_name", [
+        ("trivial_system", "cat_cocycle"),
+        ("iid_system", "iid_cocycle"),
+        ("trivial_system", "perturbed_cat_cocycle"),
+    ])
+    def test_orbit_sums_map_once_per_step(self, system_name, cocycle_name, request,
+                                          monkeypatch):
+        from uthermo import Cocycle, MapDescriptor
+
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        path = sample_path(system, 200, 4)
+        cos = coordinate_potential(0.4, [1, 0], label="cos")
+        sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin")
+        cob = theta_coboundary(cocycle, sin)
+        family = [
+            cos, cob, zero_potential(),
+            combine_potentials([(1.0, cos), (1.0, cob)]),
+            combine_potentials([(0.5, sin), (-1.0, theta_coboundary(cocycle, cos)),
+                                (1.0, constant_potential(0.2))]),
+        ]
+        # a coboundary over an equal but distinct cocycle is evaluated on its own
+        foreign = theta_coboundary(Cocycle(maps=cocycle.maps), sin)
+        pts = np.random.default_rng(6).random((300, 2))
+        cases = [(n, fam) for n in (1, 5, 12) for fam in (family, [foreign])]
+        want = [[oracles.scalar_orbit_sums(cocycle, path, p, pts, n) for p in fam]
+                for n, fam in cases]
+        calls = []
+        apply = MapDescriptor.apply
+        monkeypatch.setattr(MapDescriptor, "apply",
+                            lambda self, x: calls.append(len(x)) or apply(self, x))
+        for (n, fam), rows in zip(cases, want):
+            calls.clear()
+            got = thermo._orbit_sums(cocycle, path, fam, pts, n)
+            assert calls == [len(pts)] * (n if fam is family else 2 * n)
+            for row, ref, p in zip(got, rows, fam):
+                assert np.array_equal(row, ref), (p.label, n)
+
+    def test_suite_family_packing_bitwise_equal_scalar_oracle(self, cat_cocycle, trivial_system,
+                                                              cat_setup, monkeypatch):
+        from uthermo.leafgeom import leaf_growth_factors
+
+        class Captured(Exception):
+            pass
+
+        def capture(cocycle, system, family, grid, seed, keep_cells=True):
+            raise Captured(family)
+
+        monkeypatch.setattr(thermo, "pressure_estimates", capture)
+        grid = GridSpec(delta=0.05, n_grid=tuple(range(5, 10)), eps_grid=(0.04,),
+                        base_grid=2, omega_samples=1)
+        potentials = [
+            zero_potential(),
+            constant_potential(0.3),
+            coordinate_potential(0.4, [1, 0], label="cosx1"),
+            coordinate_potential(0.4, [1, 0], fn="sin", label="sinx1"),
+            constant_potential(-0.2),
+        ]
+        with pytest.raises(Captured) as caught:
+            pressure_property_suite(cat_cocycle, trivial_system, potentials, grid, seed=21)
+        family = caught.value.args[0]
+        assert any(leaf.coboundary for p in family for leaf in thermo._leaves(p))
+        _, _, disk = cat_setup
+        for n, eps in ((3, 0.04), (5, 0.02), (6, 0.04), (7, 0.08)):
+            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
+                                                    growth=growth)
+            for p, res in zip(family, results):
+                want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth)
+                assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+
+    def test_pick_order_equals_stable_argsort(self):
+        rng = np.random.default_rng(9)
+        cases = [np.array([]), np.array([1.0]), np.array([0.0, -0.0, 0.0, -0.0]),
+                 np.array([-0.0, 1.0, 0.0, 1.0, -0.0, -1.0]), np.array([2.0, np.nan, 2.0])]
+        for size in (2, 17, 1000, 44_000):
+            w = rng.standard_normal(size)
+            cases.append(w)  # no ties: the default sort's order is the one order
+            tied = w.copy()
+            tied[rng.integers(0, size, size // 3 + 1)] = w[0]
+            cases.append(tied)
+            cases.append(np.round(w, 1))
+            signed = w.copy()
+            signed[::3] = 0.0
+            signed[1::3] = -0.0
+            cases.append(signed)
+        for w in cases:
+            assert np.array_equal(thermo._pick_order(w), np.argsort(-w, kind="stable")), w
