@@ -311,20 +311,62 @@ def _logsumexp(a) -> float:
     return float(out) if np.isfinite(out) else float(direct)
 
 
-def _greedy_kernel(order, width: int, n_candidates: int) -> np.ndarray:
-    """Sorted indices of the candidates picked in `order`, each pick blocking the
+def _window_max(a: np.ndarray, k: int) -> np.ndarray:
+    """m[j] = max(a[j : j + k]) for j in range(len(a) - k + 1), by doubling; NaN spreads."""
+    m, span = a, 1
+    while 2 * span <= k:
+        m = np.maximum(m[:-span], m[span:])
+        span *= 2
+    return np.maximum(m[: len(a) - k + 1], m[k - span :])
+
+
+def _chains(seeds: np.ndarray, steps: np.ndarray, stride: int) -> np.ndarray:
+    """The seeds and every i reached from one by steps of `stride` on which
+    `steps` holds, by doubling the step length."""
+    got, reach = seeds.copy(), steps.copy()
+    while stride < len(got) and reach[stride:].any():
+        got[stride:] |= got[:-stride] & reach[stride:]
+        reach[stride:] &= reach[:-stride]
+        stride *= 2
+    return got
+
+
+def _greedy_kernel(weights: np.ndarray, width: int) -> np.ndarray:
+    """Sorted indices of the candidates picked in np.argsort(-weights, kind="stable")
+    order (larger weight first, ties by index, NaN last), each pick blocking the
     candidates within `width` grid steps of it (the linear-exact window).
 
-    A pick marks itself 2 and its window 1; a later pick lies outside every
-    earlier window, so the marks of 2 left at the end are exactly the picks.
+    Array ops decide most picks from two facts.  A candidate that comes before its
+    whole window (weight > its left window's maximum, >= its right one's) is a
+    pick: no candidate that could block it comes first.  If p is a pick and
+    c = p + width + 1 comes before its right window, c is a pick: its left window
+    lies in p's, where no pick can be (mirrored for p - width - 1 and its left
+    window), so picks chain along slopes.  NaN spreads through the window maxima,
+    so no comparison with NaN decides a pick.  Every other candidate is farther
+    than `width` from the decided picks, so whether those come before it or after
+    changes nothing: the stamping loop over the rest alone, in its own order
+    (a pick marks itself 2 and its window 1), leaves 2 at exactly the picks.
     """
+    n = len(weights)
+    rim = np.full(width, -np.inf)
+    near = _window_max(np.concatenate([rim, weights, rim]), width)
+    right = weights >= near[width + 1 :]
+    left = weights > near[:n]
+    peaks = left & right
+    picks = (_chains(peaks, right, width + 1)
+             | _chains(peaks[::-1], left[::-1], width + 1)[::-1])
     span = 2 * width + 1
-    blocked = bytearray(n_candidates + span - 1)  # candidate i sits at i + width
+    rim = np.zeros(width, dtype=bool)
+    covered = _window_max(np.concatenate([rim, picks, rim]), span)
+    blocked = bytearray(n + span - 1)  # candidate i sits at i + width
+    marks = np.frombuffer(blocked, dtype=np.uint8)[width : width + n]
+    marks[covered] = 1
+    marks[picks] = 2
+    rest = np.flatnonzero(~covered)
     block = b"\x01" * width + b"\x02" + b"\x01" * width
-    for idx in order.tolist():
+    for idx in rest[np.argsort(-weights[rest], kind="stable")].tolist():
         if not blocked[idx + width]:
             blocked[idx : idx + span] = block
-    marks = np.frombuffer(blocked, dtype=np.uint8)[width : width + n_candidates]
     return np.flatnonzero(marks == 2)
 
 
@@ -410,7 +452,9 @@ def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarra
 def _pick_order(weights: np.ndarray) -> np.ndarray:
     """Candidate indices by decreasing weight, ties by index: np.argsort(-weights,
     kind="stable").  Without ties the order is unique, so the default sort gives
-    it; the stable sort runs only when two sorted keys are not strictly apart."""
+    it; the stable sort runs only when two sorted keys are not strictly apart.
+    The sheared profile packer and _separated_sets_2d order their picks with it;
+    linear-exact packing orders only its undecided rest, inside _greedy_kernel."""
     keys = -weights
     order = np.argsort(keys)
     ranked = keys[order]
@@ -503,8 +547,8 @@ def maximal_separated_sets(
                 )
             params = -disk.radius + h * np.arange(n_cand)
 
-            def select(order):
-                return _greedy_kernel(order, GRID_FACTOR, n_cand)
+            def select(w):
+                return _greedy_kernel(w, GRID_FACTOR)
 
             cover_step = epsilon / gstar
             n_cover = max(1, math.ceil(length / cover_step))
@@ -529,8 +573,8 @@ def maximal_separated_sets(
             edge = half_hi[cover_idx[-1]] + 1
         pack_count, cover_count, pack_pts = len(pack), len(cover_idx), params[pack]
 
-        def select(order):
-            return _greedy_windows(order, lo, hi, m)
+        def select(w):
+            return _greedy_windows(_pick_order(w), lo, hi, m)
 
         cover_params = params[cover_idx]
 
@@ -556,7 +600,7 @@ def maximal_separated_sets(
         for k, p, w, cw in zip(varying, walked, weights, cover_weights):
             key = w.tobytes()
             if key not in picks:
-                selected = select(_pick_order(w))
+                selected = select(w)
                 picks[key] = selected, _logsumexp(w[selected])
             selected, log_sum = picks[key]
             results[k] = SeparatedSetResult(

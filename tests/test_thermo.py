@@ -612,19 +612,59 @@ class TestOneCodePath:
 
 
 class TestKernels:
+    @staticmethod
+    def window_pass(w, width):
+        """The greedy pass over explicit windows in the stable order of -w."""
+        n = len(w)
+        lo = np.maximum(np.arange(n) - width, 0)
+        hi = np.minimum(np.arange(n) + width, n - 1)
+        return np.sort(oracles.greedy_kernel(np.argsort(-w, kind="stable"), lo, hi, n))
+
     def test_greedy_kernel_matches_window_pass(self):
+        """Slopes and valleys are decided by peaks and chains, ties, signed zeros,
+        NaN and infinities by the rest; every row gives the window pass's picks."""
         rng = np.random.default_rng(4)
-        for n_cand, width in ((1, 8), (5, 8), (300, 1), (2000, 8), (2000, 3)):
+        rows = []
+        for n, width in ((1, 8), (5, 8), (300, 1), (2000, 8), (2000, 3)):
             # coarse weights force ties, which the stable order breaks by index
-            weights = np.round(rng.standard_normal(n_cand), 1)
-            order = np.argsort(-weights, kind="stable")
-            lo = np.maximum(np.arange(n_cand) - width, 0)
-            hi = np.minimum(np.arange(n_cand) + width, n_cand - 1)
-            expected = np.sort(oracles.greedy_kernel(order, lo, hi, n_cand))
-            got = thermo._greedy_kernel(order, width, n_cand)
-            assert np.array_equal(got, expected)
-            windows = thermo._greedy_windows(order, lo, hi, n_cand)
-            assert np.array_equal(windows, expected)
+            w = np.round(rng.standard_normal(n), 1)
+            order = np.argsort(-w, kind="stable")
+            lo = np.maximum(np.arange(n) - width, 0)
+            hi = np.minimum(np.arange(n) + width, n - 1)
+            assert np.array_equal(thermo._greedy_windows(order, lo, hi, n),
+                                  self.window_pass(w, width))
+            rows.append((w, width))
+        for width in range(1, 10):
+            x = np.arange(600)
+            valley = np.cos(0.011 * x) + 0.3 * np.cos(0.05 * x + 1.0)
+            rows += [(x * 0.5, width), (-x * 0.5, width), (valley, width),
+                     (-valley, width), (np.round(valley, 2), width),
+                     (np.where(x % 2 == 0, 0.0, -0.0), width)]
+            for n in (0, 1, width, width + 1):
+                for fill in ([0.0], [0.0, -0.0], [1.0, np.nan], [np.inf, -np.inf, 0.0]):
+                    rows.append((rng.choice(fill, n), width))
+            w = rng.standard_normal(400)
+            w[rng.integers(0, 400, 40)] = np.nan
+            w[rng.integers(0, 400, 20)] = np.inf
+            w[rng.integers(0, 400, 20)] = -np.inf
+            rows.append((w, width))
+        for i in range(3000):
+            width = int(rng.integers(1, 10))
+            n = int(rng.integers(0, 160))
+            x = np.arange(n)
+            w = sum(rng.random() * np.cos(rng.random() * 0.3 * x + 6 * rng.random())
+                    for _ in range(3)) + np.zeros(n)
+            if i % 4 == 1:
+                w = np.round(w, 1)
+            elif i % 4 == 2:
+                w = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+            elif i % 4 == 3 and n:
+                w[rng.integers(0, n, n // 10 + 1)] = rng.choice([np.nan, np.inf, -np.inf])
+            rows.append((w, width))
+        for w, width in rows:
+            got = thermo._greedy_kernel(w, width)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self.window_pass(w, width)), (w, width)
 
     def test_logsumexp_bitwise_equal_scipy(self):
         from scipy.special import logsumexp
@@ -729,6 +769,25 @@ class TestPackingWalk:
         assert any(leaf.coboundary for p in family for leaf in thermo._leaves(p))
         _, _, disk = cat_setup
         for n, eps in ((3, 0.04), (5, 0.02), (6, 0.04), (7, 0.08)):
+            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
+                                                    growth=growth)
+            for p, res in zip(family, results):
+                want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth)
+                assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+
+    def test_linear_packing_needs_no_pick_order(self, cat_cocycle, cat_setup, monkeypatch):
+        from uthermo.leafgeom import leaf_growth_factors
+
+        def refuse(weights):
+            raise AssertionError("linear-exact packing ordered a whole row")
+
+        monkeypatch.setattr(thermo, "_pick_order", refuse)
+        _, _, disk = cat_setup
+        family = [coordinate_potential(0.4, [1, 0], label="cos"),
+                  coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin"),
+                  coordinate_potential(0.4, [1, 0], fn="sin", label="sinx1")]
+        for n, eps in ((3, 0.04), (6, 0.02), (8, 0.08)):
             growth = leaf_growth_factors(cat_cocycle, disk, n)
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
