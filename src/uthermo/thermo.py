@@ -342,10 +342,11 @@ def _greedy_kernel(weights: np.ndarray, width: int) -> np.ndarray:
     c = p + width + 1 comes before its right window, c is a pick: its left window
     lies in p's, where no pick can be (mirrored for p - width - 1 and its left
     window), so picks chain along slopes.  NaN spreads through the window maxima,
-    so no comparison with NaN decides a pick.  Every other candidate is farther
-    than `width` from the decided picks, so whether those come before it or after
-    changes nothing: the stamping loop over the rest alone, in its own order
-    (a pick marks itself 2 and its window 1), leaves 2 at exactly the picks.
+    so no comparison with NaN decides a pick.  The windows of decided picks hold
+    no other pick, and the rest lie farther than `width` from every decided pick,
+    so whether those come before or after them changes nothing: the stamping loop
+    over the rest alone, in its own order (a pick marks itself 2 and its window 1),
+    leaves 2 at exactly the picks.
     """
     n = len(weights)
     rim = np.full(width, -np.inf)
