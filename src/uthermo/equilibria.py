@@ -100,7 +100,7 @@ def geometric_potential(
                               np.repeat(q0[None], len(start), axis=0), steps)
         if shared:
             q = np.repeat(q, len(pts), axis=0)
-        syms = _symbol_windows([path] * len(pts), 0, 1)
+        syms = np.repeat(_symbol_windows([path], 0, 1), len(pts), axis=0)
         w = _jacobians(cocycle, syms, pts)[0] @ q[:, :, :u_dim]
         dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
         return np.array([-0.5 * math.log(abs(float(v))) for v in dets])

@@ -90,7 +90,10 @@ class Potential:
     modulus for |phi(w,x)-phi(w,y)| <= lipschitz * d(x,y).  A weighted sum
     from combine_potentials records its (weight, Potential) terms; a coboundary
     from theta_coboundary records its (cocycle, sigma), so an orbit walk over
-    that cocycle reads it off sigma's values along the walk.
+    that cocycle reads it off sigma's values along the walk.  A wave from
+    coordinate_potential records its (k, phase, fn, amplitude), so a walk
+    evaluates each distinct wave once per point set and its values are
+    amplitude * fn(2 pi k.x + phase) from that shared evaluation.
     """
 
     kind: str
@@ -101,6 +104,7 @@ class Potential:
     vector_fn: Callable[[SymbolPath, np.ndarray], np.ndarray] | None = None
     terms: tuple[tuple[float, Potential], ...] = ()
     coboundary: tuple[Cocycle, Potential] | None = None
+    wave: tuple[tuple[float, ...], float, str, float] | None = None
 
     @property
     def x_independent(self) -> bool:
@@ -152,19 +156,52 @@ def coordinate_potential(
 ) -> Potential:
     """a * cos(2 pi k.x + phase) (or sin), a smooth coordinate observable."""
     k = np.asarray(wavevector, dtype=float)
-    trig = np.cos if fn == "cos" else np.sin
-    amp = float(amplitude)
+    wave = (tuple(k.tolist()), float(phase), "cos" if fn == "cos" else "sin", float(amplitude))
+    groups = _wave_groups([wave])
 
-    def vec(path, pts, k=k, amp=amp, phase=phase, trig=trig):
-        return amp * trig(2.0 * math.pi * (pts @ k) + phase)
+    def vec(path, pts, wave=wave, groups=groups):
+        return wave[3] * _trig_values(pts, groups)[wave[:3]]
 
     return Potential(
         kind="coordinate-observable",
         label=label or f"{fn}:{amplitude:g}@{'_'.join(str(int(v)) for v in k)}",
-        l1_bound=abs(amp),
-        lipschitz=2.0 * math.pi * abs(amp) * float(np.sum(np.abs(k))),
+        l1_bound=abs(wave[3]),
+        lipschitz=2.0 * math.pi * abs(wave[3]) * float(np.sum(np.abs(k))),
         vector_fn=vec,
+        wave=wave,
     )
+
+
+_TRIG = {"cos": np.cos, "sin": np.sin}
+
+
+def _wave_groups(waves) -> dict:
+    """{(k, phase): [fn, ...]} over the distinct (k, phase, fn) of the waves."""
+    groups: dict[tuple, list[str]] = {}
+    for k, phase, fn, _ in waves:
+        fns = groups.setdefault((k, phase), [])
+        if fn not in fns:
+            fns.append(fn)
+    return groups
+
+
+def _wave_phases(pts: np.ndarray, k, phase: float) -> np.ndarray:
+    """2 pi k.x + phase at each row of pts, made in place in one array."""
+    arg = pts @ np.asarray(k)
+    arg *= 2.0 * math.pi
+    arg += phase
+    return arg
+
+
+def _trig_values(pts: np.ndarray, groups) -> dict:
+    """{(k, phase, fn): fn(2 pi k.x + phase) at pts} over _wave_groups' groups: one
+    phase array per (k, phase) and one cos or sin per fn."""
+    out = {}
+    for (k, phase), fns in groups.items():
+        arg = _wave_phases(pts, k, phase)
+        for fn in fns:  # the last one overwrites the phases
+            out[k, phase, fn] = _TRIG[fn](arg, out=arg if fn == fns[-1] else None)
+    return out
 
 
 def combine_potentials(terms, label: str | None = None) -> Potential:
@@ -202,20 +239,39 @@ def _leaves(potential: Potential) -> list[Potential]:
     return [leaf for _, p in potential.terms for leaf in _leaves(p)]
 
 
-def _sum_terms(terms, value) -> np.ndarray:
+def _sum_terms(terms, value, buffers=None, depth: int = 1) -> np.ndarray:
     """The sum of w * value(p) over the (w, p) terms, added in order onto zeros.
 
     value(leaf) gives a leaf's values; terms that expand are summed from their
     own terms first.  This is the one evaluator of x-dependent sums, so values
     shared between sums give results bitwise equal to evaluating each alone.
+    The first term is added as w * v + 0.0 (addition commutes, signed zeros
+    included), and a weight of 1.0 adds v itself, whose product it is bit for
+    bit.  The sum at each nesting depth goes into buffers[depth] and the
+    products into buffers[0]; a caller that passes one buffer dict to several
+    calls reuses them, and each result is overwritten by the next call.
     """
+    if buffers is None:
+        buffers = {}
     out = None
     for w, p in terms:
-        v = _sum_terms(p.terms, value) if _expands(p) else value(p)
+        v = _sum_terms(p.terms, value, buffers, depth + 1) if _expands(p) else value(p)
         if out is None:
-            out = np.zeros(v.shape)
-        out += w * v
+            out = _buffer(buffers, depth, v.shape)
+            np.add(v if w == 1.0 else np.multiply(w, v, out=out), 0.0, out=out)
+        elif w == 1.0:
+            out += v
+        else:
+            out += np.multiply(w, v, out=_buffer(buffers, 0, v.shape))
     return out
+
+
+def _buffer(buffers: dict, key, shape) -> np.ndarray:
+    """buffers[key], made on first use."""
+    buf = buffers.get(key)
+    if buf is None:
+        buf = buffers[key] = np.empty(shape)
+    return buf
 
 
 def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = None) -> Potential:
@@ -423,31 +479,61 @@ def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarra
     distinct leaf potential is evaluated once at the current points, and
     weighted sums are added up from those values in their own term order.  A
     coboundary sigma o Theta - sigma over this cocycle is sigma at the next
-    point minus sigma at the current one; sigma's values are carried from step
-    to step, so the walk makes n map calls and n + 1 evaluations of each sigma.
+    point minus sigma at the current one, so the walk makes n map calls.  A
+    wave leaf is amplitude * trig, from cos/sin made once per distinct
+    (k, phase, fn) and point set (_trig_values); the point set a step maps to
+    is evaluated in that step, for the sigmas, and its trig arrays carry into
+    the next step.  A sigma that is not a wave carries its values instead, so
+    it is evaluated n + 1 times.
     """
     leaves = {id(leaf): leaf for p in potentials for leaf in _leaves(p)}
     # each coboundary over this cocycle, by leaf key, and the key of its sigma
     cobs = {key: id(leaf.coboundary[1]) for key, leaf in leaves.items()
             if leaf.coboundary is not None and leaf.coboundary[0] is cocycle}
     sigmas = {cobs[key]: leaves[key].coboundary[1] for key in cobs}
+    plain = {key: leaf for key, leaf in leaves.items() if key not in cobs}
+    every = _wave_groups(leaf.wave for leaf in (*plain.values(), *sigmas.values()) if leaf.wave)
+    last = _wave_groups(s.wave for s in sigmas.values() if s.wave)
+
+    def point_set(at, pts, groups):
+        """What the walk keeps of a point set: the trig arrays of the groups' waves,
+        keyed (k, phase, fn), and each non-wave sigma's values, keyed by id."""
+        known = _trig_values(pts, groups)
+        known.update((key, s.values(at, pts)) for key, s in sigmas.items() if not s.wave)
+        return known
+
+    def evaluate(found, at, pts, known):
+        """The values of the found leaves at a point set, by key."""
+        return {key: leaf.wave[3] * known[leaf.wave[:3]] if leaf.wave
+                else known[key] if key in known else leaf.values(at, pts)
+                for key, leaf in found.items()}
+
     total = np.zeros((len(potentials), pts.shape[0]))
     cur, at = pts, path
-    sigma_cur = {key: s.values(at, cur) for key, s in sigmas.items()}
+    known = point_set(at, cur, every)
     for j in range(n):
-        nxt = cocycle.map_for(path.symbol(j)).apply(cur)
-        at_next = path.shifted(j + 1)
-        sigma_next = {key: s.values(at_next, nxt) for key, s in sigmas.items()}
-        values = {key: sigma_next[s] - sigma_cur[s] for key, s in cobs.items()}
-        values.update((key, leaf.values(at, cur)) for key, leaf in leaves.items()
-                      if key not in cobs)
-        for row, p in zip(total, potentials):
-            if _expands(p):
-                row += _sum_terms(p.terms, lambda leaf: values[id(leaf)])
-            else:
-                row += values[id(p)]
-        cur, at, sigma_cur = nxt, at_next, sigma_next
+        values = evaluate(plain, at, cur, known)
+        before = evaluate(sigmas, at, cur, known)
+        del known  # point set j's arrays go before point set j + 1's are made
+        cur, at = cocycle.map_for(path.symbol(j)).apply(cur), path.shifted(j + 1)
+        known = point_set(at, cur, every if j + 1 < n else last)
+        after = evaluate(sigmas, at, cur, known)
+        values.update((key, after[s] - before[s]) for key, s in cobs.items())
+        del before, after
+        _add_values(total, potentials, values)
     return total
+
+
+def _add_values(total: np.ndarray, potentials, values) -> None:
+    """Add each potential's values at one point set to its row of total, from its
+    leaves' values by id; the weighted sums share one set of buffers (_sum_terms),
+    which goes when the step's rows are done."""
+    buffers: dict = {}
+    for row, p in zip(total, potentials):
+        if _expands(p):
+            row += _sum_terms(p.terms, lambda leaf: values[id(leaf)], buffers)
+        else:
+            row += values[id(p)]
 
 
 def _pick_order(weights: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import CONFIG_DIR
 from uthermo import (
     GridSpec,
     TorusPoint,
@@ -31,6 +32,7 @@ from uthermo import (
     partition_entropy_rate,
     periodic_atomic_sampler,
     pressure_estimate,
+    pressure_estimates,
     pressure_property_suite,
     smb_trace,
     entropy_estimator_gap,
@@ -38,6 +40,7 @@ from uthermo import (
     zero_potential,
 )
 from uthermo.measures import information_identity_battery
+from uthermo.rds import load_system
 from uthermo.equilibria import _report_for
 
 H_CAT = oracles.CAT_LOG          # 0.9624236501...
@@ -300,4 +303,32 @@ def test_criterion_11_estimator_robustness(cat_cocycle, trivial_system, cat_entr
         ok,
         f"radius-halving shift {d_shift:.2e}, scale-halving shift {e_shift:.2e}, "
         f"brackets valid: {brackets}",
+    )
+
+
+# exact pressures from the transfer operator of the potential (oracles)
+TRIG_GRID = GridSpec(delta=0.05, n_grid=tuple(range(5, 10)), eps_grid=(0.04,), base_grid=2,
+                     omega_samples=1)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_criterion_12_trig_pressure_matches_transfer_operator(seed):
+    # bound and seeds from a sweep over seeds 1-20: worst error 2.1e-3, smallest CI 0.0102
+    system, cocycle = load_system(CONFIG_DIR / "cat.system")
+    specs = [(fn, a, k) for fn in ("cos", "sin") for a in (0.2, 0.4, 0.8)
+             for k in ((1, 0), (1, 1))]
+    family = [coordinate_potential(a, k, fn=fn, label=f"{fn}:{a:g}:{k[0]},{k[1]}")
+              for fn, a, k in specs]
+    exact = [oracles.transfer_operator_pressure(cocycle.maps[0].matrix, a, k, fn=fn)
+             for fn, a, k in specs]
+    estimates = pressure_estimates(cocycle, system, family, TRIG_GRID, seed=seed)
+    errors = [abs(e.value - x) for e, x in zip(estimates, exact)]
+    missed = [e.potential_label for e, err in zip(estimates, errors) if err > e.slope_ci]
+    worst = max(errors)
+    _criterion(
+        "12 trigonometric pressure against the transfer operator",
+        not missed and worst <= 5e-3,
+        f"seed {seed}: worst error {worst:.2e} "
+        f"({estimates[errors.index(worst)].potential_label}), "
+        f"smallest CI {min(e.slope_ci for e in estimates):.4f}, outside CI: {missed or 'none'}",
     )

@@ -69,6 +69,29 @@ class TestGeometricPotential:
         vals = phiu.values(path, np.random.default_rng(0).random((16, 2)))
         assert np.all(np.abs(vals + oracles.CAT_LOG) < 0.2)
 
+    def test_non_commuting_values_equal_per_row_form(self, iid_system, monkeypatch):
+        # A and B share no invariant splitting, so phi^u keeps its evaluator; the
+        # one-symbol window is built once and broadcast over the rows
+        from uthermo import equilibria
+
+        ab = Cocycle(maps=(MapDescriptor(matrix=np.array([[2, 1], [1, 1]])),
+                           MapDescriptor(matrix=np.array([[1, 1], [1, 2]]))))
+        phiu = geometric_potential(ab, _report_for(ab, iid_system, 5))
+        assert not phiu.x_independent
+        windows = equilibria._symbol_windows
+        seen = []
+        monkeypatch.setattr(equilibria, "_symbol_windows",
+                            lambda paths, *a: seen.append(len(paths)) or windows(paths, *a))
+        pts = np.random.default_rng(3).random((257, 2))
+        for seed in (1, 2, 3):
+            path = sample_path(iid_system, 400, seed)
+            for rows in (pts[:1], pts):
+                seen.clear()
+                got = phiu.values(path, rows)
+                want = oracles.per_row_geometric_values(ab, path, rows, u_dim=1)
+                assert got.tobytes() == want.tobytes()
+                assert seen == [1]
+
 
 class TestCohomology:
     def test_identity_transform(self, cat_cocycle, trivial_system):

@@ -812,3 +812,158 @@ class TestPackingWalk:
             cases.append(signed)
         for w in cases:
             assert np.array_equal(thermo._pick_order(w), np.argsort(-w, kind="stable")), w
+
+    @staticmethod
+    def _wave_family(cocycle):
+        """Waves that share k with another phase, fn or amplitude, negative and zero
+        amplitudes, 0.0 and -0.0 weights, a wave that is both a plain leaf and a
+        coboundary's sigma, and a non-wave sigma whose evaluations are counted."""
+        cos = coordinate_potential(0.4, [1, 0], label="cos")
+        sin = coordinate_potential(0.4, [1, 0], fn="sin", label="sin")
+        cos_neg = coordinate_potential(-0.7, [1, 0], label="cos-neg")
+        cos_phase = coordinate_potential(0.3, [1, 0], phase=0.5, label="cos-phase")
+        sin_phase = coordinate_potential(-0.2, [1, 0], phase=0.5, fn="sin", label="sin-phase")
+        flat = coordinate_potential(0.0, [1, 1], fn="sin", label="flat")
+        sin_11 = coordinate_potential(1.1, [1, 1], fn="sin", label="sin11")
+        calls = []
+
+        def poly(path, pts):
+            calls.append(len(pts))
+            return pts[:, 0] * (pts[:, 1] - 0.5)
+
+        bumpy = thermo.Potential(kind="custom", label="bumpy", l1_bound=0.5, lipschitz=2.0,
+                                 vector_fn=poly)
+        family = [
+            cos, sin, cos_neg, flat,
+            combine_potentials([(0.0, cos_neg), (1.0, sin_phase)], label="zero-weight"),
+            combine_potentials([(-0.0, sin), (0.0, flat), (2.5, cos_phase)], label="signed"),
+            combine_potentials([(1.0, cos), (1.0, theta_coboundary(cocycle, cos))],
+                               label="cos+cobdry(cos)"),
+            combine_potentials([(0.5, sin_11), (-1.0, theta_coboundary(cocycle, sin_phase)),
+                                (1.0, constant_potential(0.2))], label="nested-cob"),
+            combine_potentials([(1.0, combine_potentials([(0.25, cos), (0.75, sin)])),
+                                (-0.5, sin_phase), (1.0, cos_neg)], label="nested"),
+            theta_coboundary(cocycle, bumpy),
+        ]
+        return family, calls
+
+    @pytest.mark.parametrize("system_name, cocycle_name", [
+        ("trivial_system", "cat_cocycle"),
+        ("iid_system", "iid_cocycle"),
+        ("trivial_system", "perturbed_cat_cocycle"),
+    ])
+    def test_one_trig_per_wave_per_point_set(self, system_name, cocycle_name, request,
+                                            monkeypatch):
+        from collections import Counter
+
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        path = sample_path(system, 200, 5)
+        family, calls = self._wave_family(cocycle)
+        pts = np.random.default_rng(8).random((400, 2))
+        pts[:7] = 0.0  # sin(0) = 0, so negative amplitudes and weights make -0.0
+        want = {n: [oracles.scalar_orbit_sums(cocycle, path, p, pts, n) for p in family]
+                for n in (1, 4, 9)}
+        phases, trigs = Counter(), Counter()
+        wave_phases = thermo._wave_phases
+        last = []
+
+        def spy_phases(x, k, phase, **kwargs):
+            phases[k, phase] += 1
+            last[:] = [(k, phase)]
+            return wave_phases(x, k, phase, **kwargs)
+
+        def spy_trig(fn):
+            real = thermo._TRIG[fn]
+
+            def trig(arg, **kwargs):
+                trigs[(*last[0], fn)] += 1
+                return real(arg, **kwargs)
+            return trig
+
+        monkeypatch.setattr(thermo, "_wave_phases", spy_phases)
+        monkeypatch.setattr(thermo, "_TRIG", {fn: spy_trig(fn) for fn in ("cos", "sin")})
+        leaves = [leaf for p in family for leaf in thermo._leaves(p)]
+        sigmas = [leaf.coboundary[1] for leaf in leaves if leaf.coboundary]
+        plain = [leaf for leaf in leaves if not leaf.coboundary]
+        waves = {leaf.wave[:3] for leaf in plain + sigmas if leaf.wave}
+        sigma_waves = {s.wave[:3] for s in sigmas if s.wave}
+        for n, rows in want.items():
+            phases.clear()
+            trigs.clear()
+            calls.clear()
+            got = thermo._orbit_sums(cocycle, path, family, pts, n)
+            assert trigs == {w: n + (w in sigma_waves) for w in waves}
+            assert phases == {w[:2]: n + any(s[:2] == w[:2] for s in sigma_waves)
+                              for w in waves}
+            assert calls == [len(pts)] * (n + 1)  # the non-wave sigma
+            for row, ref, p in zip(got, rows, family):
+                assert row.tobytes() == ref.tobytes(), (p.label, n)
+
+    def test_weighted_sum_values_keep_signed_zeros(self, cat_cocycle, cat_setup):
+        path, _, _ = cat_setup
+        family, _ = self._wave_family(cat_cocycle)
+        pts = np.random.default_rng(2).random((300, 2))
+        pts[:9] = 0.0
+        neg = coordinate_potential(-0.5, [1, 0], fn="sin", label="neg")
+        extra = [
+            combine_potentials([(1.0, neg)], label="one"),
+            combine_potentials([(0.0, neg)], label="zero-times-neg"),
+            combine_potentials([(-0.0, coordinate_potential(0.5, [1, 0], fn="sin"))]),
+            combine_potentials([(1.0, combine_potentials([(1.0, neg), (0.0, neg)])),
+                                (0.0, neg)], label="nested-zeros"),
+        ]
+        products = np.multiply(0.0, neg.values(path, pts))
+        assert np.signbit(products).any()  # the terms do carry -0.0
+        for p in [q for q in family if thermo._expands(q)] + extra:
+            got = p.values(path, pts)
+            assert got.tobytes() == oracles.scalar_values(p, path, pts).tobytes(), p.label
+
+    def test_wave_values_bitwise_equal_closed_form(self, cat_setup):
+        # the shared phase array is made in place; it must give the bits of
+        # a * trig(2 pi (x @ k) + phase) made the plain way
+        path, _, _ = cat_setup
+        pts = np.random.default_rng(4).random((1000, 2)) * 3.0 - 1.0
+        pts[:5] = 0.0
+        for amp, k, phase, fn in [(0.4, (1, 0), 0.0, "cos"), (-0.7, (1, 1), 0.5, "sin"),
+                                  (1.1, (2, -1), -1.25, "cos"), (0.0, (0, 3), 2.0, "sin")]:
+            trig = np.cos if fn == "cos" else np.sin
+            want = amp * trig(2.0 * math.pi * (pts @ np.asarray(k, dtype=float)) + phase)
+            got = coordinate_potential(amp, k, phase=phase, fn=fn).values(path, pts)
+            assert got.tobytes() == want.tobytes(), (amp, k, phase, fn)
+
+
+class TestTrigPressureOracle:
+    """The exact pressure of a * cos(2 pi k.x + theta) on the cat map, from the
+    Fourier matrix of its transfer operator (oracles.transfer_operator_pressure)."""
+
+    @pytest.mark.parametrize("fn, a, exact", [
+        ("cos", 0.4, 1.002167), ("sin", 0.4, 1.002003), ("sin", 0.8, 1.115224),
+    ])
+    def test_reproduces_table(self, fn, a, exact):
+        got = oracles.transfer_operator_pressure(oracles.CAT_MATRIX, a, (1, 0), fn=fn)
+        assert abs(got - exact) < 5e-7
+
+    @pytest.mark.parametrize("fn, a, k", [
+        ("cos", 0.2, (1, 0)), ("sin", 0.4, (1, 1)), ("cos", 0.8, (1, 1)), ("sin", 1.2, (2, 1)),
+    ])
+    def test_truncation_converged(self, fn, a, k):
+        p6 = oracles.transfer_operator_pressure(oracles.CAT_MATRIX, a, k, fn=fn, radius=6)
+        p8 = oracles.transfer_operator_pressure(oracles.CAT_MATRIX, a, k, fn=fn, radius=8)
+        assert abs(p6 - p8) < 1e-6
+
+    def test_second_order_law(self):
+        # P = log lambda + a^2 / 4 + O(a^4): every Haar correlation of cos(2 pi k.x) vanishes
+        a = 0.2
+        got = oracles.transfer_operator_pressure(oracles.CAT_MATRIX, a, (1, 0))
+        assert abs(got - (oracles.CAT_LOG + a * a / 4.0)) < 1e-4
+        assert oracles.transfer_operator_pressure(oracles.CAT_MATRIX, 0.0, (1, 0)) == \
+            pytest.approx(oracles.CAT_LOG, abs=1e-12)
+
+    def test_bessel_series(self):
+        # I_0(a) = (1/pi) int_0^pi exp(a cos t) dt, by a fine midpoint rule
+        t = (np.arange(20_000) + 0.5) * math.pi / 20_000
+        for a in (0.2, 0.8, 1.2):
+            assert oracles.bessel_i(0, a) == pytest.approx(np.mean(np.exp(a * np.cos(t))),
+                                                           rel=1e-9)
+            assert oracles.bessel_i(-3, a) == oracles.bessel_i(3, a)
