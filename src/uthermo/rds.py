@@ -184,6 +184,14 @@ def reduce_mod1(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reduce_mod1_inplace(values: np.ndarray) -> np.ndarray:
+    """reduce_mod1 into values itself (a float array the caller owns): the same bits."""
+    floor = np.floor(values)
+    values -= floor
+    values[values >= 1.0] = 0.0
+    return values
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     """A point on the d-torus with coordinates reduced into [0, 1)."""
@@ -360,10 +368,15 @@ class MapDescriptor:
         for s in self.shears:
             out = s.apply(out)
         out = out @ self._matrix_t
-        return out + self._shift
+        # the translation one column at a time, in place: the bits of out + shift
+        # (zero entries included, so signed zeros go as they would) without a
+        # broadcast that loops once per row
+        for k in range(self.dim):
+            out[..., k] += self._shift[k]
+        return out
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        return reduce_mod1(self.apply_lift(pts))
+        return _reduce_mod1_inplace(self.apply_lift(pts))
 
     def inverse_apply_lift(self, pts: np.ndarray) -> np.ndarray:
         shifted = np.asarray(pts, dtype=float) - self._shift

@@ -66,7 +66,8 @@ CI_FLOOR = 0.01
 
 # The linear-exact packing grid has step epsilon / (GRID_FACTOR * leaf growth),
 # so a pick blocks GRID_FACTOR candidates on each side; sheared arcs must be
-# finer than epsilon / (2 * GRID_FACTOR).
+# finer than epsilon / (2 * GRID_FACTOR).  A power of two, so the spanning
+# cover's centres are candidates bit for bit and share their orbit walk.
 GRID_FACTOR = 8
 
 # Forward steps behind each pressure sample's expanding frame.
@@ -355,7 +356,6 @@ def _logsumexp(a) -> float:
     if a.size == 0:
         return -math.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a)))
         a_max = np.max(a)
         at_max = a == a_max
         m = np.sum(at_max, dtype=float)
@@ -363,8 +363,10 @@ def _logsumexp(a) -> float:
         if s != 0:
             s = s / m
         out = np.log1p(s) + np.log(m) + a_max
-    # infinite or NaN results come from the direct formula, as in scipy
-    return float(out) if np.isfinite(out) else float(direct)
+        if np.isfinite(out):
+            return float(out)
+        # infinite or NaN results come from the direct formula, as in scipy
+        return float(np.log(np.sum(np.exp(a))))
 
 
 def _window_max(a: np.ndarray, k: int) -> np.ndarray:
@@ -600,8 +602,10 @@ def maximal_separated_sets(
     left-to-right lattice (identical outcome, no enumeration).  The upper
     bound comes from an (n, epsilon/2) spanning set plus the orbit-sum
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
-    grid, the chart and one orbit walk over the candidates and one over the
-    cover; the selection runs once per distinct row of orbit sums.
+    grid, the chart and one orbit walk over the candidates, whose sums at the
+    cover points (candidates themselves, but for a clipped last cover point,
+    which joins the walk) give the upper bound; the selection runs once per
+    distinct row of orbit sums.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -641,6 +645,15 @@ def maximal_separated_sets(
             n_cover = max(1, math.ceil(length / cover_step))
             cover_params = -disk.radius + cover_step * (np.arange(n_cover) + 0.5)
             cover_params = np.clip(cover_params, -disk.radius, disk.radius)
+            # GRID_FACTOR is a power of two, so h is cover_step / GRID_FACTOR exactly
+            # and cover point j is candidate GRID_FACTOR * j + GRID_FACTOR // 2; a
+            # cover point where that does not hold (the clipped last one) is
+            # appended to the candidates' walk
+            cover_idx = GRID_FACTOR * np.arange(n_cover) + GRID_FACTOR // 2
+            on_grid = cover_idx < n_cand
+            on_grid[on_grid] = params[cover_idx[on_grid]] == cover_params[on_grid]
+            extra = cover_params[~on_grid]
+            cover_idx[~on_grid] = n_cand + np.arange(len(extra))
     else:
         params = disk.params
         m = len(params)
@@ -663,7 +676,7 @@ def maximal_separated_sets(
         def select(w):
             return _greedy_windows(_pick_order(w), lo, hi, m)
 
-        cover_params = params[cover_idx]
+        extra = params[:0]  # every cover point is a candidate
 
     results: list[SeparatedSetResult | None] = [None] * len(potentials)
     for k, p in enumerate(potentials):
@@ -681,8 +694,9 @@ def maximal_separated_sets(
             )
     if varying:
         walked = [potentials[k] for k in varying]
-        weights = _orbit_sums(cocycle, path, walked, disk.chart(params), n)
-        cover_weights = _orbit_sums(cocycle, path, walked, disk.chart(cover_params), n)
+        # one walk: the cover's orbit sums are read off the candidates' (and extra's)
+        sums = _orbit_sums(cocycle, path, walked, disk.chart(np.concatenate([params, extra])), n)
+        weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
         picks = {}  # bitwise-equal rows of orbit sums share one selection
         for k, p, w, cw in zip(varying, walked, weights, cover_weights):
             key = w.tobytes()

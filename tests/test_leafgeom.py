@@ -75,6 +75,32 @@ class TestDiskConstruction:
         diff = np.max(np.abs(graph.chart_lift(ts) - linear.chart_lift(ts)))
         assert diff < 1e-9
 
+    def test_linear_chart_lift_bitwise_equal_broadcast_form(
+        self, cat_disk, t3_cocycle, t3_system, plane_leaf_cocycle, trivial_system
+    ):
+        rng = np.random.default_rng(12)
+        disks = [cat_disk]  # based at the origin, so -0.0 + 0.0 is met
+        for cocycle, system in ((t3_cocycle, t3_system), (plane_leaf_cocycle, trivial_system)):
+            path = sample_path(system, 400, 3)
+            x = TorusPoint((0.3, 0.6, 0.2))
+            rep = lyapunov_spectrum(cocycle, path, x, 300)
+            disks.append(unstable_disk(cocycle, SkewState(path=path, point=x), 0.1, rep))
+        assert [d.leaf_dim for d in disks] == [1, 1, 2]
+        for disk in disks:
+            assert disk.construction == "linear-exact"
+            ts = rng.uniform(-0.1, 0.1, (50, disk.leaf_dim))
+            ts[:10] = 0.0
+            ts[5:15] *= -1.0  # rows 5-9 are all -0.0
+            cases = [ts, ts[5], ts[0]] if disk.leaf_dim == 2 else [ts[:, 0], ts[7, 0], ts[12, 0]]
+            for t in cases:
+                t_col = np.asarray(t, dtype=float)
+                if disk.leaf_dim == 1:
+                    t_col = t_col.reshape(-1, 1)
+                want = disk.base_lift + t_col @ disk.frame.T
+                got = disk.chart_lift(t)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_chart_injectivity_on_grid(self, cat_disk):
         ts = np.linspace(-0.1, 0.1, 201)
         pts = cat_disk.chart_lift(ts)

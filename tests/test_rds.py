@@ -186,7 +186,49 @@ class TestReduceMod1:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _broadcast_apply_lift(m, pts):
+    """apply_lift with the translation added as one (N, d) + (d,) broadcast."""
+    out = np.asarray(pts, dtype=float)
+    for s in m.shears:
+        out = s.apply(out)
+    return out @ m._matrix_t + np.asarray(m.translation)
+
+
+def _signed_zero_points(dim):
+    rng = np.random.default_rng(31)
+    pts = rng.standard_normal((300, dim)) * 3.0
+    pts[:40] = 0.0
+    pts[20:60] *= -1.0  # rows 20-39 are all -0.0
+    pts[60:80, 0] = -0.0
+    return pts
+
+
 class TestMapDescriptor:
+    def _maps(self, cat_cocycle, t3_cocycle, perturbed_cat_cocycle):
+        yield from cat_cocycle.maps
+        yield from t3_cocycle.maps  # nonzero translation
+        yield from perturbed_cat_cocycle.maps  # sheared
+        yield MapDescriptor(matrix=np.array([[2, 1], [1, 1]]), translation=(-0.0, 0.375))
+        yield MapDescriptor(matrix=np.array([[5, 3], [3, 2]]), translation=(0.25, -0.0),
+                            shears=(ShearTerm(amplitude=0.2, wavevector=(1, 1)),))
+
+    def test_apply_bitwise_equal_broadcast_forms(self, cat_cocycle, t3_cocycle,
+                                                 perturbed_cat_cocycle):
+        for m in self._maps(cat_cocycle, t3_cocycle, perturbed_cat_cocycle):
+            pts = _signed_zero_points(m.dim)
+            for x in (pts, pts[7], pts[25], pts[:1]):
+                before = x.copy()
+                want = _broadcast_apply_lift(m, x)
+                got = m.apply_lift(x)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                got = m.apply(x)
+                assert np.array_equal(got.view(np.uint64),
+                                      reduce_mod1(want).view(np.uint64))
+                assert np.all((got >= 0.0) & (got < 1.0))
+                # the input is not changed
+                assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+
     def test_non_unimodular_rejected(self):
         with pytest.raises(InvalidSystem):
             MapDescriptor(matrix=np.array([[2, 0], [0, 1]]))

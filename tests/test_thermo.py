@@ -517,8 +517,8 @@ class TestOneCodePath:
         orbit_sums = thermo._orbit_sums
 
         def spy(cocycle, path, potentials, pts, n):
-            walked.append(pts)
-            return orbit_sums(cocycle, path, potentials, pts, n)
+            walked.append((pts, orbit_sums(cocycle, path, potentials, pts, n)))
+            return walked[-1][1]
 
         monkeypatch.setattr(thermo, "_orbit_sums", spy)
         path = sample_path(trivial_system, 800, seed)
@@ -533,7 +533,7 @@ class TestOneCodePath:
                 for eps in (0.03, 0.045, 0.06, 0.08, 0.11, 0.15, 0.3):
                     walked.clear()
                     try:
-                        lattice, _ = thermo.maximal_separated_sets(
+                        lattice, packed = thermo.maximal_separated_sets(
                             cocycle, disk, [zero_potential(), cos], n, eps)
                     except EstimatorError:  # the arcs are too coarse for eps
                         continue
@@ -542,8 +542,11 @@ class TestOneCodePath:
                     assert np.array_equal(lattice.points, disk.params[pack])
                     assert lattice.count == len(pack)
                     assert lattice.log_upper == math.log(len(cover))
-                    # the second walk runs over the cover centres
-                    assert np.array_equal(walked[1], disk.chart(disk.params[cover]))
+                    # one walk, over the candidates; the cover centres' sums are read off it
+                    (pts, sums), = walked
+                    assert np.array_equal(pts, disk.chart(disk.params))
+                    assert packed.log_upper == (thermo._logsumexp(sums[0, cover])
+                                                + n * cos.lipschitz * eps / 2.0)
                     cells += 1
         assert cells >= 40
 
@@ -931,6 +934,111 @@ class TestPackingWalk:
             want = amp * trig(2.0 * math.pi * (pts @ np.asarray(k, dtype=float)) + phase)
             got = coordinate_potential(amp, k, phase=phase, fn=fn).values(path, pts)
             assert got.tobytes() == want.tobytes(), (amp, k, phase, fn)
+
+
+def _spy_walks(monkeypatch):
+    """Record (point count, orbit sums) of every thermo._orbit_sums call."""
+    walks = []
+    orbit_sums = thermo._orbit_sums
+
+    def spy(cocycle, path, potentials, pts, n):
+        walks.append((len(pts), orbit_sums(cocycle, path, potentials, pts, n)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(thermo, "_orbit_sums", spy)
+    return walks
+
+
+class TestOneWalkPerCell:
+    """A packing cell walks its candidates once; the cover's orbit sums are read off
+    that walk, bitwise equal to a separate walk over the cover points."""
+
+    def _family(self, cocycle):
+        cos = coordinate_potential(0.4, [1, 0], label="cos")
+        sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin")
+        return [cos, sin, combine_potentials([(0.5, cos), (1.0, theta_coboundary(cocycle, sin)),
+                                              (1.0, constant_potential(0.2))])]
+
+    def _linear_cover(self, disk, n, eps, growth):
+        """The spanning-set centres of a linear-exact cell and whether the last is clipped."""
+        gstar = float(np.max(growth[:n]))
+        step = eps / gstar
+        n_cover = max(1, math.ceil(2.0 * disk.radius / step))
+        cover = -disk.radius + step * (np.arange(n_cover) + 0.5)
+        return np.clip(cover, -disk.radius, disk.radius), bool(cover[-1] > disk.radius)
+
+    def test_linear_cover_sums_equal_a_separate_walk(self, cat_cocycle, cat_setup, monkeypatch):
+        from uthermo.leafgeom import leaf_growth_factors
+
+        path, _, disk = cat_setup
+        family = self._family(cat_cocycle)
+        walks = _spy_walks(monkeypatch)
+        clipped = 0
+        for n in range(1, 9):
+            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            for eps in (0.02, 0.03, 0.04, 0.05, 0.07, 0.11):
+                walks.clear()
+                results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
+                                                        growth=growth)
+                cover, last_clipped = self._linear_cover(disk, n, eps, growth)
+                n_cand = math.floor(2.0 * disk.radius / (eps / (8 * np.max(growth[:n])))) + 1
+                # one walk: the candidates, plus the clipped last cover point if any
+                assert [size for size, _ in walks] == [n_cand + last_clipped]
+                clipped += last_clipped
+                separate = thermo._orbit_sums(cat_cocycle, path, family, disk.chart(cover), n)
+                for p, res, row in zip(family, results, separate):
+                    assert res.log_upper == (thermo._logsumexp(row)
+                                             + n * p.lipschitz * eps / 2.0), (p.label, n, eps)
+        assert clipped >= 5
+
+    def test_off_grid_cover_points_join_the_walk(self, cat_cocycle, cat_setup, monkeypatch):
+        from uthermo.leafgeom import leaf_growth_factors
+
+        # with 6 candidates per cover step the cover points are not candidates
+        # bit for bit, so the fallback walks them with the candidates
+        monkeypatch.setattr(thermo, "GRID_FACTOR", 6)
+        _, _, disk = cat_setup
+        family = self._family(cat_cocycle)
+        walks = _spy_walks(monkeypatch)
+        appended = 0
+        for n, eps in ((2, 0.04), (3, 0.05), (5, 0.02), (6, 0.04), (7, 0.08)):
+            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            walks.clear()
+            results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
+                                                    growth=growth)
+            n_cand = math.floor(2.0 * disk.radius / (eps / (6 * np.max(growth[:n])))) + 1
+            (size, _), = walks
+            appended += size - n_cand
+            for p, res in zip(family, results):
+                want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth,
+                                                     grid_factor=6)
+                assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+        assert appended > 5
+
+    def test_profile_cover_sums_equal_a_separate_walk(self, cat_cocycle, cat_setup,
+                                                      monkeypatch):
+        path, state, _ = cat_setup
+        rep = lyapunov_spectrum(cat_cocycle, path, state.point, 1000)
+        disk = unstable_disk(cat_cocycle, state, 0.05, rep, construction="graph-transform")
+        family = self._family(cat_cocycle)
+        walks = _spy_walks(monkeypatch)
+        cells = 0
+        for n in range(1, 5):
+            arcs = bowen_step_arcs(cat_cocycle, disk, n, disk.params)
+            for eps in (0.03, 0.045, 0.06, 0.08, 0.11, 0.15, 0.3):
+                walks.clear()
+                try:
+                    results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps)
+                except EstimatorError:  # the arcs are too coarse for eps
+                    continue
+                assert [size for size, _ in walks] == [len(disk.params)]
+                cover = disk.params[oracles.profile_cover_indices(arcs, eps)]
+                separate = thermo._orbit_sums(cat_cocycle, path, family, disk.chart(cover), n)
+                for p, res, row in zip(family, results, separate):
+                    assert res.log_upper == (thermo._logsumexp(row)
+                                             + n * p.lipschitz * eps / 2.0), (p.label, n, eps)
+                cells += 1
+        assert cells >= 10
 
 
 class TestTrigPressureOracle:
