@@ -144,8 +144,9 @@ def birkhoff_integral(
     """Mean and standard error of orbit averages of the potential.
 
     Samples with equal paths (symbols, window and origin) share one orbit walk
-    over all their points, which gives each point the bits of its own walk
-    (birkhoff_sum); an x-independent potential is summed off the symbols alone.
+    over all their points; an x-independent potential is summed off the
+    symbols alone.  Each sum is bitwise birkhoff_sum's wherever a map rounds
+    a row alike alone and stacked, as the cat map does.
     """
     if n < 1:
         raise ValueError("need n >= 1")

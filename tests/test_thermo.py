@@ -513,14 +513,7 @@ class TestOneCodePath:
     def test_sheared_pack_and_cover_indices(self, seed, perturbed_cat_cocycle, trivial_system,
                                             monkeypatch):
         cocycle = perturbed_cat_cocycle
-        walked = []
-        orbit_sums = thermo._orbit_sums
-
-        def spy(cocycle, path, potentials, pts, n):
-            walked.append((pts, orbit_sums(cocycle, path, potentials, pts, n)))
-            return walked[-1][1]
-
-        monkeypatch.setattr(thermo, "_orbit_sums", spy)
+        walked = _spy_walks(monkeypatch)
         path = sample_path(trivial_system, 800, seed)
         x = TorusPoint(tuple(np.random.default_rng(seed).random(2)))
         rep = lyapunov_spectrum(cocycle, path, x, 600)
@@ -937,12 +930,12 @@ class TestPackingWalk:
 
 
 def _spy_walks(monkeypatch):
-    """Record (point count, orbit sums) of every thermo._orbit_sums call."""
+    """Record (points, orbit sums) of every thermo._orbit_sums call."""
     walks = []
     orbit_sums = thermo._orbit_sums
 
     def spy(cocycle, path, potentials, pts, n):
-        walks.append((len(pts), orbit_sums(cocycle, path, potentials, pts, n)))
+        walks.append((pts, orbit_sums(cocycle, path, potentials, pts, n)))
         return walks[-1][1]
 
     monkeypatch.setattr(thermo, "_orbit_sums", spy)
@@ -983,7 +976,7 @@ class TestOneWalkPerCell:
                 cover, last_clipped = self._linear_cover(disk, n, eps, growth)
                 n_cand = math.floor(2.0 * disk.radius / (eps / (8 * np.max(growth[:n])))) + 1
                 # one walk: the candidates, plus the clipped last cover point if any
-                assert [size for size, _ in walks] == [n_cand + last_clipped]
+                assert [len(pts) for pts, _ in walks] == [n_cand + last_clipped]
                 clipped += last_clipped
                 separate = thermo._orbit_sums(cat_cocycle, path, family, disk.chart(cover), n)
                 for p, res, row in zip(family, results, separate):
@@ -1007,8 +1000,8 @@ class TestOneWalkPerCell:
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
             n_cand = math.floor(2.0 * disk.radius / (eps / (6 * np.max(growth[:n])))) + 1
-            (size, _), = walks
-            appended += size - n_cand
+            (pts, _), = walks
+            appended += len(pts) - n_cand
             for p, res in zip(family, results):
                 want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth,
                                                      grid_factor=6)
@@ -1031,7 +1024,7 @@ class TestOneWalkPerCell:
                     results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps)
                 except EstimatorError:  # the arcs are too coarse for eps
                     continue
-                assert [size for size, _ in walks] == [len(disk.params)]
+                assert [len(pts) for pts, _ in walks] == [len(disk.params)]
                 cover = disk.params[oracles.profile_cover_indices(arcs, eps)]
                 separate = thermo._orbit_sums(cat_cocycle, path, family, disk.chart(cover), n)
                 for p, res, row in zip(family, results, separate):
