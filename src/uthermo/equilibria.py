@@ -29,8 +29,7 @@ from .thermo import (
     Potential,
     PressureEstimate,
     _logsumexp,
-    _orbit_sums,
-    _symbol_sum,
+    birkhoff_sum,
     combine_potentials,
     constant_potential,
     per_symbol_potential,
@@ -141,32 +140,15 @@ def birkhoff_integral(
     samples: int = 64,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Mean and standard error of orbit averages of the potential.
-
-    Samples with equal paths (symbols, window and origin) share one orbit walk
-    over all their points; an x-independent potential is summed off the
-    symbols alone.  Each sum is bitwise birkhoff_sum's wherever a map rounds
-    a row alike alone and stacked, as the cat map does.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    """Mean and standard error of orbit averages of the potential."""
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xB1F])
-    groups: dict[SymbolPath, list] = {}  # path -> [(sample index, point)]
-    for i in range(samples):
+    vals = []
+    for _ in range(samples):
         s_seed = int(rng.integers(0, 2**63 - 1))
         path, x = sampler.sample(s_seed)
         if path.forward_reach < n or path.backward_reach < 128:
             path = sample_path(sampler.system, n + 130, s_seed)
-        groups.setdefault(path, []).append((i, x))
-    vals = [0.0] * samples
-    for path, members in groups.items():
-        if potential.x_independent:
-            sums = [_symbol_sum(potential, path, n)] * len(members)
-        else:
-            pts = np.array([x.coords for _, x in members], dtype=float)
-            sums = _orbit_sums(cocycle, path, [potential], pts, n)[0].tolist()
-        for (i, _), s in zip(members, sums):
-            vals[i] = s / n
+        vals.append(birkhoff_sum(cocycle, potential, path, x, n) / n)
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, sem

@@ -19,6 +19,7 @@ from .rds import (
     EstimatorError,
     SkewState,
     TorusPoint,
+    _add_shift,
     compose,
     reduce_mod1,
 )
@@ -88,12 +89,7 @@ class UnstableDisk:
             t_arr = np.asarray(t, dtype=float)
             if self.leaf_dim == 1 and (t_arr.ndim == 0 or t_arr.ndim == 1):
                 t_arr = t_arr.reshape(-1, 1)
-            out = t_arr @ self.frame.T
-            # base_lift + out, one column at a time in place (the same bits)
-            base = self.base_lift
-            for c in range(self.dim):
-                out[..., c] += base[c]
-            return out
+            return _add_shift(t_arr @ self.frame.T, self.base_lift)
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((t_arr.shape[0], self.dim))
         for c in range(self.dim):

@@ -184,12 +184,13 @@ def reduce_mod1(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce_mod1_inplace(values: np.ndarray) -> np.ndarray:
-    """reduce_mod1 into values itself (a float array the caller owns): the same bits."""
-    floor = np.floor(values)
-    values -= floor
-    values[values >= 1.0] = 0.0
-    return values
+def _add_shift(out: np.ndarray, shift) -> np.ndarray:
+    """out + shift for a fresh (..., d) float array out, added in place one column
+    at a time: the bits of the broadcast (zero entries included, so signed zeros
+    go as they would) without its inner loop that runs once per row."""
+    for k in range(out.shape[-1]):
+        out[..., k] += shift[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -367,16 +368,10 @@ class MapDescriptor:
         out = np.asarray(pts, dtype=float)
         for s in self.shears:
             out = s.apply(out)
-        out = out @ self._matrix_t
-        # the translation one column at a time, in place: the bits of out + shift
-        # (zero entries included, so signed zeros go as they would) without a
-        # broadcast that loops once per row
-        for k in range(self.dim):
-            out[..., k] += self._shift[k]
-        return out
+        return _add_shift(out @ self._matrix_t, self._shift)
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        return _reduce_mod1_inplace(self.apply_lift(pts))
+        return reduce_mod1(self.apply_lift(pts))
 
     def inverse_apply_lift(self, pts: np.ndarray) -> np.ndarray:
         shifted = np.asarray(pts, dtype=float) - self._shift

@@ -604,8 +604,9 @@ def maximal_separated_sets(
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
     grid, the chart and one orbit walk over the candidates, whose sums at the
     cover points (candidates themselves, but for a clipped last cover point,
-    which joins the walk) give the upper bound; the selection runs once per
-    distinct row of orbit sums.
+    which joins the walk) give the upper bound; a one-point cover walks alone,
+    so every sum has the bits of a separate cover walk.  The selection runs
+    once per distinct row of orbit sums.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -676,6 +677,7 @@ def maximal_separated_sets(
         def select(w):
             return _greedy_windows(_pick_order(w), lo, hi, m)
 
+        cover_params = params[cover_idx]
         extra = params[:0]  # every cover point is a candidate
 
     results: list[SeparatedSetResult | None] = [None] * len(potentials)
@@ -694,9 +696,16 @@ def maximal_separated_sets(
             )
     if varying:
         walked = [potentials[k] for k in varying]
-        # one walk: the cover's orbit sums are read off the candidates' (and extra's)
-        sums = _orbit_sums(cocycle, path, walked, disk.chart(np.concatenate([params, extra])), n)
-        weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
+        if len(cover_params) > 1:
+            # one walk: the cover's orbit sums are read off the candidates' (and extra's)
+            walk_pts = disk.chart(np.concatenate([params, extra]))
+            sums = _orbit_sums(cocycle, path, walked, walk_pts, n)
+            weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
+        else:
+            # a one-point cover walks alone: numpy rounds a one-row matmul unlike the
+            # same row stacked (for A^2, say), and each walk keeps its own bits
+            weights = _orbit_sums(cocycle, path, walked, disk.chart(params), n)
+            cover_weights = _orbit_sums(cocycle, path, walked, disk.chart(cover_params), n)
         picks = {}  # bitwise-equal rows of orbit sums share one selection
         for k, p, w, cw in zip(varying, walked, weights, cover_weights):
             key = w.tobytes()

@@ -379,23 +379,6 @@ def loop_birkhoff_sum(cocycle, potential, path, x, n: int) -> float:
     return total
 
 
-def loop_birkhoff_integral(cocycle, potential, sampler, n: int, samples: int, seed: int):
-    """(mean, sem) of orbit averages, each sample drawn and walked on its own
-    (birkhoff_sum), with the draws of equilibria.birkhoff_integral."""
-    from uthermo import birkhoff_sum, sample_path
-
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xB1F])
-    vals = []
-    for _ in range(samples):
-        s_seed = int(rng.integers(0, 2**63 - 1))
-        path, x = sampler.sample(s_seed)
-        if path.forward_reach < n or path.backward_reach < 128:
-            path = sample_path(sampler.system, n + 130, s_seed)
-        vals.append(birkhoff_sum(cocycle, potential, path, x, n) / n)
-    sem = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return float(np.mean(vals)), sem
-
-
 def _fiber_corners(dim: int, grid: int) -> np.ndarray:
     axis = np.linspace(0.0, 1.0, grid, endpoint=False)
     return np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)

@@ -278,42 +278,6 @@ class TestMixingInequality:
 
 
 class TestBirkhoffIntegral:
-    @pytest.mark.parametrize("system_name, cocycle_name", [
-        ("trivial_system", "cat_cocycle"),
-        ("iid_system", "iid_cocycle"),
-    ])
-    def test_grouped_walks_bitwise_equal_sample_loop(self, system_name, cocycle_name, request,
-                                                     monkeypatch):
-        from uthermo import combine_potentials, equilibria, per_symbol_potential
-        from uthermo.thermo import theta_coboundary
-
-        system = request.getfixturevalue(system_name)
-        cocycle = request.getfixturevalue(cocycle_name)
-        cos = coordinate_potential(0.4, [1, 0])
-        sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin")
-        family = [cos, combine_potentials([(0.5, cos), (-1.0, sin),
-                                           (1.0, theta_coboundary(cocycle, cos))]),
-                  constant_potential(0.7), per_symbol_potential([0.1, -0.4][:system.symbol_count])]
-        # a closed orbit of the cat map, and the fixed point A and A^2 share
-        atom = TorusPoint((0.2, 0.4)) if system.symbol_count == 1 else TorusPoint((0.0, 0.0))
-        samplers = [haar_sampler(system, dim=2), periodic_atomic_sampler(system, cocycle, atom)]
-        walks = []
-        orbit_sums = equilibria._orbit_sums
-        monkeypatch.setattr(equilibria, "_orbit_sums",
-                            lambda *a: walks.append(len(a[3])) or orbit_sums(*a))
-        for sampler in samplers:
-            for pot in family:
-                for n, samples, seed in ((1, 5, 3), (16, 12, 4), (40, 9, 5)):
-                    walks.clear()
-                    got = birkhoff_integral(cocycle, pot, sampler, n=n, samples=samples,
-                                            seed=seed)
-                    want = oracles.loop_birkhoff_integral(cocycle, pot, sampler, n, samples,
-                                                          seed)
-                    assert got == want, (cocycle_name, pot.label, n)
-                    assert sum(walks) == (0 if pot.x_independent else samples)
-                    if system.symbol_count == 1 and not pot.x_independent:
-                        assert walks == [samples]  # every sample shares the one path
-
     def test_constant_is_exact(self, cat_cocycle, trivial_system):
         haar = haar_sampler(trivial_system, dim=2)
         mean, sem = birkhoff_integral(cat_cocycle, constant_potential(0.7), haar,

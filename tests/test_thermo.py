@@ -5,7 +5,9 @@ import pytest
 
 import oracles
 from uthermo import (
+    Cocycle,
     EstimatorError,
+    MapDescriptor,
     WindowExhausted,
     GridSpec,
     SkewState,
@@ -535,10 +537,17 @@ class TestOneCodePath:
                     assert np.array_equal(lattice.points, disk.params[pack])
                     assert lattice.count == len(pack)
                     assert lattice.log_upper == math.log(len(cover))
-                    # one walk, over the candidates; the cover centres' sums are read off it
-                    (pts, sums), = walked
-                    assert np.array_equal(pts, disk.chart(disk.params))
-                    assert packed.log_upper == (thermo._logsumexp(sums[0, cover])
+                    # the candidates' walk, off which the cover centres' sums are read,
+                    # but for a one-point cover, which walks alone
+                    assert np.array_equal(walked[0][0], disk.chart(disk.params))
+                    if len(cover) > 1:
+                        assert len(walked) == 1
+                        cover_sums = walked[0][1][0, cover]
+                    else:
+                        (pts, sums), = walked[1:]
+                        assert np.array_equal(pts, disk.chart(disk.params[cover]))
+                        cover_sums = sums[0]
+                    assert packed.log_upper == (thermo._logsumexp(cover_sums)
                                                 + n * cos.lipschitz * eps / 2.0)
                     cells += 1
         assert cells >= 40
@@ -944,13 +953,25 @@ def _spy_walks(monkeypatch):
 
 class TestOneWalkPerCell:
     """A packing cell walks its candidates once; the cover's orbit sums are read off
-    that walk, bitwise equal to a separate walk over the cover points."""
+    that walk, bitwise equal to a separate walk over the cover points.  A one-point
+    cover walks alone: numpy rounds a one-row matmul by A^2 unlike a stacked row."""
 
     def _family(self, cocycle):
         cos = coordinate_potential(0.4, [1, 0], label="cos")
-        sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin")
+        sin = coordinate_potential(0.3, [3, 1], phase=0.5, fn="sin", label="sin")
         return [cos, sin, combine_potentials([(0.5, cos), (1.0, theta_coboundary(cocycle, sin)),
                                               (1.0, constant_potential(0.2))])]
+
+    def _setup(self, name, cat_cocycle, cat_setup, trivial_system, construction="linear-exact"):
+        """(cocycle, path, disk): the cat map, or A^2, whose rows round unlike alone."""
+        path, state, disk = cat_setup
+        cocycle = cat_cocycle
+        if name == "a2":
+            cocycle = Cocycle(maps=(MapDescriptor(matrix=np.array([[5, 3], [3, 2]])),))
+        if name == "a2" or construction != "linear-exact":
+            rep = lyapunov_spectrum(cocycle, path, state.point, 1000)
+            disk = unstable_disk(cocycle, state, 0.05, rep, construction=construction)
+        return cocycle, path, disk
 
     def _linear_cover(self, disk, n, eps, growth):
         """The spanning-set centres of a linear-exact cell and whether the last is clipped."""
@@ -960,29 +981,39 @@ class TestOneWalkPerCell:
         cover = -disk.radius + step * (np.arange(n_cover) + 0.5)
         return np.clip(cover, -disk.radius, disk.radius), bool(cover[-1] > disk.radius)
 
-    def test_linear_cover_sums_equal_a_separate_walk(self, cat_cocycle, cat_setup, monkeypatch):
+    @pytest.mark.parametrize("name, n_max, clips, singles", [("cat", 8, 20, 3), ("a2", 4, 10, 3)])
+    def test_linear_sums_equal_separate_walks(self, name, n_max, clips, singles, cat_cocycle,
+                                              cat_setup, trivial_system, monkeypatch):
         from uthermo.leafgeom import leaf_growth_factors
 
-        path, _, disk = cat_setup
-        family = self._family(cat_cocycle)
+        cocycle, path, disk = self._setup(name, cat_cocycle, cat_setup, trivial_system)
+        family = self._family(cocycle)
         walks = _spy_walks(monkeypatch)
-        clipped = 0
-        for n in range(1, 9):
-            growth = leaf_growth_factors(cat_cocycle, disk, n)
-            for eps in (0.02, 0.03, 0.04, 0.05, 0.07, 0.11):
+        clipped = single = 0
+        for n in range(1, n_max + 1):
+            growth = leaf_growth_factors(cocycle, disk, n)
+            for eps in (0.02, 0.03, 0.04, 0.05, 0.07, 0.11, 0.3, 0.6, 1.5):
                 walks.clear()
-                results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
+                results = thermo.maximal_separated_sets(cocycle, disk, family, n, eps,
                                                         growth=growth)
                 cover, last_clipped = self._linear_cover(disk, n, eps, growth)
-                n_cand = math.floor(2.0 * disk.radius / (eps / (8 * np.max(growth[:n])))) + 1
-                # one walk: the candidates, plus the clipped last cover point if any
-                assert [len(pts) for pts, _ in walks] == [n_cand + last_clipped]
-                clipped += last_clipped
-                separate = thermo._orbit_sums(cat_cocycle, path, family, disk.chart(cover), n)
-                for p, res, row in zip(family, results, separate):
-                    assert res.log_upper == (thermo._logsumexp(row)
-                                             + n * p.lipschitz * eps / 2.0), (p.label, n, eps)
-        assert clipped >= 5
+                h = eps / (8 * float(np.max(growth[:n])))
+                params = -disk.radius + h * np.arange(math.floor(2.0 * disk.radius / h) + 1)
+                if len(cover) > 1:
+                    # one walk: the candidates, plus the clipped last cover point if any
+                    assert [len(pts) for pts, _ in walks] == [len(params) + last_clipped]
+                    clipped += last_clipped
+                else:
+                    assert [len(pts) for pts, _ in walks] == [len(params), 1]
+                    single += 1
+                weights = thermo._orbit_sums(cocycle, path, family, disk.chart(params), n)
+                separate = thermo._orbit_sums(cocycle, path, family, disk.chart(cover), n)
+                for p, res, w, row in zip(family, results, weights, separate):
+                    lower = thermo._logsumexp(w[thermo._greedy_kernel(w, 8)])
+                    upper = thermo._logsumexp(row) + n * p.lipschitz * eps / 2.0
+                    got = (res.log_weighted_sum, res.log_upper)
+                    assert got == (lower, upper), (p.label, n, eps)
+        assert clipped >= clips and single >= singles
 
     def test_off_grid_cover_points_join_the_walk(self, cat_cocycle, cat_setup, monkeypatch):
         from uthermo.leafgeom import leaf_growth_factors
@@ -1008,30 +1039,36 @@ class TestOneWalkPerCell:
                 assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
         assert appended > 5
 
-    def test_profile_cover_sums_equal_a_separate_walk(self, cat_cocycle, cat_setup,
-                                                      monkeypatch):
-        path, state, _ = cat_setup
-        rep = lyapunov_spectrum(cat_cocycle, path, state.point, 1000)
-        disk = unstable_disk(cat_cocycle, state, 0.05, rep, construction="graph-transform")
-        family = self._family(cat_cocycle)
+    @pytest.mark.parametrize("name, cells_min, singles", [("cat", 30, 5), ("a2", 20, 4)])
+    def test_profile_sums_equal_separate_walks(self, name, cells_min, singles, cat_cocycle,
+                                               cat_setup, trivial_system, monkeypatch):
+        cocycle, path, disk = self._setup(name, cat_cocycle, cat_setup, trivial_system,
+                                          construction="graph-transform")
+        family = self._family(cocycle)
         walks = _spy_walks(monkeypatch)
-        cells = 0
+        cells = single = 0
         for n in range(1, 5):
-            arcs = bowen_step_arcs(cat_cocycle, disk, n, disk.params)
-            for eps in (0.03, 0.045, 0.06, 0.08, 0.11, 0.15, 0.3):
+            arcs = bowen_step_arcs(cocycle, disk, n, disk.params)
+            for eps in (0.03, 0.045, 0.06, 0.08, 0.11, 0.15, 0.3, 0.6, 1.2):
                 walks.clear()
                 try:
-                    results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps)
+                    results = thermo.maximal_separated_sets(cocycle, disk, family, n, eps)
                 except EstimatorError:  # the arcs are too coarse for eps
                     continue
-                assert [len(pts) for pts, _ in walks] == [len(disk.params)]
                 cover = disk.params[oracles.profile_cover_indices(arcs, eps)]
-                separate = thermo._orbit_sums(cat_cocycle, path, family, disk.chart(cover), n)
-                for p, res, row in zip(family, results, separate):
-                    assert res.log_upper == (thermo._logsumexp(row)
-                                             + n * p.lipschitz * eps / 2.0), (p.label, n, eps)
+                lo, hi = thermo._profile_windows(arcs, eps)
+                sizes = [len(disk.params)] + ([1] if len(cover) == 1 else [])
+                assert [len(pts) for pts, _ in walks] == sizes
+                single += len(cover) == 1
+                weights = thermo._orbit_sums(cocycle, path, family, disk.chart(disk.params), n)
+                separate = thermo._orbit_sums(cocycle, path, family, disk.chart(cover), n)
+                for p, res, w, row in zip(family, results, weights, separate):
+                    upper = thermo._logsumexp(row) + n * p.lipschitz * eps / 2.0
+                    assert res.log_upper == upper, (p.label, n, eps)
+                    picked = thermo._greedy_windows(thermo._pick_order(w), lo, hi, len(w))
+                    assert res.log_weighted_sum == thermo._logsumexp(w[picked]), (p.label, n, eps)
                 cells += 1
-        assert cells >= 10
+        assert cells >= cells_min and single >= singles
 
 
 class TestTrigPressureOracle:
