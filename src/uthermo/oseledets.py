@@ -2,7 +2,8 @@
 
 Exponents come from QR accumulation along a sampled orbit.  The expanding
 bundle at the orbit's origin is recovered by pushing a frame forward from
-the past; the certificate pulls the complementary bundle from the future.
+the past; the certificate reads the complementary bundle at every orbit
+point off one backward walk from the future.
 Certificates are sampled statements ("no counterexample at this
 resolution"), never proofs.
 """
@@ -263,13 +264,16 @@ def _frames_from_past(
     return _qr_walk(_jacobians(cocycle, syms, pts, backward=True)[::-1], q0)
 
 
-def _frames_from_future(
-    cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, steps: int
-) -> np.ndarray:
-    """Pull frames q0 (S, d, d) back from `steps` ahead to each path's origin, through
-    the inverse Jacobians of the forward orbit from pts (S, d), last step first."""
-    syms = _symbol_windows(paths, 0, steps)
-    return _qr_walk(np.linalg.inv(_jacobians(cocycle, syms, pts)[::-1]), q0)
+def _covariant_frames(jacs: np.ndarray, q: np.ndarray, keep: int) -> np.ndarray:
+    """The frames (keep, S, d, d) at steps 0 .. keep-1 of one walk pulling q (S, d, d)
+    back through the inverses of jacs (steps, S, d, d), last step first: their leading
+    columns converge onto E^cs there (Ginelli et al. 2007).  Signs are LAPACK's."""
+    out = np.empty((keep,) + q.shape)
+    for t, inv in zip(range(len(jacs) - 1, -1, -1), np.linalg.inv(jacs[::-1])):
+        q = _householder_qr(inv @ q)[0]
+        if t < keep:
+            out[t] = q
+    return out
 
 
 def _cluster(raw: np.ndarray) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -390,14 +394,15 @@ def certify_partial_hyperbolicity(
 
     Per sampled (path, point): estimate the spectrum, read the domination
     gap as the rate difference between the first complementary block and
-    the last expanding block (QR-stable; pushing individual complementary
-    vectors forward amplifies rounding along the expanding direction), and
-    track the co-norm of each one-step derivative restricted to the
-    transported expanding frame; the complementary frame, pulled back from
-    min(spectrum_n, 512) steps ahead, is transported with it.  The verdict
-    is certified only when every sample expands (co-norm > 1) and is
-    dominated (gap < 0) beyond CERTIFY_MARGIN; decisive counterevidence
-    yields violated; anything in between is inconclusive.
+    the last expanding block, and track the co-norm of each one-step
+    derivative restricted to the transported expanding frame.  E^cs at
+    x_0 .. x_{n-1} is read off one backward walk from x_{n+K}, K =
+    min(spectrum_n, 512), through the transport's own Jacobians; a sample's
+    constant is max(1, max_j exp(sum of E^cs stretches - sum of co-norms -
+    gap (j + 1))) over steps 0..j, j < n.  The verdict is certified only
+    when every sample expands (co-norm > 1) and is dominated (gap < 0)
+    beyond CERTIFY_MARGIN; decisive counterevidence yields violated;
+    anything in between is inconclusive.
     """
     if samples < 10:
         raise ValueError("need samples >= 10")
@@ -405,7 +410,8 @@ def certify_partial_hyperbolicity(
         raise ValueError("need n >= 1")
     if spectrum_n is None:
         spectrum_n = max(600, n)
-    half_window = max(spectrum_n, n) + 2
+    ahead = min(spectrum_n, 512)
+    half_window = max(spectrum_n, n + ahead) + 2
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xCE57])
     d = cocycle.dim
 
@@ -416,63 +422,49 @@ def certify_partial_hyperbolicity(
         xs.append(TorusPoint(tuple(rng.random(d))))
     reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=path_seeds)
     pts = np.stack([x.as_array() for x in xs])
+    jacs = _jacobians(cocycle, _symbol_windows(paths, 0, n + ahead), pts)
     q0 = np.stack([_random_orthonormal(d, s) for s in path_seeds])
-    q_bwd = _frames_from_future(cocycle, paths, pts, q0, min(spectrum_n, 512))
+    cs_frames = _covariant_frames(jacs, q0, n)
 
     # domination gap per sample with a nontrivial leaf; samples that share
-    # a frame shape and a tracked complement transport together
+    # an expanding dimension transport together
     gaps: dict[int, float] = {}
-    groups: dict[tuple[int, bool], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, report in enumerate(reports):
         u, exps = report.unstable_index, report.exponents
         if u == 0:
             continue
         gaps[i] = exps[u] - exps[u - 1] if u < len(exps) else float("-inf")
-        groups.setdefault((report.unstable_dim, report.unstable_dim < d), []).append(i)
+        groups.setdefault(report.unstable_dim, []).append(i)
 
-    # transport frames and record per-step growth; the complementary span
-    # drifts toward faster directions at the domination rate, so the ratio
-    # diagnostic is windowed to stay below that horizon.
-    transported: dict[int, tuple[float, float]] = {}  # (least co-norm, ratio bound)
-    for (u_dim, track), idx in groups.items():
+    transported: dict[int, dict] = {}
+    for u_dim, idx in groups.items():
         frame = np.stack([reports[i].eu_frame for i in idx])
-        fu = q_bwd[idx, :, : d - u_dim]
         gap = np.array([gaps[i] for i in idx])
         lam_min = np.full(len(idx), math.inf)
-        log_f_fast, log_e_slow, ratio_logs = np.zeros(len(idx)), np.zeros(len(idx)), []
-        syms = _symbol_windows([paths[i] for i in idx], 0, n)
-        for j, jac in enumerate(_jacobians(cocycle, syms, pts[idx])):
+        log_cs, log_u, worst = np.zeros((3, len(idx)))
+        for j, (jac, cs) in enumerate(zip(jacs[:n, idx], cs_frames[:, idx, :, : d - u_dim])):
             img = jac @ frame
             lam_min = np.minimum(lam_min, np.linalg.svd(img, compute_uv=False)[:, -1])
-            if track and j < min(n, 30):
-                fu_img = jac @ fu
-                log_f_fast += np.max(np.log(np.linalg.norm(fu_img, axis=-2)), axis=-1)
-                log_e_slow += np.min(np.log(np.linalg.norm(img, axis=-2)), axis=-1)
-                fu = _positive_q(fu_img)
-                ratio_logs.append(log_f_fast - log_e_slow - gap * (j + 1))
+            if u_dim < d:
+                log_cs += np.max(np.log(np.linalg.norm(jac @ cs, axis=-2)), axis=-1)
+                log_u += np.min(np.log(np.linalg.norm(img, axis=-2)), axis=-1)
+                worst = np.maximum(worst, log_cs - log_u - gap * (j + 1))
             frame = _positive_q(img)  # last: the QR overwrites img
         for k, i in enumerate(idx):
-            ratio_max = max([1.0] + [math.exp(r[k]) for r in ratio_logs])
-            transported[i] = (float(lam_min[k]), ratio_max)
+            transported[i] = {"expansion": float(lam_min[k]), "constant": math.exp(worst[k])}
 
     records = [
-        {"sample": i, "unstable_index": rep.unstable_index, "gap": gaps[i],
-         "expansion": transported[i][0]} if i in gaps else {"sample": i, "unstable_index": 0}
+        {"sample": i, "unstable_index": rep.unstable_index, "gap": gaps[i], **transported[i]}
+        if i in gaps else {"sample": i, "unstable_index": 0}
         for i, rep in enumerate(reports)
     ]
-    if len(gaps) < samples:
-        return HyperbolicityCertificate(
-            domination_ratio_log=float("nan") if not gaps else max(gaps.values()),
-            expansion_lower=0.0,
-            constants=float("nan"),
-            samples=samples,
-            verdict="violated",
-            per_sample=tuple(records),
-        )
-
-    expansion_lower = min(transported[i][0] for i in gaps)
-    domination = max(gaps.values())
-    constants = max(transported[i][1] for i in gaps)
+    domination = max(gaps.values(), default=float("nan"))
+    if len(gaps) < samples:  # some sample's leaf is a point
+        expansion_lower, constants = 0.0, float("nan")
+    else:
+        expansion_lower = min(transported[i]["expansion"] for i in gaps)
+        constants = max(transported[i]["constant"] for i in gaps)
     if expansion_lower > 1.0 + CERTIFY_MARGIN and domination < -CERTIFY_MARGIN:
         verdict = "certified"
     elif expansion_lower <= 1.0 or domination >= 0.0:

@@ -118,25 +118,18 @@ def scalar_orbit(cocycle, path, x0, lo: int, hi: int) -> dict:
     return pts
 
 
-def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0, inverse: bool = False):
+def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0):
     """One sample, one step at a time: (final Q, summed log diag R, summed log|det J|).
 
-    Every Jacobian is taken on the orbit through x0 (scalar_orbit).  Forward
-    mode walks times start .. start+steps-1 with Df(x_t); inverse mode walks
-    times start-1 down to start-steps with Df(x_t)^-1.
+    Walks times start .. start+steps-1 with Df(x_t), every Jacobian taken on
+    the orbit through x0 (scalar_orbit).
     """
-    if inverse:
-        times = range(start - 1, start - steps - 1, -1)
-    else:
-        times = range(start, start + steps)
+    times = range(start, start + steps)
     orbit = scalar_orbit(cocycle, path, x0, min(times), max(times))
     q, logs, log_det = q0.copy(), np.zeros(len(q0)), 0.0
     for t in times:
         jac = cocycle.maps[path.symbol(t)].jacobian(orbit[t])
-        if inverse:
-            jac = np.linalg.inv(jac)
-        else:
-            log_det += math.log(abs(np.linalg.det(jac)))
+        log_det += math.log(abs(np.linalg.det(jac)))
         q, r = _positive_qr(jac @ q)
         logs += np.log(np.abs(np.diag(r)))
     return q, logs, log_det
@@ -150,16 +143,15 @@ def seeded_frame(dim: int, seed: int):
 
 
 def scalar_spectrum(cocycle, path, x0, n: int, frame_steps=None, frame_seed: int = 0):
-    """(sorted raw exponents, Q pushed from the past, Q pulled from the future, log det sum).
+    """(sorted raw exponents, Q pushed from the past, log det sum).
 
     The exponent walk starts from the Q pushed from the past."""
     q0 = seeded_frame(cocycle.dim, frame_seed)
     fs = min(n, 512) if frame_steps is None else frame_steps
     fs = min(fs, path.backward_reach, path.forward_reach)
     q_fwd = scalar_qr_walk(cocycle, path, x0, -fs, fs, q0)[0]
-    q_bwd = scalar_qr_walk(cocycle, path, x0, fs, fs, q0, inverse=True)[0]
     _, logs, log_det = scalar_qr_walk(cocycle, path, x0, 0, n, q_fwd)
-    return np.sort(logs / n)[::-1], q_fwd, q_bwd, log_det
+    return np.sort(logs / n)[::-1], q_fwd, log_det
 
 
 def scalar_tangent_images(cocycle, path, x0, w0, steps: int):
@@ -212,28 +204,33 @@ def scalar_interval_information(cocycle, pair, path, x0, frame, n_max: int, delt
     return lengths[0], lengths
 
 
-def scalar_certify_transport(cocycle, path, x0, frame, fu, gap: float, n: int):
+def scalar_certify_transport(cocycle, path, x0, frame, q0, gap: float, n: int, ahead: int):
     """(least co-norm, domination constant) of one sample's frames carried n steps.
 
-    The expanding frame is re-orthonormalised each step; the complementary
-    frame is tracked over the first min(n, 30) steps when the gap is finite.
+    One backward walk keeps its frames: q0 at x_{n+ahead} is pulled back one
+    inverse Jacobian at a time, and the frame it reaches at each x_j (j < n)
+    spans E^cs there in its first d - u columns.  Then the expanding frame is
+    pushed forward and re-orthonormalised each step, and the constant is the
+    largest exp(sum of E^cs stretches - sum of expanding co-norms - gap (j + 1)),
+    and at least 1.
     """
-    pt = np.asarray(x0, dtype=float)
-    lam_min, log_f_fast, log_e_slow, ratio_max = math.inf, 0.0, 0.0, 1.0
+    d, u_dim = len(q0), frame.shape[1]
+    orbit = scalar_orbit(cocycle, path, x0, 0, n + ahead)
+    jacs = [cocycle.maps[path.symbol(t)].jacobian(orbit[t]) for t in range(n + ahead)]
+    cs, q = {}, q0.copy()
+    for t in range(n + ahead - 1, -1, -1):
+        q = _positive_qr(np.linalg.inv(jacs[t]) @ q)[0]
+        cs[t] = q[:, : d - u_dim]
+    lam_min, log_cs, log_u, worst = math.inf, 0.0, 0.0, 0.0
     for j in range(n):
-        m = cocycle.maps[path.symbol(j)]
-        jac = m.jacobian(pt)
-        img = jac @ frame
+        img = jacs[j] @ frame
         lam_min = min(lam_min, float(np.linalg.svd(img, compute_uv=False)[-1]))
         frame = _positive_qr(img)[0]
-        if fu.shape[1] > 0 and j < min(n, 30) and math.isfinite(gap):
-            fu_img = jac @ fu
-            log_f_fast += float(np.max(np.log(np.linalg.norm(fu_img, axis=0))))
-            log_e_slow += float(np.min(np.log(np.linalg.norm(img, axis=0))))
-            fu = _positive_qr(fu_img)[0]
-            ratio_max = max(ratio_max, math.exp(log_f_fast - log_e_slow - gap * (j + 1)))
-        pt = m.apply(pt)
-    return lam_min, ratio_max
+        if u_dim < d:
+            log_cs += float(np.max(np.log(np.linalg.norm(jacs[j] @ cs[j], axis=0))))
+            log_u += float(np.min(np.log(np.linalg.norm(img, axis=0))))
+            worst = max(worst, log_cs - log_u - gap * (j + 1))
+    return lam_min, math.exp(worst)
 
 
 def scalar_phiu(cocycle, path, x0, q, u_dim: int) -> float:

@@ -155,6 +155,25 @@ class TestEquilibriumScan:
         for c in report.candidates:
             assert c.defect >= -c.combined_ci
 
+    @pytest.mark.parametrize("seed", [13, 1, 2, 3, 4, 5])
+    def test_trig_haar_defect_matches_transfer_operator(
+        self, seed, cat_cocycle, trivial_system, enum_grid
+    ):
+        # Haar's defect for cos:0.4:1,0 is P - log(lambda) - 0 = 0.0397433 from the
+        # transfer operator; at these seeds the scan's errors are 4e-5 to 1.0e-2
+        # against combined CIs of 0.023-0.026, so Haar is never an equilibrium
+        phi = coordinate_potential(0.4, [1, 0], label="cos:0.4:1,0")
+        exact = oracles.transfer_operator_pressure(
+            cat_cocycle.maps[0].matrix, 0.4, (1, 0)) - oracles.CAT_LOG
+        assert exact == pytest.approx(0.0397433, abs=1e-7)
+        haar = haar_sampler(trivial_system, dim=2)
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))
+        report = equilibrium_scan(cat_cocycle, trivial_system, phi, [haar, atom], enum_grid,
+                                  seed, entropy_samples=48)
+        by_id = {c.measure_id: c for c in report.candidates}
+        assert abs(by_id["haar"].defect - exact) <= by_id["haar"].combined_ci
+        assert not by_id["haar"].equilibrium_within_ci
+
     def test_geometric_potential_defects(self, cat_cocycle, trivial_system, cat_grid):
         phiu = geometric_potential(cat_cocycle, _report_for(cat_cocycle, trivial_system, 5))
         haar = haar_sampler(trivial_system, dim=2)

@@ -27,7 +27,7 @@ from uthermo import (
 )
 from uthermo import oseledets
 from uthermo.oseledets import (
-    _frames_from_future, _householder_qr, _positive_q, _qr_walk, _symbol_windows,
+    _covariant_frames, _householder_qr, _jacobians, _positive_q, _qr_walk, _symbol_windows,
 )
 from uthermo.rds import SkewState
 
@@ -159,20 +159,12 @@ class TestOrbitEngine:
             fs = frame_steps or n
             clamped = [min(fs, p.backward_reach, p.forward_reach) for p in paths]
             assert len(set(clamped)) == groups
-            # the frame from the future, walked in one batch per clamped length
-            q_future = np.empty((len(paths), cocycle.dim, cocycle.dim))
-            for steps in set(clamped):
-                idx = [i for i, s in enumerate(clamped) if s == steps]
-                q_future[idx] = _frames_from_future(
-                    cocycle, [paths[i] for i in idx], np.stack([xs[i].as_array() for i in idx]),
-                    np.stack([oracles.seeded_frame(cocycle.dim, seeds[i]) for i in idx]), steps)
-            for path, x, seed, rep, q in zip(paths, xs, seeds, reports, q_future):
-                raw, q_fwd, q_bwd, log_det = oracles.scalar_spectrum(
+            for path, x, seed, rep in zip(paths, xs, seeds, reports):
+                raw, q_fwd, log_det = oracles.scalar_spectrum(
                     cocycle, path, x.as_array(), n, frame_steps=frame_steps, frame_seed=seed)
                 u_dim = rep.eu_frame.shape[1]
                 assert np.array_equal(np.array(rep.raw_exponents), raw)
                 assert np.array_equal(rep.eu_frame, q_fwd[:, :u_dim])
-                assert np.array_equal(q, q_bwd)
                 if cocycle.has_constant_jacobian:
                     # summed in step order, as the reference sums math.log
                     assert rep.log_det_sum == log_det
@@ -302,7 +294,8 @@ class TestFrameEquivariance:
     """Both frames are read on the orbit through x, so Df(x) carries them onto
     the frames at f(x) (the past is pulled back from x, not re-walked forward).
     The expanding frame comes from the spectrum, the complementary frame from
-    _frames_from_future."""
+    the certificate's backward walk (_covariant_frames), here walked from two
+    different points ahead."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_df_carries_frames_to_image_point(self, seed, perturbed_cat_cocycle, trivial_system):
@@ -312,10 +305,10 @@ class TestFrameEquivariance:
         fx = compose(cocycle, path, 1, x)
         here, there = lyapunov_spectra(cocycle, [path, path.shifted(1)], [x, fx], 256,
                                        frame_steps=256, frame_seeds=[seed, seed])
-        q0 = oracles.seeded_frame(2, seed)
-        fu_here, fu_there = _frames_from_future(
-            cocycle, [path, path.shifted(1)], np.stack([x.as_array(), fx.as_array()]),
-            np.stack([q0, q0]), 256)[:, :, 0]
+        q0 = oracles.seeded_frame(2, seed)[None]
+        jacs = _jacobians(cocycle, _symbol_windows([path], 0, 257), x.as_array()[None])
+        fu_here = _covariant_frames(jacs[:256], q0, 1)[0, 0, :, 0]
+        fu_there = _covariant_frames(jacs[1:], q0, 1)[0, 0, :, 0]
         jac = derivative(cocycle, path, 1, x)
         assert here.unstable_dim == there.unstable_dim == 1
         assert _angle(jac @ here.eu_frame[:, 0], there.eu_frame[:, 0]) < 1e-8
@@ -339,6 +332,8 @@ class TestCertificates:
         assert cert.verdict == "certified"
         assert cert.expansion_lower == pytest.approx(oracles.CAT_EIGENVALUE, abs=1e-9)
         assert cert.domination_ratio_log == pytest.approx(-2.0 * oracles.CAT_LOG, abs=0.01)
+        # orthogonal eigenvectors: E^s shrinks against E^u by exactly exp(gap) a step
+        assert cert.constants == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_violated(self, trivial_system):
         ident = Cocycle(maps=(MapDescriptor(matrix=np.eye(2)),))
@@ -351,6 +346,9 @@ class TestCertificates:
         assert cert.verdict == "certified"
         assert cert.expansion_lower == pytest.approx(oracles.CAT_EIGENVALUE, abs=1e-6)
         assert cert.domination_ratio_log == pytest.approx(-oracles.CAT_LOG, abs=0.05)
+        # block-diagonal and symmetric: E^c, the faster part of E^cs, falls
+        # behind E^u by exactly exp(gap) a step
+        assert cert.constants == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
         "name", ["perturbed_cat_cocycle", "t3_cocycle", "iid_cocycle", "plane_leaf_cocycle"]
@@ -361,24 +359,43 @@ class TestCertificates:
         n, seed = 40, 6
         cert = certify_partial_hyperbolicity(cocycle, system, samples=10, n=n, seed=seed,
                                              spectrum_n=200)
-        # the certificate's own draws, then one sample at a time
+        # the certificate's own draws (a window reaching x_{n+200}), then one
+        # sample at a time
         rng = np.random.default_rng([seed, 0xCE57])
         constants = []
         for i, rec in enumerate(cert.per_sample):
             pseed = int(rng.integers(0, 2**63 - 1))
-            path = sample_path(system, 202, pseed)
+            path = sample_path(system, n + 200 + 2, pseed)
             x = TorusPoint(tuple(rng.random(cocycle.dim)))
             rep = lyapunov_spectrum(cocycle, path, x, 200, frame_seed=pseed)
-            q_bwd = oracles.scalar_spectrum(cocycle, path, x.as_array(), 200,
-                                            frame_seed=pseed)[2]
             u = rep.unstable_index
             gap = rep.exponents[u] - rep.exponents[u - 1] if u < len(rep.exponents) else -math.inf
             lam, c = oracles.scalar_certify_transport(
                 cocycle, path, x.as_array(), rep.eu_frame,
-                q_bwd[:, : cocycle.dim - rep.unstable_dim], gap, n)
-            assert rec == {"sample": i, "unstable_index": u, "gap": gap, "expansion": lam}
+                oracles.seeded_frame(cocycle.dim, pseed), gap, n, 200)
+            assert rec == {"sample": i, "unstable_index": u, "gap": gap, "expansion": lam,
+                           "constant": c}
             constants.append(c)
         assert cert.constants == max(constants)
+
+    def test_iid_constant_equals_path_formula(self, iid_cocycle, iid_system):
+        # covariant frames of A and A^2 are the shared eigenvectors, so each
+        # step stretches E^s by lambda^-k and E^u by lambda^k, k = 1 for A and
+        # 2 for A^2, and the constant is max_j exp(-2 log lambda sum_{i<=j} k_i
+        # - gap (j + 1)), at least 1
+        n, seed = 40, 3
+        cert = certify_partial_hyperbolicity(iid_cocycle, iid_system, samples=12, n=n, seed=seed)
+        rng = np.random.default_rng([seed, 0xCE57])
+        expected = []
+        for rec in cert.per_sample:
+            path = sample_path(iid_system, 600 + 2, int(rng.integers(0, 2**63 - 1)))
+            rng.random(2)  # the sample's point: the Jacobians do not depend on it
+            steps = np.cumsum([path.symbol(j) + 1 for j in range(n)])
+            logs = -2.0 * oracles.CAT_LOG * steps - rec["gap"] * np.arange(1, n + 1)
+            expected.append(max(1.0, math.exp(logs.max())))
+            assert rec["constant"] == pytest.approx(expected[-1], rel=1e-12, abs=0.0)
+        assert cert.constants == pytest.approx(max(expected), rel=1e-12, abs=0.0)
+        assert cert.constants == pytest.approx(639258.6983359, rel=1e-9)
 
     def test_too_few_samples_rejected(self, cat_cocycle, trivial_system):
         with pytest.raises(ValueError):
@@ -394,7 +411,7 @@ class TestCertificates:
         def no_walk(*args, **kwargs):
             raise AssertionError("walked the frame from the future")
 
-        monkeypatch.setattr(oseledets, "_frames_from_future", no_walk)
+        monkeypatch.setattr(oseledets, "_covariant_frames", no_walk)
         path = sample_path(trivial_system, 300, 1)
         assert lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.3, 0.4))], 200)
         grid = GridSpec(n_grid=(8, 9, 10), eps_grid=(0.04,), base_grid=2)
