@@ -34,11 +34,8 @@ from .oseledets import (
     OseledetsReport,
     certify_partial_hyperbolicity,
     lyapunov_spectra,
-    lyapunov_spectrum,
-    unstable_dimension,
 )
 from .leafgeom import (
-    BowenMetric,
     OffLeafError,
     TrivialLeafError,
     UnstableDisk,
@@ -56,9 +53,8 @@ from .thermo import (
     coordinate_potential,
     combine_potentials,
     constant_potential,
-    maximal_separated_set,
+    maximal_separated_sets,
     per_symbol_potential,
-    pressure_estimate,
     pressure_estimates,
     pressure_property_suite,
     topological_entropy,

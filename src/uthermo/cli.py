@@ -36,7 +36,6 @@ from .thermo import (
     Potential,
     constant_potential,
     coordinate_potential,
-    pressure_estimate,
     pressure_estimates,
     pressure_property_suite,
     topological_entropy,
@@ -357,7 +356,7 @@ def _run_certify(cfg, cocycle, system):
 
 def _run_pressure(cfg, cocycle, system):
     pot = _resolve_potential(cfg.potential, cocycle, system, cfg.seed)
-    est = pressure_estimate(cocycle, system, pot, cfg.grid_spec(), cfg.seed)
+    est = pressure_estimates(cocycle, system, [pot], cfg.grid_spec(), cfg.seed)[0]
     header, rows = est.csv_rows()
     summary = dict(est.to_json_dict(), experiment="pressure")
     ok = est.bracket_ok

@@ -33,7 +33,6 @@ from .thermo import (
     combine_potentials,
     constant_potential,
     per_symbol_potential,
-    pressure_estimate,
     pressure_estimates,
     theta_coboundary,
 )
@@ -81,7 +80,6 @@ def geometric_potential(
         if invariant:
             tab = tuple(table)
             return Potential(
-                kind="geometric-u",
                 label="phi-u",
                 l1_bound=max(abs(v) for v in tab),
                 lipschitz=0.0,
@@ -108,7 +106,6 @@ def geometric_potential(
     lip_bound = 2.0 * max(m.lipschitz for m in cocycle.maps)
     sup_bound = max(math.log(max(m.lipschitz, math.e)) for m in cocycle.maps) + 1.0
     return Potential(
-        kind="geometric-u",
         label="phi-u",
         l1_bound=sup_bound,
         lipschitz=lip_bound,
@@ -140,7 +137,17 @@ def birkhoff_integral(
     samples: int = 64,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Mean and standard error of orbit averages of the potential."""
+    """Mean and standard error of orbit averages of the potential.
+
+    A periodic-atomic measure on a trivial base is the uniform measure on
+    its closed orbit, so its integral is the potential's mean over that
+    orbit, exactly, with standard error 0: a float walk of n steps leaves
+    an expanding orbit after a few dozen steps.
+    """
+    if sampler.kind == "periodic-atomic" and sampler.system.kind == "deterministic-trivial":
+        path, _ = sampler.sample(seed)
+        pts = np.stack([x.as_array() for x in sampler.orbit])
+        return float(np.mean(potential.values(path, pts))), 0.0
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xB1F])
     vals = []
     for _ in range(samples):
@@ -200,7 +207,7 @@ def gibbs_defect(
     """Pressure at the geometric potential and the entropy-versus-contraction gap."""
     report = _report_for(cocycle, system, seed)
     phiu = geometric_potential(cocycle, report)
-    pressure = pressure_estimate(cocycle, system, phiu, grid, seed, keep_cells=False)
+    pressure = pressure_estimates(cocycle, system, [phiu], grid, seed, keep_cells=False)[0]
     entropy = bowen_ball_entropy(
         cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
     )
@@ -295,7 +302,7 @@ def equilibrium_scan(
     if len(measure_family) < 2:
         raise ValueError("need at least two candidate measures")
     if pressure is None:
-        pressure = pressure_estimate(cocycle, system, phi, grid, seed, keep_cells=False)
+        pressure = pressure_estimates(cocycle, system, [phi], grid, seed, keep_cells=False)[0]
     records = []
     known: dict = {}
     for sampler in measure_family:

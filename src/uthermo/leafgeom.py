@@ -20,7 +20,6 @@ from .rds import (
     SkewState,
     TorusPoint,
     _add_shift,
-    compose,
     reduce_mod1,
 )
 from .oseledets import OseledetsReport, _tangent_images
@@ -29,12 +28,10 @@ __all__ = [
     "TrivialLeafError",
     "OffLeafError",
     "UnstableDisk",
-    "BowenMetric",
     "unstable_disk",
     "leaf_distance",
     "bowen_distance",
     "leaf_volume",
-    "leaf_growth_factors",
     "leaf_growth_factors_batch",
     "bowen_step_arcs",
 ]
@@ -194,10 +191,11 @@ def unstable_disk(
     n_pts = 2 * CHART_HALF_POINTS + 1
     direction = report.eu_frame[:, 0]
     seed_radius = delta * 1.5  # slack so one trim always succeeds
-    x_lift = state.point.as_array()
+    x_lift = y0 = state.point.as_array()
     prev = None
     for k in range(1, GRAPH_MAX_ITER + 1):
-        y0 = compose(cocycle, state.path, -k, state.point).as_array()
+        # the seed point x_-k, carried back one map from x_-(k-1)
+        y0 = cocycle.map_for(state.path.symbol(-k)).inverse_apply(y0)
         t = np.linspace(-seed_radius, seed_radius, n_pts)
         pts = y0 + t[:, None] * direction
         for j in range(-k, 0):
@@ -240,22 +238,18 @@ def _image_norms(cocycle: Cocycle, disks, vecs: np.ndarray, n: int) -> np.ndarra
 
 
 def leaf_growth_factors_batch(cocycle: Cocycle, disks, n: int) -> np.ndarray:
-    """leaf_growth_factors for every disk at once, shape (S, n)."""
+    """Norm growth of each disk's leaf direction under j-step derivatives,
+    j = 0..n-1, shape (S, n).
+
+    Exact for constant-Jacobian cocycles (where the leaf is affine and the
+    chart image under j steps is scaled by exactly this factor).
+    """
     disks = list(disks)
     if not disks:
         return np.empty((0, n))
     out = _image_norms(cocycle, disks, np.stack([disk.frame[:, 0] for disk in disks]), n)
     out[:, 0] = 1.0
     return out
-
-
-def leaf_growth_factors(cocycle: Cocycle, disk: UnstableDisk, n: int) -> np.ndarray:
-    """Norm growth of the leaf direction under j-step derivatives, j = 0..n-1.
-
-    Exact for constant-Jacobian cocycles (where the leaf is affine and the
-    chart image under j steps is scaled by exactly this factor).
-    """
-    return leaf_growth_factors_batch(cocycle, [disk], n)[0]
 
 
 def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.ndarray) -> np.ndarray:
@@ -268,7 +262,7 @@ def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.nda
     """
     params = np.asarray(params, dtype=float)
     if disk.construction == "linear-exact":
-        return leaf_growth_factors(cocycle, disk, n)[:, None] * params
+        return leaf_growth_factors_batch(cocycle, [disk], n)[0][:, None] * params
     out = np.empty((n, params.shape[0]))
     out[0] = params
     pts = disk.points_lift.copy()
@@ -315,19 +309,3 @@ def leaf_volume(disk: UnstableDisk, region=None) -> float:
     lo1, hi1 = max(min(a1, b1), -disk.radius), min(max(a1, b1), disk.radius)
     lo2, hi2 = max(min(a2, b2), -disk.radius), min(max(a2, b2), disk.radius)
     return max(0.0, hi1 - lo1) * max(0.0, hi2 - lo2)
-
-
-@dataclass(frozen=True)
-class BowenMetric:
-    """The n-step dynamical metric on a disk, d(y1,y2) = max image leaf distance."""
-
-    cocycle: Cocycle
-    disk: UnstableDisk
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-
-    def distance(self, y1: TorusPoint, y2: TorusPoint) -> float:
-        return bowen_distance(self.cocycle, self.disk, self.n, y1, y2)

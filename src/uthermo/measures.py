@@ -30,7 +30,7 @@ from .rds import (
     sample_path,
     torus_distance,
 )
-from .oseledets import _tangent_images, lyapunov_spectra
+from .oseledets import _orbit, _symbol_windows, _tangent_images, lyapunov_spectra
 from .leafgeom import leaf_growth_factors_batch, unstable_disk
 from .thermo import CI_FLOOR, fit_slope, upper_half
 
@@ -689,49 +689,40 @@ def _bowen_ball_entropy(cocycle, sampler, delta, n_grid, epsilons, samples, seed
     )
 
 
-def _interval_information(cocycle, pair, path, x, frame, n_max, delta):
-    """Exact leaf-interval information profile for constant-Jacobian cocycles.
+def _interval_lengths(cocycle, pair, paths, pts, frames, n_max, delta):
+    """Exact leaf-interval lengths (S, n_max) for constant-Jacobian cocycles.
 
-    Returns (eta_length, lengths) where lengths[j] is the surviving leaf
-    interval after matching grid cells over steps 0..j, starting from the
-    leaf atom (the cell section clipped to the disk radius).
+    Sample i's leaf is the line through pts[i] (S, d) along frames[i] (S, d);
+    lengths[i, j] is the surviving parameter interval after matching grid
+    cells over steps 0..j, starting from [-delta, delta], so lengths[:, 0]
+    is the leaf atom (the cell section clipped to the disk radius).  Every
+    step clips by each coordinate whose tangent image is at least 1e-14 in
+    size.  The orbits and tangent images are walked once for all samples,
+    and the clips are a running max and min over steps: max and min are
+    exact, so this has the bits of clipping one step at a time.
     """
     g = pair.cell_size
-    y = x.as_array()
-    images = _tangent_images(cocycle, [path], y[None], frame[None, :, None], n_max - 1)
-    lo, hi = -delta, delta
-    lengths = np.empty(n_max)
-    eta_len = None
-    for j in range(n_max):
-        sym = path.symbol(j)
-        r = pair.cell_positions(sym, y)
-        for i in range(len(r)):
-            wi = images[0, j, i, 0]
-            if abs(wi) < 1e-14:
-                continue
-            a = (0.0 - r[i]) / wi
-            b = (g - r[i]) / wi
-            if a > b:
-                a, b = b, a
-            lo = max(lo, a)
-            hi = min(hi, b)
-        if hi - lo <= 1e-300:
-            raise EstimatorError("empty refined atom (numerical tolerance breach)")
-        if j == 0:
-            eta_len = hi - lo
-        lengths[j] = hi - lo
-        y = cocycle.map_for(sym).apply(y)
-    return eta_len, lengths
+    syms = _symbol_windows(paths, 0, n_max)
+    r = (_orbit(cocycle, syms, pts) - pair.offsets[syms.T]) % 1.0 % g  # (n_max, S, d)
+    w = _tangent_images(cocycle, paths, pts, frames[..., None], n_max - 1)[..., 0].swapaxes(0, 1)
+    skip = np.abs(w) < 1e-14
+    w = np.where(skip, 1.0, w)
+    a, b = (0.0 - r) / w, (g - r) / w
+    lo = np.where(skip, -np.inf, np.minimum(a, b)).max(axis=-1, initial=-delta)
+    hi = np.where(skip, np.inf, np.maximum(a, b)).min(axis=-1, initial=delta)
+    lengths = (np.minimum.accumulate(hi) - np.maximum.accumulate(lo)).T
+    if np.any(lengths <= 1e-300):
+        raise EstimatorError("empty refined atom (numerical tolerance breach)")
+    return lengths
 
 
-def _polyline_information(cocycle, pair, path, disk, n_max):
+def _polyline_lengths(cocycle, pair, path, disk, n_max):
     """Grid-resolution fallback: track the same-cell run on a leaf polyline."""
     pts = disk.points_lift.copy()
     params = disk.params
     mid = len(params) // 2
     alive = np.ones(len(params), dtype=bool)
     lengths = np.empty(n_max)
-    eta_len = None
     for j in range(n_max):
         sym = path.symbol(j)
         ids = pair.cell_ids(sym, pts % 1.0)
@@ -746,10 +737,8 @@ def _polyline_information(cocycle, pair, path, disk, n_max):
         if right - left < 4:
             raise EstimatorError("empty refined atom (resolution floor)")
         lengths[j] = params[right] - params[left]
-        if j == 0:
-            eta_len = lengths[0]
         pts = cocycle.map_for(sym).apply_lift(pts)
-    return eta_len, lengths
+    return lengths
 
 
 def _information_profiles(cocycle, sampler, pair, seeds, delta, n_max):
@@ -758,6 +747,8 @@ def _information_profiles(cocycle, sampler, pair, seeds, delta, n_max):
 
     A point mass (an atomic sampler, or a sample on a trivial leaf) gives
     its atom all the mass, so its row is 0; an atomic sampler draws nothing.
+    Constant-Jacobian samples clip their leaf intervals together
+    (_interval_lengths); sheared ones track a polyline chart each.
     """
     if pair.dim != cocycle.dim:
         raise InvalidSystem(
@@ -767,16 +758,23 @@ def _information_profiles(cocycle, sampler, pair, seeds, delta, n_max):
     if sampler.leaf_conditional == "atomic":
         return info
     half_window = max(n_max, ENTROPY_FRAME_STEPS) + 2
-    for row, (path, x, report) in zip(info, _sample_spectra(cocycle, sampler, seeds, half_window)):
-        if report.unstable_index == 0:
-            continue
-        if cocycle.has_constant_jacobian:
-            frame = report.eu_frame[:, 0]
-            eta_len, lengths = _interval_information(cocycle, pair, path, x, frame, n_max, delta)
-        else:
-            disk = unstable_disk(cocycle, SkewState(path, x), delta, report)
-            eta_len, lengths = _polyline_information(cocycle, pair, path, disk, n_max)
-        row[:] = -np.log(lengths / eta_len)
+    drawn = list(_sample_spectra(cocycle, sampler, seeds, half_window))
+    leafy = [i for i, (_, _, report) in enumerate(drawn) if report.unstable_index > 0]
+    if not leafy:
+        return info
+    paths, xs, reports = zip(*(drawn[i] for i in leafy))
+    if cocycle.has_constant_jacobian:
+        lengths = _interval_lengths(
+            cocycle, pair, paths, np.stack([x.as_array() for x in xs]),
+            np.stack([report.eu_frame[:, 0] for report in reports]), n_max, delta,
+        )
+    else:
+        lengths = np.stack([
+            _polyline_lengths(cocycle, pair, path,
+                              unstable_disk(cocycle, SkewState(path, x), delta, report), n_max)
+            for path, x, report in zip(paths, xs, reports)
+        ])
+    info[leafy] = -np.log(lengths / lengths[:, :1])
     return info
 
 

@@ -20,7 +20,6 @@ from .rds import (
     Cocycle,
     DrivingSystem,
     EstimatorError,
-    SymbolPath,
     TorusPoint,
     WindowExhausted,
     sample_path,
@@ -30,8 +29,6 @@ __all__ = [
     "OseledetsReport",
     "HyperbolicityCertificate",
     "lyapunov_spectra",
-    "lyapunov_spectrum",
-    "unstable_dimension",
     "certify_partial_hyperbolicity",
 ]
 
@@ -319,11 +316,19 @@ def lyapunov_spectra(
         raise ValueError("paths, xs and frame_seeds must have the same length")
     if not paths:
         return []
-    d = cocycle.dim
     pts = np.stack(points)
-    q0 = np.stack([_random_orthonormal(d, seed) for seed in seeds])
+    q0 = np.stack([_random_orthonormal(cocycle.dim, seed) for seed in seeds])
+    forward = _jacobians(cocycle, _symbol_windows(paths, 0, n), pts)
+    return _spectra(cocycle, paths, pts, q0, forward, frame_steps)
 
-    syms = _symbol_windows(paths, 0, n)
+
+def _spectra(
+    cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, forward: np.ndarray,
+    frame_steps: int | None,
+) -> list[OseledetsReport]:
+    """lyapunov_spectra's reports, given the samples' starting frames q0 (S, d, d) and
+    the forward Jacobian stack (n, S, d, d) of their orbits from pts (S, d)."""
+    n = len(forward)
     if frame_steps is None:
         frame_steps = min(n, 512)
     steps = [min(frame_steps, p.backward_reach, p.forward_reach) for p in paths]
@@ -332,7 +337,6 @@ def lyapunov_spectra(
     groups = [(fs, [i for i, s in enumerate(steps) if s == fs]) for fs in sorted(set(steps))]
 
     # the forward orbit's Jacobians give the exponents and log |det J|
-    forward = _jacobians(cocycle, syms, pts)
     log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
 
     # the exponent walk starts from the frame pushed from the past, which
@@ -340,7 +344,7 @@ def lyapunov_spectra(
     q_fwd = np.empty_like(q0)
     for fs, idx in groups:
         q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], pts[idx], q0[idx], fs)
-    logs = np.zeros((len(paths), d))
+    logs = np.zeros(q0.shape[:2])
     _qr_walk(forward, q_fwd, logs)
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
@@ -363,25 +367,6 @@ def lyapunov_spectra(
     return reports
 
 
-def lyapunov_spectrum(
-    cocycle: Cocycle,
-    path: SymbolPath,
-    x: TorusPoint,
-    n: int,
-    frame_steps: int | None = None,
-    frame_seed: int = 0,
-) -> OseledetsReport:
-    """The spectrum at one (path, x): lyapunov_spectra for a single sample."""
-    return lyapunov_spectra(
-        cocycle, [path], [x], n, frame_steps=frame_steps, frame_seeds=[frame_seed]
-    )[0]
-
-
-def unstable_dimension(report: OseledetsReport) -> int:
-    """Number of expanding Lyapunov blocks; 0 means the local leaf is a point."""
-    return report.unstable_index
-
-
 def certify_partial_hyperbolicity(
     cocycle: Cocycle,
     system: DrivingSystem,
@@ -395,9 +380,11 @@ def certify_partial_hyperbolicity(
     Per sampled (path, point): estimate the spectrum, read the domination
     gap as the rate difference between the first complementary block and
     the last expanding block, and track the co-norm of each one-step
-    derivative restricted to the transported expanding frame.  E^cs at
-    x_0 .. x_{n-1} is read off one backward walk from x_{n+K}, K =
-    min(spectrum_n, 512), through the transport's own Jacobians; a sample's
+    derivative restricted to the transported expanding frame.  One forward
+    Jacobian stack of max(spectrum_n, n + K) steps, K = min(spectrum_n,
+    512), serves the spectra (its first spectrum_n steps) and the transport.
+    E^cs at x_0 .. x_{n-1} is read off one backward walk from x_{n+K}
+    through its first n + K steps; a sample's
     constant is max(1, max_j exp(sum of E^cs stretches - sum of co-norms -
     gap (j + 1))) over steps 0..j, j < n.  The verdict is certified only
     when every sample expands (co-norm > 1) and is dominated (gap < 0)
@@ -410,6 +397,8 @@ def certify_partial_hyperbolicity(
         raise ValueError("need n >= 1")
     if spectrum_n is None:
         spectrum_n = max(600, n)
+    if spectrum_n < 100:
+        raise ValueError("need spectrum_n >= 100 for a usable exponent estimate")
     ahead = min(spectrum_n, 512)
     half_window = max(spectrum_n, n + ahead) + 2
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xCE57])
@@ -420,11 +409,11 @@ def certify_partial_hyperbolicity(
         path_seeds.append(int(rng.integers(0, 2**63 - 1)))
         paths.append(sample_path(system, half_window, path_seeds[-1]))
         xs.append(TorusPoint(tuple(rng.random(d))))
-    reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=path_seeds)
     pts = np.stack([x.as_array() for x in xs])
-    jacs = _jacobians(cocycle, _symbol_windows(paths, 0, n + ahead), pts)
     q0 = np.stack([_random_orthonormal(d, s) for s in path_seeds])
-    cs_frames = _covariant_frames(jacs, q0, n)
+    jacs = _jacobians(cocycle, _symbol_windows(paths, 0, max(spectrum_n, n + ahead)), pts)
+    reports = _spectra(cocycle, paths, pts, q0, jacs[:spectrum_n], None)
+    cs_frames = _covariant_frames(jacs[: n + ahead], q0, n)
 
     # domination gap per sample with a nontrivial leaf; samples that share
     # an expanding dimension transport together

@@ -29,7 +29,7 @@ from .oseledets import _tangent_images, lyapunov_spectra
 from .leafgeom import (
     UnstableDisk,
     bowen_step_arcs,
-    leaf_growth_factors,
+    leaf_growth_factors_batch,
     unstable_disk,
 )
 
@@ -44,12 +44,10 @@ __all__ = [
     "potential_norm",
     "birkhoff_sum",
     "SeparatedSetResult",
-    "maximal_separated_set",
     "maximal_separated_sets",
     "GridSpec",
     "CellRecord",
     "PressureEstimate",
-    "pressure_estimate",
     "pressure_estimates",
     "topological_entropy",
     "PropertyCheck",
@@ -97,7 +95,6 @@ class Potential:
     amplitude * fn(2 pi k.x + phase) from that shared evaluation.
     """
 
-    kind: str
     label: str
     l1_bound: float
     lipschitz: float
@@ -123,13 +120,11 @@ class Potential:
 
 
 def zero_potential() -> Potential:
-    return Potential(kind="zero", label="zero", l1_bound=0.0, lipschitz=0.0,
-                     symbol_fn=lambda s: 0.0)
+    return Potential(label="zero", l1_bound=0.0, lipschitz=0.0, symbol_fn=lambda s: 0.0)
 
 
 def constant_potential(c: float, label: str | None = None) -> Potential:
     return Potential(
-        kind="constant-per-symbol",
         label=label or f"const:{c:g}",
         l1_bound=abs(c),
         lipschitz=0.0,
@@ -140,7 +135,6 @@ def constant_potential(c: float, label: str | None = None) -> Potential:
 def per_symbol_potential(table, label: str | None = None) -> Potential:
     tab = tuple(float(v) for v in table)
     return Potential(
-        kind="constant-per-symbol",
         label=label or "per-symbol",
         l1_bound=max(abs(v) for v in tab),
         lipschitz=0.0,
@@ -164,7 +158,6 @@ def coordinate_potential(
         return wave[3] * _trig_values(pts, groups)[wave[:3]]
 
     return Potential(
-        kind="coordinate-observable",
         label=label or f"{fn}:{amplitude:g}@{'_'.join(str(int(v)) for v in k)}",
         l1_bound=abs(wave[3]),
         lipschitz=2.0 * math.pi * abs(wave[3]) * float(np.sum(np.abs(k))),
@@ -209,7 +202,6 @@ def combine_potentials(terms, label: str | None = None) -> Potential:
     """Weighted sum of potentials: terms is a list of (weight, Potential)."""
     terms = tuple((float(w), p) for w, p in terms)
     fields = dict(
-        kind="custom-sum",
         label=label or "+".join(f"{w:g}*{p.label}" for w, p in terms),
         l1_bound=sum(abs(w) * p.l1_bound for w, p in terms),
         lipschitz=sum(abs(w) * p.lipschitz for w, p in terms),
@@ -283,7 +275,6 @@ def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = Non
         return sigma.values(path.shifted(1), m.apply(pts)) - sigma.values(path, pts)
 
     return Potential(
-        kind="custom-sum",
         label=label or f"cobdry({sigma.label})",
         l1_bound=2.0 * sigma.l1_bound,
         lipschitz=sigma.lipschitz * (1.0 + cocycle.lipschitz),
@@ -564,26 +555,6 @@ def _profile_windows(arcs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
-def maximal_separated_set(
-    cocycle: Cocycle,
-    disk: UnstableDisk,
-    potential: Potential,
-    n: int,
-    epsilon: float,
-    max_candidates: int = 6_000_000,
-    materialize: bool = True,
-    growth: np.ndarray | None = None,
-) -> SeparatedSetResult:
-    """Greedy weighted packing of the disk at dynamical scale (n, epsilon).
-
-    The one-potential case of maximal_separated_sets.
-    """
-    return maximal_separated_sets(
-        cocycle, disk, [potential], n, epsilon, max_candidates=max_candidates,
-        materialize=materialize, growth=growth,
-    )[0]
-
-
 def maximal_separated_sets(
     cocycle: Cocycle,
     disk: UnstableDisk,
@@ -622,7 +593,7 @@ def maximal_separated_sets(
 
     if disk.construction == "linear-exact":
         if growth is None or len(growth) < n:
-            growth = leaf_growth_factors(cocycle, disk, n)
+            growth = leaf_growth_factors_batch(cocycle, [disk], n)[0]
         gstar = float(np.max(growth[:n]))
         spacing = epsilon * (1.0 + 1e-9) / gstar
         pack_count = math.floor(length / spacing) + 1
@@ -902,23 +873,6 @@ class PressureEstimate:
         return header, rows
 
 
-def pressure_estimate(
-    cocycle: Cocycle,
-    system: DrivingSystem,
-    potential: Potential,
-    grid: GridSpec,
-    seed: int,
-    keep_cells: bool = True,
-) -> PressureEstimate:
-    """Estimate the leafwise pressure of the potential on the given system.
-
-    The one-potential case of pressure_estimates.
-    """
-    return pressure_estimates(
-        cocycle, system, [potential], grid, seed, keep_cells=keep_cells
-    )[0]
-
-
 def pressure_estimates(
     cocycle: Cocycle,
     system: DrivingSystem,
@@ -937,8 +891,8 @@ def pressure_estimates(
 
     The potentials share the sample paths, the spectra, the disks, the leaf
     growth and, per cell, the packing's candidate grid and orbit walks
-    (maximal_separated_sets), so each estimate equals its own
-    pressure_estimate.  On a constant-Jacobian cocycle every base point of
+    (maximal_separated_sets), so each estimate equals the one made for
+    its potential alone.  On a constant-Jacobian cocycle every base point of
     a path shares one frame and one leaf growth, so an x-independent
     potential's cell depends only on the path, the growth, n and eps: it
     is packed at the path's first base point and reused at the others.
@@ -989,7 +943,7 @@ def pressure_estimates(
                 continue
             disk = unstable_disk(cocycle, state, grid.delta, report)
             if growth is None and disk.construction == "linear-exact":
-                growth = leaf_growth_factors(cocycle, disk, n_max)
+                growth = leaf_growth_factors_batch(cocycle, [disk], n_max)[0]
             logs_at_emin = [[] for _ in potentials]
             for n in grid.n_grid:
                 for eps in grid.eps_grid:
@@ -1074,7 +1028,7 @@ def topological_entropy(
     cocycle: Cocycle, system: DrivingSystem, grid: GridSpec, seed: int
 ) -> PressureEstimate:
     """Leafwise growth rate of packing counts: pressure at the zero potential."""
-    return pressure_estimate(cocycle, system, zero_potential(), grid, seed)
+    return pressure_estimates(cocycle, system, [zero_potential()], grid, seed)[0]
 
 
 # ---------------------------------------------------------------------------

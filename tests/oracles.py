@@ -305,7 +305,7 @@ def scalar_pressure_cells(cocycle, system, potential, grid, seed: int, frame_ste
     pressure estimate on a constant-Jacobian cocycle: every path and base point
     packed on its own, with the paths, spectra and disks the estimator draws."""
     from uthermo import SkewState, TorusPoint, lyapunov_spectra, sample_path, unstable_disk
-    from uthermo.leafgeom import leaf_growth_factors
+    from uthermo.leafgeom import leaf_growth_factors_batch
 
     rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
     seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(grid.omega_samples)]
@@ -318,7 +318,7 @@ def scalar_pressure_cells(cocycle, system, potential, grid, seed: int, frame_ste
                                   frame_steps=frame_steps, frame_seeds=[pseed])[0]
         for xi, x in enumerate(base_pts):
             disk = unstable_disk(cocycle, SkewState(path=path, point=x), grid.delta, report)
-            growth = leaf_growth_factors(cocycle, disk, grid.n_grid[-1])
+            growth = leaf_growth_factors_batch(cocycle, [disk], grid.n_grid[-1])[0]
             for n in grid.n_grid:
                 for eps in grid.eps_grid:
                     rows.append((pseed, xi, n, eps)

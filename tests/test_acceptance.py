@@ -31,7 +31,6 @@ from uthermo import (
     mixing_inequality_check,
     partition_entropy_rate,
     periodic_atomic_sampler,
-    pressure_estimate,
     pressure_estimates,
     pressure_property_suite,
     smb_trace,
@@ -204,9 +203,9 @@ def test_criterion_7_variational_inequality(cat_cocycle, trivial_system, cat_haa
         for c in report.candidates:
             if c.defect < -c.combined_ci:
                 all_defects_ok = False
-            if phi.kind == "zero" and c.measure_id == "haar":
+            if phi.label == "zero" and c.measure_id == "haar":
                 haar_attains = c.equilibrium_within_ci
-            if phi.kind == "zero" and c.measure_id.startswith("atomic"):
+            if phi.label == "zero" and c.measure_id.startswith("atomic"):
                 atomic_defect = c.defect
         details.append(f"{phi.label}: min defect {min(c.defect for c in report.candidates):+.4f}")
     atomic_ok = atomic_defect is not None and abs(atomic_defect / H_CAT - 1.0) <= 0.10

@@ -141,6 +141,20 @@ class TestRunner:
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == manifest[f"cat_vp_scan/{name}"], name
 
+    def test_vp_scan_reads_closed_orbit_integral(self, tmp_path):
+        # atomic:0.2,0.4 is a period-2 orbit of the cat map, which a float walk
+        # leaves after 30-40 steps; birkhoff_n is 64
+        cfg = _write(tmp_path, "orbit.cfg", f"system = {CONFIG_DIR / 'cat.system'}\n"
+                     "experiment = vp-scan\nseed = 1\npotential = cos:0.4:1,0\n"
+                     "measures = haar atomic:0.2,0.4\nn_grid = 5:8\neps_grid = 0.04\n"
+                     "base_grid = 2\nentropy_samples = 4\nbirkhoff_samples = 4\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "vp_scan_1.json").read_text())
+        atom = summary["candidates"][1]
+        assert atom["measure_id"] == "atomic:0.2,0.4"
+        assert atom["integral"] == pytest.approx(0.4 * math.cos(0.4 * math.pi), abs=1e-12)
+        assert atom["integral_ci"] == 0.0
+
     def test_reruns_are_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -19,7 +19,7 @@ from uthermo import (
     haar_sampler,
     mixing_inequality_check,
     periodic_atomic_sampler,
-    pressure_estimate,
+    pressure_estimates,
     sample_path,
     zero_potential,
 )
@@ -117,8 +117,8 @@ class TestCohomology:
         sigma = coordinate_potential(0.3, [1, 0], label="sig")
         with_c = cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.3)
         without_c = cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.0)
-        p_with = pressure_estimate(cat_cocycle, trivial_system, with_c, enum_grid, 3)
-        p_without = pressure_estimate(cat_cocycle, trivial_system, without_c, enum_grid, 3)
+        p_with = pressure_estimates(cat_cocycle, trivial_system, [with_c], enum_grid, 3)[0]
+        p_without = pressure_estimates(cat_cocycle, trivial_system, [without_c], enum_grid, 3)[0]
         assert p_with.value == pytest.approx(p_without.value - 0.3, abs=1e-9)
 
 
@@ -310,3 +310,16 @@ class TestBirkhoffIntegral:
             cat_cocycle, coordinate_potential(1.0, [1, 0]), haar, n=128, samples=64, seed=1
         )
         assert abs(mean) <= 3.0 * sem + 0.02
+
+    @pytest.mark.parametrize(
+        "point, exact", [((0.2, 0.4), 0.4 * math.cos(0.4 * math.pi)), ((1 / 3, 2 / 3), -0.2)],
+        ids=["period_2", "period_4"],
+    )
+    def test_atomic_integral_is_orbit_mean(self, point, exact, cat_cocycle, trivial_system):
+        # a float walk leaves these expanding periodic orbits after 30-40 steps
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint(point))
+        for n in (16, 32, 64, 128):
+            mean, sem = birkhoff_integral(cat_cocycle, coordinate_potential(0.4, [1, 0]), atom,
+                                          n=n, samples=8, seed=1)
+            assert mean == pytest.approx(exact, abs=1e-12)
+            assert sem == 0.0

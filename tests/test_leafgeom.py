@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from uthermo import (
-    BowenMetric,
     Cocycle,
     MapDescriptor,
     SkewState,
@@ -16,12 +15,11 @@ from uthermo import (
     leaf_distance,
     leaf_volume,
     lyapunov_spectra,
-    lyapunov_spectrum,
     sample_path,
     skew_step,
     unstable_disk,
 )
-from uthermo.leafgeom import bowen_step_arcs, leaf_growth_factors, leaf_growth_factors_batch
+from uthermo.leafgeom import bowen_step_arcs, leaf_growth_factors_batch
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +30,7 @@ def cat_state(cat_cocycle, trivial_system):
 
 @pytest.fixture(scope="module")
 def cat_report(cat_cocycle, cat_state):
-    return lyapunov_spectrum(cat_cocycle, cat_state.path, cat_state.point, 1000)
+    return lyapunov_spectra(cat_cocycle, [cat_state.path], [cat_state.point], 1000)[0]
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +53,7 @@ class TestDiskConstruction:
     def test_trivial_leaf_errors(self, trivial_system):
         ident = Cocycle(maps=(MapDescriptor(matrix=np.eye(2)),))
         path = sample_path(trivial_system, 600, 1)
-        rep = lyapunov_spectrum(ident, path, TorusPoint((0.5, 0.5)), 500)
+        rep = lyapunov_spectra(ident, [path], [TorusPoint((0.5, 0.5))], 500)[0]
         with pytest.raises(TrivialLeafError):
             unstable_disk(ident, SkewState(path=path, point=TorusPoint((0.5, 0.5))), 0.1, rep)
 
@@ -83,7 +81,7 @@ class TestDiskConstruction:
         for cocycle, system in ((t3_cocycle, t3_system), (plane_leaf_cocycle, trivial_system)):
             path = sample_path(system, 400, 3)
             x = TorusPoint((0.3, 0.6, 0.2))
-            rep = lyapunov_spectrum(cocycle, path, x, 300)
+            rep = lyapunov_spectra(cocycle, [path], [x], 300)[0]
             disks.append(unstable_disk(cocycle, SkewState(path=path, point=x), 0.1, rep))
         assert [d.leaf_dim for d in disks] == [1, 1, 2]
         for disk in disks:
@@ -112,10 +110,10 @@ class TestDiskConstruction:
         path = sample_path(trivial_system, 800, 3)
         x = TorusPoint((0.37, 0.59))
         state = SkewState(path=path, point=x)
-        rep = lyapunov_spectrum(perturbed_cat_cocycle, path, x, 600)
+        rep = lyapunov_spectra(perturbed_cat_cocycle, [path], [x], 600)[0]
         disk = unstable_disk(perturbed_cat_cocycle, state, 0.1, rep)
         nxt = skew_step(perturbed_cat_cocycle, state, 1)
-        rep_next = lyapunov_spectrum(perturbed_cat_cocycle, nxt.path, nxt.point, 600)
+        rep_next = lyapunov_spectra(perturbed_cat_cocycle, [nxt.path], [nxt.point], 600)[0]
         disk_next = unstable_disk(perturbed_cat_cocycle, nxt, 0.1, rep_next)
         m = perturbed_cat_cocycle.maps[0]
         for t in np.linspace(-0.03, 0.03, 7):
@@ -169,20 +167,13 @@ class TestBowenDistance:
                 assert cur >= prev - 1e-12
                 prev = cur
 
-    def test_metric_object(self, cat_cocycle, cat_disk):
-        m1 = BowenMetric(cocycle=cat_cocycle, disk=cat_disk, n=1)
-        y1, y2 = cat_disk.chart(-0.04), cat_disk.chart(0.02)
-        assert m1.distance(y1, y2) == pytest.approx(leaf_distance(cat_disk, y1, y2))
-        m5 = BowenMetric(cocycle=cat_cocycle, disk=cat_disk, n=5)
-        assert m5.distance(y1, y2) >= m1.distance(y1, y2)
-
 
 class TestExpansionAndNesting:
     def test_one_step_leaf_expansion(self, cat_cocycle, cat_state, cat_report, cat_disk):
         # certified expansion rate from the eigenvalue; pairs kept inside the chart
         lam = oracles.CAT_EIGENVALUE
         nxt = skew_step(cat_cocycle, cat_state, 1)
-        rep_next = lyapunov_spectrum(cat_cocycle, nxt.path, nxt.point, 1000)
+        rep_next = lyapunov_spectra(cat_cocycle, [nxt.path], [nxt.point], 1000)[0]
         disk_next = unstable_disk(cat_cocycle, nxt, 0.1, rep_next)
         m = cat_cocycle.maps[0]
         rng = np.random.default_rng(7)
@@ -213,7 +204,7 @@ class TestExpansionAndNesting:
     def test_growth_factors_match_arcs(self, cat_cocycle, cat_disk):
         params = np.linspace(-0.08, 0.08, 9)
         arcs = bowen_step_arcs(cat_cocycle, cat_disk, 6, params)
-        growth = leaf_growth_factors(cat_cocycle, cat_disk, 6)
+        growth = leaf_growth_factors_batch(cat_cocycle, [cat_disk], 6)[0]
         assert np.allclose(arcs, np.outer(growth, params))
 
 
@@ -264,14 +255,13 @@ class TestTangentWalks:
             ref = oracles.scalar_leaf_growth(
                 cocycle, disk.base.path, disk.base_lift, disk.frame[:, 0], 40)
             assert np.array_equal(row, ref)
-            assert np.array_equal(leaf_growth_factors(cocycle, disk, 40), ref)
 
     @pytest.mark.parametrize("name", _COCYCLES)
     def test_growth_alone_equals_growth_in_batch(self, name, request, iid_system, trivial_system):
         cocycle = request.getfixturevalue(name)
         disks = _disks(cocycle, _system_for(cocycle, iid_system, trivial_system), 16, seed=3)
         batch = leaf_growth_factors_batch(cocycle, disks, 30)
-        assert np.array_equal(leaf_growth_factors(cocycle, disks[7], 30), batch[7])
+        assert np.array_equal(leaf_growth_factors_batch(cocycle, [disks[7]], 30)[0], batch[7])
 
     def test_empty_growth_batch(self, cat_cocycle):
         assert leaf_growth_factors_batch(cat_cocycle, [], 12).shape == (0, 12)

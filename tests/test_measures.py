@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from uthermo import (
     conditional_information,
     convex_combo_sampler,
     haar_sampler,
-    lyapunov_spectrum,
+    lyapunov_spectra,
     partition_entropy_rate,
     periodic_atomic_sampler,
     sample_path,
@@ -31,7 +32,7 @@ from uthermo import (
 from uthermo import measures
 from uthermo.thermo import CI_FLOOR
 from uthermo.measures import (
-    _interval_information,
+    _interval_lengths,
     information_at,
     information_identity_battery,
     random_finite_skew_space,
@@ -199,7 +200,7 @@ class TestPartitionPair:
     def test_disk_radius_must_exceed_cell(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 600, 1)
         state = SkewState(path=path, point=TorusPoint((0.0, 0.0)))
-        rep = lyapunov_spectrum(cat_cocycle, path, state.point, 500)
+        rep = lyapunov_spectra(cat_cocycle, [path], [state.point], 500)[0]
         disk = unstable_disk(cat_cocycle, state, 0.05, rep)
         with pytest.raises(InvalidSystem):
             build_partition_pair(trivial_system, [disk], 16, offset_seed=1)
@@ -223,13 +224,13 @@ class TestPartitionPair:
         pair = build_partition_pair(trivial_system, [], 16, offset_seed=5)
         path = sample_path(trivial_system, 600, 1)
         x = TorusPoint((0.31, 0.77))
-        rep = lyapunov_spectrum(cat_cocycle, path, x, 500)
+        rep = lyapunov_spectra(cat_cocycle, [path], [x], 500)[0]
         disk = unstable_disk(
             cat_cocycle, SkewState(path=path, point=x), 0.1, rep
         )
-        eta_len, lengths = _interval_information(
-            cat_cocycle, pair, path, x, rep.eu_frame[:, 0], 1, 0.1
-        )
+        eta_len = _interval_lengths(
+            cat_cocycle, pair, [path], x.as_array()[None], rep.eu_frame[:, 0][None], 1, 0.1
+        )[0, 0]
         lo, hi = oracles.leaf_interval_by_scan(
             lambda t: np.asarray(disk.chart_lift(t)).reshape(-1) % 1.0,
             lambda p: tuple(pair.cell_ids(0, p.reshape(1, -1))[0]),
@@ -419,7 +420,7 @@ class TestPointMass:
         for k, x in enumerate(orbit):
             path = sample_path(system, 300, k)
             disk = unstable_disk(cocycle, SkewState(path, x), 0.1,
-                                 lyapunov_spectrum(cocycle, path, x, 200))
+                                 lyapunov_spectra(cocycle, [path], [x], 200)[0])
             assert disk.param_of(x) == pytest.approx(0.0, abs=1e-12)
             for y in orbit[:k] + orbit[k + 1:]:
                 with pytest.raises(OffLeafError):
@@ -468,18 +469,38 @@ class TestEntropyGapReport:
 
 
 class TestIntervalInformationPush:
+    """The batched interval clip against one sample, one step and one coordinate
+    at a time (oracles.scalar_interval_information)."""
+
+    @pytest.mark.parametrize("trivial", [(), (1, 3), (0, 1, 2, 3, 4)],
+                             ids=["no_point_leaf", "two_point_leaves", "all_point_leaves"])
     @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "t3_cocycle"])
-    def test_bitwise_equals_scalar_push(self, name, request, iid_system, trivial_system):
+    def test_profiles_equal_scalar_push(self, name, trivial, request, monkeypatch, iid_system,
+                                        trivial_system):
         cocycle = request.getfixturevalue(name)
         system = iid_system if len(cocycle.maps) > 1 else trivial_system
         pair = build_partition_pair(system, [], 16, offset_seed=5, dim=cocycle.dim)
-        rng = np.random.default_rng(8)
-        for i in range(4):
-            path = sample_path(system, 300, 40 + i)
-            x = TorusPoint(tuple(rng.random(cocycle.dim)))
-            frame = lyapunov_spectrum(cocycle, path, x, 200).eu_frame[:, 0]
-            got = _interval_information(cocycle, pair, path, x, frame, 8, 0.1)
-            ref = oracles.scalar_interval_information(
-                cocycle, pair, path, x.as_array(), frame, 8, 0.1)
-            assert got[0] == ref[0]
-            assert np.array_equal(got[1], ref[1])
+        real, drawn = measures._sample_spectra, []
+
+        def flatten(*args):
+            # the samples listed in trivial get a point for a leaf
+            for i, (path, x, rep) in enumerate(real(*args)):
+                drawn.append((path, x, replace(rep, unstable_index=0) if i in trivial else rep))
+            return drawn
+
+        monkeypatch.setattr(measures, "_sample_spectra", flatten)
+        info = measures._information_profiles(
+            cocycle, haar_sampler(system, dim=cocycle.dim), pair, [40, 41, 42, 43, 44], 0.1, 8)
+        assert len(drawn) == len(info) == 5
+        for row, (path, x, rep) in zip(info, drawn):
+            if rep.unstable_index == 0:
+                assert np.array_equal(row, np.zeros(8))
+                continue
+            eta, lengths = oracles.scalar_interval_information(
+                cocycle, pair, path, x.as_array(), rep.eu_frame[:, 0], 8, 0.1)
+            ref = -np.log(lengths / eta)
+            if name == "iid_cocycle":
+                # stacked A^2 rows round unlike one-row products, by about 1e-12
+                assert np.allclose(row, ref, rtol=0.0, atol=1e-10)
+            else:
+                assert np.array_equal(row, ref)

@@ -19,11 +19,9 @@ from uthermo import (
     GridSpec,
     haar_sampler,
     lyapunov_spectra,
-    lyapunov_spectrum,
     sample_path,
     skew_step,
     topological_entropy,
-    unstable_dimension,
 )
 from uthermo import oseledets
 from uthermo.oseledets import (
@@ -32,26 +30,10 @@ from uthermo.oseledets import (
 from uthermo.rds import SkewState
 
 
-def _report_with(exponents, multiplicities=None):
-    exps = tuple(float(v) for v in exponents)
-    mult = tuple(multiplicities or (1,) * len(exps))
-    d = sum(mult)
-    u = sum(1 for v in exps if v > 0.01)
-    udim = sum(m for v, m in zip(exps, mult) if v > 0.01)
-    return OseledetsReport(
-        exponents=exps,
-        multiplicities=mult,
-        unstable_index=u,
-        eu_frame=np.eye(d)[:, :udim],
-        orbit_length=1000,
-        raw_exponents=exps,
-    )
-
-
 class TestSpectrum:
     def test_cat_map_matches_eigenvalues(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 10_100, 1)
-        rep = lyapunov_spectrum(cat_cocycle, path, TorusPoint((0.3, 0.4)), 10_000)
+        rep = lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.3, 0.4))], 10_000)[0]
         eig = np.sort(np.abs(np.linalg.eigvals(oracles.CAT_MATRIX.astype(float))))[::-1]
         assert rep.exponents[0] == pytest.approx(math.log(eig[0]), abs=1e-3)
         assert rep.exponents[1] == pytest.approx(math.log(eig[1]), abs=1e-3)
@@ -61,7 +43,7 @@ class TestSpectrum:
     def test_random_switching_matches_path_exact_value(self, iid_cocycle, iid_system):
         n = 10_000
         path = sample_path(iid_system, n + 200, 3)
-        rep = lyapunov_spectrum(iid_cocycle, path, TorusPoint((0.2, 0.7)), n)
+        rep = lyapunov_spectra(iid_cocycle, [path], [TorusPoint((0.2, 0.7))], n)[0]
         # closed form along this very path: symbol k contributes (k+1) log(lam+)
         steps = sum(path.symbol(j) + 1 for j in range(n))
         exact_top = steps / n * oracles.CAT_LOG
@@ -70,7 +52,7 @@ class TestSpectrum:
 
     def test_t3_block_structure(self, t3_cocycle, t3_system):
         path = sample_path(t3_system, 4200, 5)
-        rep = lyapunov_spectrum(t3_cocycle, path, TorusPoint((0.3, 0.7, 0.1)), 4000)
+        rep = lyapunov_spectra(t3_cocycle, [path], [TorusPoint((0.3, 0.7, 0.1))], 4000)[0]
         assert rep.unstable_index == 1
         assert len(rep.exponents) == 3
         assert rep.exponents[0] == pytest.approx(oracles.CAT_LOG, abs=0.01)
@@ -79,7 +61,7 @@ class TestSpectrum:
 
     def test_eu_frame_is_unstable_eigvector(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 1200, 1)
-        rep = lyapunov_spectrum(cat_cocycle, path, TorusPoint((0.0, 0.0)), 1000)
+        rep = lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.0, 0.0))], 1000)[0]
         frame = rep.eu_frame[:, 0]
         assert abs(abs(frame @ oracles.CAT_UNSTABLE_DIR) - 1.0) < 1e-10
         assert np.linalg.norm(rep.eu_frame.T @ rep.eu_frame - np.eye(1)) < 1e-10
@@ -89,7 +71,7 @@ class TestSpectrum:
         n = 600
         path = sample_path(iid_system, n + 200, 9)
         x = TorusPoint((0.11, 0.83))
-        rep = lyapunov_spectrum(iid_cocycle, path, x, n)
+        rep = lyapunov_spectra(iid_cocycle, [path], [x], n)[0]
         total = sum(l * m for l, m in zip(rep.exponents, rep.multiplicities))
         log_det = 0.0
         pt = x
@@ -102,17 +84,17 @@ class TestSpectrum:
     def test_frame_seed_invariance(self, iid_cocycle, iid_system):
         path = sample_path(iid_system, 2200, 21)
         x = TorusPoint((0.5, 0.25))
-        r1 = lyapunov_spectrum(iid_cocycle, path, x, 2000, frame_seed=1)
-        r2 = lyapunov_spectrum(iid_cocycle, path, x, 2000, frame_seed=999)
+        r1 = lyapunov_spectra(iid_cocycle, [path], [x], 2000, frame_seeds=[1])[0]
+        r2 = lyapunov_spectra(iid_cocycle, [path], [x], 2000, frame_seeds=[999])[0]
         assert np.max(np.abs(np.array(r1.exponents) - np.array(r2.exponents))) < 2e-3
 
     def test_eu_frame_equivariance(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 1300, 2)
         x = TorusPoint((0.21, 0.86))
-        rep = lyapunov_spectrum(cat_cocycle, path, x, 1000)
+        rep = lyapunov_spectra(cat_cocycle, [path], [x], 1000)[0]
         state = SkewState(path=path, point=x)
         nxt = skew_step(cat_cocycle, state, 1)
-        rep_next = lyapunov_spectrum(cat_cocycle, nxt.path, nxt.point, 1000)
+        rep_next = lyapunov_spectra(cat_cocycle, [nxt.path], [nxt.point], 1000)[0]
         pushed = cat_cocycle.maps[0].matrix.astype(float) @ rep.eu_frame
         pushed = _positive_q(pushed)
         angle = math.acos(min(1.0, abs(float(pushed[:, 0] @ rep_next.eu_frame[:, 0]))))
@@ -121,7 +103,7 @@ class TestSpectrum:
     def test_short_orbit_rejected(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 200, 1)
         with pytest.raises(ValueError):
-            lyapunov_spectrum(cat_cocycle, path, TorusPoint((0.1, 0.1)), 50)
+            lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.1, 0.1))], 50)[0]
 
 
 class _SingularMap(MapDescriptor):
@@ -170,8 +152,8 @@ class TestOrbitEngine:
                     assert rep.log_det_sum == log_det
                 else:
                     assert rep.log_det_sum == pytest.approx(log_det, abs=1e-9)
-                single = lyapunov_spectrum(cocycle, path, x, n, frame_steps=frame_steps,
-                                           frame_seed=seed)
+                single = lyapunov_spectra(cocycle, [path], [x], n, frame_steps=frame_steps,
+                                          frame_seeds=[seed])[0]
                 assert single.raw_exponents == rep.raw_exponents
                 assert np.array_equal(single.eu_frame, rep.eu_frame)
 
@@ -210,7 +192,7 @@ class TestOrbitEngine:
     ):
         cocycle = perturbed_cat_cocycle
         path = sample_path(trivial_system, 300, 2)
-        rep = lyapunov_spectrum(cocycle, path, TorusPoint((0.3, 0.6)), 200)
+        rep = lyapunov_spectra(cocycle, [path], [TorusPoint((0.3, 0.6))], 200)[0]
         phiu = geometric_potential(cocycle, rep, frame_steps=60)
         pts = np.random.default_rng(5).random((7, 2))
         got = phiu.values(path, pts)
@@ -316,14 +298,26 @@ class TestFrameEquivariance:
 
 
 class TestUnstableDimension:
-    def test_positive_block(self):
-        assert unstable_dimension(_report_with((0.96, -0.96))) == 1
+    """report.unstable_index counts the exponent clusters above POSITIVE_MARGIN."""
 
-    def test_no_expansion(self):
-        assert unstable_dimension(_report_with((-0.1, -0.5))) == 0
+    def test_positive_block(self, cat_cocycle, trivial_system):
+        path = sample_path(trivial_system, 300, 1)
+        rep = lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.3, 0.4))], 200)[0]
+        assert rep.unstable_index == rep.unstable_dim == 1
 
-    def test_zero_exponent_excluded(self):
-        assert unstable_dimension(_report_with((0.96, 0.0, -0.96))) == 1
+    def test_no_expansion(self, trivial_system):
+        shift = (0.41421356, 0.73205081)
+        rotation = Cocycle(maps=(MapDescriptor(matrix=np.eye(2), translation=shift),))
+        path = sample_path(trivial_system, 300, 1)
+        rep = lyapunov_spectra(rotation, [path], [TorusPoint((0.3, 0.4))], 200)[0]
+        assert rep.exponents == (0.0,)
+        assert rep.unstable_index == rep.unstable_dim == 0
+
+    def test_zero_exponent_excluded(self, t3_cocycle, t3_system):
+        path = sample_path(t3_system, 300, 5)
+        rep = lyapunov_spectra(t3_cocycle, [path], [TorusPoint((0.3, 0.7, 0.1))], 200)[0]
+        assert rep.exponents[1] == pytest.approx(0.0, abs=1e-9)
+        assert rep.unstable_index == rep.unstable_dim == 1
 
 
 class TestCertificates:
@@ -351,7 +345,8 @@ class TestCertificates:
         assert cert.constants == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "name", ["perturbed_cat_cocycle", "t3_cocycle", "iid_cocycle", "plane_leaf_cocycle"]
+        "name", ["cat_cocycle", "perturbed_cat_cocycle", "t3_cocycle", "iid_cocycle",
+                 "plane_leaf_cocycle"]
     )
     def test_transport_bitwise_equals_scalar_loop(self, name, request, iid_system, trivial_system):
         cocycle = request.getfixturevalue(name)
@@ -367,7 +362,7 @@ class TestCertificates:
             pseed = int(rng.integers(0, 2**63 - 1))
             path = sample_path(system, n + 200 + 2, pseed)
             x = TorusPoint(tuple(rng.random(cocycle.dim)))
-            rep = lyapunov_spectrum(cocycle, path, x, 200, frame_seed=pseed)
+            rep = lyapunov_spectra(cocycle, [path], [x], 200, frame_seeds=[pseed])[0]
             u = rep.unstable_index
             gap = rep.exponents[u] - rep.exponents[u - 1] if u < len(rep.exponents) else -math.inf
             lam, c = oracles.scalar_certify_transport(
@@ -377,6 +372,55 @@ class TestCertificates:
                            "constant": c}
             constants.append(c)
         assert cert.constants == max(constants)
+        # the verdict, from the separately built spectra and transports
+        gap = max(rec["gap"] for rec in cert.per_sample)
+        lam = min(rec["expansion"] for rec in cert.per_sample)
+        margin = oseledets.CERTIFY_MARGIN
+        if lam > 1.0 + margin and gap < -margin:
+            assert cert.verdict == "certified"
+        elif lam <= 1.0 or gap >= 0.0:
+            assert cert.verdict == "violated"
+        else:
+            assert cert.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("name", ["cat_cocycle", "t3_cocycle", "perturbed_cat_cocycle"])
+    @pytest.mark.parametrize("n, spectrum_n", [(40, 600), (40, 200), (700, 600)])
+    def test_one_forward_stack_serves_spectra_and_transport(
+        self, name, n, spectrum_n, monkeypatch, request, t3_system, trivial_system
+    ):
+        cocycle = request.getfixturevalue(name)
+        system = t3_system if cocycle.dim == 3 else trivial_system
+        # forward stacks only: the frames pushed from the past walk their own
+        # backward orbits
+        real, stacks = oseledets._jacobians, []
+
+        def counting(*args, backward=False):
+            out = real(*args, backward=backward)
+            if not backward:
+                stacks.append(out)
+            return out
+
+        monkeypatch.setattr(oseledets, "_jacobians", counting)
+        cert = certify_partial_hyperbolicity(cocycle, system, samples=10, n=n, seed=2,
+                                             spectrum_n=spectrum_n)
+        ahead = min(spectrum_n, 512)
+        assert [len(j) for j in stacks] == [max(spectrum_n, n + ahead)]
+        # the certificate's draws, with the spectra and the transport's
+        # Jacobians each built on their own
+        rng = np.random.default_rng([2, 0xCE57])
+        seeds, paths, xs = [], [], []
+        for _ in range(10):
+            seeds.append(int(rng.integers(0, 2**63 - 1)))
+            paths.append(sample_path(system, max(spectrum_n, n + ahead) + 2, seeds[-1]))
+            xs.append(TorusPoint(tuple(rng.random(cocycle.dim))))
+        pts = np.stack([x.as_array() for x in xs])
+        transport = real(cocycle, _symbol_windows(paths, 0, n + ahead), pts)
+        assert np.array_equal(stacks[0][: n + ahead], transport)
+        reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=seeds)
+        for rec, rep in zip(cert.per_sample, reports):
+            u, exps = rep.unstable_index, rep.exponents
+            assert rec["unstable_index"] == u
+            assert rec["gap"] == (exps[u] - exps[u - 1] if u < len(exps) else -math.inf)
 
     def test_iid_constant_equals_path_formula(self, iid_cocycle, iid_system):
         # covariant frames of A and A^2 are the shared eigenvectors, so each

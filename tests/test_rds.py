@@ -157,7 +157,7 @@ class TestReduceMod1:
         assert math.copysign(1.0, reduce_mod1(np.array([-0.0]))[0]) == 1.0
 
     def test_callers_unchanged(self, perturbed_cat_cocycle, trivial_system, monkeypatch):
-        from uthermo import equilibria, geometric_potential, leafgeom, lyapunov_spectrum, rds
+        from uthermo import equilibria, geometric_potential, leafgeom, lyapunov_spectra, rds
         from uthermo import unstable_disk
 
         m = perturbed_cat_cocycle.maps[0]
@@ -165,7 +165,7 @@ class TestReduceMod1:
         rng = np.random.default_rng(5)
         lifts = rng.standard_normal((200, 2)) * 3.0
         lifts[:4] = [[-1e-20, 0.5], [-0.0, -1e-17], [2.0, -3.0], [0.25, 1.0 - 1e-17]]
-        rep = lyapunov_spectrum(perturbed_cat_cocycle, path, TorusPoint((0.3, 0.6)), 200)
+        rep = lyapunov_spectra(perturbed_cat_cocycle, [path], [TorusPoint((0.3, 0.6))], 200)[0]
         disk = unstable_disk(perturbed_cat_cocycle,
                              SkewState(path=path, point=TorusPoint((0.3, 0.6))), 0.1, rep)
         phiu = geometric_potential(perturbed_cat_cocycle, rep)

@@ -16,10 +16,10 @@ from uthermo import (
     combine_potentials,
     constant_potential,
     coordinate_potential,
-    lyapunov_spectrum,
-    maximal_separated_set,
+    lyapunov_spectra,
+    maximal_separated_sets,
     per_symbol_potential,
-    pressure_estimate,
+    pressure_estimates,
     pressure_property_suite,
     sample_path,
     topological_entropy,
@@ -35,7 +35,7 @@ from uthermo.thermo import fit_slope, potential_norm, theta_coboundary
 def cat_setup(cat_cocycle, trivial_system):
     path = sample_path(trivial_system, 1200, 1)
     state = SkewState(path=path, point=TorusPoint((0.0, 0.0)))
-    rep = lyapunov_spectrum(cat_cocycle, path, state.point, 1000)
+    rep = lyapunov_spectra(cat_cocycle, [path], [state.point], 1000)[0]
     disk = unstable_disk(cat_cocycle, state, 0.1, rep)
     return path, state, disk
 
@@ -120,22 +120,22 @@ class TestSeparatedSets:
     def test_single_step_count_matches_packing_oracle(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
         for eps in (0.011, 0.02, 0.033, 0.05):
-            res = maximal_separated_set(cat_cocycle, disk, zero_potential(), 1, eps)
+            res = maximal_separated_sets(cat_cocycle, disk, [zero_potential()], 1, eps)[0]
             expected = oracles.packing_count_1d(0.2, eps)
             assert abs(res.count - expected) <= 1
             assert res.log_weighted_sum <= res.log_upper + 1e-12
 
     def test_selected_points_are_separated(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
-        res = maximal_separated_set(cat_cocycle, disk, zero_potential(), 3, 0.05)
+        res = maximal_separated_sets(cat_cocycle, disk, [zero_potential()], 3, 0.05)[0]
         assert res.count <= 80
         assert res.verify_separation(cat_cocycle, disk)
 
     def test_constant_weights_shift_sum_not_points(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
         n, eps, c = 4, 0.03, 0.45
-        base = maximal_separated_set(cat_cocycle, disk, zero_potential(), n, eps)
-        shifted = maximal_separated_set(cat_cocycle, disk, constant_potential(c), n, eps)
+        base = maximal_separated_sets(cat_cocycle, disk, [zero_potential()], n, eps)[0]
+        shifted = maximal_separated_sets(cat_cocycle, disk, [constant_potential(c)], n, eps)[0]
         assert np.array_equal(base.points, shifted.points)
         assert shifted.log_weighted_sum == pytest.approx(
             base.log_weighted_sum + n * c, abs=1e-12
@@ -146,10 +146,10 @@ class TestSeparatedSets:
         # sum must stay within the greedy grid slack of the exact lattice
         _, _, disk = cat_setup
         n, eps = 4, 0.03
-        exact = maximal_separated_set(cat_cocycle, disk, zero_potential(), n, eps)
-        enum = maximal_separated_set(
-            cat_cocycle, disk, coordinate_potential(0.0, [1, 0]), n, eps
-        )
+        exact = maximal_separated_sets(cat_cocycle, disk, [zero_potential()], n, eps)[0]
+        enum = maximal_separated_sets(
+            cat_cocycle, disk, [coordinate_potential(0.0, [1, 0])], n, eps
+        )[0]
         assert enum.log_weighted_sum <= exact.log_upper + 1e-12
         assert enum.log_weighted_sum >= exact.log_weighted_sum - math.log(9.0 / 8.0) - 0.01
         assert enum.verify_separation(cat_cocycle, disk)
@@ -157,7 +157,7 @@ class TestSeparatedSets:
     def test_weighted_greedy_prefers_heavy_points(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
         pot = coordinate_potential(0.8, [1, 0])
-        res = maximal_separated_set(cat_cocycle, disk, pot, 3, 0.05)
+        res = maximal_separated_sets(cat_cocycle, disk, [pot], 3, 0.05)[0]
         assert res.verify_separation(cat_cocycle, disk)
         assert res.log_weighted_sum <= res.log_upper + 1e-12
         # greedy starts from the heaviest candidate, so the packed sum
@@ -173,7 +173,7 @@ class TestSeparatedSets:
     def test_count_monotone_in_epsilon(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
         counts = [
-            maximal_separated_set(cat_cocycle, disk, zero_potential(), 5, eps).count
+            maximal_separated_sets(cat_cocycle, disk, [zero_potential()], 5, eps)[0].count
             for eps in (0.01, 0.02, 0.04, 0.08)
         ]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
@@ -183,8 +183,8 @@ class TestSeparatedSets:
         # one, so its weighted sum sits under the finer-scale upper bound
         _, _, disk = cat_setup
         pot = coordinate_potential(0.6, [1, 0])
-        fine = maximal_separated_set(cat_cocycle, disk, pot, 4, 0.02)
-        coarse = maximal_separated_set(cat_cocycle, disk, pot, 4, 0.04)
+        fine = maximal_separated_sets(cat_cocycle, disk, [pot], 4, 0.02)[0]
+        coarse = maximal_separated_sets(cat_cocycle, disk, [pot], 4, 0.04)[0]
         assert coarse.log_weighted_sum <= fine.log_upper + 1e-12
 
     def test_spec_scale_cell(self, cat_cocycle, cat_setup):
@@ -192,7 +192,7 @@ class TestSeparatedSets:
         # the leaf piece carries log-count/n noticeably above the growth rate
         # (the additive log(2 delta/eps) transient); the slope fit removes it
         _, _, disk = cat_setup
-        res = maximal_separated_set(cat_cocycle, disk, zero_potential(), 8, 0.02)
+        res = maximal_separated_sets(cat_cocycle, disk, [zero_potential()], 8, 0.02)[0]
         mats = [oracles.CAT_MATRIX.astype(float)] * 8
         gstar = oracles.max_step_growth(mats, oracles.CAT_UNSTABLE_DIR, 8)
         expected = oracles.packing_count_1d(0.2 * gstar, 0.02)
@@ -204,19 +204,19 @@ class TestSeparatedSets:
     def test_perturbed_disk_resolution_guard(self, perturbed_cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 800, 3)
         state = SkewState(path=path, point=TorusPoint((0.2, 0.5)))
-        rep = lyapunov_spectrum(perturbed_cat_cocycle, path, state.point, 600)
+        rep = lyapunov_spectra(perturbed_cat_cocycle, [path], [state.point], 600)[0]
         disk = unstable_disk(perturbed_cat_cocycle, state, 0.1, rep)
         with pytest.raises(EstimatorError):
-            maximal_separated_set(
-                perturbed_cat_cocycle, disk, zero_potential(), 9, 0.02
-            )
+            maximal_separated_sets(
+                perturbed_cat_cocycle, disk, [zero_potential()], 9, 0.02
+            )[0]
 
     def test_perturbed_disk_small_n_works(self, perturbed_cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 800, 3)
         state = SkewState(path=path, point=TorusPoint((0.2, 0.5)))
-        rep = lyapunov_spectrum(perturbed_cat_cocycle, path, state.point, 600)
+        rep = lyapunov_spectra(perturbed_cat_cocycle, [path], [state.point], 600)[0]
         disk = unstable_disk(perturbed_cat_cocycle, state, 0.1, rep)
-        res = maximal_separated_set(perturbed_cat_cocycle, disk, zero_potential(), 3, 0.04)
+        res = maximal_separated_sets(perturbed_cat_cocycle, disk, [zero_potential()], 3, 0.04)[0]
         assert res.count >= 2
         assert res.log_weighted_sum <= res.log_upper + 1e-12
         assert res.verify_separation(perturbed_cat_cocycle, disk)
@@ -253,8 +253,8 @@ class TestPressurePipeline:
         monkeypatch.setattr(thermo, "sample_path", no_draw)
         monkeypatch.setattr(thermo, "lyapunov_spectra", no_draw)
         with pytest.raises(ValueError, match="n_grid"):
-            pressure_estimate(cat_cocycle, trivial_system, zero_potential(),
-                              GridSpec(n_grid=(8,)), seed=1)
+            pressure_estimates(cat_cocycle, trivial_system, [zero_potential()],
+                               GridSpec(n_grid=(8,)), seed=1)[0]
 
     def test_shared_frame_packs_nothing_empty(self, monkeypatch, iid_cocycle, iid_system):
         # x-independent cells are packed at each path's first base point only,
@@ -285,10 +285,10 @@ class TestPressurePipeline:
     def test_constant_shift_exact(self, cat_cocycle, trivial_system):
         grid = GridSpec(delta=0.1, n_grid=tuple(range(8, 13)), eps_grid=(0.02,),
                         base_grid=2, omega_samples=1)
-        base = pressure_estimate(cat_cocycle, trivial_system, zero_potential(), grid, 1)
-        shifted = pressure_estimate(
-            cat_cocycle, trivial_system, constant_potential(0.3), grid, 1
-        )
+        base = pressure_estimates(cat_cocycle, trivial_system, [zero_potential()], grid, 1)[0]
+        shifted = pressure_estimates(
+            cat_cocycle, trivial_system, [constant_potential(0.3)], grid, 1
+        )[0]
         assert shifted.value - base.value == pytest.approx(0.3, abs=1e-9)
 
     def test_per_n_log_table_recorded(self, cat_cocycle, trivial_system):
@@ -388,13 +388,13 @@ class TestPlaneLeafPacking:
         cocycle = request.getfixturevalue(name)
         path = sample_path(trivial_system, 300, 2)
         state = SkewState(path=path, point=TorusPoint((0.21, 0.57, 0.83)))
-        rep = lyapunov_spectrum(cocycle, path, state.point, 200)
+        rep = lyapunov_spectra(cocycle, [path], [state.point], 200)[0]
         disk = unstable_disk(cocycle, state, 0.05, rep, construction="linear-exact")
         assert disk.leaf_dim == 2
         pot = coordinate_potential(0.3, [1, 0, 1])
 
         def run():
-            return maximal_separated_set(cocycle, disk, pot, 4, 0.04, max_candidates=256)
+            return maximal_separated_sets(cocycle, disk, [pot], 4, 0.04, max_candidates=256)[0]
 
         got = run()
 
@@ -477,7 +477,7 @@ class TestPotentialFamily:
         family = _mixed_family(iid_cocycle, 2)
         together = thermo.pressure_estimates(iid_cocycle, iid_system, family, grid, seed=3)
         for p, est in zip(family, together):
-            assert pressure_estimate(iid_cocycle, iid_system, p, grid, seed=3) == est
+            assert pressure_estimates(iid_cocycle, iid_system, [p], grid, seed=3)[0] == est
 
     @pytest.mark.parametrize("name, leaf_dim", [
         ("perturbed_cat_cocycle", 1), ("plane_leaf_cocycle", 2),
@@ -490,7 +490,7 @@ class TestPotentialFamily:
         dim = cocycle.dim
         path = sample_path(trivial_system, 300, 2)
         state = SkewState(path=path, point=TorusPoint((0.21, 0.57, 0.83)[:dim]))
-        rep = lyapunov_spectrum(cocycle, path, state.point, 200)
+        rep = lyapunov_spectra(cocycle, [path], [state.point], 200)[0]
         disk = unstable_disk(cocycle, state, 0.05, rep)
         assert disk.leaf_dim == leaf_dim
         cos = coordinate_potential(0.3, [1] + [0] * (dim - 1), label="cos")
@@ -501,7 +501,7 @@ class TestPotentialFamily:
         together = thermo.maximal_separated_sets(cocycle, disk, family, n, eps,
                                                  max_candidates=400)
         for p, res in zip(family, together):
-            alone = maximal_separated_set(cocycle, disk, p, n, eps, max_candidates=400)
+            alone = maximal_separated_sets(cocycle, disk, [p], n, eps, max_candidates=400)[0]
             assert np.array_equal(res.points, alone.points)
             assert (res.count, res.log_weighted_sum, res.log_upper, res.potential_label) == (
                 alone.count, alone.log_weighted_sum, alone.log_upper, alone.potential_label)
@@ -518,7 +518,7 @@ class TestOneCodePath:
         walked = _spy_walks(monkeypatch)
         path = sample_path(trivial_system, 800, seed)
         x = TorusPoint(tuple(np.random.default_rng(seed).random(2)))
-        rep = lyapunov_spectrum(cocycle, path, x, 600)
+        rep = lyapunov_spectra(cocycle, [path], [x], 600)[0]
         cos = coordinate_potential(0.4, [1, 0])
         cells = 0
         for delta in (0.05, 0.1):
@@ -562,7 +562,7 @@ class TestOneCodePath:
             cocycle = request.getfixturevalue(cocycle_name)
             path = sample_path(system, 400, 5)
             rng = np.random.default_rng(8)
-            rep = lyapunov_spectrum(cocycle, path, TorusPoint((0.3, 0.6)), 200)
+            rep = lyapunov_spectra(cocycle, [path], [TorusPoint((0.3, 0.6))], 200)[0]
             cos = coordinate_potential(0.4, [1, 0])
             sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin")
             family = [
@@ -603,7 +603,7 @@ class TestOneCodePath:
         sin = coordinate_potential(0.4, [1, 0], fn="sin", label="sin")
         family = [cos, sin, combine_potentials([(0.0, cos), (1.0, sin)], label="seg0"),
                   combine_potentials([(1.0, cos), (0.0, sin)], label="seg1")]
-        alone = [maximal_separated_set(cat_cocycle, disk, p, 4, 0.04) for p in family]
+        alone = [maximal_separated_sets(cat_cocycle, disk, [p], 4, 0.04)[0] for p in family]
         calls = []
         kernel = thermo._greedy_kernel
         monkeypatch.setattr(thermo, "_greedy_kernel",
@@ -750,7 +750,7 @@ class TestPackingWalk:
 
     def test_suite_family_packing_bitwise_equal_scalar_oracle(self, cat_cocycle, trivial_system,
                                                               cat_setup, monkeypatch):
-        from uthermo.leafgeom import leaf_growth_factors
+        from uthermo.leafgeom import leaf_growth_factors_batch
 
         class Captured(Exception):
             pass
@@ -774,7 +774,7 @@ class TestPackingWalk:
         assert any(leaf.coboundary for p in family for leaf in thermo._leaves(p))
         _, _, disk = cat_setup
         for n, eps in ((3, 0.04), (5, 0.02), (6, 0.04), (7, 0.08)):
-            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            growth = leaf_growth_factors_batch(cat_cocycle, [disk], n)[0]
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
             for p, res in zip(family, results):
@@ -782,7 +782,7 @@ class TestPackingWalk:
                 assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
 
     def test_linear_packing_needs_no_pick_order(self, cat_cocycle, cat_setup, monkeypatch):
-        from uthermo.leafgeom import leaf_growth_factors
+        from uthermo.leafgeom import leaf_growth_factors_batch
 
         def refuse(weights):
             raise AssertionError("linear-exact packing ordered a whole row")
@@ -793,7 +793,7 @@ class TestPackingWalk:
                   coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin"),
                   coordinate_potential(0.4, [1, 0], fn="sin", label="sinx1")]
         for n, eps in ((3, 0.04), (6, 0.02), (8, 0.08)):
-            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            growth = leaf_growth_factors_batch(cat_cocycle, [disk], n)[0]
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
             for p, res in zip(family, results):
@@ -836,7 +836,7 @@ class TestPackingWalk:
             calls.append(len(pts))
             return pts[:, 0] * (pts[:, 1] - 0.5)
 
-        bumpy = thermo.Potential(kind="custom", label="bumpy", l1_bound=0.5, lipschitz=2.0,
+        bumpy = thermo.Potential(label="bumpy", l1_bound=0.5, lipschitz=2.0,
                                  vector_fn=poly)
         family = [
             cos, sin, cos_neg, flat,
@@ -969,7 +969,7 @@ class TestOneWalkPerCell:
         if name == "a2":
             cocycle = Cocycle(maps=(MapDescriptor(matrix=np.array([[5, 3], [3, 2]])),))
         if name == "a2" or construction != "linear-exact":
-            rep = lyapunov_spectrum(cocycle, path, state.point, 1000)
+            rep = lyapunov_spectra(cocycle, [path], [state.point], 1000)[0]
             disk = unstable_disk(cocycle, state, 0.05, rep, construction=construction)
         return cocycle, path, disk
 
@@ -984,14 +984,14 @@ class TestOneWalkPerCell:
     @pytest.mark.parametrize("name, n_max, clips, singles", [("cat", 8, 20, 3), ("a2", 4, 10, 3)])
     def test_linear_sums_equal_separate_walks(self, name, n_max, clips, singles, cat_cocycle,
                                               cat_setup, trivial_system, monkeypatch):
-        from uthermo.leafgeom import leaf_growth_factors
+        from uthermo.leafgeom import leaf_growth_factors_batch
 
         cocycle, path, disk = self._setup(name, cat_cocycle, cat_setup, trivial_system)
         family = self._family(cocycle)
         walks = _spy_walks(monkeypatch)
         clipped = single = 0
         for n in range(1, n_max + 1):
-            growth = leaf_growth_factors(cocycle, disk, n)
+            growth = leaf_growth_factors_batch(cocycle, [disk], n)[0]
             for eps in (0.02, 0.03, 0.04, 0.05, 0.07, 0.11, 0.3, 0.6, 1.5):
                 walks.clear()
                 results = thermo.maximal_separated_sets(cocycle, disk, family, n, eps,
@@ -1016,7 +1016,7 @@ class TestOneWalkPerCell:
         assert clipped >= clips and single >= singles
 
     def test_off_grid_cover_points_join_the_walk(self, cat_cocycle, cat_setup, monkeypatch):
-        from uthermo.leafgeom import leaf_growth_factors
+        from uthermo.leafgeom import leaf_growth_factors_batch
 
         # with 6 candidates per cover step the cover points are not candidates
         # bit for bit, so the fallback walks them with the candidates
@@ -1026,7 +1026,7 @@ class TestOneWalkPerCell:
         walks = _spy_walks(monkeypatch)
         appended = 0
         for n, eps in ((2, 0.04), (3, 0.05), (5, 0.02), (6, 0.04), (7, 0.08)):
-            growth = leaf_growth_factors(cat_cocycle, disk, n)
+            growth = leaf_growth_factors_batch(cat_cocycle, [disk], n)[0]
             walks.clear()
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
