@@ -140,21 +140,40 @@ class UnstableDisk:
 
 
 def _arc_lengths(pts: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+    """Arc length along a polyline (N, d) from its first vertex to each vertex.
+
+    The bits of cumsum(norm(diff(pts), axis=1)) after a leading 0, in one pass:
+    the squared coordinate steps are summed left to right, the order in which
+    norm reduces a row, then rooted and summed into one preallocated array.
+    """
+    steps = pts[1:] - pts[:-1]
+    steps *= steps
+    seg = steps[:, 0]
+    for c in range(1, pts.shape[1]):
+        seg += steps[:, c]
+    out = np.empty(len(pts))
+    out[0] = 0.0
+    np.cumsum(np.sqrt(seg, out=seg), out=out[1:])
+    return out
 
 
-def _push_and_trim(m, pts: np.ndarray, delta: float, n_pts: int) -> np.ndarray:
-    """Push a lifted polyline through one map, recentre, trim to radius delta."""
+def _centred_arcs(pts: np.ndarray) -> np.ndarray:
+    """_arc_lengths measured from the middle vertex (signed)."""
+    s = _arc_lengths(pts)
+    s -= s[len(s) // 2]
+    return s
+
+
+def _push_and_trim(m, pts: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Push a lifted polyline through one map, recentre, and resample it at the
+    arc positions grid, which run from -delta to delta."""
     out = m.apply_lift(pts)
-    mid = len(out) // 2
-    s = _arc_lengths(out) - _arc_lengths(out)[mid]
-    if s[-1] < delta or -s[0] < delta:
+    s = _centred_arcs(out)
+    if s[-1] < grid[-1] or -s[0] < grid[-1]:
         raise EstimatorError("graph transform diverged: pushed leaf shorter than radius")
-    t_new = np.linspace(-delta, delta, n_pts)
-    resampled = np.empty((n_pts, out.shape[1]))
+    resampled = np.empty((len(grid), out.shape[1]))
     for c in range(out.shape[1]):
-        resampled[:, c] = np.interp(t_new, s, out[:, c])
+        resampled[:, c] = np.interp(grid, s, out[:, c])
     return resampled
 
 
@@ -189,23 +208,24 @@ def unstable_disk(
         raise ValueError("graph-transform charts support leaf dimension 1 only")
 
     n_pts = 2 * CHART_HALF_POINTS + 1
-    direction = report.eu_frame[:, 0]
+    mid = n_pts // 2
     seed_radius = delta * 1.5  # slack so one trim always succeeds
+    # the flat seed's offsets from its centre, and the chart's parameter grid
+    seed = np.linspace(-seed_radius, seed_radius, n_pts)[:, None] * report.eu_frame[:, 0]
+    params = np.linspace(-delta, delta, n_pts)
     x_lift = y0 = state.point.as_array()
     prev = None
     for k in range(1, GRAPH_MAX_ITER + 1):
         # the seed point x_-k, carried back one map from x_-(k-1)
         y0 = cocycle.map_for(state.path.symbol(-k)).inverse_apply(y0)
-        t = np.linspace(-seed_radius, seed_radius, n_pts)
-        pts = y0 + t[:, None] * direction
+        pts = y0 + seed
         for j in range(-k, 0):
             m = cocycle.map_for(state.path.symbol(j))
-            pts = _push_and_trim(m, pts, delta, n_pts)
+            pts = _push_and_trim(m, pts, params)
         # recentre the lift so the middle vertex is the base representative
-        pts = pts - (pts[n_pts // 2] - x_lift)
+        pts -= pts[mid] - x_lift
         if prev is not None and float(np.max(np.abs(pts - prev))) < GRAPH_TOL:
-            params = np.linspace(-delta, delta, n_pts)
-            tangent = pts[n_pts // 2 + 1] - pts[n_pts // 2 - 1]
+            tangent = pts[mid + 1] - pts[mid - 1]
             frame = (tangent / np.linalg.norm(tangent)).reshape(-1, 1)
             return UnstableDisk(
                 base=state,
@@ -265,15 +285,12 @@ def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.nda
         return leaf_growth_factors_batch(cocycle, [disk], n)[0][:, None] * params
     out = np.empty((n, params.shape[0]))
     out[0] = params
-    pts = disk.points_lift.copy()
-    mid = len(pts) // 2
+    pts = disk.points_lift
     grid = disk.params
     for j in range(1, n):
         m = cocycle.map_for(disk.base.path.symbol(j - 1))
         pts = m.apply_lift(pts)
-        s = _arc_lengths(pts)
-        s = s - s[mid]
-        out[j] = np.interp(params, grid, s)
+        out[j] = np.interp(params, grid, _centred_arcs(pts))
     return out
 
 

@@ -230,22 +230,32 @@ def _tangent_images(
 
 
 def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
-    """Push stacked frames q (S, d, d) through the Jacobians jacs, (S, d, d) each, in
-    order, re-orthonormalising by QR with a nonnegative R diagonal; returns the
-    final Q.  Given logs (S, d), each step's log |diag R| is added to it.
+    """Push stacked frames q (S, d, k) through the Jacobian stack jacs (steps, S, d, d)
+    in order, re-orthonormalising by QR with a nonnegative R diagonal; returns the
+    final Q.  Given logs (S, k), each step's log |diag R| is added to it.
 
-    The signs are fixed once, at the end.  Householder QR is odd in each
-    column, qr(A D) = (Q, R D) bitwise for D = diag(+-1), so the walk can carry
-    LAPACK's Q and flip the columns whose R diagonal was negative an odd number
-    of times.  This equals fixing the signs at every step unless some step's R
-    diagonal is exactly 0, which only an exactly singular step can make.
+    A step is the product and the QR alone; the R diagonals are kept and their
+    signs and logs are folded once, after the walk.  Householder QR is odd in
+    each column, qr(A D) = (Q, R D) bitwise for D = diag(+-1), so the walk can
+    carry LAPACK's Q and flip the columns whose R diagonal was negative an odd
+    number of times.  This equals fixing the signs at every step unless some
+    step's R diagonal is exactly 0, which only an exactly singular step can
+    make.  The logs are summed by a running cumsum that starts from logs, so
+    they get the bits of adding each step's logs to them in turn.
     """
-    flip = np.zeros(q.shape[:-2] + q.shape[-1:], dtype=bool)
-    for jac in jacs:
-        q, diag = _householder_qr(jac @ q)
-        flip ^= diag < 0
-        if logs is not None:
-            logs += np.log(np.abs(diag))
+    if not len(jacs):
+        return q
+    batch = np.broadcast_shapes(jacs.shape[1:-2], q.shape[:-2])
+    diags = np.empty((len(jacs),) + batch + q.shape[-1:])
+    for jac, diag in zip(jacs, diags):
+        q, diag[...] = _householder_qr(jac @ q)
+    flip = np.logical_xor.reduce(diags < 0, axis=0)
+    if logs is not None:
+        # log |diag R| and its running sum, in place in the one buffer
+        np.log(np.abs(diags, out=diags), out=diags)
+        np.add(logs, diags[0], out=diags[0])
+        np.cumsum(diags, axis=0, out=diags)
+        logs[...] = diags[-1]
     return np.negative(q, out=q, where=flip[..., None, :])
 
 

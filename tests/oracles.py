@@ -204,6 +204,61 @@ def scalar_interval_information(cocycle, pair, path, x0, frame, n_max: int, delt
     return lengths[0], lengths
 
 
+def norm_arc_lengths(pts):
+    """Arc length along a polyline from its first vertex to each vertex, by norm."""
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def scalar_graph_transform(cocycle, state, delta: float, direction, half_points: int,
+                           tol: float, max_iter: int):
+    """(points_lift, frame, params) of a graph-transform chart, one depth at a time.
+
+    Depth k carries the base point back k maps, lays a flat seed of radius
+    1.5 delta along direction there and pushes it k steps forward; every push
+    measures arcs twice by norm and makes its resampling grid afresh.  The
+    first depth whose chart moves less than tol from the last one is kept.
+    """
+    n_pts = 2 * half_points + 1
+    seed_radius = delta * 1.5
+    x_lift = y0 = state.point.as_array()
+    prev = None
+    for k in range(1, max_iter + 1):
+        y0 = cocycle.map_for(state.path.symbol(-k)).inverse_apply(y0)
+        t = np.linspace(-seed_radius, seed_radius, n_pts)
+        pts = y0 + t[:, None] * direction
+        for j in range(-k, 0):
+            out = cocycle.map_for(state.path.symbol(j)).apply_lift(pts)
+            mid = len(out) // 2
+            s = norm_arc_lengths(out) - norm_arc_lengths(out)[mid]
+            if s[-1] < delta or -s[0] < delta:
+                raise ValueError("pushed leaf shorter than radius")
+            t_new = np.linspace(-delta, delta, n_pts)
+            pts = np.empty((n_pts, out.shape[1]))
+            for c in range(out.shape[1]):
+                pts[:, c] = np.interp(t_new, s, out[:, c])
+        pts = pts - (pts[n_pts // 2] - x_lift)
+        if prev is not None and float(np.max(np.abs(pts - prev))) < tol:
+            tangent = pts[n_pts // 2 + 1] - pts[n_pts // 2 - 1]
+            frame = (tangent / np.linalg.norm(tangent)).reshape(-1, 1)
+            return pts, frame, np.linspace(-delta, delta, n_pts)
+        prev = pts
+    raise ValueError("no convergence")
+
+
+def norm_step_arcs(cocycle, disk, n: int, params):
+    """bowen_step_arcs of a polyline chart with arcs measured by norm, step by step."""
+    out = np.empty((n, len(params)))
+    out[0] = params
+    pts = disk.points_lift.copy()
+    mid = len(pts) // 2
+    for j in range(1, n):
+        pts = cocycle.map_for(disk.base.path.symbol(j - 1)).apply_lift(pts)
+        s = norm_arc_lengths(pts)
+        out[j] = np.interp(params, disk.params, s - s[mid])
+    return out
+
+
 def scalar_certify_transport(cocycle, path, x0, frame, q0, gap: float, n: int, ahead: int):
     """(least co-norm, domination constant) of one sample's frames carried n steps.
 

@@ -141,6 +141,20 @@ class TestRunner:
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == manifest[f"cat_vp_scan/{name}"], name
 
+    def test_bundled_trig_pressure_meets_transfer_operator(self, tmp_path):
+        # P(0.8 cos(2 pi (x + y))) on the cat map, exact from the transfer operator
+        code = main(["--config", str(CONFIG_DIR / "cat_trig_pressure.cfg"), "--out",
+                     str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "pressure_31.json").read_text())
+        assert summary["potential"] == "cos:0.8:1,1"
+        exact = oracles.transfer_operator_pressure(oracles.CAT_MATRIX, 0.8, (1, 1), fn="cos")
+        assert abs(summary["value"] - exact) <= summary["slope_ci"]
+        manifest = _bundled_manifest()
+        for name in ("pressure_31.csv", "pressure_31.json"):
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == manifest[f"cat_trig_pressure/{name}"], name
+
     def test_vp_scan_reads_closed_orbit_integral(self, tmp_path):
         # atomic:0.2,0.4 is a period-2 orbit of the cat map, which a float walk
         # leaves after 30-40 steps; birkhoff_n is 64

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 import oracles
 from uthermo import (
     Cocycle,
+    EstimatorError,
     MapDescriptor,
+    ShearTerm,
     SkewState,
     TorusPoint,
     TrivialLeafError,
@@ -19,7 +22,14 @@ from uthermo import (
     skew_step,
     unstable_disk,
 )
-from uthermo.leafgeom import bowen_step_arcs, leaf_growth_factors_batch
+from uthermo.leafgeom import (
+    CHART_HALF_POINTS,
+    GRAPH_MAX_ITER,
+    GRAPH_TOL,
+    bowen_step_arcs,
+    leaf_growth_factors_batch,
+)
+from uthermo.rds import parse_system_text
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +288,82 @@ class TestTangentWalks:
             ref = oracles.scalar_bowen_distance_2d(
                 cocycle, disk.base.path, disk.base_lift, diff, n)
             assert bowen_distance(cocycle, disk, n, y1, y2) == ref
+
+
+# the sheared cat map as a system file writes it (shear 0.015, wavevector (0, 1), phase 0.3)
+SHEARED_CAT_TEXT = (
+    "base.kind = deterministic-trivial\n"
+    "base.symbols = 1\n"
+    "fiber.dim = 2\n"
+    "map.0.matrix = 2 1 1 1\n"
+    "map.0.perturbation = 0.015:0,1:0.3\n"
+    "seed = 1\n"
+)
+
+
+def _sheared_t3():
+    """A sheared 3-torus map with a 1-d expanding leaf: the shear moves the neutral
+    coordinate by a wave in the second one."""
+    m = np.array([[2, 1, 0], [1, 1, 0], [0, 0, 1]])
+    return Cocycle(maps=(MapDescriptor(matrix=m, shears=(ShearTerm(0.01, (0, 1, 0), 0.2),)),))
+
+
+def _sheared_states(name, perturbed_cat_cocycle, trivial_system):
+    """(cocycle, states, reports): three base states on one sheared map."""
+    if name == "system-file":
+        system, cocycle = parse_system_text(SHEARED_CAT_TEXT)
+    else:
+        system = trivial_system
+        cocycle = perturbed_cat_cocycle if name == "fixture" else _sheared_t3()
+    rng = np.random.default_rng(len(name))
+    paths = [sample_path(system, 500, 7 + i) for i in range(3)]
+    xs = [TorusPoint(tuple(rng.random(cocycle.dim))) for _ in paths]
+    reports = lyapunov_spectra(cocycle, paths, xs, 400)
+    return cocycle, [SkewState(p, x) for p, x in zip(paths, xs)], reports
+
+
+class TestGraphTransformCharts:
+    """Polyline charts and their arcs against one-depth-at-a-time norm references."""
+
+    @pytest.mark.parametrize("name", ["system-file", "fixture", "sheared-t3"])
+    def test_charts_bitwise_equal_scalar_graph_transform(
+        self, name, perturbed_cat_cocycle, trivial_system
+    ):
+        cocycle, states, reports = _sheared_states(name, perturbed_cat_cocycle, trivial_system)
+        assert not cocycle.has_constant_jacobian
+        for state, rep in zip(states, reports):
+            assert rep.unstable_dim == 1
+            for delta in (0.05, 0.1, 0.25):
+                disk = unstable_disk(cocycle, state, delta, rep)
+                assert disk.construction == "graph-transform"
+                pts, frame, params = oracles.scalar_graph_transform(
+                    cocycle, state, delta, rep.eu_frame[:, 0], CHART_HALF_POINTS,
+                    GRAPH_TOL, GRAPH_MAX_ITER)
+                for got, want in ((disk.points_lift, pts), (disk.frame, frame),
+                                  (disk.params, params)):
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["fixture", "sheared-t3"])
+    def test_step_arcs_bitwise_equal_norm_arcs(self, name, perturbed_cat_cocycle, trivial_system):
+        cocycle, states, reports = _sheared_states(name, perturbed_cat_cocycle, trivial_system)
+        params = np.linspace(-0.07, 0.07, 29)
+        params[14] = -0.0
+        for state, rep in zip(states, reports):
+            disk = unstable_disk(cocycle, state, 0.1, rep)
+            got = bowen_step_arcs(cocycle, disk, 6, params)
+            want = oracles.norm_step_arcs(cocycle, disk, 6, params)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_contracting_seed_diverges(self, perturbed_cat_cocycle, trivial_system):
+        # a seed laid along the contracting direction shrinks by about 1/2.6 per
+        # push, below the radius it must keep
+        cocycle, states, reports = _sheared_states("fixture", perturbed_cat_cocycle,
+                                                   trivial_system)
+        u = reports[0].eu_frame[:, 0]
+        stable = dataclasses.replace(reports[0], eu_frame=np.array([[-u[1]], [u[0]]]))
+        with pytest.raises(EstimatorError, match="graph transform diverged"):
+            unstable_disk(cocycle, states[0], 0.1, stable)
+        with pytest.raises(ValueError, match="shorter than radius"):
+            oracles.scalar_graph_transform(cocycle, states[0], 0.1, stable.eu_frame[:, 0],
+                                           CHART_HALF_POINTS, GRAPH_TOL, GRAPH_MAX_ITER)

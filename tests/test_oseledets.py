@@ -265,6 +265,39 @@ class TestQRKernel:
             assert np.array_equal(q[k], ref_q)
             assert np.array_equal(logs[k], ref_logs)
 
+    @pytest.mark.parametrize("case", ["logs", "no-logs", "zero-steps", "tall", "shared-jacobian",
+                                      "shared-frame"])
+    def test_walk_bitwise_equals_stepwise_loop(self, case):
+        # the walk folds signs and logs once, after the loop; the reference fixes
+        # the signs and adds the logs at every step, one sample at a time
+        rng = np.random.default_rng(17)
+        samples, d, k = 5, 3, 2 if case == "tall" else 3
+        steps = 0 if case == "zero-steps" else 150
+        if case == "shared-jacobian":
+            jacs = np.broadcast_to(rng.standard_normal((steps, 1, d, d)), (steps, samples, d, d))
+        else:
+            jacs = rng.standard_normal((steps, samples, d, d))
+        q0 = rng.standard_normal((d, k) if case == "shared-frame" else (samples, d, k))
+        logs0 = rng.standard_normal((samples, k))
+        logs = None if case == "no-logs" else logs0.copy()
+        q_in = q0.copy()
+        q = _qr_walk(jacs, q_in, logs)
+        if case == "zero-steps":
+            assert q is q_in
+            assert np.array_equal(q.view(np.uint64), q0.view(np.uint64))
+            assert np.array_equal(logs.view(np.uint64), logs0.view(np.uint64))
+            return
+        assert q.shape == (samples, d, k)
+        for i in range(samples):
+            ref_q = q0 if case == "shared-frame" else q0[i]
+            ref_logs = logs0[i].copy()
+            for jac in jacs[:, i]:
+                ref_q, ref_r = oracles._positive_qr(jac @ ref_q)
+                ref_logs += np.log(np.abs(np.diag(ref_r)))
+            assert np.array_equal(q[i].view(np.uint64), ref_q.view(np.uint64))
+            if logs is not None:
+                assert np.array_equal(logs[i].view(np.uint64), ref_logs.view(np.uint64))
+
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
     """Angle in radians between the lines spanned by two planar vectors."""
