@@ -87,12 +87,13 @@ class Potential:
     admit closed-form orbit sums; x-dependent ones carry a vectorized
     evaluator.  l1_bound bounds the per-fiber sup of |phi|; lipschitz is a
     modulus for |phi(w,x)-phi(w,y)| <= lipschitz * d(x,y).  A weighted sum
-    from combine_potentials records its (weight, Potential) terms; a coboundary
-    from theta_coboundary records its (cocycle, sigma), so an orbit walk over
-    that cocycle reads it off sigma's values along the walk.  A wave from
-    coordinate_potential records its (k, phase, fn, amplitude), so a walk
-    evaluates each distinct wave once per point set and its values are
-    amplitude * fn(2 pi k.x + phase) from that shared evaluation.
+    from combine_potentials records its (weight, Potential) terms, so an orbit
+    walk weights its leaves' sums once; a coboundary from theta_coboundary
+    records its (cocycle, sigma), so a walk over that cocycle sums it as
+    sigma(x_n) - sigma(x_0).  A wave from coordinate_potential records its
+    (k, phase, fn, amplitude), so a walk evaluates each distinct wave once per
+    point set and its values are amplitude * fn(2 pi k.x + phase) from that
+    shared evaluation.
     """
 
     label: str
@@ -214,7 +215,7 @@ def combine_potentials(terms, label: str | None = None) -> Potential:
         return Potential(symbol_fn=sym, **fields)
 
     def vec(path, pts, terms=terms):
-        return _sum_terms(terms, lambda leaf: leaf.values(path, pts))
+        return _sum_terms(terms, lambda leaf: leaf.values(path, pts), np.empty(len(pts)))
 
     return Potential(vector_fn=vec, **fields)
 
@@ -232,39 +233,26 @@ def _leaves(potential: Potential) -> list[Potential]:
     return [leaf for _, p in potential.terms for leaf in _leaves(p)]
 
 
-def _sum_terms(terms, value, buffers=None, depth: int = 1) -> np.ndarray:
-    """The sum of w * value(p) over the (w, p) terms, added in order onto zeros.
+def _sum_terms(terms, value, out: np.ndarray) -> np.ndarray:
+    """The sum of w * value(p) over the (w, p) terms, added in order onto zeros,
+    made in out.
 
-    value(leaf) gives a leaf's values; terms that expand are summed from their
-    own terms first.  This is the one evaluator of x-dependent sums, so values
-    shared between sums give results bitwise equal to evaluating each alone.
-    The first term is added as w * v + 0.0 (addition commutes, signed zeros
-    included), and a weight of 1.0 adds v itself, whose product it is bit for
-    bit.  The sum at each nesting depth goes into buffers[depth] and the
-    products into buffers[0]; a caller that passes one buffer dict to several
-    calls reuses them, and each result is overwritten by the next call.
+    value(leaf) gives a leaf's values, or its orbit sum, as an array or a
+    scalar that broadcasts to out; terms that expand are summed from their own
+    terms first.  This is the one combiner of x-dependent sums, so a sum gives
+    the same bits wherever its leaves' values come from.  The first term is
+    added as w * v + 0.0 (addition commutes, signed zeros included), and a
+    weight of 1.0 adds v itself, whose product it is bit for bit.
     """
-    if buffers is None:
-        buffers = {}
-    out = None
-    for w, p in terms:
-        v = _sum_terms(p.terms, value, buffers, depth + 1) if _expands(p) else value(p)
-        if out is None:
-            out = _buffer(buffers, depth, v.shape)
-            np.add(v if w == 1.0 else np.multiply(w, v, out=out), 0.0, out=out)
-        elif w == 1.0:
+    for i, (w, p) in enumerate(terms):
+        v = _sum_terms(p.terms, value, np.empty_like(out)) if _expands(p) else value(p)
+        if w != 1.0:
+            v = np.multiply(w, v)
+        if i:
             out += v
         else:
-            out += np.multiply(w, v, out=_buffer(buffers, 0, v.shape))
+            np.add(v, 0.0, out=out)
     return out
-
-
-def _buffer(buffers: dict, key, shape) -> np.ndarray:
-    """buffers[key], made on first use."""
-    buf = buffers.get(key)
-    if buf is None:
-        buf = buffers[key] = np.empty(shape)
-    return buf
 
 
 def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = None) -> Potential:
@@ -466,67 +454,73 @@ class SeparatedSetResult:
 
 
 def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarray:
-    """Orbit sums S_n(phi) over an array of starting points, one row per potential.
+    """Orbit sums S_n(phi), n >= 1, over an array of starting points, one row per
+    potential.
 
-    One walk serves every potential: each step maps the points once, each
-    distinct leaf potential is evaluated once at the current points, and
-    weighted sums are added up from those values in their own term order.  A
-    coboundary sigma o Theta - sigma over this cocycle is sigma at the next
-    point minus sigma at the current one, so the walk makes n map calls.  A
-    wave leaf is amplitude * trig, from cos/sin made once per distinct
-    (k, phase, fn) and point set (_trig_values); the point set a step maps to
-    is evaluated in that step, for the sigmas, and its trig arrays carry into
-    the next step.  A sigma that is not a wave carries its values instead, so
-    it is evaluated n + 1 times.
+    One walk serves every potential, with one running sum per distinct leaf
+    (_leaves).  Each step maps the points once and adds each x-dependent
+    leaf's values there onto its sum, in step order; a wave leaf's values are
+    amplitude * trig, from cos/sin made once per distinct (k, phase, fn) and
+    point set (_trig_values).  An x-independent leaf's sum is _symbol_sum.  A
+    coboundary sigma o Theta - sigma over this cocycle sums to
+    sigma(x_n) - sigma(x_0), so sigma is evaluated at the walk's two ends
+    only, and the points are mapped on to x_n only when a coboundary needs
+    them: n - 1 map calls without one, n with one.  Each weighted sum is then
+    added up once from its leaves' sums in its own term order (_sum_terms),
+    so a potential's row does not depend on the rest of the family, and a
+    one-leaf potential's row is its values added step by step onto zeros.
     """
+    total = np.empty((len(potentials), pts.shape[0]))
+    rows = list(total)
     leaves = {id(leaf): leaf for p in potentials for leaf in _leaves(p)}
     # each coboundary over this cocycle, by leaf key, and the key of its sigma
     cobs = {key: id(leaf.coboundary[1]) for key, leaf in leaves.items()
             if leaf.coboundary is not None and leaf.coboundary[0] is cocycle}
     sigmas = {cobs[key]: leaves[key].coboundary[1] for key in cobs}
-    plain = {key: leaf for key, leaf in leaves.items() if key not in cobs}
-    every = _wave_groups(leaf.wave for leaf in (*plain.values(), *sigmas.values()) if leaf.wave)
-    last = _wave_groups(s.wave for s in sigmas.values() if s.wave)
-
-    def point_set(at, pts, groups):
-        """What the walk keeps of a point set: the trig arrays of the groups' waves,
-        keyed (k, phase, fn), and each non-wave sigma's values, keyed by id."""
-        known = _trig_values(pts, groups)
-        known.update((key, s.values(at, pts)) for key, s in sigmas.items() if not s.wave)
-        return known
-
-    def evaluate(found, at, pts, known):
-        """The values of the found leaves at a point set, by key."""
-        return {key: leaf.wave[3] * known[leaf.wave[:3]] if leaf.wave
-                else known[key] if key in known else leaf.values(at, pts)
-                for key, leaf in found.items()}
-
-    total = np.zeros((len(potentials), pts.shape[0]))
-    cur, at = pts, path
-    known = point_set(at, cur, every)
-    for j in range(n):
-        values = evaluate(plain, at, cur, known)
-        before = evaluate(sigmas, at, cur, known)
-        del known  # point set j's arrays go before point set j + 1's are made
-        cur, at = cocycle.map_for(path.symbol(j)).apply(cur), path.shifted(j + 1)
-        known = point_set(at, cur, every if j + 1 < n else last)
-        after = evaluate(sigmas, at, cur, known)
-        values.update((key, after[s] - before[s]) for key, s in cobs.items())
-        del before, after
-        _add_values(total, potentials, values)
+    walked = {key: leaf for key, leaf in leaves.items()
+              if key not in cobs and not leaf.x_independent}
+    # a leaf's running sum is the row of a potential that is that leaf
+    own = {id(p): row for row, p in zip(rows, potentials)}
+    spare = iter(np.empty((sum(key not in own for key in walked), pts.shape[0])))
+    sums = {key: own[key] if key in own else next(spare) for key in walked}
+    product = np.empty(pts.shape[0])
+    trig = _trig_values(pts, _wave_groups(
+        leaf.wave for leaf in (*walked.values(), *sigmas.values()) if leaf.wave))
+    first = {key: _leaf_values(s, path, pts, trig) for key, s in sigmas.items()}
+    for key, leaf in walked.items():
+        v = first[key] if key in first else _leaf_values(leaf, path, pts, trig, product)
+        np.add(v, 0.0, out=sums[key])
+    waves = _wave_groups(leaf.wave for leaf in walked.values() if leaf.wave)
+    cur = pts
+    for j in range(1, n):
+        del trig  # point set j - 1's arrays go before point set j's are made
+        cur = cocycle.map_for(path.symbol(j - 1)).apply(cur)
+        trig, at = _trig_values(cur, waves), path.shifted(j)
+        for key, leaf in walked.items():
+            sums[key] += _leaf_values(leaf, at, cur, trig, product)
+    if sigmas:
+        del trig
+        cur = cocycle.map_for(path.symbol(n - 1)).apply(cur)
+        trig = _trig_values(cur, _wave_groups(s.wave for s in sigmas.values() if s.wave))
+        last = {key: _leaf_values(s, path.shifted(n), cur, trig) for key, s in sigmas.items()}
+        for key, s in cobs.items():
+            sums[key] = np.subtract(last[s], first[s], out=own.get(key))
+    sums.update((key, _symbol_sum(leaf, path, n))
+                for key, leaf in leaves.items() if leaf.x_independent)
+    for row, p in zip(rows, potentials):
+        if _expands(p):
+            _sum_terms(p.terms, lambda leaf: sums[id(leaf)], row)
+        elif sums[id(p)] is not row:
+            row[...] = sums[id(p)]
     return total
 
 
-def _add_values(total: np.ndarray, potentials, values) -> None:
-    """Add each potential's values at one point set to its row of total, from its
-    leaves' values by id; the weighted sums share one set of buffers (_sum_terms),
-    which goes when the step's rows are done."""
-    buffers: dict = {}
-    for row, p in zip(total, potentials):
-        if _expands(p):
-            row += _sum_terms(p.terms, lambda leaf: values[id(leaf)], buffers)
-        else:
-            row += values[id(p)]
+def _leaf_values(leaf: Potential, path, pts: np.ndarray, trig: dict, out=None) -> np.ndarray:
+    """A leaf's values at pts: amplitude * its trig array in trig (_trig_values)
+    for a wave, made into out when given, else its evaluator's."""
+    if leaf.wave:
+        return np.multiply(leaf.wave[3], trig[leaf.wave[:3]], out=out)
+    return leaf.values(path, pts)
 
 
 def _pick_order(weights: np.ndarray) -> np.ndarray:
@@ -576,8 +570,10 @@ def maximal_separated_sets(
     grid, the chart and one orbit walk over the candidates, whose sums at the
     cover points (candidates themselves, but for a clipped last cover point,
     which joins the walk) give the upper bound; a one-point cover walks alone,
-    so every sum has the bits of a separate cover walk.  The selection runs
-    once per distinct row of orbit sums.
+    so every sum has the bits of a separate cover walk.  The walk keeps one
+    running sum per leaf and weights them once per potential (_orbit_sums), so
+    each potential's sums, and so its packing, have the bits of packing it
+    alone.  The selection runs once per distinct row of orbit sums.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -891,8 +887,9 @@ def pressure_estimates(
 
     The potentials share the sample paths, the spectra, the disks, the leaf
     growth and, per cell, the packing's candidate grid and orbit walks
-    (maximal_separated_sets), so each estimate equals the one made for
-    its potential alone.  On a constant-Jacobian cocycle every base point of
+    (maximal_separated_sets), whose running sums per leaf give each
+    potential the bits of its own walk, so each estimate equals the one made
+    for its potential alone.  On a constant-Jacobian cocycle every base point of
     a path shares one frame and one leaf growth, so an x-independent
     potential's cell depends only on the path, the growth, n and eps: it
     is packed at the path's first base point and reused at the others.

@@ -307,16 +307,45 @@ def greedy_kernel(order, lo, hi, n_candidates):
 
 def scalar_values(potential, path, pts):
     """A potential's values at pts, a weighted sum's added term by term onto zeros."""
+    return _scalar_terms(potential, lambda leaf: leaf.values(path, pts), pts.shape[0])
+
+
+def _scalar_terms(potential, value, size: int):
+    """value(potential), or for an x-dependent weighted sum its terms' w * value
+    added in order onto zeros of the given size."""
     if potential.terms and not potential.x_independent:
-        out = np.zeros(pts.shape[0])
+        out = np.zeros(size)
         for w, p in potential.terms:
-            out += w * scalar_values(p, path, pts)
+            out += w * _scalar_terms(p, value, size)
         return out
-    return potential.values(path, pts)
+    return value(potential)
 
 
 def scalar_orbit_sums(cocycle, path, potential, pts, n: int):
-    """S_n(phi) at each row of pts, one potential walked on its own."""
+    """S_n(phi) at each row of pts, one potential walked on its own: each leaf's
+    values added step by step onto zeros, a coboundary over the cocycle read as
+    sigma(x_n) - sigma(x_0), and a weighted sum added up from its leaves' sums in
+    scalar_values' term order."""
+    orbit = [pts]
+    for j in range(n):
+        orbit.append(cocycle.maps[path.symbol(j)].apply(orbit[-1]))
+
+    def leaf_sum(leaf):
+        if leaf.coboundary is not None and leaf.coboundary[0] is cocycle:
+            sigma = leaf.coboundary[1]
+            return sigma.values(path.shifted(n), orbit[n]) - sigma.values(path, pts)
+        total = np.zeros(pts.shape[0])
+        for j in range(n):
+            total += leaf.values(path.shifted(j), orbit[j])
+        return total
+
+    return _scalar_terms(potential, leaf_sum, pts.shape[0])
+
+
+def stepwise_orbit_sums(cocycle, path, potential, pts, n: int):
+    """S_n(phi) at each row of pts, the potential's values at each step (a weighted
+    sum's added up per step, a coboundary's read off its evaluator) added onto
+    zeros."""
     total = np.zeros(pts.shape[0])
     for j in range(n):
         total += scalar_values(potential, path.shifted(j), pts)
@@ -419,16 +448,32 @@ def profile_cover_indices(arcs: np.ndarray, eps: float) -> np.ndarray:
 
 
 def loop_birkhoff_sum(cocycle, potential, path, x, n: int) -> float:
-    """S_n(phi)(x), one point and one step at a time."""
-    pt = x.as_array().reshape(1, -1)
-    total = 0.0
+    """S_n(phi)(x), one point and one step at a time: each leaf's values added onto
+    0.0, a coboundary over the cocycle read as sigma(x_n) - sigma(x_0), and a
+    weighted sum added up from its leaves' sums in term order."""
+    orbit = [x.as_array().reshape(1, -1)]
     for j in range(n):
-        if potential.x_independent:
-            total += float(potential.symbol_fn(path.symbol(j)))
-        else:
-            total += float(potential.vector_fn(path.shifted(j), pt)[0])
-        pt = cocycle.maps[path.symbol(j)].apply(pt)
-    return total
+        orbit.append(cocycle.maps[path.symbol(j)].apply(orbit[-1]))
+
+    def value(p, j):
+        if p.x_independent:
+            return float(p.symbol_fn(path.symbol(j)))
+        return float(p.vector_fn(path.shifted(j), orbit[j])[0])
+
+    def orbit_sum(p):
+        if p.terms and not p.x_independent:
+            total = 0.0
+            for w, q in p.terms:
+                total += w * orbit_sum(q)
+            return total
+        if p.coboundary is not None and p.coboundary[0] is cocycle:
+            return value(p.coboundary[1], n) - value(p.coboundary[1], 0)
+        total = 0.0
+        for j in range(n):
+            total += value(p, j)
+        return total
+
+    return orbit_sum(potential)
 
 
 def _fiber_corners(dim: int, grid: int) -> np.ndarray:

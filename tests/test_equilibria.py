@@ -323,3 +323,25 @@ class TestBirkhoffIntegral:
                                           n=n, samples=8, seed=1)
             assert mean == pytest.approx(exact, abs=1e-12)
             assert sem == 0.0
+
+    def test_combo_integral_weights_component_integrals(self, cat_cocycle, trivial_system):
+        from uthermo import convex_combo_sampler
+
+        cos = coordinate_potential(0.4, [1, 0])
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.2, 0.4)))
+        exact = 0.4 * math.cos(0.4 * math.pi)
+        twice = convex_combo_sampler([atom, atom], [0.5, 0.5])
+        for n in (16, 64, 128):
+            mean, sem = birkhoff_integral(cat_cocycle, cos, twice, n=n, samples=8, seed=1)
+            assert mean == pytest.approx(0.1236068, abs=1e-7)
+            assert mean == pytest.approx(exact, abs=1e-12)
+            assert sem == 0.0
+        # a sampled component is integrated as alone, at seed + 17 i for component i
+        haar = haar_sampler(trivial_system, dim=2)
+        mix = convex_combo_sampler([atom, haar], [0.25, 0.75])
+        a_mean, _ = birkhoff_integral(cat_cocycle, cos, atom, n=32, samples=8, seed=1)
+        h_mean, h_sem = birkhoff_integral(cat_cocycle, cos, haar, n=32, samples=8, seed=18)
+        assert h_sem > 0.0
+        mean, sem = birkhoff_integral(cat_cocycle, cos, mix, n=32, samples=8, seed=1)
+        assert mean == 0.25 * a_mean + 0.75 * h_mean
+        assert sem == pytest.approx(0.75 * h_sem, rel=1e-15)

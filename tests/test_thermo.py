@@ -744,7 +744,8 @@ class TestPackingWalk:
         for (n, fam), rows in zip(cases, want):
             calls.clear()
             got = thermo._orbit_sums(cocycle, path, fam, pts, n)
-            assert calls == [len(pts)] * (n if fam is family else 2 * n)
+            # the walk maps on to x_n for the coboundary; a foreign one maps x_j itself
+            assert calls == [len(pts)] * (n if fam is family else 2 * n - 1)
             for row, ref, p in zip(got, rows, fam):
                 assert np.array_equal(row, ref), (p.label, n)
 
@@ -822,7 +823,8 @@ class TestPackingWalk:
     def _wave_family(cocycle):
         """Waves that share k with another phase, fn or amplitude, negative and zero
         amplitudes, 0.0 and -0.0 weights, a wave that is both a plain leaf and a
-        coboundary's sigma, and a non-wave sigma whose evaluations are counted."""
+        coboundary's sigma, sigma-only waves, and a non-wave sigma whose
+        evaluations are counted."""
         cos = coordinate_potential(0.4, [1, 0], label="cos")
         sin = coordinate_potential(0.4, [1, 0], fn="sin", label="sin")
         cos_neg = coordinate_potential(-0.7, [1, 0], label="cos-neg")
@@ -838,6 +840,10 @@ class TestPackingWalk:
 
         bumpy = thermo.Potential(label="bumpy", l1_bound=0.5, lipschitz=2.0,
                                  vector_fn=poly)
+        # sigmas that no plain leaf shares: one with a wavevector of its own, one
+        # sharing (k, phase) with the plain sin waves at (1, 1)
+        lone = coordinate_potential(0.6, [2, 1], phase=-0.4, label="lone")
+        cos_11 = coordinate_potential(-0.9, [1, 1], label="cos11")
         family = [
             cos, sin, cos_neg, flat,
             combine_potentials([(0.0, cos_neg), (1.0, sin_phase)], label="zero-weight"),
@@ -849,6 +855,9 @@ class TestPackingWalk:
             combine_potentials([(1.0, combine_potentials([(0.25, cos), (0.75, sin)])),
                                 (-0.5, sin_phase), (1.0, cos_neg)], label="nested"),
             theta_coboundary(cocycle, bumpy),
+            theta_coboundary(cocycle, lone),
+            combine_potentials([(0.5, cos), (1.0, theta_coboundary(cocycle, cos_11))],
+                               label="cos+cobdry(cos11)"),
         ]
         return family, calls
 
@@ -891,17 +900,21 @@ class TestPackingWalk:
         leaves = [leaf for p in family for leaf in thermo._leaves(p)]
         sigmas = [leaf.coboundary[1] for leaf in leaves if leaf.coboundary]
         plain = [leaf for leaf in leaves if not leaf.coboundary]
-        waves = {leaf.wave[:3] for leaf in plain + sigmas if leaf.wave}
+        plain_waves = {leaf.wave[:3] for leaf in plain if leaf.wave}
         sigma_waves = {s.wave[:3] for s in sigmas if s.wave}
+        assert sigma_waves - plain_waves and sigma_waves & plain_waves
+        # plain waves at x_0 .. x_{n-1}, sigmas' at x_0 and x_n
         for n, rows in want.items():
             phases.clear()
             trigs.clear()
             calls.clear()
             got = thermo._orbit_sums(cocycle, path, family, pts, n)
-            assert trigs == {w: n + (w in sigma_waves) for w in waves}
-            assert phases == {w[:2]: n + any(s[:2] == w[:2] for s in sigma_waves)
-                              for w in waves}
-            assert calls == [len(pts)] * (n + 1)  # the non-wave sigma
+            assert trigs == {w: (n if w in plain_waves else 1) + (w in sigma_waves)
+                             for w in plain_waves | sigma_waves}
+            assert phases == {g: (n if g in {w[:2] for w in plain_waves} else 1)
+                              + (g in {w[:2] for w in sigma_waves})
+                              for g in {w[:2] for w in plain_waves | sigma_waves}}
+            assert calls == [len(pts)] * 2  # the non-wave sigma, at x_0 and x_n
             for row, ref, p in zip(got, rows, family):
                 assert row.tobytes() == ref.tobytes(), (p.label, n)
 
@@ -936,6 +949,132 @@ class TestPackingWalk:
             want = amp * trig(2.0 * math.pi * (pts @ np.asarray(k, dtype=float)) + phase)
             got = coordinate_potential(amp, k, phase=phase, fn=fn).values(path, pts)
             assert got.tobytes() == want.tobytes(), (amp, k, phase, fn)
+
+
+COCYCLES = [
+    ("trivial_system", "cat_cocycle"),
+    ("iid_system", "iid_cocycle"),
+    ("trivial_system", "perturbed_cat_cocycle"),
+]
+
+
+class TestLeafSums:
+    """The walk keeps one running sum per leaf, combines each weighted sum once
+    from its leaves' sums and reads a coboundary as sigma(x_n) - sigma(x_0)."""
+
+    @pytest.mark.parametrize("system_name, cocycle_name", COCYCLES)
+    def test_coboundary_row_is_end_difference(self, system_name, cocycle_name, request,
+                                              monkeypatch):
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        path = sample_path(system, 200, 7)
+        calls = []
+
+        def poly(path, pts):
+            calls.append(len(pts))
+            return pts[:, 0] * (pts[:, 1] - 0.5)
+
+        wave = coordinate_potential(0.6, [2, 1], phase=-0.4, label="wave")
+        bumpy = thermo.Potential(label="bumpy", l1_bound=0.5, lipschitz=2.0, vector_fn=poly)
+        family = [theta_coboundary(cocycle, wave), theta_coboundary(cocycle, bumpy)]
+        pts = np.random.default_rng(3).random((250, 2))
+        trigs = []
+        trig_values = thermo._trig_values
+        monkeypatch.setattr(thermo, "_trig_values",
+                            lambda x, groups: trigs.extend(groups) or trig_values(x, groups))
+        for n in (1, 2, 7, 15):
+            end = pts
+            for j in range(n):
+                end = cocycle.map_for(path.symbol(j)).apply(end)
+            want = [s.values(path.shifted(n), end) - s.values(path, pts) for s in (wave, bumpy)]
+            calls.clear()
+            trigs.clear()
+            got = thermo._orbit_sums(cocycle, path, family, pts, n)
+            assert calls == [len(pts)] * 2, n
+            assert trigs == [((2.0, 1.0), -0.4)] * 2, n
+            for row, ref, p in zip(got, want, family):
+                assert row.tobytes() == ref.tobytes(), (p.label, n)
+
+    @pytest.mark.parametrize("system_name, cocycle_name", COCYCLES)
+    def test_map_calls_per_walk(self, system_name, cocycle_name, request, monkeypatch):
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        path = sample_path(system, 200, 3)
+        cos = coordinate_potential(0.4, [1, 0], label="cos")
+        sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin")
+        plain = [cos, sin, combine_potentials([(0.5, cos), (1.0, constant_potential(0.2))])]
+        with_cob = plain + [combine_potentials([(1.0, cos), (1.0, theta_coboundary(cocycle, sin))])]
+        pts = np.random.default_rng(5).random((120, 2))
+        calls = []
+        apply = MapDescriptor.apply
+        monkeypatch.setattr(MapDescriptor, "apply",
+                            lambda self, x: calls.append(len(x)) or apply(self, x))
+        for n in (1, 2, 9):
+            for family, maps in ((plain, n - 1), (with_cob, n)):
+                calls.clear()
+                thermo._orbit_sums(cocycle, path, family, pts, n)
+                assert calls == [len(pts)] * maps, (n, len(family))
+
+    @pytest.mark.parametrize("system_name, cocycle_name", COCYCLES)
+    def test_agrees_with_stepwise_sums(self, system_name, cocycle_name, request):
+        # one-leaf potentials keep the bits of adding their values step by step;
+        # weighted sums and coboundaries move only in their last bits
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+        path = sample_path(system, 200, 5)
+        family, _ = TestPackingWalk._wave_family(cocycle)
+        family += [constant_potential(0.3), per_symbol_potential([0.1, -0.7][:system.symbol_count]),
+                   family[-3].coboundary[1]]  # the non-wave sigma as a plain leaf
+        pts = np.random.default_rng(8).random((400, 2))
+        pts[:7] = 0.0
+        for n in (1, 4, 9, 20):
+            got = thermo._orbit_sums(cocycle, path, family, pts, n)
+            for row, p in zip(got, family):
+                want = oracles.stepwise_orbit_sums(cocycle, path, p, pts, n)
+                if thermo._expands(p) or p.coboundary:
+                    assert np.max(np.abs(row - want)) <= 1e-12 * n * p.l1_bound, (p.label, n)
+                else:
+                    assert row.tobytes() == want.tobytes(), (p.label, n)
+
+    @pytest.mark.parametrize("system_name, cocycle_name", COCYCLES)
+    def test_suite_family_packs_as_alone(self, system_name, cocycle_name, request,
+                                         monkeypatch):
+        system = request.getfixturevalue(system_name)
+        cocycle = request.getfixturevalue(cocycle_name)
+
+        class Captured(Exception):
+            pass
+
+        def capture(cocycle, system, family, grid, seed, keep_cells=True):
+            raise Captured(family)
+
+        monkeypatch.setattr(thermo, "pressure_estimates", capture)
+        grid = GridSpec(delta=0.05, n_grid=(2, 3), eps_grid=(0.04,), base_grid=1,
+                        omega_samples=1)
+        potentials = [coordinate_potential(0.4, [1, 0], label="cosx1"),
+                      coordinate_potential(0.4, [1, 0], fn="sin", label="sinx1")]
+        with pytest.raises(Captured) as caught:
+            pressure_property_suite(cocycle, system, potentials, grid, seed=21)
+        family = caught.value.args[0]
+        assert any(leaf.coboundary for p in family for leaf in thermo._leaves(p))
+        path = sample_path(system, 1200, 2)
+        state = SkewState(path=path, point=TorusPoint((0.3, 0.6)))
+        rep = lyapunov_spectra(cocycle, [path], [state.point], 1000)[0]
+        disk = unstable_disk(cocycle, state, 0.05, rep)
+        cells = 0
+        for n in (1, 2, 3, 5):
+            for eps in (0.03, 0.06, 0.2):
+                try:
+                    together = maximal_separated_sets(cocycle, disk, family, n, eps)
+                except EstimatorError:  # sheared arcs too coarse for eps
+                    continue
+                for p, res in zip(family, together):
+                    alone, = maximal_separated_sets(cocycle, disk, [p], n, eps)
+                    assert (res.log_weighted_sum, res.log_upper, res.count) == \
+                        (alone.log_weighted_sum, alone.log_upper, alone.count), (p.label, n, eps)
+                    assert np.array_equal(res.points, alone.points), (p.label, n, eps)
+                cells += 1
+        assert cells >= 6
 
 
 def _spy_walks(monkeypatch):
