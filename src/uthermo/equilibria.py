@@ -136,6 +136,7 @@ def birkhoff_integral(
     n: int = 64,
     samples: int = 64,
     seed: int = 0,
+    known: dict | None = None,
 ) -> tuple[float, float]:
     """Mean and standard error of orbit averages of the potential.
 
@@ -145,19 +146,17 @@ def birkhoff_integral(
     an expanding orbit after a few dozen steps.  A convex combination's
     integral is its weights times its components' integrals, component i
     integrated at seed + 17 i as the entropy estimators do, with standard
-    error sqrt(sum w_i^2 sem_i^2).
+    error sqrt(sum w_i^2 sem_i^2).  known, if given, holds this potential's
+    integrals at the same n and samples, already made (_known_integral): a
+    convex combination reads its components there and adds those it makes.
     """
-    return _birkhoff_integral(cocycle, potential, sampler, n, samples, seed)
-
-
-def _birkhoff_integral(cocycle, potential, sampler, n, samples, seed):
-    """birkhoff_integral, whose components are integrated through this function."""
     if sampler.kind == "convex-combo":
-        parts = [_birkhoff_integral(cocycle, potential, comp, n, samples, seed + 17 * i)
+        known = {} if known is None else known
+        parts = [_known_integral(known, cocycle, potential, comp, n, samples, seed + 17 * i)
                  for i, comp in enumerate(sampler.components)]
         return (sum(w * mean for w, (mean, _) in zip(sampler.weights, parts)),
                 math.sqrt(sum((w * sem) ** 2 for w, (_, sem) in zip(sampler.weights, parts))))
-    if sampler.kind == "periodic-atomic" and sampler.system.kind == "deterministic-trivial":
+    if _closed_orbit(sampler):
         path, _ = sampler.sample(seed)
         pts = np.stack([x.as_array() for x in sampler.orbit])
         return float(np.mean(potential.values(path, pts))), 0.0
@@ -172,6 +171,22 @@ def _birkhoff_integral(cocycle, potential, sampler, n, samples, seed):
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, sem
+
+
+def _closed_orbit(sampler: MeasureSampler) -> bool:
+    """Whether birkhoff_integral reads the sampler's integral off its closed
+    orbit, exactly and whatever the seed."""
+    return sampler.kind == "periodic-atomic" and sampler.system.kind == "deterministic-trivial"
+
+
+def _known_integral(known, cocycle, potential, sampler, n, samples, seed):
+    """birkhoff_integral through known, which maps (sampler, seed) to integrals
+    of this potential at this n and samples already made, with seed None for a
+    closed-orbit integral, which does not depend on it."""
+    key = (sampler, None if _closed_orbit(sampler) else seed)
+    if key not in known:
+        known[key] = birkhoff_integral(cocycle, potential, sampler, n, samples, seed, known)
+    return known[key]
 
 
 @dataclass(frozen=True)
@@ -306,8 +321,9 @@ def equilibrium_scan(
     """Evaluate entropy + integral defects of candidate measures against P(phi).
 
     Convex-combination candidates get their entropy by affine combination
-    of component estimates; each distinct (measure, seed) entropy, a
-    component's included, is estimated once.  Candidates whose defect is
+    of component estimates and their integrals by affine combination of
+    component integrals; each distinct (measure, seed) entropy and integral,
+    a component's included, is made once.  Candidates whose defect is
     within the combined confidence width are flagged as numerical
     equilibrium states.  pressure, if given, is phi's estimate on the same
     grid and seed, already made.
@@ -318,6 +334,7 @@ def equilibrium_scan(
         pressure = pressure_estimates(cocycle, system, [phi], grid, seed, keep_cells=False)[0]
     records = []
     known: dict = {}
+    integrals: dict = {}
     for sampler in measure_family:
         if (sampler, seed) not in known:
             known[sampler, seed] = _bowen_ball_entropy(
@@ -325,8 +342,8 @@ def equilibrium_scan(
                 seed, known,
             )
         h = known[sampler, seed]
-        integral, integral_sem = birkhoff_integral(
-            cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
+        integral, integral_sem = _known_integral(
+            integrals, cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
         )
         defect = pressure.value - h.value - integral
         combined = pressure.slope_ci + h.ci + 2.0 * integral_sem

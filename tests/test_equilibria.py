@@ -345,3 +345,24 @@ class TestBirkhoffIntegral:
         mean, sem = birkhoff_integral(cat_cocycle, cos, mix, n=32, samples=8, seed=1)
         assert mean == 0.25 * a_mean + 0.75 * h_mean
         assert sem == pytest.approx(0.75 * h_sem, rel=1e-15)
+
+    def test_combo_reads_known_component_integrals(self, cat_cocycle, trivial_system):
+        # known maps (sampler, seed) to integrals already made, seed None for a
+        # closed orbit; a combination reads its components there, makes the
+        # rest and adds them
+        from uthermo import convex_combo_sampler
+
+        cos = coordinate_potential(0.4, [1, 0])
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.2, 0.4)))
+        haar = haar_sampler(trivial_system, dim=2)
+        mix = convex_combo_sampler([haar, atom], [0.5, 0.5])
+        known = {(haar, 1): (0.5, 0.1), (atom, None): (0.25, 0.0)}
+        mean, sem = birkhoff_integral(cat_cocycle, cos, mix, n=32, samples=8, seed=1,
+                                      known=known)
+        assert (mean, sem) == (0.375, 0.05)
+        known = {(haar, 1): (0.5, 0.1)}
+        mean, _ = birkhoff_integral(cat_cocycle, cos, mix, n=32, samples=8, seed=1,
+                                    known=known)
+        alone = birkhoff_integral(cat_cocycle, cos, atom, n=32, samples=8, seed=18)
+        assert known[atom, None] == alone
+        assert mean == 0.5 * 0.5 + 0.5 * alone[0]
