@@ -380,8 +380,6 @@ def _run_smb(cfg, cocycle, system):
             f"key 'measures': smb needs one leaf conditional, not the mix {cfg.measures[0]!r}"
         )
     pair = build_partition_pair(system, [], cfg.grid_k, cfg.seed, dim=cocycle.dim)
-    if cfg.delta <= pair.cell_size:
-        raise ConfigError("key 'grid_k' too coarse for delta (need delta > 1/grid_k)")
     est = smb_trace(
         cocycle, sampler, pair, cfg.n_grid, cfg.entropy_samples, cfg.seed, delta=cfg.delta
     )

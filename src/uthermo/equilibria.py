@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rds import Cocycle, DrivingSystem, SymbolPath, TorusPoint, reduce_mod1, sample_path
-from .oseledets import (
-    OseledetsReport,
-    _frames_from_past,
+from .rds import (
+    Cocycle,
+    DrivingSystem,
+    SymbolPath,
+    TorusPoint,
     _jacobians,
-    _random_orthonormal,
     _symbol_windows,
-    lyapunov_spectra,
+    reduce_mod1,
+    sample_path,
 )
+from .oseledets import OseledetsReport, _frames_from_past, _random_orthonormal, lyapunov_spectra
 from .leafgeom import TrivialLeafError
 from .thermo import (
     GridSpec,

@@ -20,9 +20,12 @@ from .rds import (
     SkewState,
     TorusPoint,
     _add_shift,
+    _orbit,
+    _symbol_windows,
+    _tangent_images,
     reduce_mod1,
 )
-from .oseledets import OseledetsReport, _tangent_images
+from .oseledets import OseledetsReport
 
 __all__ = [
     "TrivialLeafError",
@@ -197,7 +200,7 @@ def unstable_disk(
         raise ValueError("radius must lie in (0, 0.25] for chart injectivity")
     u_dim = report.unstable_dim
     if u_dim not in (1, 2):
-        raise ValueError("only leaf dimensions 1 and 2 are supported")
+        raise EstimatorError("only leaf dimensions 1 and 2 are supported")
     if construction is None:
         construction = "linear-exact" if cocycle.has_constant_jacobian else "graph-transform"
     if construction == "linear-exact":
@@ -205,7 +208,7 @@ def unstable_disk(
             base=state, radius=delta, frame=report.eu_frame.copy(), construction="linear-exact"
         )
     if u_dim != 1:
-        raise ValueError("graph-transform charts support leaf dimension 1 only")
+        raise EstimatorError("graph-transform charts support leaf dimension 1 only")
 
     n_pts = 2 * CHART_HALF_POINTS + 1
     mid = n_pts // 2
@@ -219,6 +222,7 @@ def unstable_disk(
         # the seed point x_-k, carried back one map from x_-(k-1)
         y0 = cocycle.map_for(state.path.symbol(-k)).inverse_apply(y0)
         pts = y0 + seed
+        # not an _orbit: the depth k adapts, and each push is resampled (_push_and_trim)
         for j in range(-k, 0):
             m = cocycle.map_for(state.path.symbol(j))
             pts = _push_and_trim(m, pts, params)
@@ -283,14 +287,12 @@ def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.nda
     params = np.asarray(params, dtype=float)
     if disk.construction == "linear-exact":
         return leaf_growth_factors_batch(cocycle, [disk], n)[0][:, None] * params
+    pts = disk.points_lift
+    syms = np.repeat(_symbol_windows([disk.base.path], 0, n - 1), len(pts), axis=0)
     out = np.empty((n, params.shape[0]))
     out[0] = params
-    pts = disk.points_lift
-    grid = disk.params
-    for j in range(1, n):
-        m = cocycle.map_for(disk.base.path.symbol(j - 1))
-        pts = m.apply_lift(pts)
-        out[j] = np.interp(params, grid, _centred_arcs(pts))
+    for j, image in enumerate(_orbit(cocycle, syms, pts, "apply_lift")[1:], start=1):
+        out[j] = np.interp(params, disk.params, _centred_arcs(image))
     return out
 
 

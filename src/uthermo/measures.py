@@ -26,11 +26,13 @@ from .rds import (
     SkewState,
     SymbolPath,
     TorusPoint,
-    compose,
+    _orbit,
+    _symbol_windows,
+    _tangent_images,
     sample_path,
     torus_distance,
 )
-from .oseledets import _orbit, _symbol_windows, _tangent_images, lyapunov_spectra
+from .oseledets import lyapunov_spectra
 from .leafgeom import leaf_growth_factors_batch, unstable_disk
 from .thermo import CI_FLOOR, fit_slope, upper_half
 
@@ -346,25 +348,26 @@ def coarsen_partition(rng: np.random.Generator, labels: np.ndarray):
 
 @dataclass(frozen=True)
 class MeasureSampler:
-    """Seeded sampler of (path, point) pairs from a supported invariant measure.
-
-    leaf_conditional records the supported conditional family on leaf
-    pieces: "volume" (normalized leaf volume, the uniform measure on the
-    torus for our volume-preserving maps), "atomic" (the point mass at the
-    sampled point, for a measure on a closed orbit: its information is 0
-    at every n, so the estimators draw nothing for it), or "mixed" for
-    convex combinations.
-    """
+    """Seeded sampler of (path, point) pairs from a supported invariant measure."""
 
     kind: str
     label: str
     system: DrivingSystem
     dim: int
     half_window: int
-    leaf_conditional: str
     orbit: tuple[TorusPoint, ...] = ()
     components: tuple["MeasureSampler", ...] = ()
     weights: tuple[float, ...] = ()
+
+    @property
+    def leaf_conditional(self) -> str:
+        """The supported conditional family on leaf pieces, fixed by kind:
+        "volume" (normalized leaf volume, the uniform measure on the torus for
+        our volume-preserving maps) for haar, "atomic" (the point mass at the
+        sampled point, for a measure on a closed orbit: its information is 0 at
+        every n, so the estimators draw nothing for it) for periodic-atomic, and
+        "mixed" for convex combinations."""
+        return {"haar": "volume", "periodic-atomic": "atomic", "convex-combo": "mixed"}[self.kind]
 
     def sample(self, seed: int) -> tuple[SymbolPath, TorusPoint]:
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x5A3])
@@ -394,7 +397,6 @@ def haar_sampler(system: DrivingSystem, dim: int = 2, half_window: int = 600) ->
         system=system,
         dim=dim,
         half_window=half_window,
-        leaf_conditional="volume",
     )
 
 
@@ -415,17 +417,12 @@ def periodic_atomic_sampler(
     if fixed_by_all:
         orbit = (point,)
     elif system.kind == "deterministic-trivial":
-        orbit_pts = [point]
-        cur = point
-        path = SymbolPath(symbols=(0,) * (2 * max_period + 1), half_window=max_period)
-        for _ in range(max_period):
-            cur = compose(cocycle, path, 1, cur)
-            if torus_distance(cur, point) <= tol:
-                break
-            orbit_pts.append(cur)
-        else:
+        walk = _orbit(cocycle, np.zeros((1, max_period), dtype=np.int64), point.as_array()[None])
+        period = next((j for j, y in enumerate(walk[1:, 0], start=1)
+                       if torus_distance(y, point) <= tol), None)
+        if period is None:
             raise InvalidSystem("orbit does not close within max_period")
-        orbit = tuple(orbit_pts)
+        orbit = tuple(TorusPoint(tuple(y)) for y in walk[:period, 0])
     else:
         raise InvalidSystem(
             "periodic-atomic measures need a common fixed point or a trivial base"
@@ -436,7 +433,6 @@ def periodic_atomic_sampler(
         system=system,
         dim=point.dim,
         half_window=half_window,
-        leaf_conditional="atomic",
         orbit=orbit,
     )
 
@@ -452,7 +448,6 @@ def convex_combo_sampler(components, weights, label: str | None = None) -> Measu
         system=first.system,
         dim=first.dim,
         half_window=first.half_window,
-        leaf_conditional="mixed",
         components=tuple(components),
         weights=weights,
     )
@@ -703,7 +698,7 @@ def _interval_lengths(cocycle, pair, paths, pts, frames, n_max, delta):
     """
     g = pair.cell_size
     syms = _symbol_windows(paths, 0, n_max)
-    r = (_orbit(cocycle, syms, pts) - pair.offsets[syms.T]) % 1.0 % g  # (n_max, S, d)
+    r = (_orbit(cocycle, syms[:, :-1], pts) - pair.offsets[syms.T]) % 1.0 % g  # (n_max, S, d)
     w = _tangent_images(cocycle, paths, pts, frames[..., None], n_max - 1)[..., 0].swapaxes(0, 1)
     skip = np.abs(w) < 1e-14
     w = np.where(skip, 1.0, w)
@@ -718,13 +713,14 @@ def _interval_lengths(cocycle, pair, paths, pts, frames, n_max, delta):
 
 def _polyline_lengths(cocycle, pair, path, disk, n_max):
     """Grid-resolution fallback: track the same-cell run on a leaf polyline."""
-    pts = disk.points_lift.copy()
     params = disk.params
     mid = len(params) // 2
+    syms = _symbol_windows([path], 0, n_max)
+    walk = _orbit(cocycle, np.repeat(syms[:, :-1], len(params), axis=0), disk.points_lift,
+                  "apply_lift")
     alive = np.ones(len(params), dtype=bool)
     lengths = np.empty(n_max)
-    for j in range(n_max):
-        sym = path.symbol(j)
+    for j, (sym, pts) in enumerate(zip(syms[0], walk)):
         ids = pair.cell_ids(sym, pts % 1.0)
         same = np.all(ids == ids[mid], axis=1)
         alive &= same
@@ -737,7 +733,6 @@ def _polyline_lengths(cocycle, pair, path, disk, n_max):
         if right - left < 4:
             raise EstimatorError("empty refined atom (resolution floor)")
         lengths[j] = params[right] - params[left]
-        pts = cocycle.map_for(sym).apply_lift(pts)
     return lengths
 
 
@@ -754,6 +749,8 @@ def _information_profiles(cocycle, sampler, pair, seeds, delta, n_max):
         raise InvalidSystem(
             f"partition pair has dim {pair.dim}, but the cocycle's fiber has dim {cocycle.dim}"
         )
+    if delta <= pair.cell_size:
+        raise InvalidSystem("disk too small relative to grid")
     info = np.zeros((len(seeds), n_max))
     if sampler.leaf_conditional == "atomic":
         return info
@@ -803,8 +800,6 @@ def partition_entropy_rate(
                 cocycle, comp, pair, n_grid, samples, seed + 31 * i, delta
             ),
         )
-    if delta <= pair.cell_size:
-        raise InvalidSystem("disk too small relative to grid")
     seeds = _sample_seeds(seed, samples, 0x9A7)
     info = _information_profiles(cocycle, sampler, pair, seeds, delta, max(n_grid))
     # np.take keeps the rows C-contiguous, so the mean sums in row order

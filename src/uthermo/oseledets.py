@@ -21,7 +21,8 @@ from .rds import (
     DrivingSystem,
     EstimatorError,
     TorusPoint,
-    WindowExhausted,
+    _jacobians,
+    _symbol_windows,
     sample_path,
 )
 
@@ -123,110 +124,12 @@ def _positive_q(mat: np.ndarray) -> np.ndarray:
     return np.negative(q, out=q, where=(diag < 0)[..., None, :])
 
 
-def _symbol_windows(paths, start: int, steps: int, inverse: bool = False) -> np.ndarray:
-    """Symbols of each path in walk order, shape (S, steps).
-
-    Forward walks read relative times start .. start+steps-1; inverse walks
-    read start-1 down to start-steps.  Any time outside a path's sampled
-    window raises WindowExhausted, as SymbolPath.symbol does.
-    """
-    if inverse:
-        times = np.arange(start - 1, start - steps - 1, -1)
-    else:
-        times = np.arange(start, start + steps)
-    out = np.empty((len(paths), steps), dtype=np.int64)
-    arrays: dict[int, np.ndarray] = {}  # shifted copies of a path share its tuple
-    for i, path in enumerate(paths):
-        t = times + path.origin_offset
-        outside = np.abs(t) > path.half_window
-        if outside.any():
-            bad = int(t[np.argmax(outside)])
-            raise WindowExhausted(
-                f"time {bad} outside sampled window "
-                f"[-{path.half_window}, {path.half_window}]"
-            )
-        key = id(path.symbols)
-        if key not in arrays:
-            arrays[key] = np.asarray(path.symbols, dtype=np.int64)
-        out[i] = arrays[key][t + path.half_window]
-    return out
-
-
-def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) -> np.ndarray:
-    """Call one MapDescriptor method on points pts (..., d) with the maps syms (...) name."""
-    if len(cocycle.maps) == 1 or not syms.size:
-        return getattr(cocycle.maps[0], method)(pts)
-    out = None
-    for s in np.unique(syms):
-        rows = syms == s
-        val = getattr(cocycle.maps[s], method)(pts[rows])
-        if out is None:
-            out = np.empty(syms.shape + val.shape[1:])
-        out[rows] = val
-    return out
-
-
-def _orbit(
-    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
-) -> np.ndarray:
-    """The orbit (steps, S, d) of points pts (S, d) along syms (S, steps), walked once.
-
-    Forward, row j is the point the map of column j acts on: row 0 is pts
-    itself.  Backward, row j is pts pulled back through columns 0..j.  Only
-    apply/inverse_apply are called, one stacked call per step.
-    """
-    out = np.empty((syms.shape[1],) + pts.shape)
-    if backward:
-        for j, col in enumerate(syms.T):
-            pts = out[j] = _map_step(cocycle, col, pts, "inverse_apply")
-    elif len(out):
-        out[0] = pts
-        for j in range(1, len(out)):
-            out[j] = _map_step(cocycle, syms[:, j - 1], out[j - 1], "apply")
-    return out
-
-
-def _jacobians(
-    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
-) -> np.ndarray:
-    """The one-step Jacobians (steps, S, d, d) along syms (S, steps), in walk order.
-
-    The one place that chooses how Jacobians are made: a constant-Jacobian
-    cocycle gathers them from a per-symbol table; otherwise the orbit
-    through pts (S, d) is walked first (_orbit) and all of its Jacobians
-    are made in one jacobian call per symbol.  Row j is Df, by the map of
-    column j, at row j of _orbit(syms, pts, backward).
-    """
-    if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
-        cocycle.map_for(int(syms.max()))
-    if cocycle.has_constant_jacobian:
-        origin = np.zeros(cocycle.dim)
-        return np.stack([m.jacobian(origin) for m in cocycle.maps])[syms.T]
-    return _map_step(cocycle, syms.T, _orbit(cocycle, syms, pts, backward), "jacobian")
-
-
 def _log_abs_dets(jacs: np.ndarray) -> np.ndarray:
     """log |det J| of each Jacobian in a stack; a degenerate one raises EstimatorError."""
     det = np.linalg.det(jacs)
     if np.any(np.abs(det) < 1e-12):
         raise EstimatorError("degenerate one-step Jacobian along the orbit")
     return np.log(np.abs(det))
-
-
-def _tangent_images(
-    cocycle: Cocycle, paths, pts: np.ndarray, vecs: np.ndarray, steps: int
-) -> np.ndarray:
-    """Images of tangent vectors vecs (S, d, k) under the j-step derivatives, j = 0..steps.
-
-    Sample i starts at pts[i] on paths[i] and is pushed by the Jacobians of
-    its forward orbit.  Returns an (S, steps + 1, d, k) array whose j = 0
-    slice is vecs.
-    """
-    out = np.empty((len(vecs), steps + 1) + vecs.shape[1:])
-    out[:, 0] = vecs
-    for j, jac in enumerate(_jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)):
-        out[:, j + 1] = jac @ out[:, j]
-    return out
 
 
 def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
@@ -303,9 +206,9 @@ def lyapunov_spectra(
 ) -> list[OseledetsReport]:
     """QR-accumulated Lyapunov exponents and the expanding frame at each (path, x).
 
-    The orbit engine: all samples walk together as stacked (S, d, d)
-    frames, one numpy call per step, through the Jacobian stacks of
-    _jacobians.  Each report is bitwise equal to walking its sample alone
+    All samples walk together as stacked (S, d, d) frames, one numpy call
+    per step, through the Jacobian stacks of the orbit engine's _jacobians
+    (rds).  Each report is bitwise equal to walking its sample alone
     whenever the maps' stacked calls round as their one-point calls do:
     always for constant-Jacobian cocycles, which make no map calls, and for
     the sheared cat and 3-torus maps.  The expanding frame is the limit

@@ -5,6 +5,8 @@ trivial process embedding a deterministic map).  Fiber maps act on the
 d-torus (d = 2 or 3) as a unimodular integer matrix, optionally composed
 with volume-preserving trigonometric shears and a translation, so that
 derivatives, inverses, and smoothness bounds are exact closed forms.
+Orbits and their Jacobians are walked by one batched engine (_orbit,
+_jacobians), which every layer uses.
 """
 
 from __future__ import annotations
@@ -448,38 +450,128 @@ class SkewState:
     point: TorusPoint
 
 
+# ---------------------------------------------------------------------------
+# Orbit engine: every walk of the fiber maps, batched over samples
+# ---------------------------------------------------------------------------
+
+
+def _symbol_windows(paths, start: int, steps: int, inverse: bool = False) -> np.ndarray:
+    """Symbols of each path in walk order, shape (S, steps).
+
+    Forward walks read relative times start .. start+steps-1; inverse walks
+    read start-1 down to start-steps.  Any time outside a path's sampled
+    window raises WindowExhausted, as SymbolPath.symbol does.
+    """
+    out = np.empty((len(paths), steps), dtype=np.int64)
+    rows: dict[tuple, np.ndarray] = {}  # equal paths read their window once
+    for i, path in enumerate(paths):
+        key = (id(path.symbols), path.origin_offset)
+        if key in rows:
+            out[i] = rows[key]
+            continue
+        hw = path.half_window
+        lo = start + path.origin_offset - (steps if inverse else 0)  # earliest time read
+        hi = lo + steps - 1
+        if steps and (lo < -hw or hi > hw):
+            first = hi if inverse else lo  # the first outside time, in walk order
+            bad = first if abs(first) > hw else (-hw - 1 if inverse else hw + 1)
+            raise WindowExhausted(f"time {bad} outside sampled window [-{hw}, {hw}]")
+        window = path.symbols[lo + hw : hi + hw + 1]  # only the window's slice is converted
+        out[i] = window[::-1] if inverse else window
+        rows[key] = out[i]
+    return out
+
+
+def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) -> np.ndarray:
+    """Call one MapDescriptor method on points pts (..., d) with the maps syms (...) name."""
+    if len(cocycle.maps) == 1 or not syms.size:
+        return getattr(cocycle.maps[0], method)(pts)
+    out = None
+    for s in np.unique(syms):
+        rows = syms == s
+        val = getattr(cocycle.maps[s], method)(pts[rows])
+        if out is None:
+            out = np.empty(syms.shape + val.shape[1:])
+        out[rows] = val
+    return out
+
+
+def _orbit(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str = "apply"
+) -> np.ndarray:
+    """The orbit (steps + 1, S, d) of points pts (S, d) along syms (S, steps), walked once.
+
+    Row 0 is pts; row j + 1 is row j moved by the map of column j through the
+    MapDescriptor method named (apply, apply_lift or inverse_apply), one
+    stacked call per step.
+    """
+    if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
+        cocycle.map_for(int(syms.max()))
+    out = np.empty((syms.shape[1] + 1,) + pts.shape)
+    out[0] = pts
+    for j, col in enumerate(syms.T):
+        out[j + 1] = _map_step(cocycle, col, out[j], method)
+    return out
+
+
+def _jacobians(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
+) -> np.ndarray:
+    """The one-step Jacobians (steps, S, d, d) along syms (S, steps), in walk order.
+
+    The one place that chooses how Jacobians are made: a constant-Jacobian
+    cocycle gathers them from a per-symbol table; otherwise the orbit
+    through pts (S, d) is walked first (_orbit) and all of its Jacobians
+    are made in one jacobian call per symbol.  Row j is Df, by the map of
+    column j, at the point that map acts on: row j of the forward orbit, or
+    row j + 1 of the orbit pulled back by inverse_apply.
+    """
+    if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
+        cocycle.map_for(int(syms.max()))
+    if cocycle.has_constant_jacobian:
+        origin = np.zeros(cocycle.dim)
+        return np.stack([m.jacobian(origin) for m in cocycle.maps])[syms.T]
+    if backward:
+        orbit = _orbit(cocycle, syms, pts, "inverse_apply")[1:]
+    else:  # the last column's map is differentiated, not applied
+        orbit = _orbit(cocycle, syms[:, :-1], pts)[: syms.shape[1]]
+    return _map_step(cocycle, syms.T, orbit, "jacobian")
+
+
+def _tangent_images(
+    cocycle: Cocycle, paths, pts: np.ndarray, vecs: np.ndarray, steps: int
+) -> np.ndarray:
+    """Images of tangent vectors vecs (S, d, k) under the j-step derivatives, j = 0..steps.
+
+    Sample i starts at pts[i] on paths[i] and is pushed by the Jacobians of
+    its forward orbit.  Returns an (S, steps + 1, d, k) array whose j = 0
+    slice is vecs.
+    """
+    out = np.empty((len(vecs), steps + 1) + vecs.shape[1:])
+    out[:, 0] = vecs
+    for j, jac in enumerate(_jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)):
+        out[:, j + 1] = jac @ out[:, j]
+    return out
+
+
 def compose(cocycle: Cocycle, path: SymbolPath, n: int, x: TorusPoint) -> TorusPoint:
     """n-fold composition of the fiber maps along the path applied to x.
 
     Positive n walks forward through symbols 0..n-1; negative n applies
     the inverses of the maps at times -1..n.
     """
-    pt = x.as_array()
-    if n > 0:
-        for j in range(n):
-            pt = cocycle.map_for(path.symbol(j)).apply(pt)
-    elif n < 0:
-        for j in range(-1, n - 1, -1):
-            pt = cocycle.map_for(path.symbol(j)).inverse_apply(pt)
-    return TorusPoint(tuple(pt))
+    syms = _symbol_windows([path], 0, abs(n), inverse=n < 0)
+    method = "inverse_apply" if n < 0 else "apply"
+    return TorusPoint(tuple(_orbit(cocycle, syms, x.as_array()[None], method)[-1, 0]))
 
 
 def derivative(cocycle: Cocycle, path: SymbolPath, n: int, x: TorusPoint) -> np.ndarray:
     """Derivative of the n-step composition at x as an ordered Jacobian product."""
-    d = cocycle.dim
-    jac = np.eye(d)
-    pt = x.as_array()
-    if n > 0:
-        for j in range(n):
-            m = cocycle.map_for(path.symbol(j))
-            jac = m.jacobian(pt) @ jac
-            pt = m.apply(pt)
-    elif n < 0:
-        for j in range(-1, n - 1, -1):
-            m = cocycle.map_for(path.symbol(j))
-            pt = m.inverse_apply(pt)
-            step = np.linalg.inv(m.jacobian(pt))
-            jac = step @ jac
+    syms = _symbol_windows([path], 0, abs(n), inverse=n < 0)
+    steps = _jacobians(cocycle, syms, x.as_array()[None], backward=n < 0)[:, 0]
+    jac = np.eye(cocycle.dim)
+    for step in np.linalg.inv(steps) if n < 0 else steps:
+        jac = step @ jac
     return jac
 
 

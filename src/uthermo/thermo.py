@@ -22,10 +22,11 @@ from .rds import (
     SkewState,
     SymbolPath,
     TorusPoint,
-    WindowExhausted,
+    _symbol_windows,
+    _tangent_images,
     sample_path,
 )
-from .oseledets import _tangent_images, lyapunov_spectra
+from .oseledets import lyapunov_spectra
 from .leafgeom import (
     UnstableDisk,
     bowen_step_arcs,
@@ -259,7 +260,7 @@ def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = Non
     """The coboundary sigma o Theta - sigma as a potential."""
 
     def vec(path, pts, cocycle=cocycle, sigma=sigma):
-        m = cocycle.map_for(path.symbol(0))
+        m = cocycle.map_for(path.symbol(0))  # one step: no walk to share
         return sigma.values(path.shifted(1), m.apply(pts)) - sigma.values(path, pts)
 
     return Potential(
@@ -297,17 +298,9 @@ def _fiber_values(potential: Potential, system: DrivingSystem, dim: int, grid: i
 
 
 def _symbol_sum(potential: Potential, path: SymbolPath, n: int) -> float:
-    """Orbit sum over steps 0..n-1 of an x-independent potential.
-
-    Reads the path's symbols as one slice; a step outside the sampled
-    window raises WindowExhausted, as SymbolPath.symbol does.
-    """
-    first = path.origin_offset + path.half_window  # step 0 in path.symbols
-    if first < 0 or first + n > len(path.symbols):
-        raise WindowExhausted(
-            f"steps 0..{n - 1} leave the sampled window [-{path.half_window}, {path.half_window}]"
-        )
-    syms = path.symbols[first : first + n]
+    """Orbit sum over steps 0..n-1 of an x-independent potential (a step outside
+    the sampled window raises WindowExhausted, through _symbol_windows)."""
+    syms = _symbol_windows([path], 0, n)[0].tolist()
     values = {s: float(potential.symbol_fn(s)) for s in set(syms)}
     return sum(values[s] for s in syms)
 
@@ -492,6 +485,7 @@ def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarra
         np.add(v, 0.0, out=sums[key])
     waves = _wave_groups(leaf.wave for leaf in walked.values() if leaf.wave)
     cur = pts
+    # streamed, not an _orbit: a stored walk of n x N x d floats would cost MiBs of peak RSS
     for j in range(1, n):
         del trig  # point set j - 1's arrays go before point set j's are made
         cur = cocycle.map_for(path.symbol(j - 1)).apply(cur)
@@ -569,11 +563,13 @@ def maximal_separated_sets(
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
     grid, the chart and one orbit walk over the candidates, whose sums at the
     cover points (candidates themselves, but for a clipped last cover point,
-    which joins the walk) give the upper bound; a one-point cover walks alone,
-    so every sum has the bits of a separate cover walk.  The walk keeps one
-    running sum per leaf and weights them once per potential (_orbit_sums), so
-    each potential's sums, and so its packing, have the bits of packing it
-    alone.  The selection runs once per distinct row of orbit sums.
+    which joins the walk) give the upper bound, for a cover of any size.  A
+    cover of two or more points gets the bits of a separate cover walk; a
+    one-point cover's sums can differ from a one-row walk's in their last bits
+    where a product rounds (a map such as A^2, or a wave's k.x).  The walk
+    keeps one running sum per leaf and weights them once per potential
+    (_orbit_sums), so each potential's sums, and so its packing, have the bits
+    of packing it alone.  The selection runs once per distinct row of orbit sums.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -663,16 +659,9 @@ def maximal_separated_sets(
             )
     if varying:
         walked = [potentials[k] for k in varying]
-        if len(cover_params) > 1:
-            # one walk: the cover's orbit sums are read off the candidates' (and extra's)
-            walk_pts = disk.chart(np.concatenate([params, extra]))
-            sums = _orbit_sums(cocycle, path, walked, walk_pts, n)
-            weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
-        else:
-            # a one-point cover walks alone: numpy rounds a one-row matmul unlike the
-            # same row stacked (for A^2, say), and each walk keeps its own bits
-            weights = _orbit_sums(cocycle, path, walked, disk.chart(params), n)
-            cover_weights = _orbit_sums(cocycle, path, walked, disk.chart(cover_params), n)
+        # one walk: the cover's orbit sums are read off the candidates' (and extra's)
+        sums = _orbit_sums(cocycle, path, walked, disk.chart(np.concatenate([params, extra])), n)
+        weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
         picks = {}  # bitwise-equal rows of orbit sums share one selection
         for k, p, w, cw in zip(varying, walked, weights, cover_weights):
             key = w.tobytes()

@@ -118,6 +118,73 @@ def scalar_orbit(cocycle, path, x0, lo: int, hi: int) -> dict:
     return pts
 
 
+def loop_compose(cocycle, path, n: int, x0):
+    """f^n_omega(x0) as coordinates, one point and one map at a time: forward through
+    the maps at times 0..n-1, or back through the inverses at times -1..n."""
+    pt = np.asarray(x0, dtype=float)
+    if n > 0:
+        for j in range(n):
+            pt = cocycle.map_for(path.symbol(j)).apply(pt)
+    elif n < 0:
+        for j in range(-1, n - 1, -1):
+            pt = cocycle.map_for(path.symbol(j)).inverse_apply(pt)
+    return pt
+
+
+def loop_derivative(cocycle, path, n: int, x0):
+    """D f^n_omega at x0 as the ordered product of one-point Jacobians."""
+    jac = np.eye(cocycle.dim)
+    pt = np.asarray(x0, dtype=float)
+    if n > 0:
+        for j in range(n):
+            m = cocycle.map_for(path.symbol(j))
+            jac = m.jacobian(pt) @ jac
+            pt = m.apply(pt)
+    elif n < 0:
+        for j in range(-1, n - 1, -1):
+            m = cocycle.map_for(path.symbol(j))
+            pt = m.inverse_apply(pt)
+            jac = np.linalg.inv(m.jacobian(pt)) @ jac
+    return jac
+
+
+def loop_periodic_orbit(cocycle, x0, max_period: int, tol: float):
+    """The closed orbit of the one map of a trivial base through x0, as coordinate
+    tuples, one point and one map call per step; None if it does not close within
+    max_period steps (max-coordinate circle distance <= tol)."""
+    start = np.asarray(x0, dtype=float)
+    orbit, pt = [tuple(float(c) for c in start)], start
+    for _ in range(max_period):
+        pt = cocycle.maps[0].apply(pt)
+        gap = np.abs(pt - start)
+        if np.max(np.minimum(gap, 1.0 - gap)) <= tol:
+            return tuple(orbit)
+        orbit.append(tuple(float(c) for c in pt))
+    return None
+
+
+def loop_polyline_lengths(cocycle, pair, path, disk, n_max: int):
+    """The same-cell run lengths on a polyline chart, pushed one map at a time."""
+    pts = disk.points_lift.copy()
+    params = disk.params
+    mid = len(params) // 2
+    alive = np.ones(len(params), dtype=bool)
+    lengths = np.empty(n_max)
+    for j in range(n_max):
+        sym = path.symbol(j)
+        ids = pair.cell_ids(sym, pts % 1.0)
+        alive &= np.all(ids == ids[mid], axis=1)
+        left = mid
+        while left - 1 >= 0 and alive[left - 1]:
+            left -= 1
+        right = mid
+        while right + 1 < len(params) and alive[right + 1]:
+            right += 1
+        lengths[j] = params[right] - params[left]
+        pts = cocycle.map_for(sym).apply_lift(pts)
+    return lengths
+
+
 def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0):
     """One sample, one step at a time: (final Q, summed log diag R, summed log|det J|).
 
@@ -573,9 +640,8 @@ def per_row_geometric_values(cocycle, path, pts, u_dim: int, frame_steps: int = 
     """phi^u at pts on a constant-Jacobian cocycle whose bundle is not invariant, in
     the evaluator's old per-row form: the frame walked from the past at one row and
     repeated, and a one-symbol window built for every row by _symbol_windows."""
-    from uthermo.oseledets import (_frames_from_past, _jacobians, _random_orthonormal,
-                                   _symbol_windows)
-    from uthermo.rds import reduce_mod1
+    from uthermo.oseledets import _frames_from_past, _random_orthonormal
+    from uthermo.rds import _jacobians, _symbol_windows, reduce_mod1
 
     steps = min(frame_steps, path.backward_reach)
     pts = np.asarray(pts, dtype=float)

@@ -389,6 +389,26 @@ class TestExperimentSurfaces:
         top = summary["records"][0]["exponents"][0]
         assert top == pytest.approx(oracles.CAT_LOG, abs=2e-3)
 
+    def test_smb_disk_below_cell_size_exits_2(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "coarse.cfg",
+                     f"system = {CONFIG_DIR / 'cat.system'}\nexperiment = smb\nseed = 1\n"
+                     "measures = haar\ngrid_k = 4\ndelta = 0.1\nn_grid = 4:8\n"
+                     "entropy_samples = 16\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "disk too small relative to grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sheared_plane_leaf_exits_3(self, tmp_path, capsys):
+        # the sheared map's expanding bundle is 2-d: no graph-transform chart for it
+        (tmp_path / "plane.system").write_text(
+            "fiber.dim = 3\nmap.0.matrix = 1 1 0 1 2 1 0 1 2\n"
+            "map.0.perturbation = 0.01:1,0,0:0.0\n")
+        cfg = _write(tmp_path, "plane.cfg", "system = plane.system\nexperiment = entropy\n"
+                     "seed = 1\nn_grid = 2:3\neps_grid = 0.04\nbase_grid = 1\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("estimator error:") and "leaf dimension 1 only" in err
+
     def test_smb_on_the_3_torus(self, tmp_path):
         cfg = _write(tmp_path, "t3.cfg",
                      f"system = {CONFIG_DIR / 't3_rot.system'}\nexperiment = smb\nseed = 1\n"

@@ -67,6 +67,16 @@ class TestDiskConstruction:
         with pytest.raises(TrivialLeafError):
             unstable_disk(ident, SkewState(path=path, point=TorusPoint((0.5, 0.5))), 0.1, rep)
 
+    def test_plane_leaf_graph_transform_is_an_estimator_error(
+        self, sheared_plane_leaf_cocycle, trivial_system
+    ):
+        path = sample_path(trivial_system, 600, 1)
+        x = TorusPoint((0.3, 0.1, 0.7))
+        rep = lyapunov_spectra(sheared_plane_leaf_cocycle, [path], [x], 500)[0]
+        assert rep.unstable_dim == 2
+        with pytest.raises(EstimatorError, match="leaf dimension 1 only"):
+            unstable_disk(sheared_plane_leaf_cocycle, SkewState(path=path, point=x), 0.1, rep)
+
     def test_radius_bound_enforced(self, cat_cocycle, cat_state, cat_report):
         with pytest.raises(ValueError):
             unstable_disk(cat_cocycle, cat_state, 0.3, cat_report)

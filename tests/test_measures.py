@@ -152,6 +152,14 @@ class TestSamplers:
         assert len(sampler.orbit) == period
         assert sampler.leaf_conditional == "atomic"
 
+    @pytest.mark.parametrize("point", [(0.2, 0.4), (1 / 3, 2 / 3)])
+    def test_orbit_equals_point_loop(self, point, cat_cocycle, trivial_system):
+        # one walk of max_period steps, read up to its first return
+        sampler = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint(point))
+        want = oracles.loop_periodic_orbit(cat_cocycle, point, 128, 1e-10)
+        assert len(want) > 1
+        assert tuple(p.coords for p in sampler.orbit) == want
+
     def test_fixed_point_orbit(self, iid_system, iid_cocycle):
         sampler = periodic_atomic_sampler(iid_system, iid_cocycle, TorusPoint((0.0, 0.0)))
         assert sampler.orbit == (TorusPoint((0.0, 0.0)),)
@@ -218,6 +226,15 @@ class TestPartitionPair:
             partition_entropy_rate(t3_cocycle, sampler, pair, (8, 9, 10), 4, seed=7)
         with pytest.raises(InvalidSystem, match="dim 2"):
             smb_trace(t3_cocycle, sampler, pair, (8, 9, 10), 4, seed=7)
+
+    def test_disk_must_exceed_cell_in_both_partition_estimators(self, cat_cocycle,
+                                                                 trivial_system):
+        # delta 0.1 is below the cell size 1/4: the smb trace read 0.84, not log lambda
+        pair = build_partition_pair(trivial_system, [], 4, offset_seed=1, dim=2)
+        sampler = haar_sampler(trivial_system, dim=2)
+        for estimator in (partition_entropy_rate, smb_trace):
+            with pytest.raises(InvalidSystem, match="disk too small relative to grid"):
+                estimator(cat_cocycle, sampler, pair, (4, 5, 6, 7, 8), 16, seed=1, delta=0.1)
 
     def test_leaf_section_matches_scan_oracle(self, cat_cocycle, trivial_system):
         # the exact cell-crossing interval against a dense parameter scan
@@ -466,6 +483,20 @@ class TestEntropyGapReport:
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 8, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 8, seed=7, delta=0.1)
         assert entropy_estimator_gap(bowen, part).gap == 0.0
+
+
+class TestPolylineLengths:
+    def test_equal_point_loop(self, perturbed_cat_cocycle, trivial_system):
+        # one apply_lift walk of the chart polyline against one push per step
+        pair = build_partition_pair(trivial_system, [], 16, offset_seed=2, dim=2)
+        for seed in (1, 2, 3):
+            path = sample_path(trivial_system, 600, seed)
+            x = TorusPoint(tuple(np.random.default_rng(seed).random(2)))
+            rep = lyapunov_spectra(perturbed_cat_cocycle, [path], [x], 500)[0]
+            disk = unstable_disk(perturbed_cat_cocycle, SkewState(path, x), 0.1, rep)
+            want = oracles.loop_polyline_lengths(perturbed_cat_cocycle, pair, path, disk, 4)
+            got = measures._polyline_lengths(perturbed_cat_cocycle, pair, path, disk, 4)
+            assert np.array_equal(got, want)
 
 
 class TestIntervalInformationPush:

@@ -317,6 +317,40 @@ class TestDerivative:
         assert np.max(np.abs(bwd @ fwd - np.eye(2))) < 1e-9
 
 
+class TestOneOrbitEngine:
+    """compose and derivative walk through the orbit engine (_orbit, _jacobians),
+    bitwise equal to the one-point loops they replaced (kept in oracles)."""
+
+    @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "t3_cocycle",
+                                      "perturbed_cat_cocycle"])
+    def test_bitwise_equal_point_loops(self, name, request, iid_system, trivial_system):
+        cocycle = request.getfixturevalue(name)
+        system = iid_system if len(cocycle.maps) > 1 else trivial_system
+        rng = np.random.default_rng(23)
+        for seed in range(4):
+            path = sample_path(system, 30, seed).shifted(int(rng.integers(-6, 7)))
+            for n in (-13, -4, -1, 0, 1, 2, 7, 13):
+                x = rng.random(cocycle.dim)
+                got = compose(cocycle, path, n, TorusPoint(tuple(x)))
+                want = oracles.loop_compose(cocycle, path, n, x)
+                assert np.asarray(got.coords).tobytes() == want.tobytes(), (seed, n)
+                got = derivative(cocycle, path, n, TorusPoint(tuple(x)))
+                want = oracles.loop_derivative(cocycle, path, n, x)
+                assert got.tobytes() == want.tobytes(), (seed, n)
+
+    @pytest.mark.parametrize("walk", [compose, derivative])
+    def test_errors(self, walk, cat_cocycle, iid_cocycle, perturbed_cat_cocycle):
+        path = SymbolPath(symbols=(1, 0, 0, 0, 0, 0, 1), half_window=3)
+        x = TorusPoint((0.2, 0.7))
+        for cocycle in (cat_cocycle, perturbed_cat_cocycle):  # one map: symbol 1 has none
+            for n in (4, -3):
+                with pytest.raises(InvalidSystem, match="no map for symbol 1"):
+                    walk(cocycle, path, n, x)
+        for n in (5, -4):
+            with pytest.raises(WindowExhausted):
+                walk(iid_cocycle, path, n, x)
+
+
 class TestSkewProduct:
     def test_inverse_round_trip_linear(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 8, 0)

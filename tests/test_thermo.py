@@ -537,16 +537,15 @@ class TestOneCodePath:
                     assert np.array_equal(lattice.points, disk.params[pack])
                     assert lattice.count == len(pack)
                     assert lattice.log_upper == math.log(len(cover))
-                    # the candidates' walk, off which the cover centres' sums are read,
-                    # but for a one-point cover, which walks alone
-                    assert np.array_equal(walked[0][0], disk.chart(disk.params))
-                    if len(cover) > 1:
-                        assert len(walked) == 1
-                        cover_sums = walked[0][1][0, cover]
-                    else:
-                        (pts, sums), = walked[1:]
-                        assert np.array_equal(pts, disk.chart(disk.params[cover]))
-                        cover_sums = sums[0]
+                    # one walk, the candidates', off which the cover centres' sums are
+                    # read, for a cover of any size; on this map they have the bits of
+                    # a separate walk over the cover centres
+                    (pts, sums), = walked
+                    assert np.array_equal(pts, disk.chart(disk.params))
+                    cover_sums = sums[0, cover]
+                    separate = thermo._orbit_sums(cocycle, path, [cos],
+                                                  disk.chart(disk.params[cover]), n)
+                    assert np.array_equal(cover_sums, separate[0])
                     assert packed.log_upper == (thermo._logsumexp(cover_sums)
                                                 + n * cos.lipschitz * eps / 2.0)
                     cells += 1
@@ -1091,9 +1090,22 @@ def _spy_walks(monkeypatch):
 
 
 class TestOneWalkPerCell:
-    """A packing cell walks its candidates once; the cover's orbit sums are read off
-    that walk, bitwise equal to a separate walk over the cover points.  A one-point
-    cover walks alone: numpy rounds a one-row matmul by A^2 unlike a stacked row."""
+    """A packing cell walks its candidates once, and the cover's orbit sums are read
+    off that walk, for a cover of any size.  They are bitwise equal to a separate walk
+    over the cover points when the cover has two or more points.  A one-row walk can
+    round a product (by A^2, or in the phase 2 pi (3x + y) of the sin wave) unlike the
+    same row stacked, so a one-point cover's sums agree to rounding, and bitwise on
+    the cat map for the cos wave, whose products are exact."""
+
+    @staticmethod
+    def _check_cover_sums(name, stacked, separate):
+        """Cover sums off the cell's walk against a separate cover walk."""
+        if stacked.shape[1] > 1:
+            assert np.array_equal(stacked, separate)
+        else:
+            assert np.allclose(stacked, separate, rtol=0.0, atol=1e-12)
+            if name == "cat":
+                assert np.array_equal(stacked[0], separate[0])  # cos
 
     def _family(self, cocycle):
         cos = coordinate_potential(0.4, [1, 0], label="cos")
@@ -1138,16 +1150,18 @@ class TestOneWalkPerCell:
                 cover, last_clipped = self._linear_cover(disk, n, eps, growth)
                 h = eps / (8 * float(np.max(growth[:n])))
                 params = -disk.radius + h * np.arange(math.floor(2.0 * disk.radius / h) + 1)
-                if len(cover) > 1:
-                    # one walk: the candidates, plus the clipped last cover point if any
-                    assert [len(pts) for pts, _ in walks] == [len(params) + last_clipped]
-                    clipped += last_clipped
-                else:
-                    assert [len(pts) for pts, _ in walks] == [len(params), 1]
-                    single += 1
+                # one walk: the candidates, plus the clipped last cover point if any
+                (pts, sums), = walks
+                assert len(pts) == len(params) + last_clipped
+                cover_idx = 8 * np.arange(len(cover)) + 4
+                if last_clipped:
+                    cover_idx[-1] = len(params)
+                clipped += last_clipped and len(cover) > 1
+                single += len(cover) == 1
                 weights = thermo._orbit_sums(cocycle, path, family, disk.chart(params), n)
                 separate = thermo._orbit_sums(cocycle, path, family, disk.chart(cover), n)
-                for p, res, w, row in zip(family, results, weights, separate):
+                self._check_cover_sums(name, sums[:, cover_idx], separate)
+                for p, res, w, row in zip(family, results, weights, sums[:, cover_idx]):
                     lower = thermo._logsumexp(w[thermo._greedy_kernel(w, 8)])
                     upper = thermo._logsumexp(row) + n * p.lipschitz * eps / 2.0
                     got = (res.log_weighted_sum, res.log_upper)
@@ -1194,14 +1208,16 @@ class TestOneWalkPerCell:
                     results = thermo.maximal_separated_sets(cocycle, disk, family, n, eps)
                 except EstimatorError:  # the arcs are too coarse for eps
                     continue
-                cover = disk.params[oracles.profile_cover_indices(arcs, eps)]
+                cover_idx = oracles.profile_cover_indices(arcs, eps)
                 lo, hi = thermo._profile_windows(arcs, eps)
-                sizes = [len(disk.params)] + ([1] if len(cover) == 1 else [])
-                assert [len(pts) for pts, _ in walks] == sizes
-                single += len(cover) == 1
+                (pts, sums), = walks  # one walk, the candidates'
+                assert np.array_equal(pts, disk.chart(disk.params))
+                single += len(cover_idx) == 1
                 weights = thermo._orbit_sums(cocycle, path, family, disk.chart(disk.params), n)
-                separate = thermo._orbit_sums(cocycle, path, family, disk.chart(cover), n)
-                for p, res, w, row in zip(family, results, weights, separate):
+                separate = thermo._orbit_sums(cocycle, path, family,
+                                              disk.chart(disk.params[cover_idx]), n)
+                self._check_cover_sums(name, sums[:, cover_idx], separate)
+                for p, res, w, row in zip(family, results, weights, sums[:, cover_idx]):
                     upper = thermo._logsumexp(row) + n * p.lipschitz * eps / 2.0
                     assert res.log_upper == upper, (p.label, n, eps)
                     picked = thermo._greedy_windows(thermo._pick_order(w), lo, hi, len(w))
