@@ -92,9 +92,10 @@ class Potential:
     walk weights its leaves' sums once; a coboundary from theta_coboundary
     records its (cocycle, sigma), so a walk over that cocycle sums it as
     sigma(x_n) - sigma(x_0).  A wave from coordinate_potential records its
-    (k, phase, fn, amplitude), so a walk evaluates each distinct wave once per
-    point set and its values are amplitude * fn(2 pi k.x + phase) from that
-    shared evaluation.
+    (k, phase, fn, amplitude), k integer, so a walk evaluates each distinct
+    wave once per point set and its values are amplitude * fn(2 pi k.x + phase)
+    from that shared evaluation; on an affine leaf its orbit sums have a closed
+    form (_line_wave_sums), and no walk evaluates it.
     """
 
     label: str
@@ -151,8 +152,13 @@ def coordinate_potential(
     fn: str = "cos",
     label: str | None = None,
 ) -> Potential:
-    """a * cos(2 pi k.x + phase) (or sin), a smooth coordinate observable."""
+    """a * cos(2 pi k.x + phase) (or sin), a smooth coordinate observable.
+
+    k must be an integer vector: only then is the wave a function on the torus.
+    """
     k = np.asarray(wavevector, dtype=float)
+    if k.ndim != 1 or not np.array_equal(k, np.round(k)):
+        raise ValueError(f"wavevector must be an integer vector, got {wavevector!r}")
     wave = (tuple(k.tolist()), float(phase), "cos" if fn == "cos" else "sin", float(amplitude))
     groups = _wave_groups([wave])
 
@@ -446,24 +452,32 @@ class SeparatedSetResult:
         return True
 
 
-def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarray:
+def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray:
     """Orbit sums S_n(phi), n >= 1, over an array of starting points, one row per
     potential.
 
-    One walk serves every potential, with one running sum per distinct leaf
-    (_leaves).  Each step maps the points once and adds each x-dependent
-    leaf's values there onto its sum, in step order; a wave leaf's values are
-    amplitude * trig, from cos/sin made once per distinct (k, phase, fn) and
-    point set (_trig_values).  An x-independent leaf's sum is _symbol_sum.  A
-    coboundary sigma o Theta - sigma over this cocycle sums to
-    sigma(x_n) - sigma(x_0), so sigma is evaluated at the walk's two ends
-    only, and the points are mapped on to x_n only when a coboundary needs
-    them: n - 1 map calls without one, n with one.  Each weighted sum is then
-    added up once from its leaves' sums in its own term order (_sum_terms),
-    so a potential's row does not depend on the rest of the family, and a
-    one-leaf potential's row is its values added step by step onto zeros.
+    One pass serves every potential, with one running sum per distinct leaf
+    (_leaves).  An x-independent leaf's sum is _symbol_sum.  A coboundary
+    sigma o Theta - sigma over this cocycle sums to sigma(x_n) - sigma(x_0), so
+    sigma is needed at steps 0 and n only.  When the points are a _LineGrid's
+    (line given, pts None) and the maps are affine (a constant-Jacobian
+    cocycle), each wave leaf and wave sigma is summed in closed form on the
+    true orbit (_line_wave_sums), with no map call.  The float walk
+    sums the other x-dependent leaves, and every leaf when line is None
+    (graph-transform charts, 2-d leaves, birkhoff_sum): each step maps the
+    points once and adds each walked leaf's values there onto its sum, in step
+    order; a wave leaf's values are amplitude * trig, from cos/sin made once per
+    distinct (k, phase, fn) and point set (_trig_values).  It maps the points on
+    to x_n only when a coboundary needs them (n - 1 map calls without one, n
+    with one), and it does not run when no leaf needs it.  Each weighted sum is
+    then added up once from its leaves' sums in its own term order
+    (_sum_terms), so a potential's row does not depend on the rest of the
+    family, and a walked one-leaf potential's row is its values added step by
+    step onto zeros.
     """
-    total = np.empty((len(potentials), pts.shape[0]))
+    if line is not None and not cocycle.has_constant_jacobian:  # sheared maps are not affine
+        pts, line = line.points(), None
+    total = np.empty((len(potentials), pts.shape[0] if line is None else line.size))
     rows = list(total)
     leaves = {id(leaf): leaf for p in potentials for leaf in _leaves(p)}
     # each coboundary over this cocycle, by leaf key, and the key of its sigma
@@ -474,31 +488,49 @@ def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarra
               if key not in cobs and not leaf.x_independent}
     # a leaf's running sum is the row of a potential that is that leaf
     own = {id(p): row for row, p in zip(rows, potentials)}
-    spare = iter(np.empty((sum(key not in own for key in walked), pts.shape[0])))
+    spare = iter(np.empty((sum(key not in own for key in walked), total.shape[1])))
     sums = {key: own[key] if key in own else next(spare) for key in walked}
-    product = np.empty(pts.shape[0])
-    trig = _trig_values(pts, _wave_groups(
-        leaf.wave for leaf in (*walked.values(), *sigmas.values()) if leaf.wave))
-    first = {key: _leaf_values(s, path, pts, trig) for key, s in sigmas.items()}
-    for key, leaf in walked.items():
-        v = first[key] if key in first else _leaf_values(leaf, path, pts, trig, product)
-        np.add(v, 0.0, out=sums[key])
-    waves = _wave_groups(leaf.wave for leaf in walked.values() if leaf.wave)
-    cur = pts
-    # streamed, not an _orbit: a stored walk of n x N x d floats would cost MiBs of peak RSS
-    for j in range(1, n):
-        del trig  # point set j - 1's arrays go before point set j's are made
-        cur = cocycle.map_for(path.symbol(j - 1)).apply(cur)
-        trig, at = _trig_values(cur, waves), path.shifted(j)
+    if line is not None:  # an affine leaf: its waves in closed form, the rest walked
+        waves = {key: leaf.wave for key, leaf in walked.items() if leaf.wave}
+        ends = {key: sigmas[s].wave for key, s in cobs.items() if sigmas[s].wave}
+        if waves or ends:
+            orbit = _line_orbit(cocycle, path, line.disk, n if ends else n - 1)
+        for steps, signs, targets in ((range(n), (1.0,) * n, waves), ((n, 0), (1.0, -1.0), ends)):
+            for group in _wave_groups(targets.values()):
+                parts = _line_wave_sums(line, orbit, group, steps, signs)
+                for key, wave in targets.items():
+                    if wave[:2] == group:
+                        sums[key] = _wave_part(wave, parts, sums.get(key, own.get(key)))
+                del parts  # one block at a time
+        walked = {key: leaf for key, leaf in walked.items() if key not in waves}
+        cobs = {key: s for key, s in cobs.items() if key not in ends}
+        sigmas = {s: sigmas[s] for s in cobs.values()}
+        pts = line.points() if walked or sigmas else None
+    if walked or sigmas:
+        product = np.empty(pts.shape[0])
+        trig = _trig_values(pts, _wave_groups(
+            leaf.wave for leaf in (*walked.values(), *sigmas.values()) if leaf.wave))
+        first = {key: _leaf_values(s, path, pts, trig) for key, s in sigmas.items()}
         for key, leaf in walked.items():
-            sums[key] += _leaf_values(leaf, at, cur, trig, product)
-    if sigmas:
-        del trig
-        cur = cocycle.map_for(path.symbol(n - 1)).apply(cur)
-        trig = _trig_values(cur, _wave_groups(s.wave for s in sigmas.values() if s.wave))
-        last = {key: _leaf_values(s, path.shifted(n), cur, trig) for key, s in sigmas.items()}
-        for key, s in cobs.items():
-            sums[key] = np.subtract(last[s], first[s], out=own.get(key))
+            v = first[key] if key in first else _leaf_values(leaf, path, pts, trig, product)
+            np.add(v, 0.0, out=sums[key])
+        waves = _wave_groups(leaf.wave for leaf in walked.values() if leaf.wave)
+        cur = pts
+        # streamed, not an _orbit: a stored walk of n x N x d floats would cost MiBs of peak RSS
+        for j in range(1, n):
+            del trig  # point set j - 1's arrays go before point set j's are made
+            cur = cocycle.map_for(path.symbol(j - 1)).apply(cur)
+            trig, at = _trig_values(cur, waves), path.shifted(j)
+            for key, leaf in walked.items():
+                sums[key] += _leaf_values(leaf, at, cur, trig, product)
+        if sigmas:
+            del trig
+            cur = cocycle.map_for(path.symbol(n - 1)).apply(cur)
+            trig = _trig_values(cur, _wave_groups(s.wave for s in sigmas.values() if s.wave))
+            last = {key: _leaf_values(s, path.shifted(n), cur, trig)
+                    for key, s in sigmas.items()}
+            for key, s in cobs.items():
+                sums[key] = np.subtract(last[s], first[s], out=own.get(key))
     sums.update((key, _symbol_sum(leaf, path, n))
                 for key, leaf in leaves.items() if leaf.x_independent)
     for row, p in zip(rows, potentials):
@@ -507,6 +539,106 @@ def _orbit_sums(cocycle, path, potentials, pts: np.ndarray, n: int) -> np.ndarra
         elif sums[id(p)] is not row:
             row[...] = sums[id(p)]
     return total
+
+
+@dataclass(frozen=True)
+class _LineGrid:
+    """The points of a linear-exact 1-d packing cell: chart(params), params the
+    candidates -radius + step * i, then chart(extra), the cover points that are
+    not candidates.
+
+    The chart is affine, x(t) = b + t f, and every map is affine with an
+    integer matrix, so x_j(t) = c_j + t w_j (mod 1), with c_j the orbit of b
+    and w_j = D_j f its tangent images.
+    """
+
+    disk: UnstableDisk
+    params: np.ndarray
+    step: float
+    extra: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.params) + len(self.extra)
+
+    def points(self) -> np.ndarray:
+        return self.disk.chart(np.concatenate([self.params, self.extra]))
+
+
+def _line_orbit(cocycle, path, disk: UnstableDisk, steps: int):
+    """(c, scale, w) for j = 0..steps: the exact orbit of a linear-exact chart's base
+    point, x_j = c[j] / scale (mod 1) as integer rows, and the tangent images w
+    (steps + 1, d).
+
+    The base point and the maps' translations are floats, so dyadic rationals
+    with one power-of-two denominator scale; integer matrices keep the orbit
+    on that lattice, and it is carried in exact integers mod scale.
+    """
+    maps = [cocycle.map_for(s) for s in _symbol_windows([path], 0, steps)[0].tolist()]
+    values = [*disk.base_lift.tolist(), *(float(v) for m in maps for v in m.translation)]
+    scale = max(v.as_integer_ratio()[1] for v in values)
+
+    def lattice(coords):
+        return [num * (scale // den) for num, den in (float(v).as_integer_ratio() for v in coords)]
+
+    c = [[v % scale for v in lattice(disk.base_lift.tolist())]]
+    for m in maps:
+        c.append([(sum(a * v for a, v in zip(row, c[-1])) + s) % scale
+                  for row, s in zip(m.matrix.tolist(), lattice(m.translation))])
+    w = _tangent_images(cocycle, [path], disk.base_lift[None], disk.frame[None], steps)[0, :, :, 0]
+    return c, scale, w
+
+
+def _line_wave_sums(line: _LineGrid, orbit, group, steps, signs) -> dict:
+    """The sums over the given steps j of sign_j * fn(2 pi k.x_j + phase) for a wave
+    group (k, phase) (_wave_groups) at a _LineGrid's points, in closed form:
+    {fn: (at the candidates, at extra)} for fn cos and sin.
+
+    On the true orbit the phase at step j is theta_j + t beta_j, with
+    theta_j = 2 pi (k.c_j mod 1) + phase (k.c_j mod 1 exact, rounded once) and
+    beta_j = 2 pi k.w_j; k is integer.  Candidate i = q * width + l, at
+    t = -radius + step * i, gives e^{i(theta_j + t beta_j)} = head_q * tail_l, so
+    each step costs about 2 sqrt(N) complex exponentials, and one real matrix
+    product adds up the real and imaginary parts of heads^T tails over the steps
+    into one (2 Q, width) block: its first Q rows hold the cos sums and the rest
+    the sin sums, the candidates' first in C order.  The extra points are
+    evaluated directly.
+    """
+    c, scale, w = orbit
+    k, phase = group
+    ints = [int(v) for v in k]
+    steps = list(steps)
+    theta = np.array([sum(a * v for a, v in zip(ints, c[j])) % scale / scale for j in steps])
+    theta *= 2.0 * math.pi
+    theta += phase
+    beta = w[steps] @ np.asarray(k)
+    beta *= 2.0 * math.pi
+    count = len(line.params)
+    width = math.isqrt(count - 1) + 1  # ceil(sqrt(count))
+    start = theta - line.disk.radius * beta
+    stride = line.step * beta
+    heads = np.exp(1j * (start[:, None] + np.arange(0, count, width) * stride[:, None]))
+    tails = np.exp(1j * (np.arange(width) * stride[:, None]))
+    signs = np.asarray(signs)
+    heads *= signs[:, None]
+    extra = signs @ np.exp(1j * (theta[:, None] + line.extra * beta[:, None]))
+    # Re(h t) = h.re t.re - h.im t.im and Im(h t) = h.im t.re + h.re t.im
+    left = np.block([[heads.real, heads.imag], [-heads.imag, heads.real]])
+    block = left.T @ np.concatenate([tails.real, tails.imag])
+    height = heads.shape[1]
+    return {"cos": (block[:height].reshape(-1)[:count], extra.real),
+            "sin": (block[height:].reshape(-1)[:count], extra.imag)}
+
+
+def _wave_part(wave, parts: dict, out=None) -> np.ndarray:
+    """amplitude * a wave's fn sums from its group's closed form (_line_wave_sums),
+    at the candidates and then at extra, written into out when given."""
+    sums, extra = parts[wave[2]]
+    if out is None:
+        out = np.empty(len(sums) + len(extra))
+    np.multiply(wave[3], sums, out=out[: len(sums)])
+    np.multiply(wave[3], extra, out=out[len(sums) :])
+    return out
 
 
 def _leaf_values(leaf: Potential, path, pts: np.ndarray, trig: dict, out=None) -> np.ndarray:
@@ -561,13 +693,16 @@ def maximal_separated_sets(
     left-to-right lattice (identical outcome, no enumeration).  The upper
     bound comes from an (n, epsilon/2) spanning set plus the orbit-sum
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
-    grid, the chart and one orbit walk over the candidates, whose sums at the
-    cover points (candidates themselves, but for a clipped last cover point,
-    which joins the walk) give the upper bound, for a cover of any size.  A
-    cover of two or more points gets the bits of a separate cover walk; a
-    one-point cover's sums can differ from a one-row walk's in their last bits
-    where a product rounds (a map such as A^2, or a wave's k.x).  The walk
-    keeps one running sum per leaf and weights them once per potential
+    grid, the chart and one pass of orbit sums over the candidates, whose sums
+    at the cover points (candidates themselves, but for a clipped last cover
+    point, which joins the pass) give the upper bound, for a cover of any size.
+    On a linear-exact 1-d disk the candidates are a _LineGrid: the waves' sums
+    come from the closed form on the true orbit, with no map call, and only
+    the other x-dependent leaves are walked.  On a polyline chart every leaf is
+    walked; a cover of two or more points gets the bits of a separate cover
+    walk, and a one-point cover's sums can differ from a one-row walk's in their
+    last bits where a product rounds (a map such as A^2, or a wave's k.x).  The
+    pass keeps one running sum per leaf and weights them once per potential
     (_orbit_sums), so each potential's sums, and so its packing, have the bits
     of packing it alone.  The selection runs once per distinct row of orbit sums.
     """
@@ -616,8 +751,8 @@ def maximal_separated_sets(
             cover_idx = GRID_FACTOR * np.arange(n_cover) + GRID_FACTOR // 2
             on_grid = cover_idx < n_cand
             on_grid[on_grid] = params[cover_idx[on_grid]] == cover_params[on_grid]
-            extra = cover_params[~on_grid]
-            cover_idx[~on_grid] = n_cand + np.arange(len(extra))
+            line = _LineGrid(disk, params, h, cover_params[~on_grid])
+            cover_idx[~on_grid] = n_cand + np.arange(len(line.extra))
     else:
         params = disk.params
         m = len(params)
@@ -640,8 +775,7 @@ def maximal_separated_sets(
         def select(w):
             return _greedy_windows(_pick_order(w), lo, hi, m)
 
-        cover_params = params[cover_idx]
-        extra = params[:0]  # every cover point is a candidate
+        line = None  # every cover point is a candidate
 
     results: list[SeparatedSetResult | None] = [None] * len(potentials)
     for k, p in enumerate(potentials):
@@ -659,8 +793,9 @@ def maximal_separated_sets(
             )
     if varying:
         walked = [potentials[k] for k in varying]
-        # one walk: the cover's orbit sums are read off the candidates' (and extra's)
-        sums = _orbit_sums(cocycle, path, walked, disk.chart(np.concatenate([params, extra])), n)
+        # one pass: the cover's orbit sums are read off the candidates' (and extra's)
+        pts = disk.chart(params) if line is None else None
+        sums = _orbit_sums(cocycle, path, walked, pts, n, line)
         weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
         picks = {}  # bitwise-equal rows of orbit sums share one selection
         for k, p, w, cw in zip(varying, walked, weights, cover_weights):

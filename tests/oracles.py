@@ -421,13 +421,17 @@ def stepwise_orbit_sums(cocycle, path, potential, pts, n: int):
 
 
 def scalar_linear_packing(cocycle, disk, potential, n: int, eps: float, growth,
-                          grid_factor: int = 8):
+                          grid_factor: int = 8, orbit_sums=None):
     """(log lower, log upper) of one potential's packing of a linear-exact 1-d disk:
     the analytic lattice for an x-independent potential, else the greedy pass over
-    explicit lo/hi windows, with scipy's logsumexp."""
+    explicit lo/hi windows, with scipy's logsumexp.  orbit_sums(params) gives the
+    potential's orbit sums at chart(params); by default they are scalar_orbit_sums'."""
     from scipy.special import logsumexp
 
     path = disk.base.path
+    if orbit_sums is None:
+        def orbit_sums(params):
+            return scalar_orbit_sums(cocycle, path, potential, disk.chart(params), n)
     length = 2.0 * disk.radius
     gstar = float(np.max(growth[:n]))
     if potential.x_independent:
@@ -440,13 +444,13 @@ def scalar_linear_packing(cocycle, disk, potential, n: int, eps: float, growth,
     params = -disk.radius + h * np.arange(n_cand)
     lo = np.maximum(np.arange(n_cand) - grid_factor, 0)
     hi = np.minimum(np.arange(n_cand) + grid_factor, n_cand - 1)
-    weights = scalar_orbit_sums(cocycle, path, potential, disk.chart(params), n)
+    weights = orbit_sums(params)
     selected = np.sort(greedy_kernel(np.argsort(-weights, kind="stable"), lo, hi, n_cand))
     cover_step = eps / gstar
     n_cover = max(1, math.ceil(length / cover_step))
     cover = np.clip(-disk.radius + cover_step * (np.arange(n_cover) + 0.5),
                     -disk.radius, disk.radius)
-    cover_weights = scalar_orbit_sums(cocycle, path, potential, disk.chart(cover), n)
+    cover_weights = orbit_sums(cover)
     return (float(logsumexp(weights[selected])),
             float(logsumexp(cover_weights)) + n * potential.lipschitz * eps / 2.0)
 
@@ -652,3 +656,81 @@ def per_row_geometric_values(cocycle, path, pts, u_dim: int, frame_steps: int = 
     w = _jacobians(cocycle, syms, pts)[0] @ q[:, :, :u_dim]
     dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
     return np.array([-0.5 * math.log(abs(float(v))) for v in dets])
+
+
+def exact_chart_points(disk, params) -> list[tuple]:
+    """The points b + t f (mod 1) of a linear-exact 1-d chart at the float params t,
+    as exact rationals (the float base point b and direction f taken exactly)."""
+    from fractions import Fraction
+
+    base = [Fraction(v) for v in disk.base_lift.tolist()]
+    direction = [Fraction(v) for v in disk.frame[:, 0].tolist()]
+    return [tuple((b + Fraction(t) * f) % 1 for b, f in zip(base, direction))
+            for t in np.asarray(params, dtype=float).tolist()]
+
+
+def exact_wave_orbit_sums(cocycle, path, potential, points, n: int) -> np.ndarray:
+    """S_n(phi) at exact rational points on their exact orbits, for phi a wave, a
+    coboundary over the cocycle whose sigma is a wave (sigma(x_n) - sigma(x_0)),
+    an x-independent potential, or a weighted sum of these: each point is walked in
+    rational arithmetic (integer matrices, translations taken exactly), each phase
+    k.x_j is reduced exactly mod 1 and rounded once, and math.cos / math.sin give
+    the values."""
+    from fractions import Fraction
+
+    orbits = []
+    for x in points:
+        orbit = [tuple(Fraction(v) for v in x)]
+        for j in range(n):
+            m = cocycle.maps[path.symbol(j)]
+            shift = [Fraction(float(v)) for v in m.translation]
+            orbit.append(tuple((sum(int(a) * v for a, v in zip(row, orbit[-1])) + s) % 1
+                               for row, s in zip(m.matrix.tolist(), shift)))
+        orbits.append(orbit)
+
+    def wave_values(wave, j):
+        k, phase, fn, amplitude = wave
+        trig = math.cos if fn == "cos" else math.sin
+        return np.array([amplitude * trig(
+            2.0 * math.pi * float(sum(int(a) * v for a, v in zip(k, orbit[j])) % 1) + phase)
+            for orbit in orbits])
+
+    def leaf_sum(leaf):
+        if leaf.coboundary is not None and leaf.coboundary[0] is cocycle:
+            sigma = leaf.coboundary[1].wave
+            return wave_values(sigma, n) - wave_values(sigma, 0)
+        if leaf.x_independent:
+            return np.full(len(points), sum(leaf.symbol_fn(path.symbol(j)) for j in range(n)))
+        if leaf.wave is None:
+            raise ValueError(f"{leaf.label} is not a wave")
+        return sum(wave_values(leaf.wave, j) for j in range(n))
+
+    return _scalar_terms(potential, leaf_sum, len(points))
+
+
+def wave_phase_scale(cocycle, disk, potential, n: int, radius: float) -> float:
+    """A scale for the rounding error of a wave potential's orbit sums on a linear-exact
+    1-d disk: sum over its wave leaves of |weight| * amplitude * sum_j (radius * |beta_j|
+    + 2 pi + |phase|), over the steps j each leaf reads (0..n-1, or 0 and n for a
+    coboundary), where beta_j = 2 pi k.D_j f is the phase's rate along the leaf.
+
+    A phase at step j is theta_j + t beta_j with |t| <= radius, so an error of a few
+    units of the last place in the phases is a few EPS times this scale."""
+    images = scalar_tangent_images(cocycle, disk.base.path, disk.base_lift,
+                                   disk.frame[:, 0], n)
+
+    def scale(p, weight):
+        if p.terms and not p.x_independent:
+            return sum(scale(q, weight * abs(w)) for w, q in p.terms)
+        if p.x_independent:
+            return 0.0
+        if p.coboundary is not None and p.coboundary[0] is cocycle:
+            wave, steps = p.coboundary[1].wave, (0, n)
+        else:
+            wave, steps = p.wave, range(n)
+        k, phase, _, amplitude = wave
+        return weight * abs(amplitude) * sum(
+            radius * abs(2.0 * math.pi * float(np.dot(k, images[j]))) + 2.0 * math.pi
+            + abs(phase) for j in steps)
+
+    return scale(potential, 1.0)

@@ -52,6 +52,16 @@ class TestPotentials:
         x = TorusPoint((0.21, 0.9))
         assert pot(path, x) == pytest.approx(0.5 * math.cos(2 * math.pi * 0.21))
 
+    def test_non_integer_wavevector_rejected(self):
+        # a wave with k outside Z^d is not a function on the torus
+        for k in ([0.5, 0], [1.5, 0], [1, np.nan], [[1, 0]]):
+            with pytest.raises(ValueError, match="integer"):
+                coordinate_potential(0.4, k)
+
+    def test_integer_wavevector_label(self):
+        assert coordinate_potential(0.4, [1, 0]).label == "cos:0.4@1_0"
+        assert coordinate_potential(0.4, np.array([3.0, -1.0]), fn="sin").label == "sin:0.4@3_-1"
+
     def test_bounded_by_l1_on_grid(self, cat_setup):
         path, _, _ = cat_setup
         pot = coordinate_potential(0.5, [1, 2], phase=0.3)
@@ -445,8 +455,11 @@ class TestPotentialFamily:
                   omega_samples=2)),
     ])
     def test_family_bitwise_equal_scalar_packing(self, system_name, cocycle_name, grid, request):
-        # one call for the whole family against each potential packed on its own,
-        # at every path and base point, with the explicit lo/hi greedy pass
+        # one call for the whole family against each potential estimated on its own,
+        # bit for bit, and against each potential packed on its own at every path and
+        # base point with the explicit lo/hi greedy pass over float-walk sums: the same
+        # cells, with log sums within the walk's rounding (the waves' sums here come
+        # from the closed form on the true orbit, which the walk misses by < 1e-13)
         system = request.getfixturevalue(system_name)
         cocycle = request.getfixturevalue(cocycle_name)
         family = _mixed_family(cocycle, system.symbol_count)
@@ -454,10 +467,15 @@ class TestPotentialFamily:
         assert [e.potential_label for e in estimates] == [p.label for p in family]
         uh = thermo.upper_half(grid.n_grid)
         for p, est in zip(family, estimates):
-            rows = oracles.scalar_pressure_cells(cocycle, system, p, grid, seed=7)
-            got = [(c.omega_seed, c.x_index, c.n, c.epsilon, c.log_lower, c.log_upper)
-                   for c in est.cells]
-            assert got == rows, p.label
+            assert pressure_estimates(cocycle, system, [p], grid, seed=7)[0] == est, p.label
+            ref = oracles.scalar_pressure_cells(cocycle, system, p, grid, seed=7)
+            rows = [(c.omega_seed, c.x_index, c.n, c.epsilon, c.log_lower, c.log_upper)
+                    for c in est.cells]
+            assert [r[:4] for r in rows] == [r[:4] for r in ref], p.label
+            assert np.allclose([r[4:] for r in rows], [r[4:] for r in ref], rtol=0.0,
+                               atol=1e-12), p.label
+            if p.x_independent:
+                assert rows == ref, p.label
             assert all(c.potential_id == p.label for c in est.cells)
             # the fit: the best base point's slope per path, averaged over paths
             slopes = []
@@ -773,13 +791,23 @@ class TestPackingWalk:
         family = caught.value.args[0]
         assert any(leaf.coboundary for p in family for leaf in thermo._leaves(p))
         _, _, disk = cat_setup
+        walks = _spy_walks(monkeypatch)
+        varying = [p for p in family if not p.x_independent]
         for n, eps in ((3, 0.04), (5, 0.02), (6, 0.04), (7, 0.08)):
             growth = leaf_growth_factors_batch(cat_cocycle, [disk], n)[0]
+            walks.clear()
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
+            # x-independent cells are the analytic lattice, bit for bit
             for p, res in zip(family, results):
-                want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth)
-                assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+                if p.x_independent:
+                    want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth)
+                    assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+            # the others are packed bit for bit from their closed-form sums
+            (_, sums), = walks
+            _check_linear_cell(cat_cocycle, disk, varying, n, eps, growth,
+                               [r for p, r in zip(family, results) if not p.x_independent],
+                               sums)
 
     def test_linear_packing_needs_no_pick_order(self, cat_cocycle, cat_setup, monkeypatch):
         from uthermo.leafgeom import leaf_growth_factors_batch
@@ -792,13 +820,14 @@ class TestPackingWalk:
         family = [coordinate_potential(0.4, [1, 0], label="cos"),
                   coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin", label="sin"),
                   coordinate_potential(0.4, [1, 0], fn="sin", label="sinx1")]
+        walks = _spy_walks(monkeypatch)
         for n, eps in ((3, 0.04), (6, 0.02), (8, 0.08)):
             growth = leaf_growth_factors_batch(cat_cocycle, [disk], n)[0]
+            walks.clear()
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
-            for p, res in zip(family, results):
-                want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth)
-                assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+            (_, sums), = walks
+            _check_linear_cell(cat_cocycle, disk, family, n, eps, growth, results, sums)
 
     def test_pick_order_equals_stable_argsort(self):
         rng = np.random.default_rng(9)
@@ -1077,25 +1106,72 @@ class TestLeafSums:
 
 
 def _spy_walks(monkeypatch):
-    """Record (points, orbit sums) of every thermo._orbit_sums call."""
+    """Record (points, orbit sums) of every thermo._orbit_sums call; a linear-exact
+    cell's points are its _LineGrid's."""
     walks = []
     orbit_sums = thermo._orbit_sums
 
-    def spy(cocycle, path, potentials, pts, n):
-        walks.append((pts, orbit_sums(cocycle, path, potentials, pts, n)))
+    def spy(cocycle, path, potentials, pts, n, line=None):
+        walks.append((pts if line is None else line.points(),
+                      orbit_sums(cocycle, path, potentials, pts, n, line)))
         return walks[-1][1]
 
     monkeypatch.setattr(thermo, "_orbit_sums", spy)
     return walks
 
 
+EPS = np.finfo(float).eps
+
+
+def _check_linear_cell(cocycle, disk, family, n, eps, growth, results, sums, grid_factor=8):
+    """A linear-exact cell of x-dependent potentials, packed from the orbit sums sums
+    over its candidates and its off-grid cover points.
+
+    - Given those sums, each result is bitwise the greedy/logsumexp packing oracle's,
+      whose cover sums are looked up among the candidates' (and the extra points').
+    - The sums agree with the float walk within that walk's rounding error,
+      4 EPS * wave_phase_scale at radius 1 (the walk's pseudo-orbit error grows like
+      |beta_j|, from the points' rounding).
+    - At 12 sampled candidates and every extra point they agree with the exact orbit of
+      the exact chart points within the closed form's bound, 4 EPS * wave_phase_scale at
+      the disk's radius (its phases round once each, on |theta_j + t beta_j|).
+    """
+    path = disk.base.path
+    gstar = float(np.max(growth[:n]))
+    h = eps / (grid_factor * gstar)
+    params = -disk.radius + h * np.arange(math.floor(2.0 * disk.radius / h) + 1)
+    cover_step = eps / gstar
+    cover = -disk.radius + cover_step * (np.arange(max(1, math.ceil(2.0 * disk.radius
+                                                                      / cover_step))) + 0.5)
+    cover = np.clip(cover, -disk.radius, disk.radius)
+    walked = np.concatenate([params, cover[~np.isin(cover, params)]])
+    assert sums.shape == (len(family), len(walked))
+    sample = np.unique(np.r_[np.linspace(0, len(params) - 1, 12).astype(int),
+                             np.arange(len(params), len(walked))])
+    exact_pts = oracles.exact_chart_points(disk, walked[sample])
+    for p, res, row in zip(family, results, sums):
+        table = dict(zip(walked.tolist(), row.tolist()))
+        want = oracles.scalar_linear_packing(
+            cocycle, disk, p, n, eps, growth, grid_factor,
+            orbit_sums=lambda t: np.array([table[v] for v in t.tolist()]))
+        assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+        walk = oracles.scalar_orbit_sums(cocycle, path, p, disk.chart(walked), n)
+        tol = 4 * EPS * oracles.wave_phase_scale(cocycle, disk, p, n, 1.0)
+        assert np.max(np.abs(row - walk)) <= tol, (p.label, n, eps)
+        exact = oracles.exact_wave_orbit_sums(cocycle, path, p, exact_pts, n)
+        bound = 4 * EPS * oracles.wave_phase_scale(cocycle, disk, p, n, disk.radius)
+        assert np.max(np.abs(row[sample] - exact)) <= bound, (p.label, n, eps)
+
+
 class TestOneWalkPerCell:
-    """A packing cell walks its candidates once, and the cover's orbit sums are read
-    off that walk, for a cover of any size.  They are bitwise equal to a separate walk
-    over the cover points when the cover has two or more points.  A one-row walk can
-    round a product (by A^2, or in the phase 2 pi (3x + y) of the sin wave) unlike the
-    same row stacked, so a one-point cover's sums agree to rounding, and bitwise on
-    the cat map for the cos wave, whose products are exact."""
+    """A packing cell sums its candidates once, and the cover's orbit sums are read
+    off that pass, for a cover of any size.  On a linear-exact disk the waves' sums
+    come from the closed form, and a separate float walk agrees within its rounding
+    (_check_linear_cell).  On a polyline chart the cover's sums are bitwise equal to a
+    separate walk over the cover points when the cover has two or more points.  A
+    one-row walk can round a product (by A^2, or in the phase 2 pi (3x + y) of the sin
+    wave) unlike the same row stacked, so a one-point cover's sums agree to rounding,
+    and bitwise on the cat map for the cos wave, whose products are exact."""
 
     @staticmethod
     def _check_cover_sums(name, stacked, separate):
@@ -1135,6 +1211,10 @@ class TestOneWalkPerCell:
     @pytest.mark.parametrize("name, n_max, clips, singles", [("cat", 8, 20, 3), ("a2", 4, 10, 3)])
     def test_linear_sums_equal_separate_walks(self, name, n_max, clips, singles, cat_cocycle,
                                               cat_setup, trivial_system, monkeypatch):
+        # a linear-exact cell sums its waves in closed form, once over the candidates
+        # and the clipped last cover point; the cover's sums are read off that pass, so
+        # they are the candidates' bit for bit, and both agree with separate float walks
+        # over the candidates and over the cover within the walk's error
         from uthermo.leafgeom import leaf_growth_factors_batch
 
         cocycle, path, disk = self._setup(name, cat_cocycle, cat_setup, trivial_system)
@@ -1150,29 +1230,27 @@ class TestOneWalkPerCell:
                 cover, last_clipped = self._linear_cover(disk, n, eps, growth)
                 h = eps / (8 * float(np.max(growth[:n])))
                 params = -disk.radius + h * np.arange(math.floor(2.0 * disk.radius / h) + 1)
-                # one walk: the candidates, plus the clipped last cover point if any
+                # one pass: the candidates, plus the clipped last cover point if any
                 (pts, sums), = walks
                 assert len(pts) == len(params) + last_clipped
                 cover_idx = 8 * np.arange(len(cover)) + 4
                 if last_clipped:
                     cover_idx[-1] = len(params)
+                assert np.array_equal(pts[cover_idx], disk.chart(cover))
                 clipped += last_clipped and len(cover) > 1
                 single += len(cover) == 1
-                weights = thermo._orbit_sums(cocycle, path, family, disk.chart(params), n)
+                _check_linear_cell(cocycle, disk, family, n, eps, growth, results, sums)
                 separate = thermo._orbit_sums(cocycle, path, family, disk.chart(cover), n)
-                self._check_cover_sums(name, sums[:, cover_idx], separate)
-                for p, res, w, row in zip(family, results, weights, sums[:, cover_idx]):
-                    lower = thermo._logsumexp(w[thermo._greedy_kernel(w, 8)])
-                    upper = thermo._logsumexp(row) + n * p.lipschitz * eps / 2.0
-                    got = (res.log_weighted_sum, res.log_upper)
-                    assert got == (lower, upper), (p.label, n, eps)
+                for p, row, ref in zip(family, sums[:, cover_idx], separate):
+                    tol = 4 * EPS * oracles.wave_phase_scale(cocycle, disk, p, n, 1.0)
+                    assert np.max(np.abs(row - ref)) <= tol, (p.label, n, eps)
         assert clipped >= clips and single >= singles
 
     def test_off_grid_cover_points_join_the_walk(self, cat_cocycle, cat_setup, monkeypatch):
         from uthermo.leafgeom import leaf_growth_factors_batch
 
         # with 6 candidates per cover step the cover points are not candidates
-        # bit for bit, so the fallback walks them with the candidates
+        # bit for bit, so they join the candidates' pass, each evaluated directly
         monkeypatch.setattr(thermo, "GRID_FACTOR", 6)
         _, _, disk = cat_setup
         family = self._family(cat_cocycle)
@@ -1184,12 +1262,10 @@ class TestOneWalkPerCell:
             results = thermo.maximal_separated_sets(cat_cocycle, disk, family, n, eps,
                                                     growth=growth)
             n_cand = math.floor(2.0 * disk.radius / (eps / (6 * np.max(growth[:n])))) + 1
-            (pts, _), = walks
+            (pts, sums), = walks
             appended += len(pts) - n_cand
-            for p, res in zip(family, results):
-                want = oracles.scalar_linear_packing(cat_cocycle, disk, p, n, eps, growth,
-                                                     grid_factor=6)
-                assert (res.log_weighted_sum, res.log_upper) == want, (p.label, n, eps)
+            _check_linear_cell(cat_cocycle, disk, family, n, eps, growth, results, sums,
+                               grid_factor=6)
         assert appended > 5
 
     @pytest.mark.parametrize("name, cells_min, singles", [("cat", 30, 5), ("a2", 20, 4)])
@@ -1260,3 +1336,160 @@ class TestTrigPressureOracle:
             assert oracles.bessel_i(0, a) == pytest.approx(np.mean(np.exp(a * np.cos(t))),
                                                            rel=1e-9)
             assert oracles.bessel_i(-3, a) == oracles.bessel_i(3, a)
+
+
+LINE_COCYCLES = [
+    ("trivial_system", "cat_cocycle"),
+    ("trivial_system", "a2"),
+    ("iid_system", "iid_cocycle"),
+    ("t3_system", "t3_cocycle"),
+]
+
+
+def _line_cell(system_name, cocycle_name, request, count=2001, seed=1):
+    """(cocycle, path, disk, line): a _LineGrid of count candidates spanning a
+    linear-exact 1-d disk of radius 0.05, plus one off-grid point."""
+    system = request.getfixturevalue(system_name)
+    if cocycle_name == "a2":
+        cocycle = Cocycle(maps=(MapDescriptor(matrix=np.array([[5, 3], [3, 2]])),))
+    else:
+        cocycle = request.getfixturevalue(cocycle_name)
+    path = sample_path(system, 300, seed)
+    x = TorusPoint(tuple(np.random.default_rng(seed).random(cocycle.dim)))
+    rep = lyapunov_spectra(cocycle, [path], [x], 256)[0]
+    disk = unstable_disk(cocycle, SkewState(path=path, point=x), 0.05, rep)
+    assert disk.construction == "linear-exact" and disk.leaf_dim == 1
+    h = 2.0 * disk.radius / (count - 1)
+    line = thermo._LineGrid(disk, -disk.radius + h * np.arange(count), h,
+                            np.array([0.77 * disk.radius]))
+    return cocycle, path, disk, line
+
+
+def _line_family(cocycle):
+    """Waves, a coboundary of a wave over the cocycle and a weighted sum of them."""
+    d = cocycle.dim
+    cos = coordinate_potential(0.4, [1, 0, 0][:d], label="cos")
+    sin = coordinate_potential(0.4, [3, 1, 1][:d], phase=0.3, fn="sin", label="sin")
+    cob = theta_coboundary(cocycle, coordinate_potential(0.3, [2, 1, -1][:d], phase=-0.4))
+    return [cos, sin, cob, combine_potentials([(0.5, cos), (-2.0, cob),
+                                               (1.0, constant_potential(0.2))], label="mix")]
+
+
+class TestClosedFormWaves:
+    """On a linear-exact 1-d disk, wave leaves and wave sigmas are summed in closed
+    form on the true orbit: no map call and no per-point trig, and closer to the
+    exact orbit than the float walk, whose pseudo-orbit error grows like |beta_j|."""
+
+    @pytest.mark.parametrize("system_name, cocycle_name", LINE_COCYCLES)
+    def test_matches_exact_orbit(self, system_name, cocycle_name, request):
+        # the bound: 4 EPS * wave_phase_scale at the disk's radius, a few units in the
+        # last place of each step's phase theta_j + t beta_j; measured errors reach
+        # about half of it, and the same sums on the float pseudo-orbit of the base
+        # point exceed it by up to 2.4 times (the float walk is no reference here)
+        cocycle, path, disk, line = _line_cell(system_name, cocycle_name, request)
+        family = _line_family(cocycle)
+        params = np.concatenate([line.params, line.extra])
+        sample = np.r_[np.linspace(0, len(line.params) - 1, 24).astype(int), len(params) - 1]
+        exact_pts = oracles.exact_chart_points(disk, params[sample])
+        for n in range(1, 13):
+            got = thermo._orbit_sums(cocycle, path, family, None, n, line)
+            for p, row in zip(family, got):
+                exact = oracles.exact_wave_orbit_sums(cocycle, path, p, exact_pts, n)
+                bound = 4 * EPS * oracles.wave_phase_scale(cocycle, disk, p, n, disk.radius)
+                assert np.max(np.abs(row[sample] - exact)) <= bound, (p.label, n)
+
+    @pytest.mark.parametrize("system_name, cocycle_name", LINE_COCYCLES)
+    def test_wave_family_makes_no_map_call(self, system_name, cocycle_name, request,
+                                           monkeypatch):
+        from uthermo.leafgeom import leaf_growth_factors_batch
+
+        cocycle, path, disk, _ = _line_cell(system_name, cocycle_name, request)
+        family = _line_family(cocycle)
+        if cocycle.dim == 2:
+            family += [p for p in TestPackingWalk._wave_family(cocycle)[0]
+                       if all(leaf.x_independent or leaf.wave or leaf.coboundary[1].wave
+                              for leaf in thermo._leaves(p))]
+        calls, trigs = [], []
+        for method in ("apply", "apply_lift", "inverse_apply", "inverse_apply_lift"):
+            real = getattr(MapDescriptor, method)
+            monkeypatch.setattr(MapDescriptor, method,
+                                lambda self, x, real=real: calls.append(len(x)) or real(self, x))
+        trig_values = thermo._trig_values
+        monkeypatch.setattr(thermo, "_trig_values",
+                            lambda x, groups: trigs.append(len(x)) or trig_values(x, groups))
+        for n, eps in ((1, 0.04), (3, 0.02), (4, 0.05)):
+            growth = leaf_growth_factors_batch(cocycle, [disk], n)[0]
+            calls.clear()
+            trigs.clear()
+            results = thermo.maximal_separated_sets(cocycle, disk, family, n, eps,
+                                                    growth=growth)
+            assert calls == [] and trigs == [], (n, eps)
+            assert all(math.isfinite(r.log_weighted_sum) for r in results)
+
+    @pytest.mark.parametrize("system_name, cocycle_name", LINE_COCYCLES)
+    def test_non_wave_leaves_walk_alone(self, system_name, cocycle_name, request, monkeypatch):
+        # a coboundary over a foreign cocycle and a non-wave sigma are walked, with
+        # today's bits; the waves beside them make no walk of their own
+        cocycle, path, disk, line = _line_cell(system_name, cocycle_name, request, count=301)
+        waves = _line_family(cocycle)
+        sin = waves[1]
+        foreign = theta_coboundary(Cocycle(maps=cocycle.maps), sin)
+
+        def poly(path, pts):
+            return pts[:, 0] * (pts[:, 1] - 0.5)
+
+        bumpy = thermo.theta_coboundary(cocycle, thermo.Potential(
+            label="bumpy", l1_bound=0.5, lipschitz=2.0, vector_fn=poly))
+        family = waves + [foreign, bumpy, combine_potentials([(1.0, waves[0]), (1.0, foreign)])]
+        calls, groups = [], []
+        apply = MapDescriptor.apply
+        monkeypatch.setattr(MapDescriptor, "apply",
+                            lambda self, x: calls.append(len(x)) or apply(self, x))
+        trig_values = thermo._trig_values
+        monkeypatch.setattr(thermo, "_trig_values",
+                            lambda x, g: groups.extend(g) or trig_values(x, g))
+        pts = line.points()
+        for n in (1, 4, 9):
+            want = [oracles.scalar_orbit_sums(cocycle, path, p, pts, n) for p in family]
+            calls.clear()
+            groups.clear()
+            got = thermo._orbit_sums(cocycle, path, family, None, n, line)
+            # the walk's n maps (on to x_n for bumpy) and the foreign leaf's own n
+            assert calls == [len(pts)] * (2 * n), n
+            assert set(groups) == {sin.wave[:2]}, n  # the foreign leaf's sigma only
+            for row, ref, p in zip(got[4:6], want[4:6], family[4:6]):
+                assert row.tobytes() == ref.tobytes(), (p.label, n)
+            for row, p in zip(got, family):
+                alone = thermo._orbit_sums(cocycle, path, [p], None, n, line)[0]
+                assert row.tobytes() == alone.tobytes(), (p.label, n)
+
+    def test_sheared_maps_walk_a_forced_affine_chart(self, perturbed_cat_cocycle,
+                                                     trivial_system):
+        # an affine chart forced on sheared maps is not walked in closed form: the
+        # maps are not affine, so its sums are the float walk's, bit for bit
+        cocycle = perturbed_cat_cocycle
+        path = sample_path(trivial_system, 300, 3)
+        x = TorusPoint((0.3, 0.6))
+        rep = lyapunov_spectra(cocycle, [path], [x], 256)[0]
+        disk = unstable_disk(cocycle, SkewState(path=path, point=x), 0.05, rep,
+                             construction="linear-exact")
+        h = 2.0 * disk.radius / 300
+        line = thermo._LineGrid(disk, -disk.radius + h * np.arange(301), h,
+                                np.array([0.77 * disk.radius]))
+        family = _line_family(cocycle)
+        for n in (1, 3, 6):
+            got = thermo._orbit_sums(cocycle, path, family, None, n, line)
+            want = thermo._orbit_sums(cocycle, path, family, line.points(), n)
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("system_name, cocycle_name", LINE_COCYCLES)
+    def test_wave_rows_alone_equal_family(self, system_name, cocycle_name, request):
+        cocycle, path, _, line = _line_cell(system_name, cocycle_name, request, count=501)
+        family = _line_family(cocycle)
+        if cocycle.dim == 2:
+            family += TestPackingWalk._wave_family(cocycle)[0]
+        for n in (1, 2, 7):
+            together = thermo._orbit_sums(cocycle, path, family, None, n, line)
+            for p, row in zip(family, together):
+                alone = thermo._orbit_sums(cocycle, path, [p], None, n, line)[0]
+                assert row.tobytes() == alone.tobytes(), (p.label, n)
