@@ -579,7 +579,7 @@ def main(argv=None) -> int:
         for cfg_file in sorted(config_path.glob("*.cfg")):
             try:
                 cfg = _apply_overrides(load_config(cfg_file), argparse.Namespace(
-                    experiment=None, seed=args.seed, samples=None, out=args.out))
+                    experiment=None, seed=args.seed, samples=args.samples, out=args.out))
             except ConfigError as exc:
                 print(f"config error in {cfg_file.name}: {exc}", file=sys.stderr)
                 return 2

@@ -10,7 +10,7 @@ as a boolean claim of exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -205,16 +205,7 @@ class GibbsDefect:
     integral_ci: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "pressure_at_phiu": self.pressure_at_phiu,
-            "pesin_gap": self.pesin_gap,
-            "measure_id": self.measure_id,
-            "pressure_ci": self.pressure_ci,
-            "entropy": self.entropy,
-            "entropy_ci": self.entropy_ci,
-            "integral_minus_phiu": self.integral_minus_phiu,
-            "integral_ci": self.integral_ci,
-        }
+        return asdict(self)
 
 
 def _report_for(cocycle, system, seed, frame_steps=256):

@@ -20,9 +20,10 @@ from .rds import (
     SkewState,
     TorusPoint,
     _add_shift,
-    _orbit,
+    _map_step,
     _symbol_windows,
     _tangent_images,
+    _walk,
     reduce_mod1,
 )
 from .oseledets import OseledetsReport
@@ -167,10 +168,10 @@ def _centred_arcs(pts: np.ndarray) -> np.ndarray:
     return s
 
 
-def _push_and_trim(m, pts: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Push a lifted polyline through one map, recentre, and resample it at the
-    arc positions grid, which run from -delta to delta."""
-    out = m.apply_lift(pts)
+def _push_and_trim(cocycle: Cocycle, sym, pts: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Push a lifted polyline through the map of symbol sym, recentre, and resample
+    it at the arc positions grid, which run from -delta to delta."""
+    out = _map_step(cocycle, sym, pts, "apply_lift")
     s = _centred_arcs(out)
     if s[-1] < grid[-1] or -s[0] < grid[-1]:
         raise EstimatorError("graph transform diverged: pushed leaf shorter than radius")
@@ -192,7 +193,9 @@ def unstable_disk(
     Constant-Jacobian cocycles get the exact affine leaf in the expanding
     directions.  Otherwise a flat seed is pushed forward from k steps in
     the past for growing k until the chart moves less than GRAPH_TOL in
-    sup norm (or GRAPH_MAX_ITER is hit).
+    sup norm (or GRAPH_MAX_ITER is hit).  The depth adapts and each push is
+    resampled, so this walk keeps its own loop, but the seed point's
+    pull-back and every push step through the engine's rds._map_step.
     """
     if report.unstable_index == 0:
         raise TrivialLeafError("trivial leaf: no expanding directions at this state")
@@ -220,12 +223,11 @@ def unstable_disk(
     prev = None
     for k in range(1, GRAPH_MAX_ITER + 1):
         # the seed point x_-k, carried back one map from x_-(k-1)
-        y0 = cocycle.map_for(state.path.symbol(-k)).inverse_apply(y0)
+        y0 = _map_step(cocycle, np.array(state.path.symbol(-k)), y0, "inverse_apply")
         pts = y0 + seed
-        # not an _orbit: the depth k adapts, and each push is resampled (_push_and_trim)
-        for j in range(-k, 0):
-            m = cocycle.map_for(state.path.symbol(j))
-            pts = _push_and_trim(m, pts, params)
+        # not a _walk: the depth k adapts, and each push is resampled (_push_and_trim)
+        for sym in _symbol_windows([state.path], -k, k)[0]:
+            pts = _push_and_trim(cocycle, sym, pts, params)
         # recentre the lift so the middle vertex is the base representative
         pts -= pts[mid] - x_lift
         if prev is not None and float(np.max(np.abs(pts - prev))) < GRAPH_TOL:
@@ -287,11 +289,12 @@ def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.nda
     params = np.asarray(params, dtype=float)
     if disk.construction == "linear-exact":
         return leaf_growth_factors_batch(cocycle, [disk], n)[0][:, None] * params
-    pts = disk.points_lift
-    syms = np.repeat(_symbol_windows([disk.base.path], 0, n - 1), len(pts), axis=0)
+    syms = _symbol_windows([disk.base.path], 0, n - 1)
     out = np.empty((n, params.shape[0]))
     out[0] = params
-    for j, image in enumerate(_orbit(cocycle, syms, pts, "apply_lift")[1:], start=1):
+    walk = _walk(cocycle, syms, disk.points_lift, "apply_lift")
+    next(walk)  # the chart itself, whose arcs are params
+    for j, image in enumerate(walk, start=1):
         out[j] = np.interp(params, disk.params, _centred_arcs(image))
     return out
 

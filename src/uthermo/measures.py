@@ -26,9 +26,11 @@ from .rds import (
     SkewState,
     SymbolPath,
     TorusPoint,
+    _map_step,
     _orbit,
     _symbol_windows,
     _tangent_images,
+    _walk,
     sample_path,
     torus_distance,
 )
@@ -410,14 +412,15 @@ def periodic_atomic_sampler(
 ) -> MeasureSampler:
     """Uniform measure on a closed orbit: a common fixed point of every map,
     or a periodic orbit of the single map of a trivial base."""
+    x = point.as_array()
     fixed_by_all = all(
-        torus_distance(TorusPoint(tuple(m.apply(point.as_array()))), point) <= tol
-        for m in cocycle.maps
+        torus_distance(_map_step(cocycle, np.array(s), x, "apply"), x) <= tol
+        for s in range(len(cocycle.maps))
     )
     if fixed_by_all:
         orbit = (point,)
     elif system.kind == "deterministic-trivial":
-        walk = _orbit(cocycle, np.zeros((1, max_period), dtype=np.int64), point.as_array()[None])
+        walk = _orbit(cocycle, np.zeros((1, max_period), dtype=np.int64), x[None])
         period = next((j for j, y in enumerate(walk[1:, 0], start=1)
                        if torus_distance(y, point) <= tol), None)
         if period is None:
@@ -716,8 +719,7 @@ def _polyline_lengths(cocycle, pair, path, disk, n_max):
     params = disk.params
     mid = len(params) // 2
     syms = _symbol_windows([path], 0, n_max)
-    walk = _orbit(cocycle, np.repeat(syms[:, :-1], len(params), axis=0), disk.points_lift,
-                  "apply_lift")
+    walk = _walk(cocycle, syms[:, :-1], disk.points_lift, "apply_lift")
     alive = np.ones(len(params), dtype=bool)
     lengths = np.empty(n_max)
     for j, (sym, pts) in enumerate(zip(syms[0], walk)):

@@ -5,8 +5,8 @@ trivial process embedding a deterministic map).  Fiber maps act on the
 d-torus (d = 2 or 3) as a unimodular integer matrix, optionally composed
 with volume-preserving trigonometric shears and a translation, so that
 derivatives, inverses, and smoothness bounds are exact closed forms.
-Orbits and their Jacobians are walked by one batched engine (_orbit,
-_jacobians), which every layer uses.
+Orbits and their Jacobians are walked by one batched engine (_walk, _orbit,
+_jacobians), which every layer uses; no other module calls a map.
 """
 
 from __future__ import annotations
@@ -483,7 +483,13 @@ def _symbol_windows(paths, start: int, steps: int, inverse: bool = False) -> np.
 
 
 def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) -> np.ndarray:
-    """Call one MapDescriptor method on points pts (..., d) with the maps syms (...) name."""
+    """Call one MapDescriptor method on points pts (..., d) with the maps syms (...) name.
+
+    This is the one caller of the MapDescriptor methods.  A single symbol
+    (syms.size == 1) names the map of every point.
+    """
+    if syms.size == 1:
+        return getattr(cocycle.map_for(int(syms.flat[0])), method)(pts)
     if len(cocycle.maps) == 1 or not syms.size:
         return getattr(cocycle.maps[0], method)(pts)
     out = None
@@ -496,21 +502,31 @@ def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) 
     return out
 
 
-def _orbit(
-    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str = "apply"
-) -> np.ndarray:
-    """The orbit (steps + 1, S, d) of points pts (S, d) along syms (S, steps), walked once.
+def _walk(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str = "apply"):
+    """Yield points pts (S, d), then each step's points along syms (S, steps).
 
-    Row 0 is pts; row j + 1 is row j moved by the map of column j through the
+    Step j moves the last points by the map of column j through the
     MapDescriptor method named (apply, apply_lift or inverse_apply), one
-    stacked call per step.
+    stacked call per step; a one-row syms moves every point by its symbol.
+    The one loop that steps orbits: _orbit stores it, and a walk that only
+    reads each step once streams it.
     """
     if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
         cocycle.map_for(int(syms.max()))
+    yield pts
+    for col in syms.T:
+        pts = _map_step(cocycle, col, pts, method)
+        yield pts
+
+
+def _orbit(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str = "apply"
+) -> np.ndarray:
+    """The orbit (steps + 1, S, d) of points pts (S, d) along syms (S, steps), walked
+    once by _walk: row 0 is pts and row j + 1 is row j moved by column j's map."""
     out = np.empty((syms.shape[1] + 1,) + pts.shape)
-    out[0] = pts
-    for j, col in enumerate(syms.T):
-        out[j + 1] = _map_step(cocycle, col, out[j], method)
+    for j, row in enumerate(_walk(cocycle, syms, pts, method)):
+        out[j] = row
     return out
 
 

@@ -10,7 +10,7 @@ additive constants and most of the disk-boundary transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -22,8 +22,10 @@ from .rds import (
     SkewState,
     SymbolPath,
     TorusPoint,
+    _map_step,
     _symbol_windows,
     _tangent_images,
+    _walk,
     sample_path,
 )
 from .oseledets import lyapunov_spectra
@@ -266,8 +268,8 @@ def theta_coboundary(cocycle: Cocycle, sigma: Potential, label: str | None = Non
     """The coboundary sigma o Theta - sigma as a potential."""
 
     def vec(path, pts, cocycle=cocycle, sigma=sigma):
-        m = cocycle.map_for(path.symbol(0))  # one step: no walk to share
-        return sigma.values(path.shifted(1), m.apply(pts)) - sigma.values(path, pts)
+        moved = _map_step(cocycle, np.array(path.symbol(0)), pts, "apply")  # one step
+        return sigma.values(path.shifted(1), moved) - sigma.values(path, pts)
 
     return Potential(
         label=label or f"cobdry({sigma.label})",
@@ -457,20 +459,21 @@ def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray
     potential.
 
     One pass serves every potential, with one running sum per distinct leaf
-    (_leaves).  An x-independent leaf's sum is _symbol_sum.  A coboundary
-    sigma o Theta - sigma over this cocycle sums to sigma(x_n) - sigma(x_0), so
-    sigma is needed at steps 0 and n only.  When the points are a _LineGrid's
-    (line given, pts None) and the maps are affine (a constant-Jacobian
-    cocycle), each wave leaf and wave sigma is summed in closed form on the
-    true orbit (_line_wave_sums), with no map call.  The float walk
-    sums the other x-dependent leaves, and every leaf when line is None
-    (graph-transform charts, 2-d leaves, birkhoff_sum): each step maps the
-    points once and adds each walked leaf's values there onto its sum, in step
-    order; a wave leaf's values are amplitude * trig, from cos/sin made once per
-    distinct (k, phase, fn) and point set (_trig_values).  It maps the points on
-    to x_n only when a coboundary needs them (n - 1 map calls without one, n
-    with one), and it does not run when no leaf needs it.  Each weighted sum is
-    then added up once from its leaves' sums in its own term order
+    (_leaves).  An x-independent leaf's sum is _symbol_sum.  Every other leaf
+    has one entry in a plan {leaf key: (leaf summed, steps, signs)}: a leaf is
+    summed over steps 0..n-1 with sign +1, and a coboundary sigma o Theta -
+    sigma over this cocycle sums sigma at steps (n, 0) with signs (+1, -1).
+    When the points are a _LineGrid's (line given, pts None) and the maps are
+    affine (a constant-Jacobian cocycle), each entry that sums a wave is made
+    in closed form on the true orbit (_line_wave_sums), with no map call.  One
+    streamed _walk sums the other entries, and every entry when line is None
+    (graph-transform charts, 2-d leaves, birkhoff_sum), up to the last step
+    any of them reads: at step j each entry with a step j adds its signed
+    values there onto its sum; a wave leaf's values are amplitude * trig, from
+    cos/sin made once per distinct (k, phase, fn) and step (_trig_values).  A
+    sum's first term is v + 0.0 for sign +1 and -v for sign -1, so a
+    coboundary's sum has the bits of sigma(x_n) - sigma(x_0).  Each weighted
+    sum is then added up once from its leaves' sums in its own term order
     (_sum_terms), so a potential's row does not depend on the rest of the
     family, and a walked one-leaf potential's row is its values added step by
     step onto zeros.
@@ -480,57 +483,54 @@ def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray
     total = np.empty((len(potentials), pts.shape[0] if line is None else line.size))
     rows = list(total)
     leaves = {id(leaf): leaf for p in potentials for leaf in _leaves(p)}
-    # each coboundary over this cocycle, by leaf key, and the key of its sigma
-    cobs = {key: id(leaf.coboundary[1]) for key, leaf in leaves.items()
-            if leaf.coboundary is not None and leaf.coboundary[0] is cocycle}
-    sigmas = {cobs[key]: leaves[key].coboundary[1] for key in cobs}
-    walked = {key: leaf for key, leaf in leaves.items()
-              if key not in cobs and not leaf.x_independent}
+    plan = {}
+    for key, leaf in leaves.items():
+        if leaf.coboundary is not None and leaf.coboundary[0] is cocycle:
+            plan[key] = leaf.coboundary[1], (n, 0), (1.0, -1.0)
+        elif not leaf.x_independent:
+            plan[key] = leaf, range(n), (1.0,) * n
     # a leaf's running sum is the row of a potential that is that leaf
     own = {id(p): row for row, p in zip(rows, potentials)}
-    spare = iter(np.empty((sum(key not in own for key in walked), total.shape[1])))
-    sums = {key: own[key] if key in own else next(spare) for key in walked}
+    spare = iter(np.empty((sum(key not in own for key in plan), total.shape[1])))
+    sums = {key: own[key] if key in own else next(spare) for key in plan}
     if line is not None:  # an affine leaf: its waves in closed form, the rest walked
-        waves = {key: leaf.wave for key, leaf in walked.items() if leaf.wave}
-        ends = {key: sigmas[s].wave for key, s in cobs.items() if sigmas[s].wave}
-        if waves or ends:
-            orbit = _line_orbit(cocycle, path, line.disk, n if ends else n - 1)
-        for steps, signs, targets in ((range(n), (1.0,) * n, waves), ((n, 0), (1.0, -1.0), ends)):
+        waves = {key: e for key, e in plan.items() if e[0].wave}
+        if waves:
+            orbit = _line_orbit(cocycle, path, line.disk, max(max(e[1]) for e in waves.values()))
+        for kind in dict.fromkeys(e[1:] for e in waves.values()):  # each (steps, signs)
+            targets = {key: e[0].wave for key, e in waves.items() if e[1:] == kind}
             for group in _wave_groups(targets.values()):
-                parts = _line_wave_sums(line, orbit, group, steps, signs)
+                parts = _line_wave_sums(line, orbit, group, *kind)
                 for key, wave in targets.items():
                     if wave[:2] == group:
-                        sums[key] = _wave_part(wave, parts, sums.get(key, own.get(key)))
+                        _wave_part(wave, parts, sums[key])
                 del parts  # one block at a time
-        walked = {key: leaf for key, leaf in walked.items() if key not in waves}
-        cobs = {key: s for key, s in cobs.items() if key not in ends}
-        sigmas = {s: sigmas[s] for s in cobs.values()}
-        pts = line.points() if walked or sigmas else None
-    if walked or sigmas:
+        plan = {key: e for key, e in plan.items() if key not in waves}
+        pts = line.points() if plan else None
+    if plan:
+        at_step = [[] for _ in range(max(max(steps) for _, steps, _ in plan.values()) + 1)]
+        for key, (leaf, steps, signs) in plan.items():
+            start = min(steps)  # the entry's first step in walk order
+            for j, sign in zip(steps, signs):
+                at_step[j].append((key, leaf, sign, j == start))
         product = np.empty(pts.shape[0])
-        trig = _trig_values(pts, _wave_groups(
-            leaf.wave for leaf in (*walked.values(), *sigmas.values()) if leaf.wave))
-        first = {key: _leaf_values(s, path, pts, trig) for key, s in sigmas.items()}
-        for key, leaf in walked.items():
-            v = first[key] if key in first else _leaf_values(leaf, path, pts, trig, product)
-            np.add(v, 0.0, out=sums[key])
-        waves = _wave_groups(leaf.wave for leaf in walked.values() if leaf.wave)
-        cur = pts
+        syms = _symbol_windows([path], 0, len(at_step) - 1)
         # streamed, not an _orbit: a stored walk of n x N x d floats would cost MiBs of peak RSS
-        for j in range(1, n):
-            del trig  # point set j - 1's arrays go before point set j's are made
-            cur = cocycle.map_for(path.symbol(j - 1)).apply(cur)
-            trig, at = _trig_values(cur, waves), path.shifted(j)
-            for key, leaf in walked.items():
-                sums[key] += _leaf_values(leaf, at, cur, trig, product)
-        if sigmas:
-            del trig
-            cur = cocycle.map_for(path.symbol(n - 1)).apply(cur)
-            trig = _trig_values(cur, _wave_groups(s.wave for s in sigmas.values() if s.wave))
-            last = {key: _leaf_values(s, path.shifted(n), cur, trig)
-                    for key, s in sigmas.items()}
-            for key, s in cobs.items():
-                sums[key] = np.subtract(last[s], first[s], out=own.get(key))
+        for j, (cur, terms) in enumerate(zip(_walk(cocycle, syms, pts), at_step)):
+            trig = _trig_values(cur, _wave_groups(term[1].wave for term in terms if term[1].wave))
+            at = path.shifted(j)
+            for key, leaf, sign, first in terms:
+                v, row = _leaf_values(leaf, at, cur, trig, product), sums[key]
+                if first:
+                    if sign > 0:
+                        np.add(v, 0.0, out=row)
+                    else:
+                        np.negative(v, out=row)
+                elif sign > 0:
+                    row += v
+                else:
+                    row -= v
+            trig = v = None  # step j's arrays go before step j + 1's are made
     sums.update((key, _symbol_sum(leaf, path, n))
                 for key, leaf in leaves.items() if leaf.x_independent)
     for row, p in zip(rows, potentials):
@@ -630,20 +630,17 @@ def _line_wave_sums(line: _LineGrid, orbit, group, steps, signs) -> dict:
             "sin": (block[height:].reshape(-1)[:count], extra.imag)}
 
 
-def _wave_part(wave, parts: dict, out=None) -> np.ndarray:
+def _wave_part(wave, parts: dict, out: np.ndarray) -> None:
     """amplitude * a wave's fn sums from its group's closed form (_line_wave_sums),
-    at the candidates and then at extra, written into out when given."""
+    at the candidates and then at extra, written into out."""
     sums, extra = parts[wave[2]]
-    if out is None:
-        out = np.empty(len(sums) + len(extra))
     np.multiply(wave[3], sums, out=out[: len(sums)])
     np.multiply(wave[3], extra, out=out[len(sums) :])
-    return out
 
 
-def _leaf_values(leaf: Potential, path, pts: np.ndarray, trig: dict, out=None) -> np.ndarray:
+def _leaf_values(leaf: Potential, path, pts: np.ndarray, trig: dict, out) -> np.ndarray:
     """A leaf's values at pts: amplitude * its trig array in trig (_trig_values)
-    for a wave, made into out when given, else its evaluator's."""
+    for a wave, made into out, else its evaluator's."""
     if leaf.wave:
         return np.multiply(leaf.wave[3], trig[leaf.wave[:3]], out=out)
     return leaf.values(path, pts)
@@ -698,13 +695,15 @@ def maximal_separated_sets(
     point, which joins the pass) give the upper bound, for a cover of any size.
     On a linear-exact 1-d disk the candidates are a _LineGrid: the waves' sums
     come from the closed form on the true orbit, with no map call, and only
-    the other x-dependent leaves are walked.  On a polyline chart every leaf is
-    walked; a cover of two or more points gets the bits of a separate cover
-    walk, and a one-point cover's sums can differ from a one-row walk's in their
-    last bits where a product rounds (a map such as A^2, or a wave's k.x).  The
-    pass keeps one running sum per leaf and weights them once per potential
-    (_orbit_sums), so each potential's sums, and so its packing, have the bits
-    of packing it alone.  The selection runs once per distinct row of orbit sums.
+    the other x-dependent leaves are summed along one streamed walk
+    (rds._walk).  On a polyline chart every leaf is summed along that walk; a
+    cover of two or more points gets the bits of a separate cover walk, and a
+    one-point cover's sums can differ from a one-row walk's in their last bits
+    where a product rounds (a map such as A^2, or a wave's k.x).  The pass
+    keeps one running sum per leaf, from one plan of its steps and signs, and
+    weights them once per potential (_orbit_sums), so each potential's sums,
+    and so its packing, have the bits of packing it alone.  The selection runs
+    once per distinct row of orbit sums.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -967,30 +966,9 @@ class PressureEstimate:
         }
 
     def csv_rows(self):
-        header = [
-            "omega_seed",
-            "x_index",
-            "delta",
-            "n",
-            "epsilon",
-            "log_lower",
-            "log_upper",
-            "potential_id",
-        ]
-        rows = [
-            [
-                c.omega_seed,
-                c.x_index,
-                c.delta,
-                c.n,
-                c.epsilon,
-                c.log_lower,
-                c.log_upper,
-                c.potential_id,
-            ]
-            for c in self.cells
-        ]
-        return header, rows
+        """The cell table: one column per CellRecord field, in field order."""
+        header = [f.name for f in fields(CellRecord)]
+        return header, [[getattr(c, name) for name in header] for c in self.cells]
 
 
 def pressure_estimates(

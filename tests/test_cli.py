@@ -218,6 +218,22 @@ class TestRunner:
         assert (out / "01_identities" / "info_identities_1.json").exists()
         assert (out / "02_entropy" / "entropy_1.json").exists()
 
+    def test_directory_run_all_flag_beats_env(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        (cfg_dir / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())
+        (cfg_dir / "entropy.cfg").write_text(
+            "system = cat.system\nexperiment = entropy\nseed = 1\nsamples = 1\n"
+            "delta = 0.1\nn_grid = 8:11\neps_grid = 0.04\nbase_grid = 2\n"
+        )
+        monkeypatch.setenv("UTHERMO_SAMPLES", "3")
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_dir), "--experiment", "all", "--samples", "2",
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "entropy" / "entropy_1.json").read_text())
+        assert report["omega_samples"] == 2
+
     @pytest.mark.parametrize("experiment, key, val", [
         ("spectrum", "spectrum_n", "50"),
         ("entropy", "base_grid", "0"),

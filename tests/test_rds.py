@@ -24,7 +24,7 @@ from uthermo import (
     skew_step,
     torus_distance,
 )
-from uthermo.rds import reduce_mod1
+from uthermo.rds import _map_step, _orbit, _walk, reduce_mod1
 
 
 class TestDrivingSystem:
@@ -349,6 +349,43 @@ class TestOneOrbitEngine:
         for n in (5, -4):
             with pytest.raises(WindowExhausted):
                 walk(iid_cocycle, path, n, x)
+
+
+def _two_map_sheared_cocycle():
+    a = np.array([[2, 1], [1, 1]])
+    first = ShearTerm(amplitude=0.015, wavevector=(0, 1), phase=0.3)
+    second = ShearTerm(amplitude=0.01, wavevector=(1, 1), phase=0.7)
+    return Cocycle(maps=(MapDescriptor(matrix=a, shears=(first,)),
+                         MapDescriptor(matrix=a @ a, shears=(second,), translation=(0.125, 0.3))))
+
+
+class TestWalk:
+    """_walk is the one loop that steps orbits: _orbit stores it, and a one-row
+    symbol array moves every point by its symbol's map."""
+
+    @pytest.mark.parametrize("name", ["iid_cocycle", "sheared"])
+    @pytest.mark.parametrize("method", ["apply", "apply_lift", "inverse_apply", "jacobian"])
+    def test_one_symbol_is_the_stacked_column(self, name, method, request):
+        cocycle = _two_map_sheared_cocycle() if name == "sheared" else request.getfixturevalue(name)
+        pts = np.random.default_rng(5).random((37, 2)) * 3.0 - 1.0
+        for s in range(len(cocycle.maps)):
+            got = _map_step(cocycle, np.array([s]), pts, method)
+            want = _map_step(cocycle, np.full(len(pts), s), pts, method)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), s
+
+    @pytest.mark.parametrize("name", ["iid_cocycle", "sheared"])
+    @pytest.mark.parametrize("method", ["apply", "apply_lift", "inverse_apply"])
+    def test_walk_yields_the_orbit(self, name, method, request):
+        cocycle = _two_map_sheared_cocycle() if name == "sheared" else request.getfixturevalue(name)
+        rng = np.random.default_rng(11)
+        pts = rng.random((9, 2))
+        for syms in (rng.integers(0, 2, (9, 12)), rng.integers(0, 2, (1, 12))):
+            orbit = _orbit(cocycle, syms, pts, method)
+            rows = list(_walk(cocycle, syms, pts, method))
+            assert [r.tobytes() for r in rows] == [r.tobytes() for r in orbit]
+        # one symbol row streams the bits of the stacked walk on its repeated rows
+        stacked = _orbit(cocycle, np.repeat(syms, len(pts), axis=0), pts, method)
+        assert [r.tobytes() for r in rows] == [r.tobytes() for r in stacked]
 
 
 class TestSkewProduct:
