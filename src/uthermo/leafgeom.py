@@ -268,13 +268,21 @@ def leaf_growth_factors_batch(cocycle: Cocycle, disks, n: int) -> np.ndarray:
     j = 0..n-1, shape (S, n).
 
     Exact for constant-Jacobian cocycles (where the leaf is affine and the
-    chart image under j steps is scaled by exactly this factor).
+    chart image under j steps is scaled by exactly this factor).  A growth
+    beyond float range (the norms square the images) raises EstimatorError,
+    naming the first n whose steps 0..n-1 reach it.
     """
     disks = list(disks)
     if not disks:
         return np.empty((0, n))
-    out = _image_norms(cocycle, disks, np.stack([disk.frame[:, 0] for disk in disks]), n)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        out = _image_norms(cocycle, disks, np.stack([disk.frame[:, 0] for disk in disks]), n)
     out[:, 0] = 1.0
+    over = ~np.isfinite(out).all(axis=0)
+    if over.any():
+        raise EstimatorError(
+            f"leaf growth overflows float range at n = {int(np.argmax(over)) + 1}; lower n"
+        )
     return out
 
 

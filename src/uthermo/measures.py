@@ -607,7 +607,10 @@ def bowen_ball_entropy(
     For volume conditionals the ball mass is its leaf length normalized by
     the local leaf atom; the estimate is the fitted slope of the
     information in n at the smallest scale, averaged over samples.  Scale
-    insensitivity is recorded by estimating at every given epsilon.
+    insensitivity is recorded by estimating at every given epsilon.  On a
+    volume sample's leaf the (n, eps) ball has half-length
+    min(delta, eps / g*_n), with g*_n the largest leaf growth over steps
+    0..n-1; one running max of the sample's growth holds g*_n for every n.
     """
     return _bowen_ball_entropy(cocycle, sampler, delta, n_grid, epsilons, samples, seed, {})
 
@@ -642,26 +645,26 @@ def _bowen_ball_entropy(cocycle, sampler, delta, n_grid, epsilons, samples, seed
     per_n_acc: dict[int, list[float]] = {n: [] for n in n_grid}
     eps_min = epsilons[0]
 
-    # a point mass (an atomic sample, or a trivial leaf) keeps growth None
-    growths = [None] * samples
+    # a point mass (an atomic sample, or a trivial leaf) keeps peak None
+    peaks = [None] * samples
     if sampler.leaf_conditional == "volume":
         half_window = max(max(n_grid), ENTROPY_FRAME_STEPS) + 2
         disks = {i: unstable_disk(cocycle, SkewState(path, x), delta, report)
                  for i, (path, x, report)
                  in enumerate(_sample_spectra(cocycle, sampler, seeds, half_window))
                  if report.unstable_index > 0}
-        for i, growth in zip(disks, leaf_growth_factors_batch(cocycle, disks.values(),
-                                                               max(n_grid))):
-            growths[i] = growth
-    for growth in growths:
+        # peak[n - 1] is the largest growth over steps 0..n-1 (max is exact)
+        growth = leaf_growth_factors_batch(cocycle, disks.values(), max(n_grid))
+        for i, peak in zip(disks, np.maximum.accumulate(growth, axis=1).tolist()):
+            peaks[i] = peak
+    for peak in peaks:
         for eps in epsilons:
-            if growth is None:
+            if peak is None:
                 info = dict.fromkeys(n_grid, 0.0)
             else:
                 info = {}
                 for n in n_grid:
-                    gstar = float(np.max(growth[:n]))
-                    half = min(delta, eps / gstar)
+                    half = min(delta, eps / peak[n - 1])
                     info[n] = math.log(2.0 * delta) - math.log(2.0 * half)
             ys = [info[n] for n in uh]
             slope, se, _ = fit_slope(uh, ys)

@@ -10,7 +10,7 @@ additive constants and most of the disk-boundary transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -305,12 +305,22 @@ def _fiber_values(potential: Potential, system: DrivingSystem, dim: int, grid: i
         yield p, potential.values(SymbolPath(symbols=(s,) * 3, half_window=1), pts)
 
 
+def _symbol_prefix(potential: Potential, path: SymbolPath, n: int) -> np.ndarray:
+    """Prefix table of an x-independent potential's orbit sums: out[m] = S_m phi, the
+    sum over steps 0..m-1 added left to right onto 0.0, for m = 0..n (a step outside
+    the sampled window raises WindowExhausted, through _symbol_windows).
+
+    symbol_fn is called once per distinct symbol; the running sum is one
+    np.add.accumulate, which adds in order.
+    """
+    syms, at = np.unique(_symbol_windows([path], 0, n)[0], return_inverse=True)
+    values = np.array([float(potential.symbol_fn(s)) for s in syms.tolist()])
+    return np.add.accumulate(np.concatenate([[0.0], values[at]]))
+
+
 def _symbol_sum(potential: Potential, path: SymbolPath, n: int) -> float:
-    """Orbit sum over steps 0..n-1 of an x-independent potential (a step outside
-    the sampled window raises WindowExhausted, through _symbol_windows)."""
-    syms = _symbol_windows([path], 0, n)[0].tolist()
-    values = {s: float(potential.symbol_fn(s)) for s in set(syms)}
-    return sum(values[s] for s in syms)
+    """Orbit sum over steps 0..n-1 of an x-independent potential, read off _symbol_prefix."""
+    return float(_symbol_prefix(potential, path, n)[n])
 
 
 def birkhoff_sum(
@@ -672,6 +682,32 @@ def _profile_windows(arcs: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
+def _count_logs(pack_count: int, cover_count: int, sums, n: int) -> list[tuple[float, float]]:
+    """(log pack count + S_n phi, log cover count + S_n phi) per prefix table in sums
+    (_symbol_prefix): the bracket of an x-independent potential, whose weights
+    are all e^{S_n phi}."""
+    lp, lc = math.log(pack_count), math.log(cover_count)
+    return [(lp + float(s[n]), lc + float(s[n])) for s in sums]
+
+
+def _lattice_cells(length: float, peak, sums, cells) -> list:
+    """The analytic lattice of a linear-exact 1-d disk of the given length at each
+    (n, epsilon) of cells: (spacing, pack count, _count_logs over sums).
+
+    peak[n - 1] is the largest leaf growth over steps 0..n-1 (a running max),
+    so picks epsilon/peak apart are (n, epsilon)-separated, and a cover by (n,
+    epsilon/2)-balls takes ceil(length * peak / epsilon) centres.
+    """
+    out = []
+    for n, epsilon in cells:
+        gstar = float(peak[n - 1])
+        spacing = epsilon * (1.0 + 1e-9) / gstar
+        pack_count = math.floor(length / spacing) + 1
+        cover_count = max(1, math.ceil(length * gstar / epsilon))
+        out.append((spacing, pack_count, _count_logs(pack_count, cover_count, sums, n)))
+    return out
+
+
 def maximal_separated_sets(
     cocycle: Cocycle,
     disk: UnstableDisk,
@@ -687,7 +723,9 @@ def maximal_separated_sets(
     Candidates on a grid of dynamical step epsilon/GRID_FACTOR are selected
     in decreasing exp(S_n phi) order subject to pairwise separation > eps;
     for x-independent potentials the selection collapses to the analytic
-    left-to-right lattice (identical outcome, no enumeration).  The upper
+    left-to-right lattice (identical outcome, no enumeration; on a
+    linear-exact disk, _lattice_cells at this (n, epsilon), which reads only
+    the max of growth[:n], so growth may be a running max).  The upper
     bound comes from an (n, epsilon/2) spanning set plus the orbit-sum
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
     grid, the chart and one pass of orbit sums over the candidates, whose sums
@@ -716,14 +754,15 @@ def maximal_separated_sets(
 
     length = 2.0 * disk.radius
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
+    fixed = [k for k, p in enumerate(potentials) if p.x_independent]
+    sums = [_symbol_prefix(potentials[k], path, n) for k in fixed]
 
     if disk.construction == "linear-exact":
         if growth is None or len(growth) < n:
             growth = leaf_growth_factors_batch(cocycle, [disk], n)[0]
-        gstar = float(np.max(growth[:n]))
-        spacing = epsilon * (1.0 + 1e-9) / gstar
-        pack_count = math.floor(length / spacing) + 1
-        cover_count = max(1, math.ceil(length * gstar / epsilon))
+        peak = np.maximum.accumulate(growth[:n])
+        gstar = float(peak[-1])
+        ((spacing, pack_count, logs),) = _lattice_cells(length, peak, sums, [(n, epsilon)])
         pack_pts = None
         if materialize and pack_count <= _MAX_MATERIALIZED:
             pack_pts = -disk.radius + spacing * np.arange(pack_count)
@@ -769,7 +808,8 @@ def maximal_separated_sets(
         while edge < m:
             cover_idx.append(half_hi[edge])
             edge = half_hi[cover_idx[-1]] + 1
-        pack_count, cover_count, pack_pts = len(pack), len(cover_idx), params[pack]
+        pack_count, pack_pts = len(pack), params[pack]
+        logs = _count_logs(pack_count, len(cover_idx), sums, n)
 
         def select(w):
             return _greedy_windows(_pick_order(w), lo, hi, m)
@@ -777,19 +817,17 @@ def maximal_separated_sets(
         line = None  # every cover point is a candidate
 
     results: list[SeparatedSetResult | None] = [None] * len(potentials)
-    for k, p in enumerate(potentials):
-        if p.x_independent:
-            sn = _symbol_sum(p, path, n)
-            results[k] = SeparatedSetResult(
-                points=pack_pts,
-                count=float(pack_count),
-                n=n,
-                epsilon=epsilon,
-                log_weighted_sum=math.log(pack_count) + sn,
-                log_upper=math.log(cover_count) + sn,
-                method="grid-exhaustive",
-                potential_label=p.label,
-            )
+    for k, (lower, upper) in zip(fixed, logs):
+        results[k] = SeparatedSetResult(
+            points=pack_pts,
+            count=float(pack_count),
+            n=n,
+            epsilon=epsilon,
+            log_weighted_sum=lower,
+            log_upper=upper,
+            method="grid-exhaustive",
+            potential_label=potentials[k].label,
+        )
     if varying:
         walked = [potentials[k] for k in varying]
         # one pass: the cover's orbit sums are read off the candidates' (and extra's)
@@ -993,8 +1031,13 @@ def pressure_estimates(
     potential the bits of its own walk, so each estimate equals the one made
     for its potential alone.  On a constant-Jacobian cocycle every base point of
     a path shares one frame and one leaf growth, so an x-independent
-    potential's cell depends only on the path, the growth, n and eps: it
-    is packed at the path's first base point and reused at the others.
+    potential's cell depends only on the path, the growth, n and eps.  On a
+    linear-exact 1-d disk those cells are table reads (_lattice_cells): one
+    running max of the leaf growth and one prefix table of S_n phi per
+    x-independent potential (_symbol_prefix), made once per path, give every
+    cell at every base point, and only the x-dependent members are packed.
+    When no member depends on x, the first base point stands for all: it is
+    the only one estimated, and its records are repeated under each x_index.
     """
     potentials = list(potentials)
     uh = upper_half(grid.n_grid)
@@ -1007,10 +1050,15 @@ def pressure_estimates(
     base_pts = [TorusPoint(tuple(row)) for row in _product_grid(centres, cocycle.dim)]
     eps_min = grid.eps_grid[0]
     count = len(potentials)
+    cell_grid = [(n, eps) for n in grid.n_grid for eps in grid.eps_grid]
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
+    fixed = [k for k, p in enumerate(potentials) if p.x_independent]
     # a constant-Jacobian path gives every base point one spectrum, one frame
     # and one leaf growth
     shared_frame = cocycle.has_constant_jacobian
+    # ...so a family with no x-dependent member has the same cells at every
+    # base point, and the first stands for all
+    stand_in = shared_frame and not varying
 
     cells: list[list[CellRecord]] = [[] for _ in potentials]
     omega_best: list[list[tuple]] = [[] for _ in potentials]
@@ -1027,11 +1075,12 @@ def pressure_estimates(
     for i, (pseed, path) in enumerate(zip(path_seeds, paths)):
         path_reports = spectra[i * k : (i + 1) * k] * (len(base_pts) // k)
         best = [None] * count  # per potential: (slope, se, resid, logs_at_emin, nmax_log)
-        # a linear-exact leaf's growth depends on its path and frame only
-        growth = None
-        first_cells = {}  # (n, eps) -> results at the path's first disk
-        for xi, (x, report) in enumerate(zip(base_pts, path_reports)):
-            state = SkewState(path=path, point=x)
+        # a linear-exact leaf's growth depends on its path and frame only, and
+        # so do the x-independent members' cells on a 1-d one
+        peak = table = None  # a 2-d leaf packs every member and reads no growth
+        path_cells = len(cells[0]) if count else 0
+        for xi, (x, report) in enumerate(zip(base_pts[:1] if stand_in else base_pts,
+                                             path_reports)):
             if report.unstable_index == 0:
                 # trivial leaf: the only separated set is the point itself,
                 # so every cell contributes log 1 = 0
@@ -1040,46 +1089,43 @@ def pressure_estimates(
                     if best[j] is None or 0.0 > best[j][0]:
                         best[j] = (0.0, 0.0, 0.0, zeros, 0.0)
                 continue
-            disk = unstable_disk(cocycle, state, grid.delta, report)
-            if growth is None and disk.construction == "linear-exact":
-                growth = leaf_growth_factors_batch(cocycle, [disk], n_max)[0]
+            disk = unstable_disk(cocycle, SkewState(path=path, point=x), grid.delta, report)
+            if table is None and disk.construction == "linear-exact" and disk.leaf_dim == 1:
+                peak = np.maximum.accumulate(leaf_growth_factors_batch(cocycle, [disk], n_max)[0])
+                sums = [_symbol_prefix(potentials[j], path, n_max) for j in fixed]
+                table = _lattice_cells(2.0 * grid.delta, peak, sums, cell_grid)
+            packed = varying if table is not None else range(count)
             logs_at_emin = [[] for _ in potentials]
-            for n in grid.n_grid:
-                for eps in grid.eps_grid:
-                    # with a shared frame, x-independent cells repeat the first disk's
-                    known = first_cells.get((n, eps)) if shared_frame else None
-                    todo = varying if known else range(count)
-                    results = list(known) if known else [None] * count
-                    if todo:
-                        packed = maximal_separated_sets(
-                            cocycle, disk, [potentials[j] for j in todo], n, eps,
-                            materialize=False, growth=growth,
-                        )
-                        for j, res in zip(todo, packed):
-                            results[j] = res
-                    first_cells.setdefault((n, eps), results)
-                    for j, (p, res) in enumerate(zip(potentials, results)):
-                        if res.log_weighted_sum > res.log_upper + 1e-9:
-                            bracket_ok[j] = False
-                        if keep_cells:
-                            cells[j].append(
-                                CellRecord(
-                                    omega_seed=pseed,
-                                    x_index=xi,
-                                    delta=grid.delta,
-                                    n=n,
-                                    epsilon=eps,
-                                    log_lower=res.log_weighted_sum,
-                                    log_upper=res.log_upper,
-                                    potential_id=p.label,
-                                )
-                            )
-                        if eps == eps_min:
-                            logs_at_emin[j].append(res.log_weighted_sum)
+            for c, (n, eps) in enumerate(cell_grid):
+                results = [None] * count  # per potential: (log lower, log upper)
+                if table is not None:
+                    for j, logs in zip(fixed, table[c][2]):
+                        results[j] = logs
+                if packed:
+                    for j, res in zip(packed, maximal_separated_sets(
+                        cocycle, disk, [potentials[j] for j in packed], n, eps,
+                        materialize=False, growth=peak,
+                    )):
+                        results[j] = res.log_weighted_sum, res.log_upper
+                for j, (p, (lower, upper)) in enumerate(zip(potentials, results)):
+                    if lower > upper + 1e-9:
+                        bracket_ok[j] = False
+                    if keep_cells:
+                        cells[j].append(CellRecord(
+                            omega_seed=pseed, x_index=xi, delta=grid.delta, n=n, epsilon=eps,
+                            log_lower=lower, log_upper=upper, potential_id=p.label,
+                        ))
+                    if eps == eps_min:
+                        logs_at_emin[j].append(lower)
             for j, logs in enumerate(logs_at_emin):
                 slope, se, resid = fit_slope(uh, [logs[m] for m in sel])
                 if best[j] is None or slope > best[j][0]:
                     best[j] = (slope, se, resid, logs, logs[-1] / grid.n_grid[-1])
+        if stand_in:  # the first base point's records, under every other x_index
+            for records in cells:
+                first = records[path_cells:]
+                records.extend(replace(c, x_index=xi)
+                               for xi in range(1, len(base_pts)) for c in first)
         for j in range(count):
             omega_best[j].append(best[j])
 

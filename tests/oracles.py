@@ -7,6 +7,7 @@ paths it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -479,6 +480,49 @@ def scalar_pressure_cells(cocycle, system, potential, grid, seed: int, frame_ste
                     rows.append((pseed, xi, n, eps)
                                 + scalar_linear_packing(cocycle, disk, potential, n, eps, growth))
     return rows
+
+
+def packed_pressure_cells(cocycle, system, potentials, grid, seed: int):
+    """Every potential's CellRecords, in pressure_estimates' order, with every cell
+    packed by maximal_separated_sets: each path, base point and (n, eps) makes one
+    call for the whole family, with the paths, spectra, disks and leaf growth the
+    estimator draws (one spectrum and growth per path on a constant-Jacobian
+    cocycle)."""
+    from uthermo import SkewState, TorusPoint, lyapunov_spectra, sample_path, unstable_disk
+    from uthermo.leafgeom import leaf_growth_factors_batch
+    from uthermo.thermo import PRESSURE_FRAME_STEPS, CellRecord, maximal_separated_sets
+
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x9E55])
+    seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(grid.omega_samples)]
+    axis = (np.arange(grid.base_grid) + 0.5) / grid.base_grid
+    base_pts = [TorusPoint(tuple(float(v) for v in row))
+                for row in itertools.product(axis, repeat=cocycle.dim)]
+    n_max = grid.n_grid[-1]
+    paths = [sample_path(system, max(n_max, PRESSURE_FRAME_STEPS) + 2, s) for s in seeds]
+    xs = base_pts[:1] if cocycle.has_constant_jacobian else base_pts
+    spectra = lyapunov_spectra(cocycle, [p for p in paths for _ in xs], xs * len(paths),
+                               PRESSURE_FRAME_STEPS, frame_steps=PRESSURE_FRAME_STEPS,
+                               frame_seeds=[s for s in seeds for _ in xs])
+    cells = [[] for _ in potentials]
+    for i, (pseed, path) in enumerate(zip(seeds, paths)):
+        reports = spectra[i * len(xs) : (i + 1) * len(xs)] * (len(base_pts) // len(xs))
+        growth = None
+        for xi, (x, report) in enumerate(zip(base_pts, reports)):
+            if report.unstable_index == 0:
+                continue
+            disk = unstable_disk(cocycle, SkewState(path=path, point=x), grid.delta, report)
+            if growth is None and disk.construction == "linear-exact":
+                growth = leaf_growth_factors_batch(cocycle, [disk], n_max)[0]
+            for n in grid.n_grid:
+                for eps in grid.eps_grid:
+                    packed = maximal_separated_sets(cocycle, disk, potentials, n, eps,
+                                                    materialize=False, growth=growth)
+                    for out, p, res in zip(cells, potentials, packed):
+                        out.append(CellRecord(
+                            omega_seed=pseed, x_index=xi, delta=grid.delta, n=n, epsilon=eps,
+                            log_lower=res.log_weighted_sum, log_upper=res.log_upper,
+                            potential_id=p.label))
+    return cells
 
 
 def profile_pack_indices(arcs: np.ndarray, eps: float) -> np.ndarray:

@@ -425,6 +425,16 @@ class TestExperimentSurfaces:
         err = capsys.readouterr().err
         assert err.startswith("estimator error:") and "leaf dimension 1 only" in err
 
+    def test_overflowing_leaf_growth_exits_3(self, tmp_path, capsys):
+        # the cat map's leaf growth squares past float range from n = 370 on
+        cfg = _write(tmp_path, "long.cfg",
+                     f"system = {CONFIG_DIR / 'cat.system'}\nexperiment = entropy\nseed = 1\n"
+                     "delta = 0.1\nn_grid = 360:380\neps_grid = 0.02 0.04\nbase_grid = 2\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("estimator error:") and "overflows float range at n = 370" in err
+        assert not (tmp_path / "out").exists()
+
     def test_smb_on_the_3_torus(self, tmp_path):
         cfg = _write(tmp_path, "t3.cfg",
                      f"system = {CONFIG_DIR / 't3_rot.system'}\nexperiment = smb\nseed = 1\n"

@@ -111,6 +111,28 @@ class TestBirkhoffSum:
         with pytest.raises(WindowExhausted):
             birkhoff_sum(iid_cocycle, pot, path.shifted(-7), x, 1)
 
+    def test_symbol_prefix_is_the_left_to_right_sum(self):
+        from uthermo import DrivingSystem
+        from uthermo.rds import _symbol_windows
+
+        rng = np.random.default_rng(22)
+        system = DrivingSystem(kind="iid", symbol_count=3, distribution=(0.2, 0.3, 0.5))
+        for seed in range(6):
+            pot = per_symbol_potential(rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3))
+            path = sample_path(system, 40, seed).shifted(int(rng.integers(-30, 30)))
+            reach = path.forward_reach + 1  # steps 0..n-1 read times up to the window's edge
+            table = thermo._symbol_prefix(pot, path, reach)
+            acc = 0.0
+            for n in range(1, reach + 1):
+                acc += pot.symbol_fn(path.symbol(n - 1))
+                assert table[n].hex() == acc.hex()
+                assert thermo._symbol_sum(pot, path, n).hex() == acc.hex()
+            for read in (thermo._symbol_prefix, thermo._symbol_sum):
+                with pytest.raises(WindowExhausted):
+                    read(pot, path, reach + 1)
+            with pytest.raises(WindowExhausted):
+                _symbol_windows([path], 0, reach + 1)
+
     def test_single_step_is_value(self, cat_cocycle, cat_setup):
         path, _, _ = cat_setup
         pot = coordinate_potential(1.0, [1, 0])
@@ -267,10 +289,12 @@ class TestPressurePipeline:
                                GridSpec(n_grid=(8,)), seed=1)[0]
 
     def test_shared_frame_packs_nothing_empty(self, monkeypatch, iid_cocycle, iid_system):
-        # x-independent cells are packed at each path's first base point only,
-        # and the other base points make no packing call at all
+        # on a shared frame the x-independent cells are table reads: a family of
+        # such members makes no packing call, and otherwise every base point and
+        # cell packs the x-dependent members only
         grid = GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04, 0.08), base_grid=2,
                         omega_samples=2)
+        cells = grid.omega_samples * grid.base_grid ** 2 * len(grid.n_grid) * len(grid.eps_grid)
         sizes = []
         pack = thermo.maximal_separated_sets
 
@@ -279,11 +303,35 @@ class TestPressurePipeline:
             return pack(cocycle, disk, potentials, *args, **kwargs)
 
         monkeypatch.setattr(thermo, "maximal_separated_sets", counted)
-        est = thermo.pressure_estimates(
-            iid_cocycle, iid_system, [zero_potential(), constant_potential(0.3)], grid, seed=3
-        )
-        assert sizes == [2] * (grid.omega_samples * len(grid.n_grid) * len(grid.eps_grid))
-        assert len(est[0].cells) == grid.omega_samples * grid.base_grid ** 2 * 6
+        fixed = [zero_potential(), constant_potential(0.3)]
+        for family, packed in ((fixed, []), ([fixed[0], coordinate_potential(0.4, [1, 0]),
+                                              fixed[1]], [1] * cells)):
+            sizes.clear()
+            est = thermo.pressure_estimates(iid_cocycle, iid_system, family, grid, seed=3)
+            assert sizes == packed
+            assert all(len(e.cells) == cells for e in est)
+
+    @pytest.mark.parametrize("names", [("iid_cocycle", "iid_system"),
+                                       ("cat_cocycle", "trivial_system")], ids=["iid", "cat"])
+    def test_cells_match_packing_every_cell(self, request, names):
+        # table reads and the first base point standing in give the records of
+        # packing every base point and cell, bit for bit and in order
+        cocycle, system = map(request.getfixturevalue, names)
+        phiu = [-oracles.CAT_LOG * (s + 1) for s in range(system.symbol_count)]
+        fixed = [zero_potential(), constant_potential(0.3), per_symbol_potential(phiu, "phi-u")]
+        grid = GridSpec(delta=0.05, n_grid=(3, 4, 6), eps_grid=(0.04, 0.08), base_grid=3,
+                        omega_samples=2)
+
+        def bits(records):
+            return [(c.omega_seed, c.x_index, c.delta.hex(), c.n, c.epsilon.hex(),
+                     c.log_lower.hex(), c.log_upper.hex(), c.potential_id) for c in records]
+
+        for family in (fixed, [*fixed, coordinate_potential(0.4, [1, 0])]):
+            est = pressure_estimates(cocycle, system, family, grid, seed=5)
+            ref = oracles.packed_pressure_cells(cocycle, system, family, grid, seed=5)
+            assert len(ref[0]) == grid.omega_samples * 9 * 6
+            for e, cells in zip(est, ref):
+                assert bits(e.cells) == bits(cells), e.potential_label
 
     def test_cat_entropy_hits_eigen_rate(self, cat_cocycle, trivial_system):
         grid = GridSpec(delta=0.1, n_grid=tuple(range(8, 13)), eps_grid=(0.02, 0.04),
