@@ -21,6 +21,7 @@ from .rds import (
     DrivingSystem,
     EstimatorError,
     TorusPoint,
+    _jacobian_table,
     _jacobians,
     _symbol_windows,
     sample_path,
@@ -124,18 +125,82 @@ def _positive_q(mat: np.ndarray) -> np.ndarray:
     return np.negative(q, out=q, where=(diag < 0)[..., None, :])
 
 
-def _log_abs_dets(jacs: np.ndarray) -> np.ndarray:
-    """log |det J| of each Jacobian in a stack; a degenerate one raises EstimatorError."""
-    det = np.linalg.det(jacs)
+def _log_abs_dets(det: np.ndarray) -> np.ndarray:
+    """log |det J| from the dets of the Jacobians a walk visits; a degenerate one raises
+    EstimatorError."""
     if np.any(np.abs(det) < 1e-12):
         raise EstimatorError("degenerate one-step Jacobian along the orbit")
     return np.log(np.abs(det))
 
 
-def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
+# The first closure attempt of a table walk (_qr_walk): cat-map and A/A^2
+# frames close within 23 steps, and as attempts double and need a walk eight
+# times as long, one that never closes tries once in 192-383 steps, at the
+# cost of one or two steps.
+FIRST_CLOSURE = 24
+
+
+def _closed_frames(table: np.ndarray, q: np.ndarray):
+    """The frames reachable from the frames q (S, d, k) by the steps of table (m, d, d).
+
+    Frames are compared bit for bit.  Starting from the distinct frames of q,
+    each new frame is stepped by every symbol's Jacobian, breadth first, until
+    no new frame appears: then returns (frames (u, d, k), the state each
+    frame and symbol step to (u, m), their R diagonals (u, m, k), each
+    sample's state (S,)).  Gives None as soon as more than min(8, 2 + S // 4)
+    frames are found, so that a failed attempt costs about one or two walk
+    steps and the state maps of _table_walk stay small.
+    """
+    index: dict[bytes, int] = {}
+    frames: list[np.ndarray] = []
+
+    def states(new: np.ndarray) -> list[int]:
+        out = []
+        for frame in new:
+            out.append(index.setdefault(frame.tobytes(), len(frames)))
+            if out[-1] == len(frames):
+                frames.append(frame)
+        return out
+
+    state = np.array(states(q))
+    nxt, diags, done = [], [], 0
+    while done < len(frames):
+        if len(frames) > min(8, 2 + len(q) // 4):
+            return None
+        stepped, diag = _householder_qr(table @ np.stack(frames[done:])[:, None])
+        done = len(frames)
+        nxt += states(stepped.reshape((-1,) + q.shape[1:]))
+        diags.append(diag)
+    return np.stack(frames), np.reshape(nxt, (-1, len(table))), np.concatenate(diags), state
+
+
+def _table_walk(closed, syms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Walk closed frames (_closed_frames) along syms (steps, S or 1) by table reads: the
+    R diagonals go to out (steps, S, k), and the final frames (S, d, k) are returned.
+
+    The states after each step are read off the prefix compositions of the
+    per-step state maps, composed by doubling."""
+    frames, nxt, diag, state = closed
+    syms = np.broadcast_to(syms, out.shape[:2])
+    maps = np.take(nxt.T.copy(), syms, axis=0)  # maps[t, i, u]: after step t from u
+    # at[t, i]: where maps[t0 + t, i] starts in maps[t0:] flattened, for any t0
+    at = np.arange(0, maps.size, len(frames)).reshape(maps.shape[:2] + (1,))
+    shift = 1
+    while shift < len(maps):  # maps[t] becomes the composition of steps 0 .. t
+        maps[shift:] = np.take(maps[shift:], maps[:-shift] + at[:-shift])
+        shift *= 2
+    after = np.take(maps.reshape(len(maps), -1), at[0, :, 0] + state, axis=1)
+    out[0] = diag[state, syms[0]]
+    out[1:] = diag[after[:-1], syms[1:]]
+    return frames[after[-1]]
+
+
+def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None, syms=None) -> np.ndarray:
     """Push stacked frames q (S, d, k) through the Jacobian stack jacs (steps, S, d, d)
     in order, re-orthonormalising by QR with a nonnegative R diagonal; returns the
-    final Q.  Given logs (S, k), each step's log |diag R| is added to it.
+    final Q.  Given logs (S, k), each step's log |diag R| is added to it.  Given
+    syms (steps, S) of symbols in walk order, jacs is a per-symbol table (m, d, d)
+    (rds._jacobian_table) and step t's Jacobians are jacs[syms[t]].
 
     A step is the product and the QR alone; the R diagonals are kept and their
     signs and logs are folded once, after the walk.  Householder QR is odd in
@@ -145,13 +210,39 @@ def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None) -> np.ndarray:
     step's R diagonal is exactly 0, which only an exactly singular step can
     make.  The logs are summed by a running cumsum that starts from logs, so
     they get the bits of adding each step's logs to them in turn.
+
+    A step from a table is a function of the bits of a frame and its symbol:
+    matmul makes one product per matrix, and the LAPACK gufuncs factor one
+    matrix at a time, so no frame's result depends on the others in its
+    stack.  So once the distinct frames a table walk has reached are closed
+    under every symbol's step (_closed_frames), every later step is a table
+    read of a (Q, diag R) already computed, and the rest of the walk is read
+    off those tables (_table_walk) with the same bits.  Closure is tried after
+    24, 48, 96, ... steps while the walk is at least eight times as long, and
+    given up once the frames outnumber min(8, 2 + S // 4).  Cat-map and A/A^2
+    frames close within 23 steps, in 1-3 states; non-commuting switching
+    (A/B) never closes, and the frames of configs/t3_rot.system only after
+    some 775 steps, once their cross-block entries underflow.
     """
-    if not len(jacs):
+    steps = len(jacs if syms is None else syms)
+    if not steps:
         return q
-    batch = np.broadcast_shapes(jacs.shape[1:-2], q.shape[:-2])
-    diags = np.empty((len(jacs),) + batch + q.shape[-1:])
-    for jac, diag in zip(jacs, diags):
-        q, diag[...] = _householder_qr(jac @ q)
+    batch = np.broadcast_shapes(jacs.shape[1:-2] if syms is None else syms.shape[1:],
+                                q.shape[:-2])
+    diags = np.empty((steps,) + batch + q.shape[-1:])
+    t = 0
+    while t < steps:
+        stop = 2 * t or FIRST_CLOSURE
+        if syms is None or 8 * stop > steps:
+            stop = steps
+        for jac, diag in zip(jacs[t:stop] if syms is None else jacs[syms[t:stop]],
+                             diags[t:stop]):
+            q, diag[...] = _householder_qr(jac @ q)
+        t = stop
+        closed = t < steps and _closed_frames(jacs, q)
+        if closed:
+            q = _table_walk(closed, syms[t:], diags[t:])
+            break
     flip = np.logical_xor.reduce(diags < 0, axis=0)
     if logs is not None:
         # log |diag R| and its running sum, in place in the one buffer
@@ -168,18 +259,24 @@ def _frames_from_past(
     """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin.
 
     The Jacobians are those of the orbit pulled back from the origin points
-    pts (S, d), at x_-steps .. x_-1, taken in reverse walk order.
+    pts (S, d), at x_-steps .. x_-1, taken in reverse walk order; a
+    constant-Jacobian cocycle's walk reads them from its table by symbol.
     """
     syms = _symbol_windows(paths, 0, steps, inverse=True)
+    table = _jacobian_table(cocycle, syms)
+    if table is not None:
+        return _qr_walk(table, q0, syms=syms.T[::-1])
     return _qr_walk(_jacobians(cocycle, syms, pts, backward=True)[::-1], q0)
 
 
-def _covariant_frames(jacs: np.ndarray, q: np.ndarray, keep: int) -> np.ndarray:
+def _covariant_frames(jacs: np.ndarray, q: np.ndarray, keep: int, syms=None) -> np.ndarray:
     """The frames (keep, S, d, d) at steps 0 .. keep-1 of one walk pulling q (S, d, d)
     back through the inverses of jacs (steps, S, d, d), last step first: their leading
-    columns converge onto E^cs there (Ginelli et al. 2007).  Signs are LAPACK's."""
+    columns converge onto E^cs there (Ginelli et al. 2007).  Signs are LAPACK's.
+    Given syms (steps, S), jacs is a per-symbol table (m, d, d), inverted once."""
+    invs = np.linalg.inv(jacs[::-1]) if syms is None else np.linalg.inv(jacs)[syms[::-1]]
     out = np.empty((keep,) + q.shape)
-    for t, inv in zip(range(len(jacs) - 1, -1, -1), np.linalg.inv(jacs[::-1])):
+    for t, inv in zip(range(len(invs) - 1, -1, -1), invs):
         q = _householder_qr(inv @ q)[0]
         if t < keep:
             out[t] = q
@@ -207,14 +304,18 @@ def lyapunov_spectra(
     """QR-accumulated Lyapunov exponents and the expanding frame at each (path, x).
 
     All samples walk together as stacked (S, d, d) frames, one numpy call
-    per step, through the Jacobian stacks of the orbit engine's _jacobians
-    (rds).  Each report is bitwise equal to walking its sample alone
-    whenever the maps' stacked calls round as their one-point calls do:
-    always for constant-Jacobian cocycles, which make no map calls, and for
-    the sheared cat and 3-torus maps.  The expanding frame is the limit
+    per step.  A constant-Jacobian cocycle's walks read their Jacobians from
+    its per-symbol table (rds._jacobian_table) by symbol, build no (n, S, d,
+    d) stack, and once their frames close turn into table walks (_qr_walk);
+    otherwise they walk the Jacobian stacks of the orbit engine's
+    _jacobians (rds).  Each report is bitwise equal to walking its sample
+    alone whenever the maps' stacked calls round as their one-point calls
+    do: always for constant-Jacobian cocycles, which make no map calls, and
+    for the sheared cat and 3-torus maps.  The expanding frame is the limit
     flag of a push from frame_steps in the past, along the orbit pulled
     back from x.  log_det_sum adds log |det J| over the n forward
-    Jacobians in step order.  Exponents are averaged log diagonal entries
+    Jacobians in step order (on a table, the per-symbol dets gathered
+    along the path).  Exponents are averaged log diagonal entries
     of the R factors over n forward steps, starting from the expanding
     frame, clustered by CLUSTER_GAP.  Each sample starts its frame push
     from its own frame_seeds entry (default 0) and clamps frame_steps to
@@ -231,17 +332,21 @@ def lyapunov_spectra(
         return []
     pts = np.stack(points)
     q0 = np.stack([_random_orthonormal(cocycle.dim, seed) for seed in seeds])
-    forward = _jacobians(cocycle, _symbol_windows(paths, 0, n), pts)
-    return _spectra(cocycle, paths, pts, q0, forward, frame_steps)
+    return _spectra(cocycle, paths, pts, q0, n, frame_steps)
 
 
 def _spectra(
-    cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, forward: np.ndarray,
-    frame_steps: int | None,
+    cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, n: int,
+    frame_steps: int | None, forward: np.ndarray | None = None,
 ) -> list[OseledetsReport]:
-    """lyapunov_spectra's reports, given the samples' starting frames q0 (S, d, d) and
-    the forward Jacobian stack (n, S, d, d) of their orbits from pts (S, d)."""
-    n = len(forward)
+    """lyapunov_spectra's reports, given the samples' starting frames q0 (S, d, d), over
+    the first n steps of their orbits from pts (S, d).  A constant-Jacobian cocycle
+    walks its per-symbol table; otherwise the walk reads forward, the stack
+    (n, S, d, d) of the orbits' Jacobians, made here when not given."""
+    syms = _symbol_windows(paths, 0, n)
+    table = _jacobian_table(cocycle, syms)
+    if table is None and forward is None:
+        forward = _jacobians(cocycle, syms, pts)
     if frame_steps is None:
         frame_steps = min(n, 512)
     steps = [min(frame_steps, p.backward_reach, p.forward_reach) for p in paths]
@@ -249,8 +354,10 @@ def _spectra(
         raise EstimatorError("path window too small for frame estimation")
     groups = [(fs, [i for i, s in enumerate(steps) if s == fs]) for fs in sorted(set(steps))]
 
-    # the forward orbit's Jacobians give the exponents and log |det J|
-    log_det = np.cumsum(_log_abs_dets(forward), axis=0)[-1]
+    # the forward orbit's Jacobians give the exponents and log |det J|; det
+    # factors one matrix at a time, so the table's dets are the stack's
+    dets = np.linalg.det(forward) if table is None else np.linalg.det(table)[syms.T]
+    log_det = np.cumsum(_log_abs_dets(dets), axis=0)[-1]
 
     # the exponent walk starts from the frame pushed from the past, which
     # already spans the Oseledets flag, so it carries no start-up transient
@@ -258,7 +365,10 @@ def _spectra(
     for fs, idx in groups:
         q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], pts[idx], q0[idx], fs)
     logs = np.zeros(q0.shape[:2])
-    _qr_walk(forward, q_fwd, logs)
+    if table is None:
+        _qr_walk(forward, q_fwd, logs)
+    else:
+        _qr_walk(table, q_fwd, logs, syms.T)
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []
@@ -324,9 +434,14 @@ def certify_partial_hyperbolicity(
         xs.append(TorusPoint(tuple(rng.random(d))))
     pts = np.stack([x.as_array() for x in xs])
     q0 = np.stack([_random_orthonormal(d, s) for s in path_seeds])
-    jacs = _jacobians(cocycle, _symbol_windows(paths, 0, max(spectrum_n, n + ahead)), pts)
-    reports = _spectra(cocycle, paths, pts, q0, jacs[:spectrum_n], None)
-    cs_frames = _covariant_frames(jacs[: n + ahead], q0, n)
+    syms = _symbol_windows(paths, 0, max(spectrum_n, n + ahead))
+    jacs = _jacobians(cocycle, syms, pts)
+    reports = _spectra(cocycle, paths, pts, q0, spectrum_n, None, jacs[:spectrum_n])
+    table = _jacobian_table(cocycle, syms)
+    if table is None:
+        cs_frames = _covariant_frames(jacs[: n + ahead], q0, n)
+    else:
+        cs_frames = _covariant_frames(table, q0, n, syms.T[: n + ahead])
 
     # domination gap per sample with a nontrivial leaf; samples that share
     # an expanding dimension transport together

@@ -6,7 +6,7 @@ d-torus (d = 2 or 3) as a unimodular integer matrix, optionally composed
 with volume-preserving trigonometric shears and a translation, so that
 derivatives, inverses, and smoothness bounds are exact closed forms.
 Orbits and their Jacobians are walked by one batched engine (_walk, _orbit,
-_jacobians), which every layer uses; no other module calls a map.
+_jacobians, _jacobian_table), which every layer uses; no other module calls a map.
 """
 
 from __future__ import annotations
@@ -530,23 +530,36 @@ def _orbit(
     return out
 
 
+def _jacobian_table(cocycle: Cocycle, syms: np.ndarray) -> np.ndarray | None:
+    """The per-symbol Jacobians (maps, d, d) of a constant-Jacobian cocycle, row s the
+    derivative of map s, or None when some map's derivative depends on the point.
+
+    Raises InvalidSystem, as Cocycle.map_for does, for a symbol of syms with no map.
+    """
+    if syms.size:
+        cocycle.map_for(int(syms.max()))
+    if not cocycle.has_constant_jacobian:
+        return None
+    origin = np.zeros(cocycle.dim)
+    return np.stack([m.jacobian(origin) for m in cocycle.maps])
+
+
 def _jacobians(
     cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
 ) -> np.ndarray:
     """The one-step Jacobians (steps, S, d, d) along syms (S, steps), in walk order.
 
     The one place that chooses how Jacobians are made: a constant-Jacobian
-    cocycle gathers them from a per-symbol table; otherwise the orbit
-    through pts (S, d) is walked first (_orbit) and all of its Jacobians
-    are made in one jacobian call per symbol.  Row j is Df, by the map of
-    column j, at the point that map acts on: row j of the forward orbit, or
-    row j + 1 of the orbit pulled back by inverse_apply.
+    cocycle gathers them from its per-symbol table (_jacobian_table), which a
+    walk that reads its steps by symbol takes instead of the stack; otherwise
+    the orbit through pts (S, d) is walked first (_orbit) and all of its
+    Jacobians are made in one jacobian call per symbol.  Row j is Df, by the
+    map of column j, at the point that map acts on: row j of the forward
+    orbit, or row j + 1 of the orbit pulled back by inverse_apply.
     """
-    if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
-        cocycle.map_for(int(syms.max()))
-    if cocycle.has_constant_jacobian:
-        origin = np.zeros(cocycle.dim)
-        return np.stack([m.jacobian(origin) for m in cocycle.maps])[syms.T]
+    table = _jacobian_table(cocycle, syms)
+    if table is not None:
+        return table[syms.T]
     if backward:
         orbit = _orbit(cocycle, syms, pts, "inverse_apply")[1:]
     else:  # the last column's map is differentiated, not applied

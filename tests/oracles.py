@@ -186,6 +186,28 @@ def loop_polyline_lengths(cocycle, pair, path, disk, n_max: int):
     return lengths
 
 
+def stepwise_qr_walk(jacs, q0, logs0):
+    """A QR walk one sample and one step at a time: frames q0 (S, d, k) pushed through
+    the Jacobians jacs (steps, S or 1, d, d), with logs0 (S, k) the starting logs.
+
+    Returns (final Q, summed logs, sign flips).  Each step is np.linalg.qr of
+    J.Q, whose Q is carried with LAPACK's signs; flips marks the columns whose
+    R diagonal was negative an odd number of times, and the final Q has those
+    columns negated.  Each step's log |diag R| is added to the logs in turn.
+    """
+    qs, logs, flips = [], [], []
+    for i in range(len(q0)):
+        q, log, flip = q0[i], logs0[i].copy(), np.zeros(q0.shape[-1], dtype=bool)
+        for jac in jacs[:, i if jacs.shape[1] > 1 else 0]:
+            q, r = np.linalg.qr(jac @ q)
+            flip ^= np.diag(r) < 0
+            log += np.log(np.abs(np.diag(r)))
+        qs.append(np.where(flip, -q, q))
+        logs.append(log)
+        flips.append(flip)
+    return np.stack(qs), np.stack(logs), np.stack(flips)
+
+
 def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0):
     """One sample, one step at a time: (final Q, summed log diag R, summed log|det J|).
 

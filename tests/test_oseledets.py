@@ -27,7 +27,7 @@ from uthermo import oseledets
 from uthermo.oseledets import (
     _covariant_frames, _householder_qr, _jacobians, _positive_q, _qr_walk, _symbol_windows,
 )
-from uthermo.rds import SkewState
+from uthermo.rds import DrivingSystem, SkewState, _jacobian_table
 
 
 class TestSpectrum:
@@ -297,6 +297,94 @@ class TestQRKernel:
             assert np.array_equal(q[i].view(np.uint64), ref_q.view(np.uint64))
             if logs is not None:
                 assert np.array_equal(logs[i].view(np.uint64), ref_logs.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def ab_cocycle():
+    """iid switching between A and B, which do not commute: the frames never close."""
+    return Cocycle(maps=(MapDescriptor(matrix=np.array([[2, 1], [1, 1]])),
+                         MapDescriptor(matrix=np.array([[1, 1], [1, 2]]))))
+
+
+class TestTableWalk:
+    """A constant-Jacobian walk reads its Jacobians from the per-symbol table by symbol,
+    and once its frames close under every symbol's step, reads the rest of the walk
+    off the tables; against the plain loop of one QR per sample and step."""
+
+    @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "ab_cocycle", "t3_cocycle"])
+    # no step, one, too few for a closure attempt (the first is after 24 steps of a
+    # walk of at least 192), one attempt, and four attempts
+    @pytest.mark.parametrize("steps", [0, 1, 10, 200, 1000])
+    # one sample; five, each with its own symbols; five sharing one row of symbols
+    @pytest.mark.parametrize("shape", ["one", "many", "shared-symbols"])
+    def test_bitwise_equals_stepwise_loop(self, name, steps, shape, request, monkeypatch):
+        cocycle = request.getfixturevalue(name)
+        calls = []
+        real = oseledets._householder_qr
+        monkeypatch.setattr(oseledets, "_householder_qr", lambda m: calls.append(1) or real(m))
+        d, samples = cocycle.dim, 1 if shape == "one" else 5
+        rng = np.random.default_rng([steps, samples, d])
+        syms = rng.integers(0, len(cocycle.maps), (steps, 5 if shape == "many" else 1))
+        table = _jacobian_table(cocycle, syms)
+        # start frames with negative and -0.0 entries; the first has a zero column, so
+        # its first step's R diagonal holds an exact 0 (a log of -inf)
+        q0 = _qr_stack(d, samples, steps)
+        logs0 = rng.standard_normal((samples, d))
+        logs = logs0.copy()
+        with np.errstate(divide="ignore"):
+            q = _qr_walk(table, q0.copy(), logs, syms)
+            ref_q, ref_logs, flips = oracles.stepwise_qr_walk(table[syms], q0, logs0)
+        # the final Q carries the sign flips: its flipped columns are negated
+        assert q.tobytes() == ref_q.tobytes()
+        assert logs.tobytes() == ref_logs.tobytes()
+        assert flips.shape == (samples, d)
+        if name in ("cat_cocycle", "iid_cocycle") and steps >= 200:
+            assert len(calls) < 30  # the frames closed at the first attempt
+
+    def test_lapack_calls_engage_and_give_up(self, monkeypatch, cat_cocycle, ab_cocycle,
+                                             trivial_system):
+        calls = []
+        real = oseledets._householder_qr
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(oseledets, "_householder_qr", counting)
+        # 1 + 512 + 1000 QR steps walked one by one; the frames close within 24
+        path = sample_path(trivial_system, 1100, 1)
+        rep = lyapunov_spectra(cat_cocycle, [path], [TorusPoint((0.3, 0.4))], 1000)[0]
+        assert len(calls) <= 100
+        assert rep.exponents[0] == pytest.approx(oracles.CAT_LOG, abs=1e-12)
+        # A/B frames never close: a failed attempt costs one QR call
+        calls.clear()
+        syms = np.random.default_rng(3).integers(0, 2, (256, 1))
+        q0 = oracles.seeded_frame(2, 1)[None]
+        q = _qr_walk(_jacobian_table(ab_cocycle, syms), q0, syms=syms)
+        assert 256 <= len(calls) <= 256 + 4
+        assert q.tobytes() == oracles.stepwise_qr_walk(
+            _jacobian_table(ab_cocycle, syms)[syms], q0, np.zeros((1, 2)))[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "t3_cocycle"])
+    def test_covariant_frames_invert_the_table(self, name, request):
+        cocycle = request.getfixturevalue(name)
+        syms = np.random.default_rng(8).integers(0, len(cocycle.maps), (300, 4))
+        table = _jacobian_table(cocycle, syms)
+        q0 = np.stack([oracles.seeded_frame(cocycle.dim, s) for s in range(4)])
+        got = _covariant_frames(table, q0, 40, syms)
+        assert got.tobytes() == _covariant_frames(table[syms], q0, 40).tobytes()
+
+    def test_degenerate_jacobian_off_the_path_is_not_read(self, cat_cocycle, trivial_system):
+        # the singular map's symbol has probability 0, so no path visits it
+        a = np.array([[2, 1], [1, 1]])
+        cocycle = Cocycle(maps=(MapDescriptor(matrix=a), _SingularMap(matrix=a)))
+        system = DrivingSystem(kind="iid", symbol_count=2, distribution=(1.0, 0.0))
+        x = TorusPoint((0.1, 0.2))
+        rep = lyapunov_spectra(cocycle, [sample_path(system, 300, 1)], [x], 200)[0]
+        ref = lyapunov_spectra(cat_cocycle, [sample_path(trivial_system, 300, 1)], [x], 200)[0]
+        assert rep.raw_exponents == ref.raw_exponents
+        assert rep.log_det_sum == ref.log_det_sum
+        assert rep.eu_frame.tobytes() == ref.eu_frame.tobytes()
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
