@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -197,6 +198,13 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _finite(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"{text!r} is not finite")
+    return val
+
+
 def _resolve_potential(spec: str, cocycle: Cocycle, system: DrivingSystem, seed: int) -> Potential:
     if spec == "zero":
         return zero_potential()
@@ -207,13 +215,13 @@ def _resolve_potential(spec: str, cocycle: Cocycle, system: DrivingSystem, seed:
         raise ConfigError(f"unknown potential spec {spec!r}")
     try:
         if kind == "const":
-            return constant_potential(float(rest))
+            return constant_potential(_finite(rest))
         parts = rest.split(":")
-        amp = float(parts[0])
+        amp = _finite(parts[0])
         k = [int(t) for t in parts[1].split(",")] if len(parts) > 1 else [1] + [0] * (cocycle.dim - 1)
         if len(k) != cocycle.dim:
             raise ValueError(f"the wavevector needs {cocycle.dim} entries")
-        phase = float(parts[2]) if len(parts) > 2 else 0.0
+        phase = _finite(parts[2]) if len(parts) > 2 else 0.0
     except ValueError as exc:
         raise ConfigError(f"malformed potential spec {spec!r}: {exc}") from None
     return coordinate_potential(amp, k, phase=phase, fn=kind, label=spec)

@@ -101,7 +101,8 @@ def geometric_potential(
         if shared:
             q = np.repeat(q, len(pts), axis=0)
         syms = np.repeat(_symbol_windows([path], 0, 1), len(pts), axis=0)
-        w = _jacobians(cocycle, syms, pts)[0] @ q[:, :, :u_dim]
+        table, index = _jacobians(cocycle, syms, pts)
+        w = table[index[0]] @ q[:, :, :u_dim]
         dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
         return np.array([-0.5 * math.log(abs(float(v))) for v in dets])
 

@@ -442,6 +442,10 @@ def periodic_atomic_sampler(
 
 def convex_combo_sampler(components, weights, label: str | None = None) -> MeasureSampler:
     weights = tuple(float(w) for w in weights)
+    if len(weights) != len(components):
+        raise InvalidSystem("combo needs one weight per component")
+    if not all(0.0 <= w <= 1.0 for w in weights):  # NaN fails too
+        raise InvalidSystem("combo weights must lie in [0, 1]")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise InvalidSystem("combo weights must sum to 1")
     first = components[0]

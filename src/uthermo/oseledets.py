@@ -21,7 +21,6 @@ from .rds import (
     DrivingSystem,
     EstimatorError,
     TorusPoint,
-    _jacobian_table,
     _jacobians,
     _symbol_windows,
     sample_path,
@@ -174,15 +173,16 @@ def _closed_frames(table: np.ndarray, q: np.ndarray):
     return np.stack(frames), np.reshape(nxt, (-1, len(table))), np.concatenate(diags), state
 
 
-def _table_walk(closed, syms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Walk closed frames (_closed_frames) along syms (steps, S or 1) by table reads: the
-    R diagonals go to out (steps, S, k), and the final frames (S, d, k) are returned.
+def _table_walk(closed, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Walk closed frames (_closed_frames) along the table rows index (steps, S or 1) by
+    table reads: the R diagonals go to out (steps, S, k), and the final frames (S, d, k)
+    are returned.
 
     The states after each step are read off the prefix compositions of the
     per-step state maps, composed by doubling."""
     frames, nxt, diag, state = closed
-    syms = np.broadcast_to(syms, out.shape[:2])
-    maps = np.take(nxt.T.copy(), syms, axis=0)  # maps[t, i, u]: after step t from u
+    index = np.broadcast_to(index, out.shape[:2])
+    maps = np.take(nxt.T.copy(), index, axis=0)  # maps[t, i, u]: after step t from u
     # at[t, i]: where maps[t0 + t, i] starts in maps[t0:] flattened, for any t0
     at = np.arange(0, maps.size, len(frames)).reshape(maps.shape[:2] + (1,))
     shift = 1
@@ -190,17 +190,17 @@ def _table_walk(closed, syms: np.ndarray, out: np.ndarray) -> np.ndarray:
         maps[shift:] = np.take(maps[shift:], maps[:-shift] + at[:-shift])
         shift *= 2
     after = np.take(maps.reshape(len(maps), -1), at[0, :, 0] + state, axis=1)
-    out[0] = diag[state, syms[0]]
-    out[1:] = diag[after[:-1], syms[1:]]
+    out[0] = diag[state, index[0]]
+    out[1:] = diag[after[:-1], index[1:]]
     return frames[after[-1]]
 
 
-def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None, syms=None) -> np.ndarray:
-    """Push stacked frames q (S, d, k) through the Jacobian stack jacs (steps, S, d, d)
-    in order, re-orthonormalising by QR with a nonnegative R diagonal; returns the
-    final Q.  Given logs (S, k), each step's log |diag R| is added to it.  Given
-    syms (steps, S) of symbols in walk order, jacs is a per-symbol table (m, d, d)
-    (rds._jacobian_table) and step t's Jacobians are jacs[syms[t]].
+def _qr_walk(table: np.ndarray, index: np.ndarray, q: np.ndarray,
+             logs: np.ndarray | None = None) -> np.ndarray:
+    """Push stacked frames q (S, d, k) through the Jacobians (table, index) of
+    rds._jacobians, step t's being table[index[t]] (index (steps, S or 1)), in order,
+    re-orthonormalising by QR with a nonnegative R diagonal; returns the final Q.
+    Given logs (S, k), each step's log |diag R| is added to it.
 
     A step is the product and the QR alone; the R diagonals are kept and their
     signs and logs are folded once, after the walk.  Householder QR is odd in
@@ -211,37 +211,37 @@ def _qr_walk(jacs, q: np.ndarray, logs: np.ndarray | None = None, syms=None) -> 
     make.  The logs are summed by a running cumsum that starts from logs, so
     they get the bits of adding each step's logs to them in turn.
 
-    A step from a table is a function of the bits of a frame and its symbol:
-    matmul makes one product per matrix, and the LAPACK gufuncs factor one
-    matrix at a time, so no frame's result depends on the others in its
-    stack.  So once the distinct frames a table walk has reached are closed
-    under every symbol's step (_closed_frames), every later step is a table
-    read of a (Q, diag R) already computed, and the rest of the walk is read
-    off those tables (_table_walk) with the same bits.  Closure is tried after
-    24, 48, 96, ... steps while the walk is at least eight times as long, and
-    given up once the frames outnumber min(8, 2 + S // 4).  Cat-map and A/A^2
-    frames close within 23 steps, in 1-3 states; non-commuting switching
-    (A/B) never closes, and the frames of configs/t3_rot.system only after
-    some 775 steps, once their cross-block entries underflow.
+    A step is a function of the bits of a frame and its table row: matmul
+    makes one product per matrix, and the LAPACK gufuncs factor one matrix at
+    a time, so no frame's result depends on the others in its stack.  So once
+    the distinct frames the walk has reached are closed under every row's
+    step (_closed_frames), every later step is a table read of a (Q, diag R)
+    already computed, and the rest of the walk is read off those tables
+    (_table_walk) with the same bits.  Only a table with fewer rows than the
+    walk has steps can repeat a step, so only such a walk (a constant-Jacobian
+    cocycle's per-symbol table) tries closure: after 24, 48, 96, ... steps
+    while the walk is at least eight times as long, given up once the frames
+    outnumber min(8, 2 + S // 4).  Cat-map and A/A^2 frames close within 23
+    steps, in 1-3 states; non-commuting switching (A/B) never closes, and the
+    frames of configs/t3_rot.system only after some 775 steps, once their
+    cross-block entries underflow.
     """
-    steps = len(jacs if syms is None else syms)
+    steps = len(index)
     if not steps:
         return q
-    batch = np.broadcast_shapes(jacs.shape[1:-2] if syms is None else syms.shape[1:],
-                                q.shape[:-2])
-    diags = np.empty((steps,) + batch + q.shape[-1:])
+    diags = np.empty((steps,) + np.broadcast_shapes(index.shape[1:], q.shape[:-2])
+                     + q.shape[-1:])
     t = 0
     while t < steps:
         stop = 2 * t or FIRST_CLOSURE
-        if syms is None or 8 * stop > steps:
+        if len(table) >= steps or 8 * stop > steps:
             stop = steps
-        for jac, diag in zip(jacs[t:stop] if syms is None else jacs[syms[t:stop]],
-                             diags[t:stop]):
+        for jac, diag in zip(table[index[t:stop]], diags[t:stop]):
             q, diag[...] = _householder_qr(jac @ q)
         t = stop
-        closed = t < steps and _closed_frames(jacs, q)
+        closed = t < steps and _closed_frames(table, q)
         if closed:
-            q = _table_walk(closed, syms[t:], diags[t:])
+            q = _table_walk(closed, index[t:], diags[t:])
             break
     flip = np.logical_xor.reduce(diags < 0, axis=0)
     if logs is not None:
@@ -259,22 +259,20 @@ def _frames_from_past(
     """Push frames q0 (S, d, d) forward from `steps` in the past to each path's origin.
 
     The Jacobians are those of the orbit pulled back from the origin points
-    pts (S, d), at x_-steps .. x_-1, taken in reverse walk order; a
-    constant-Jacobian cocycle's walk reads them from its table by symbol.
+    pts (S, d), at x_-steps .. x_-1, walked in reverse of the pull-back's order.
     """
     syms = _symbol_windows(paths, 0, steps, inverse=True)
-    table = _jacobian_table(cocycle, syms)
-    if table is not None:
-        return _qr_walk(table, q0, syms=syms.T[::-1])
-    return _qr_walk(_jacobians(cocycle, syms, pts, backward=True)[::-1], q0)
+    table, index = _jacobians(cocycle, syms, pts, backward=True)
+    return _qr_walk(table, index[::-1], q0)
 
 
-def _covariant_frames(jacs: np.ndarray, q: np.ndarray, keep: int, syms=None) -> np.ndarray:
+def _covariant_frames(table: np.ndarray, index: np.ndarray, q: np.ndarray,
+                      keep: int) -> np.ndarray:
     """The frames (keep, S, d, d) at steps 0 .. keep-1 of one walk pulling q (S, d, d)
-    back through the inverses of jacs (steps, S, d, d), last step first: their leading
-    columns converge onto E^cs there (Ginelli et al. 2007).  Signs are LAPACK's.
-    Given syms (steps, S), jacs is a per-symbol table (m, d, d), inverted once."""
-    invs = np.linalg.inv(jacs[::-1]) if syms is None else np.linalg.inv(jacs)[syms[::-1]]
+    back through the inverses of the Jacobians (table, index) (rds._jacobians), last
+    step first: their leading columns converge onto E^cs there (Ginelli et al. 2007).
+    Signs are LAPACK's.  The table is inverted once, before the steps are gathered."""
+    invs = np.linalg.inv(table)[index[::-1]]
     out = np.empty((keep,) + q.shape)
     for t, inv in zip(range(len(invs) - 1, -1, -1), invs):
         q = _householder_qr(inv @ q)[0]
@@ -304,20 +302,20 @@ def lyapunov_spectra(
     """QR-accumulated Lyapunov exponents and the expanding frame at each (path, x).
 
     All samples walk together as stacked (S, d, d) frames, one numpy call
-    per step.  A constant-Jacobian cocycle's walks read their Jacobians from
-    its per-symbol table (rds._jacobian_table) by symbol, build no (n, S, d,
-    d) stack, and once their frames close turn into table walks (_qr_walk);
-    otherwise they walk the Jacobian stacks of the orbit engine's
-    _jacobians (rds).  Each report is bitwise equal to walking its sample
-    alone whenever the maps' stacked calls round as their one-point calls
-    do: always for constant-Jacobian cocycles, which make no map calls, and
-    for the sheared cat and 3-torus maps.  The expanding frame is the limit
-    flag of a push from frame_steps in the past, along the orbit pulled
-    back from x.  log_det_sum adds log |det J| over the n forward
-    Jacobians in step order (on a table, the per-symbol dets gathered
-    along the path).  Exponents are averaged log diagonal entries
-    of the R factors over n forward steps, starting from the expanding
-    frame, clustered by CLUSTER_GAP.  Each sample starts its frame push
+    per step, reading their Jacobians as (table, index) from the orbit
+    engine's _jacobians (rds): a constant-Jacobian cocycle's per-symbol
+    table by symbol, so that no (n, S, d, d) stack is built and the walks
+    turn into table walks once their frames close (_qr_walk); any other
+    cocycle's stack in walk order.  Each report is bitwise equal to walking
+    its sample alone whenever the maps' stacked calls round as their
+    one-point calls do: always for constant-Jacobian cocycles, which make no
+    map calls, and for the sheared cat and 3-torus maps.  The expanding
+    frame is the limit flag of a push from frame_steps in the past, along
+    the orbit pulled back from x.  log_det_sum adds log |det J| over the n
+    forward Jacobians in step order (the table's dets gathered along the
+    walk).  Exponents are averaged log diagonal entries of the R factors
+    over n forward steps, starting from the expanding frame, clustered by
+    CLUSTER_GAP.  Each sample starts its frame push
     from its own frame_seeds entry (default 0) and clamps frame_steps to
     its own path window.
     """
@@ -332,21 +330,17 @@ def lyapunov_spectra(
         return []
     pts = np.stack(points)
     q0 = np.stack([_random_orthonormal(cocycle.dim, seed) for seed in seeds])
-    return _spectra(cocycle, paths, pts, q0, n, frame_steps)
+    table, index = _jacobians(cocycle, _symbol_windows(paths, 0, n), pts)
+    return _spectra(cocycle, paths, pts, q0, n, frame_steps, table, index)
 
 
 def _spectra(
     cocycle: Cocycle, paths, pts: np.ndarray, q0: np.ndarray, n: int,
-    frame_steps: int | None, forward: np.ndarray | None = None,
+    frame_steps: int | None, table: np.ndarray, index: np.ndarray,
 ) -> list[OseledetsReport]:
     """lyapunov_spectra's reports, given the samples' starting frames q0 (S, d, d), over
-    the first n steps of their orbits from pts (S, d).  A constant-Jacobian cocycle
-    walks its per-symbol table; otherwise the walk reads forward, the stack
-    (n, S, d, d) of the orbits' Jacobians, made here when not given."""
-    syms = _symbol_windows(paths, 0, n)
-    table = _jacobian_table(cocycle, syms)
-    if table is None and forward is None:
-        forward = _jacobians(cocycle, syms, pts)
+    the first n steps of their orbits from pts (S, d), whose Jacobians are (table,
+    index) (rds._jacobians)."""
     if frame_steps is None:
         frame_steps = min(n, 512)
     steps = [min(frame_steps, p.backward_reach, p.forward_reach) for p in paths]
@@ -356,8 +350,7 @@ def _spectra(
 
     # the forward orbit's Jacobians give the exponents and log |det J|; det
     # factors one matrix at a time, so the table's dets are the stack's
-    dets = np.linalg.det(forward) if table is None else np.linalg.det(table)[syms.T]
-    log_det = np.cumsum(_log_abs_dets(dets), axis=0)[-1]
+    log_det = np.cumsum(_log_abs_dets(np.linalg.det(table)[index]), axis=0)[-1]
 
     # the exponent walk starts from the frame pushed from the past, which
     # already spans the Oseledets flag, so it carries no start-up transient
@@ -365,10 +358,7 @@ def _spectra(
     for fs, idx in groups:
         q_fwd[idx] = _frames_from_past(cocycle, [paths[i] for i in idx], pts[idx], q0[idx], fs)
     logs = np.zeros(q0.shape[:2])
-    if table is None:
-        _qr_walk(forward, q_fwd, logs)
-    else:
-        _qr_walk(table, q_fwd, logs, syms.T)
+    _qr_walk(table, index, q_fwd, logs)
     raw = np.sort(logs / n, axis=1)[:, ::-1]
 
     reports = []
@@ -435,13 +425,9 @@ def certify_partial_hyperbolicity(
     pts = np.stack([x.as_array() for x in xs])
     q0 = np.stack([_random_orthonormal(d, s) for s in path_seeds])
     syms = _symbol_windows(paths, 0, max(spectrum_n, n + ahead))
-    jacs = _jacobians(cocycle, syms, pts)
-    reports = _spectra(cocycle, paths, pts, q0, spectrum_n, None, jacs[:spectrum_n])
-    table = _jacobian_table(cocycle, syms)
-    if table is None:
-        cs_frames = _covariant_frames(jacs[: n + ahead], q0, n)
-    else:
-        cs_frames = _covariant_frames(table, q0, n, syms.T[: n + ahead])
+    table, index = _jacobians(cocycle, syms, pts)
+    reports = _spectra(cocycle, paths, pts, q0, spectrum_n, None, table, index[:spectrum_n])
+    cs_frames = _covariant_frames(table, index[: n + ahead], q0, n)
 
     # domination gap per sample with a nontrivial leaf; samples that share
     # an expanding dimension transport together
@@ -460,7 +446,8 @@ def certify_partial_hyperbolicity(
         gap = np.array([gaps[i] for i in idx])
         lam_min = np.full(len(idx), math.inf)
         log_cs, log_u, worst = np.zeros((3, len(idx)))
-        for j, (jac, cs) in enumerate(zip(jacs[:n, idx], cs_frames[:, idx, :, : d - u_dim])):
+        steps = zip(table[index[:n, idx]], cs_frames[:, idx, :, : d - u_dim])
+        for j, (jac, cs) in enumerate(steps):
             img = jac @ frame
             lam_min = np.minimum(lam_min, np.linalg.svd(img, compute_uv=False)[:, -1])
             if u_dim < d:

@@ -6,7 +6,9 @@ d-torus (d = 2 or 3) as a unimodular integer matrix, optionally composed
 with volume-preserving trigonometric shears and a translation, so that
 derivatives, inverses, and smoothness bounds are exact closed forms.
 Orbits and their Jacobians are walked by one batched engine (_walk, _orbit,
-_jacobians, _jacobian_table), which every layer uses; no other module calls a map.
+_jacobians), which every layer uses; no other module calls a map.  Jacobians
+come in one form, (table, index): a constant-Jacobian cocycle's per-symbol
+table read by symbol, or any other cocycle's stack read in walk order.
 """
 
 from __future__ import annotations
@@ -530,41 +532,33 @@ def _orbit(
     return out
 
 
-def _jacobian_table(cocycle: Cocycle, syms: np.ndarray) -> np.ndarray | None:
-    """The per-symbol Jacobians (maps, d, d) of a constant-Jacobian cocycle, row s the
-    derivative of map s, or None when some map's derivative depends on the point.
+def _jacobians(
+    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-step Jacobians along syms (S, steps) as (table, index): step j of sample
+    i, in walk order, is table[index[j, i]].
 
-    Raises InvalidSystem, as Cocycle.map_for does, for a symbol of syms with no map.
+    The one place that chooses how Jacobians are made.  A constant-Jacobian
+    cocycle gives its per-symbol table (maps, d, d), row s the derivative of
+    map s, with index = syms.T.  Otherwise the orbit through pts (S, d) is
+    walked first (_orbit) and all of its Jacobians are made in one jacobian
+    call per symbol, at the point each map acts on: row j of the forward
+    orbit, or row j + 1 of the orbit pulled back by inverse_apply; the
+    (steps, S, d, d) stack is given flattened, index counting it in walk
+    order.  Raises InvalidSystem, as Cocycle.map_for does, for a symbol of
+    syms with no map.
     """
     if syms.size:
         cocycle.map_for(int(syms.max()))
-    if not cocycle.has_constant_jacobian:
-        return None
-    origin = np.zeros(cocycle.dim)
-    return np.stack([m.jacobian(origin) for m in cocycle.maps])
-
-
-def _jacobians(
-    cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, backward: bool = False
-) -> np.ndarray:
-    """The one-step Jacobians (steps, S, d, d) along syms (S, steps), in walk order.
-
-    The one place that chooses how Jacobians are made: a constant-Jacobian
-    cocycle gathers them from its per-symbol table (_jacobian_table), which a
-    walk that reads its steps by symbol takes instead of the stack; otherwise
-    the orbit through pts (S, d) is walked first (_orbit) and all of its
-    Jacobians are made in one jacobian call per symbol.  Row j is Df, by the
-    map of column j, at the point that map acts on: row j of the forward
-    orbit, or row j + 1 of the orbit pulled back by inverse_apply.
-    """
-    table = _jacobian_table(cocycle, syms)
-    if table is not None:
-        return table[syms.T]
+    if cocycle.has_constant_jacobian:
+        origin = np.zeros(cocycle.dim)
+        return np.stack([m.jacobian(origin) for m in cocycle.maps]), syms.T
     if backward:
         orbit = _orbit(cocycle, syms, pts, "inverse_apply")[1:]
     else:  # the last column's map is differentiated, not applied
         orbit = _orbit(cocycle, syms[:, :-1], pts)[: syms.shape[1]]
-    return _map_step(cocycle, syms.T, orbit, "jacobian")
+    stack = _map_step(cocycle, syms.T, orbit, "jacobian")
+    return stack.reshape((-1,) + stack.shape[2:]), np.arange(syms.size).reshape(syms.T.shape)
 
 
 def _tangent_images(
@@ -578,7 +572,8 @@ def _tangent_images(
     """
     out = np.empty((len(vecs), steps + 1) + vecs.shape[1:])
     out[:, 0] = vecs
-    for j, jac in enumerate(_jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)):
+    table, index = _jacobians(cocycle, _symbol_windows(paths, 0, steps), pts)
+    for j, jac in enumerate(table[index]):
         out[:, j + 1] = jac @ out[:, j]
     return out
 
@@ -597,7 +592,8 @@ def compose(cocycle: Cocycle, path: SymbolPath, n: int, x: TorusPoint) -> TorusP
 def derivative(cocycle: Cocycle, path: SymbolPath, n: int, x: TorusPoint) -> np.ndarray:
     """Derivative of the n-step composition at x as an ordered Jacobian product."""
     syms = _symbol_windows([path], 0, abs(n), inverse=n < 0)
-    steps = _jacobians(cocycle, syms, x.as_array()[None], backward=n < 0)[:, 0]
+    table, index = _jacobians(cocycle, syms, x.as_array()[None], backward=n < 0)
+    steps = table[index[:, 0]]
     jac = np.eye(cocycle.dim)
     for step in np.linalg.inv(steps) if n < 0 else steps:
         jac = step @ jac

@@ -719,7 +719,8 @@ def per_row_geometric_values(cocycle, path, pts, u_dim: int, frame_steps: int = 
     q = _frames_from_past(cocycle, [path], reduce_mod1(pts[:1]), q0[None], steps)
     q = np.repeat(q, len(pts), axis=0)
     syms = _symbol_windows([path] * len(pts), 0, 1)
-    w = _jacobians(cocycle, syms, pts)[0] @ q[:, :, :u_dim]
+    table, index = _jacobians(cocycle, syms, pts)
+    w = table[index[0]] @ q[:, :, :u_dim]
     dets = np.linalg.det(np.swapaxes(w, 1, 2) @ w)
     return np.array([-0.5 * math.log(abs(float(v))) for v in dets])
 

@@ -270,6 +270,12 @@ class TestRunner:
         ("pressure", "potential", "cos:0.4:1", "cos:0.4:1"),
         ("smb", "measures", "atomic:x,0", "atomic:x,0"),
         ("smb", "measures", "combo:0.5haar", "combo:0.5haar"),
+        ("pressure", "potential", "const:nan", "const:nan"),
+        ("pressure", "potential", "const:inf", "const:inf"),
+        ("pressure", "potential", "cos:nan:1,0", "cos:nan:1,0"),
+        ("pressure", "potential", "cos:0.4:1,0:inf", "cos:0.4:1,0:inf"),
+        ("vp-scan", "measures", "haar combo:1.5*haar+-0.5*atomic:0,0", "combo weights"),
+        ("vp-scan", "measures", "haar combo:nan*haar+1*atomic:0,0", "combo weights"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, experiment, key, val, named):
         (tmp_path / "cat.system").write_text((CONFIG_DIR / "cat.system").read_text())

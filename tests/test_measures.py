@@ -176,6 +176,13 @@ class TestSamplers:
         with pytest.raises(InvalidSystem):
             convex_combo_sampler([h, h], [0.7, 0.6])
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_combo_needs_one_weight_per_component(self, trivial_system, count):
+        # the weights sum to 1, so only their count is wrong
+        h = haar_sampler(trivial_system, dim=2)
+        with pytest.raises(InvalidSystem, match="one weight per component"):
+            convex_combo_sampler([h, h], [1.0 / count] * count)
+
     def test_combo_samples_components(self, cat_cocycle, trivial_system):
         h = haar_sampler(trivial_system, dim=2)
         a = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))

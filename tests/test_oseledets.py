@@ -27,7 +27,13 @@ from uthermo import oseledets
 from uthermo.oseledets import (
     _covariant_frames, _householder_qr, _jacobians, _positive_q, _qr_walk, _symbol_windows,
 )
-from uthermo.rds import DrivingSystem, SkewState, _jacobian_table
+from uthermo.rds import DrivingSystem, SkewState
+
+
+def _stack(jacs: np.ndarray):
+    """A Jacobian stack (steps, S, d, d) in rds._jacobians' form: (flattened, index)."""
+    steps, samples = jacs.shape[:2]
+    return jacs.reshape((-1,) + jacs.shape[2:]), np.arange(steps * samples).reshape(steps, samples)
 
 
 class TestSpectrum:
@@ -256,7 +262,7 @@ class TestQRKernel:
         q0 = np.stack([oracles.seeded_frame(2, s) for s in range(7)])
         q0[3] = -q0[3]
         logs = np.zeros((7, 2))
-        q = _qr_walk(np.broadcast_to(jac, (300, 7, 2, 2)), q0.copy(), logs)
+        q = _qr_walk(*_stack(np.broadcast_to(jac, (300, 7, 2, 2))), q0.copy(), logs)
         for k in range(7):
             ref_q, ref_logs = q0[k], np.zeros(2)
             for _ in range(300):
@@ -281,7 +287,7 @@ class TestQRKernel:
         logs0 = rng.standard_normal((samples, k))
         logs = None if case == "no-logs" else logs0.copy()
         q_in = q0.copy()
-        q = _qr_walk(jacs, q_in, logs)
+        q = _qr_walk(*_stack(jacs), q_in, logs)
         if case == "zero-steps":
             assert q is q_in
             assert np.array_equal(q.view(np.uint64), q0.view(np.uint64))
@@ -325,14 +331,14 @@ class TestTableWalk:
         d, samples = cocycle.dim, 1 if shape == "one" else 5
         rng = np.random.default_rng([steps, samples, d])
         syms = rng.integers(0, len(cocycle.maps), (steps, 5 if shape == "many" else 1))
-        table = _jacobian_table(cocycle, syms)
+        table, index = _jacobians(cocycle, syms.T, np.zeros((syms.shape[1], d)))
         # start frames with negative and -0.0 entries; the first has a zero column, so
         # its first step's R diagonal holds an exact 0 (a log of -inf)
         q0 = _qr_stack(d, samples, steps)
         logs0 = rng.standard_normal((samples, d))
         logs = logs0.copy()
         with np.errstate(divide="ignore"):
-            q = _qr_walk(table, q0.copy(), logs, syms)
+            q = _qr_walk(table, index, q0.copy(), logs)
             ref_q, ref_logs, flips = oracles.stepwise_qr_walk(table[syms], q0, logs0)
         # the final Q carries the sign flips: its flipped columns are negated
         assert q.tobytes() == ref_q.tobytes()
@@ -360,19 +366,36 @@ class TestTableWalk:
         calls.clear()
         syms = np.random.default_rng(3).integers(0, 2, (256, 1))
         q0 = oracles.seeded_frame(2, 1)[None]
-        q = _qr_walk(_jacobian_table(ab_cocycle, syms), q0, syms=syms)
+        table, index = _jacobians(ab_cocycle, syms.T, np.zeros((1, 2)))
+        q = _qr_walk(table, index, q0)
         assert 256 <= len(calls) <= 256 + 4
         assert q.tobytes() == oracles.stepwise_qr_walk(
-            _jacobian_table(ab_cocycle, syms)[syms], q0, np.zeros((1, 2)))[0].tobytes()
+            table[syms], q0, np.zeros((1, 2)))[0].tobytes()
+
+    def test_only_a_short_table_tries_closure(self, monkeypatch, cat_cocycle,
+                                              perturbed_cat_cocycle, trivial_system):
+        # a point-dependent stack has a row per step and sample, so no step of its
+        # walk can repeat and no closure is tried; a per-symbol table tries one
+        calls = []
+        real = oseledets._closed_frames
+        monkeypatch.setattr(oseledets, "_closed_frames", lambda *a: calls.append(1) or real(*a))
+        path = sample_path(trivial_system, 1100, 1)
+        x = TorusPoint((0.3, 0.4))
+        lyapunov_spectra(perturbed_cat_cocycle, [path], [x], 1000)
+        certify_partial_hyperbolicity(perturbed_cat_cocycle, trivial_system, samples=10, n=40,
+                                      seed=1)
+        assert calls == []
+        lyapunov_spectra(cat_cocycle, [path], [x], 1000)
+        assert calls
 
     @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "t3_cocycle"])
     def test_covariant_frames_invert_the_table(self, name, request):
         cocycle = request.getfixturevalue(name)
         syms = np.random.default_rng(8).integers(0, len(cocycle.maps), (300, 4))
-        table = _jacobian_table(cocycle, syms)
+        table, index = _jacobians(cocycle, syms.T, np.zeros((4, cocycle.dim)))
         q0 = np.stack([oracles.seeded_frame(cocycle.dim, s) for s in range(4)])
-        got = _covariant_frames(table, q0, 40, syms)
-        assert got.tobytes() == _covariant_frames(table[syms], q0, 40).tobytes()
+        got = _covariant_frames(table, index, q0, 40)
+        assert got.tobytes() == _covariant_frames(*_stack(table[syms]), q0, 40).tobytes()
 
     def test_degenerate_jacobian_off_the_path_is_not_read(self, cat_cocycle, trivial_system):
         # the singular map's symbol has probability 0, so no path visits it
@@ -409,9 +432,9 @@ class TestFrameEquivariance:
         here, there = lyapunov_spectra(cocycle, [path, path.shifted(1)], [x, fx], 256,
                                        frame_steps=256, frame_seeds=[seed, seed])
         q0 = oracles.seeded_frame(2, seed)[None]
-        jacs = _jacobians(cocycle, _symbol_windows([path], 0, 257), x.as_array()[None])
-        fu_here = _covariant_frames(jacs[:256], q0, 1)[0, 0, :, 0]
-        fu_there = _covariant_frames(jacs[1:], q0, 1)[0, 0, :, 0]
+        table, index = _jacobians(cocycle, _symbol_windows([path], 0, 257), x.as_array()[None])
+        fu_here = _covariant_frames(table, index[:256], q0, 1)[0, 0, :, 0]
+        fu_there = _covariant_frames(table, index[1:], q0, 1)[0, 0, :, 0]
         jac = derivative(cocycle, path, 1, x)
         assert here.unstable_dim == there.unstable_dim == 1
         assert _angle(jac @ here.eu_frame[:, 0], there.eu_frame[:, 0]) < 1e-8
@@ -525,7 +548,7 @@ class TestCertificates:
         cert = certify_partial_hyperbolicity(cocycle, system, samples=10, n=n, seed=2,
                                              spectrum_n=spectrum_n)
         ahead = min(spectrum_n, 512)
-        assert [len(j) for j in stacks] == [max(spectrum_n, n + ahead)]
+        assert [len(index) for _, index in stacks] == [max(spectrum_n, n + ahead)]
         # the certificate's draws, with the spectra and the transport's
         # Jacobians each built on their own
         rng = np.random.default_rng([2, 0xCE57])
@@ -535,8 +558,9 @@ class TestCertificates:
             paths.append(sample_path(system, max(spectrum_n, n + ahead) + 2, seeds[-1]))
             xs.append(TorusPoint(tuple(rng.random(cocycle.dim))))
         pts = np.stack([x.as_array() for x in xs])
+        table, index = stacks[0]
         transport = real(cocycle, _symbol_windows(paths, 0, n + ahead), pts)
-        assert np.array_equal(stacks[0][: n + ahead], transport)
+        assert np.array_equal(table[index[: n + ahead]], transport[0][transport[1]])
         reports = lyapunov_spectra(cocycle, paths, xs, spectrum_n, frame_seeds=seeds)
         for rec, rep in zip(cert.per_sample, reports):
             u, exps = rep.unstable_index, rep.exponents

@@ -24,7 +24,7 @@ from uthermo import (
     skew_step,
     torus_distance,
 )
-from uthermo.rds import _map_step, _orbit, _walk, reduce_mod1
+from uthermo.rds import _jacobians, _map_step, _orbit, _walk, reduce_mod1
 
 
 class TestDrivingSystem:
@@ -386,6 +386,46 @@ class TestWalk:
         # one symbol row streams the bits of the stacked walk on its repeated rows
         stacked = _orbit(cocycle, np.repeat(syms, len(pts), axis=0), pts, method)
         assert [r.tobytes() for r in rows] == [r.tobytes() for r in stacked]
+
+
+class TestJacobians:
+    """_jacobians gives (table, index), step j of sample i being table[index[j, i]]."""
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_point_dependent_stack_equals_per_step_oracle(self, backward):
+        # one jacobian call per step at the point its map acts on, one sample at a
+        # time: forward at x_j before map j moves it, backward at x_j after the
+        # inverse of map j has pulled it back.  Both maps' matrix is the cat map's,
+        # whose stacked products round as its one-point ones (A^2's do not)
+        a = np.array([[2, 1], [1, 1]])
+        cocycle = Cocycle(maps=(
+            MapDescriptor(matrix=a, shears=(ShearTerm(0.015, (0, 1), 0.3),)),
+            MapDescriptor(matrix=a, shears=(ShearTerm(0.01, (1, 1), 0.7),),
+                          translation=(0.125, 0.3))))
+        rng = np.random.default_rng(31)
+        syms, pts = rng.integers(0, 2, (5, 17)), rng.random((5, 2))
+        table, index = _jacobians(cocycle, syms, pts, backward=backward)
+        assert index.shape == (17, 5)
+        assert len(np.unique(index)) == index.size  # a stack: no row is read twice
+        got = table[index]
+        for i in range(5):
+            x = pts[i]
+            for j, s in enumerate(syms[i]):
+                m = cocycle.maps[s]
+                if backward:
+                    x = m.inverse_apply(x)
+                want = m.jacobian(x)
+                if not backward:
+                    x = m.apply(x)
+                assert got[j, i].tobytes() == want.tobytes(), (i, j)
+
+    def test_constant_jacobian_table_is_read_by_symbol(self, iid_cocycle):
+        syms = np.random.default_rng(4).integers(0, 2, (3, 9))
+        table, index = _jacobians(iid_cocycle, syms, np.zeros((3, 2)))
+        assert table.shape == (2, 2, 2)
+        assert np.array_equal(index, syms.T)
+        for s, m in enumerate(iid_cocycle.maps):
+            assert np.array_equal(table[s], m.matrix)
 
 
 class TestSkewProduct:
