@@ -436,8 +436,7 @@ def _run_vp_scan(cfg, cocycle, system):
     specs = pots if cfg.potential in pots else pots + (cfg.potential,)
     resolved = [_resolve_potential(p, cocycle, system, cfg.seed) for p in specs]
     family = [_resolve_measure(m, cocycle, system) for m in cfg.measures]
-    pressures = pressure_estimates(cocycle, system, resolved, cfg.grid_spec(), cfg.seed,
-                                   keep_cells=False)
+    pressures = pressure_estimates(cocycle, system, resolved, cfg.grid_spec(), cfg.seed)
     at_phi = specs.index(cfg.potential)
     phi = resolved[at_phi]
     report = equilibrium_scan(

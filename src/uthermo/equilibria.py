@@ -54,9 +54,13 @@ __all__ = [
 ]
 
 
-def geometric_potential(
-    cocycle: Cocycle, report: OseledetsReport, frame_steps: int = 96
-) -> Potential:
+# Steps behind phi-u's expanding frames: walked back from each point it evaluates,
+# and forward in the report it is built from.
+PHIU_FRAME_STEPS = 96
+PHIU_REPORT_STEPS = 256
+
+
+def geometric_potential(cocycle: Cocycle, report: OseledetsReport) -> Potential:
     """Minus the log expansion of the one-step derivative on the expanding bundle.
 
     When the estimated bundle is invariant under every map (constant
@@ -88,9 +92,8 @@ def geometric_potential(
                 symbol_fn=lambda s, tab=tab: tab[s],
             )
 
-    def vec(path: SymbolPath, pts: np.ndarray, cocycle=cocycle, u_dim=u_dim,
-            frame_steps=frame_steps):
-        steps = min(frame_steps, path.backward_reach)
+    def vec(path: SymbolPath, pts: np.ndarray, cocycle=cocycle, u_dim=u_dim):
+        steps = min(PHIU_FRAME_STEPS, path.backward_reach)
         pts = np.asarray(pts, dtype=float)
         q0 = _random_orthonormal(cocycle.dim, 0)
         # with constant Jacobians the frame is the same at every point: walk one row
@@ -209,11 +212,11 @@ class GibbsDefect:
         return asdict(self)
 
 
-def _report_for(cocycle, system, seed, frame_steps=256):
-    path = sample_path(system, max(300, frame_steps) + 2, seed)
+def _report_for(cocycle, system, seed):
+    path = sample_path(system, max(300, PHIU_REPORT_STEPS) + 2, seed)
     x = TorusPoint(tuple(np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xF0]).random(cocycle.dim)))
-    return lyapunov_spectra(cocycle, [path], [x], max(128, frame_steps),
-                            frame_steps=frame_steps, frame_seeds=[seed])[0]
+    return lyapunov_spectra(cocycle, [path], [x], max(128, PHIU_REPORT_STEPS),
+                            frame_steps=PHIU_REPORT_STEPS, frame_seeds=[seed])[0]
 
 
 def gibbs_defect(
@@ -229,7 +232,7 @@ def gibbs_defect(
     """Pressure at the geometric potential and the entropy-versus-contraction gap."""
     report = _report_for(cocycle, system, seed)
     phiu = geometric_potential(cocycle, report)
-    pressure = pressure_estimates(cocycle, system, [phiu], grid, seed, keep_cells=False)[0]
+    pressure = pressure_estimates(cocycle, system, [phiu], grid, seed)[0]
     entropy = bowen_ball_entropy(
         cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
     )
@@ -325,7 +328,7 @@ def equilibrium_scan(
     if len(measure_family) < 2:
         raise ValueError("need at least two candidate measures")
     if pressure is None:
-        pressure = pressure_estimates(cocycle, system, [phi], grid, seed, keep_cells=False)[0]
+        pressure = pressure_estimates(cocycle, system, [phi], grid, seed)[0]
     records = []
     known: dict = {}
     integrals: dict = {}
@@ -394,8 +397,7 @@ def dual_vp_check(
             cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
         ).value
     if pressures is None:
-        pressures = pressure_estimates(cocycle, system, potential_family, grid, seed,
-                                       keep_cells=False)
+        pressures = pressure_estimates(cocycle, system, potential_family, grid, seed)
     integrals = integrals or {}
     best = math.inf
     for k, (phi, pressure) in enumerate(zip(potential_family, pressures)):

@@ -10,7 +10,7 @@ additive constants and most of the disk-boundary transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -715,7 +715,6 @@ def maximal_separated_sets(
     n: int,
     epsilon: float,
     max_candidates: int = 6_000_000,
-    materialize: bool = True,
     growth: np.ndarray | None = None,
 ) -> list[SeparatedSetResult]:
     """Greedy weighted packing of the disk at dynamical scale (n, epsilon), per potential.
@@ -725,7 +724,8 @@ def maximal_separated_sets(
     for x-independent potentials the selection collapses to the analytic
     left-to-right lattice (identical outcome, no enumeration; on a
     linear-exact disk, _lattice_cells at this (n, epsilon), which reads only
-    the max of growth[:n], so growth may be a running max).  The upper
+    the max of growth[:n], so growth may be a running max; its points are
+    made only when an x-independent potential is given).  The upper
     bound comes from an (n, epsilon/2) spanning set plus the orbit-sum
     modulus n * lipschitz * epsilon / 2.  The potentials share the candidate
     grid, the chart and one pass of orbit sums over the candidates, whose sums
@@ -763,8 +763,8 @@ def maximal_separated_sets(
         peak = np.maximum.accumulate(growth[:n])
         gstar = float(peak[-1])
         ((spacing, pack_count, logs),) = _lattice_cells(length, peak, sums, [(n, epsilon)])
-        pack_pts = None
-        if materialize and pack_count <= _MAX_MATERIALIZED:
+        pack_pts = None  # read by the x-independent results only
+        if fixed and pack_count <= _MAX_MATERIALIZED:
             pack_pts = -disk.radius + spacing * np.arange(pack_count)
         if varying:
             h = epsilon / (GRID_FACTOR * gstar)
@@ -967,11 +967,14 @@ def fit_slope(ns, ys) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class PressureEstimate:
-    """Fitted leafwise pressure with its bracket table and spread diagnostics.
+    """Fitted leafwise pressure with its bracket tables and spread diagnostics.
 
     value is the slope of log(weighted sum) against n over the upper half
     of the time grid at the smallest separation scale, sup'd over the base
-    points and averaged over base samples.
+    points and averaged over base samples.  tables holds (omega_seed, x_index,
+    brackets) per path and base point with an unstable leaf, brackets being
+    each (n, epsilon) cell's log lower and log upper in turn, n-major; a
+    stand-in base point's brackets tuple is shared by its path's x_indices.
     """
 
     value: float
@@ -984,7 +987,7 @@ class PressureEstimate:
     spread: float
     residual: float
     omega_values: tuple[float, ...]
-    cells: tuple[CellRecord, ...]
+    tables: tuple[tuple[int, int, tuple[float, ...]], ...]
     potential_label: str
     bracket_ok: bool
 
@@ -1003,10 +1006,19 @@ class PressureEstimate:
             "bracket_ok": self.bracket_ok,
         }
 
+    @property
+    def cells(self) -> tuple[CellRecord, ...]:
+        """The cell table as CellRecords, one per row of csv_rows."""
+        return tuple(CellRecord(*row) for row in self.csv_rows()[1])
+
     def csv_rows(self):
-        """The cell table: one column per CellRecord field, in field order."""
-        header = [f.name for f in fields(CellRecord)]
-        return header, [[getattr(c, name) for name in header] for c in self.cells]
+        """The cell table: one column per CellRecord field, in field order, and one
+        row per table and (n, epsilon) cell."""
+        grid = [(n, eps) for n in self.n_grid for eps in self.eps_grid]
+        rows = [[seed, xi, self.delta, n, eps, lower, upper, self.potential_label]
+                for seed, xi, brackets in self.tables
+                for (n, eps), lower, upper in zip(grid, brackets[::2], brackets[1::2])]
+        return [f.name for f in fields(CellRecord)], rows
 
 
 def pressure_estimates(
@@ -1015,15 +1027,15 @@ def pressure_estimates(
     potentials,
     grid: GridSpec,
     seed: int,
-    keep_cells: bool = True,
 ) -> list[PressureEstimate]:
     """Estimate the leafwise pressure of each potential on the given system.
 
-    For each sampled base path and each base point: pack separated sets at
-    every (n, eps) cell, fit the growth slope at the smallest eps over the
-    upper half of n_grid, take the largest slope over base points, then
-    average over base samples.  The per-sample value spread at the largest
-    n is recorded as a concentration diagnostic.
+    For each sampled base path and each base point: fill one bracket table,
+    (log lower, log upper) per potential and (n, eps) cell, fit the growth
+    slope at the smallest eps over the upper half of n_grid, take the
+    largest slope over base points, then average over base samples.  The
+    per-sample value spread at the largest n is recorded as a concentration
+    diagnostic.  A bracket past float range raises EstimatorError.
 
     The potentials share the sample paths, the spectra, the disks, the leaf
     growth and, per cell, the packing's candidate grid and orbit walks
@@ -1032,12 +1044,13 @@ def pressure_estimates(
     for its potential alone.  On a constant-Jacobian cocycle every base point of
     a path shares one frame and one leaf growth, so an x-independent
     potential's cell depends only on the path, the growth, n and eps.  On a
-    linear-exact 1-d disk those cells are table reads (_lattice_cells): one
-    running max of the leaf growth and one prefix table of S_n phi per
-    x-independent potential (_symbol_prefix), made once per path, give every
-    cell at every base point, and only the x-dependent members are packed.
-    When no member depends on x, the first base point stands for all: it is
-    the only one estimated, and its records are repeated under each x_index.
+    linear-exact 1-d disk those rows of the table are reads (_lattice_cells):
+    one running max of the leaf growth and one prefix table of S_n phi per
+    x-independent potential (_symbol_prefix), made once per path, give
+    every cell at every base point, and only the x-dependent members are
+    packed.  When no member depends on x, the first base point stands for
+    all: it is the only one estimated, and its table is recorded under each
+    x_index.
     """
     potentials = list(potentials)
     uh = upper_half(grid.n_grid)
@@ -1048,7 +1061,6 @@ def pressure_estimates(
     path_seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(grid.omega_samples)]
     centres = (np.arange(grid.base_grid) + 0.5) / grid.base_grid
     base_pts = [TorusPoint(tuple(row)) for row in _product_grid(centres, cocycle.dim)]
-    eps_min = grid.eps_grid[0]
     count = len(potentials)
     cell_grid = [(n, eps) for n in grid.n_grid for eps in grid.eps_grid]
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
@@ -1060,9 +1072,9 @@ def pressure_estimates(
     # base point, and the first stands for all
     stand_in = shared_frame and not varying
 
-    cells: list[list[CellRecord]] = [[] for _ in potentials]
+    tables: list[list[tuple]] = [[] for _ in potentials]
     omega_best: list[list[tuple]] = [[] for _ in potentials]
-    bracket_ok = [True] * count
+    bracket_ok = np.ones(count, dtype=bool)
 
     paths = [sample_path(system, half_window, pseed) for pseed in path_seeds]
     xs = base_pts[:1] if shared_frame else base_pts
@@ -1076,9 +1088,8 @@ def pressure_estimates(
         path_reports = spectra[i * k : (i + 1) * k] * (len(base_pts) // k)
         best = [None] * count  # per potential: (slope, se, resid, logs_at_emin, nmax_log)
         # a linear-exact leaf's growth depends on its path and frame only, and
-        # so do the x-independent members' cells on a 1-d one
-        peak = table = None  # a 2-d leaf packs every member and reads no growth
-        path_cells = len(cells[0]) if count else 0
+        # so do the x-independent members' rows on a 1-d one
+        peak = lattice = None  # a 2-d leaf packs every member and reads no growth
         for xi, (x, report) in enumerate(zip(base_pts[:1] if stand_in else base_pts,
                                              path_reports)):
             if report.unstable_index == 0:
@@ -1090,52 +1101,45 @@ def pressure_estimates(
                         best[j] = (0.0, 0.0, 0.0, zeros, 0.0)
                 continue
             disk = unstable_disk(cocycle, SkewState(path=path, point=x), grid.delta, report)
-            if table is None and disk.construction == "linear-exact" and disk.leaf_dim == 1:
+            if lattice is None and disk.construction == "linear-exact" and disk.leaf_dim == 1:
                 peak = np.maximum.accumulate(leaf_growth_factors_batch(cocycle, [disk], n_max)[0])
                 sums = [_symbol_prefix(potentials[j], path, n_max) for j in fixed]
-                table = _lattice_cells(2.0 * grid.delta, peak, sums, cell_grid)
-            packed = varying if table is not None else range(count)
-            logs_at_emin = [[] for _ in potentials]
-            for c, (n, eps) in enumerate(cell_grid):
-                results = [None] * count  # per potential: (log lower, log upper)
-                if table is not None:
-                    for j, logs in zip(fixed, table[c][2]):
-                        results[j] = logs
-                if packed:
-                    for j, res in zip(packed, maximal_separated_sets(
-                        cocycle, disk, [potentials[j] for j in packed], n, eps,
-                        materialize=False, growth=peak,
-                    )):
-                        results[j] = res.log_weighted_sum, res.log_upper
-                for j, (p, (lower, upper)) in enumerate(zip(potentials, results)):
-                    if lower > upper + 1e-9:
-                        bracket_ok[j] = False
-                    if keep_cells:
-                        cells[j].append(CellRecord(
-                            omega_seed=pseed, x_index=xi, delta=grid.delta, n=n, epsilon=eps,
-                            log_lower=lower, log_upper=upper, potential_id=p.label,
-                        ))
-                    if eps == eps_min:
-                        logs_at_emin[j].append(lower)
-            for j, logs in enumerate(logs_at_emin):
+                cells = [logs for _, _, logs in _lattice_cells(2.0 * grid.delta, peak, sums,
+                                                               cell_grid)]
+                lattice = np.array(cells).reshape(len(cells), len(fixed), 2).swapaxes(0, 1)
+            packed = varying if lattice is not None else list(range(count))
+            brackets = np.empty((count, len(cell_grid), 2))  # (log lower, log upper)
+            if lattice is not None:
+                brackets[fixed] = lattice
+            for c, (n, eps) in enumerate(cell_grid if packed else ()):
+                results = maximal_separated_sets(
+                    cocycle, disk, [potentials[j] for j in packed], n, eps, growth=peak)
+                brackets[packed, c] = [(r.log_weighted_sum, r.log_upper) for r in results]
+            bad = np.argwhere(~np.isfinite(brackets))
+            if len(bad):
+                j, c, _ = bad[0]
+                raise EstimatorError(f"the cell bracket of {potentials[j].label} at "
+                                     f"n = {cell_grid[c][0]} is past float range")
+            bracket_ok &= ~np.any(brackets[..., 0] > brackets[..., 1] + 1e-9, axis=1)
+            at = range(len(base_pts)) if stand_in else (xi,)  # the x_indices it stands for
+            for table, row in zip(tables, brackets.reshape(count, 2 * len(cell_grid)).tolist()):
+                row = tuple(row)
+                table.extend((pseed, xj, row) for xj in at)
+            # the smallest eps is each n's first cell
+            for j, logs in enumerate(brackets[:, :: len(grid.eps_grid), 0].tolist()):
                 slope, se, resid = fit_slope(uh, [logs[m] for m in sel])
                 if best[j] is None or slope > best[j][0]:
                     best[j] = (slope, se, resid, logs, logs[-1] / grid.n_grid[-1])
-        if stand_in:  # the first base point's records, under every other x_index
-            for records in cells:
-                first = records[path_cells:]
-                records.extend(replace(c, x_index=xi)
-                               for xi in range(1, len(base_pts)) for c in first)
         for j in range(count):
             omega_best[j].append(best[j])
 
     return [
-        _summarize(grid, p.label, omega_best[j], cells[j], bracket_ok[j])
+        _summarize(grid, p.label, omega_best[j], tables[j], bool(bracket_ok[j]))
         for j, p in enumerate(potentials)
     ]
 
 
-def _summarize(grid: GridSpec, label: str, omega_best, cells, bracket_ok) -> PressureEstimate:
+def _summarize(grid: GridSpec, label: str, omega_best, tables, bracket_ok) -> PressureEstimate:
     """A potential's estimate from its best base point per path:
     (slope, fit se, residual, logs at the smallest eps, per-step log at n max)."""
     omega_slopes = [b[0] for b in omega_best]
@@ -1163,7 +1167,7 @@ def _summarize(grid: GridSpec, label: str, omega_best, cells, bracket_ok) -> Pre
         spread=spread,
         residual=float(np.max([b[2] for b in omega_best])),
         omega_values=tuple(omega_slopes),
-        cells=tuple(cells),
+        tables=tuple(tables),
         potential_label=label,
         bracket_ok=bracket_ok,
     )
@@ -1274,9 +1278,7 @@ def pressure_property_suite(
     family: dict[str, Potential] = {}
     for p in [zero, *potentials, shifted, *(combo for _, combo in segment), cob, both]:
         family.setdefault(p.label, p)
-    est = dict(zip(family, pressure_estimates(
-        cocycle, system, list(family.values()), grid, seed, keep_cells=False
-    )))
+    est = dict(zip(family, pressure_estimates(cocycle, system, list(family.values()), grid, seed)))
 
     def estimate(p: Potential) -> PressureEstimate:
         return est[p.label]

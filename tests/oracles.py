@@ -538,7 +538,7 @@ def packed_pressure_cells(cocycle, system, potentials, grid, seed: int):
             for n in grid.n_grid:
                 for eps in grid.eps_grid:
                     packed = maximal_separated_sets(cocycle, disk, potentials, n, eps,
-                                                    materialize=False, growth=growth)
+                                                    growth=growth)
                     for out, p, res in zip(cells, potentials, packed):
                         out.append(CellRecord(
                             omega_seed=pseed, x_index=xi, delta=grid.delta, n=n, epsilon=eps,

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -80,6 +82,31 @@ class TestRunner:
         assert code == 0 and seen
         summary = json.loads((tmp_path / f"entropy_{seed}.json").read_text())
         assert summary["value"] == pytest.approx(oracles.CAT_LOG, rel=0.05)
+
+    def test_t3_entropy_makes_no_cell_records(self, tmp_path, monkeypatch):
+        # the CSV is written from the estimate's bracket tables: no CellRecord is
+        # made and none is copied, though the stand-in base point's cells fill
+        # every x_index
+        made = []
+        init, replace = thermo.CellRecord.__init__, dataclasses.replace
+
+        def counted_init(self, *args, **kwargs):
+            made.append("init")
+            init(self, *args, **kwargs)
+
+        def counted_replace(obj, **changes):
+            made.append("replace")
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(thermo.CellRecord, "__init__", counted_init)
+        monkeypatch.setattr(dataclasses, "replace", counted_replace)
+        code = main(["--config", str(CONFIG_DIR / "t3_entropy.cfg"), "--out", str(tmp_path)])
+        assert code == 0
+        assert made == []
+        rows = (tmp_path / "entropy_4.csv").read_text().splitlines()[1:]
+        # 8 paths x 5^3 base points x 7 n x 2 eps
+        assert len(rows) == 8 * 125 * 14
+        assert len({tuple(r.split(",")[:2]) for r in rows}) == 8 * 125
 
     def test_bad_config_exits_2(self, tmp_path):
         bad = _write(
@@ -439,6 +466,28 @@ class TestExperimentSurfaces:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("estimator error:") and "overflows float range at n = 370" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, potential, label", [
+        ("pressure", "const:1e308", "const:1e+308"),
+        ("pressure", "cos:1e308:1,0", "cos:1e308:1,0"),
+        ("property-suite", "const:1e308", "const:1e+308"),
+        ("vp-scan", "const:1e308", "const:1e+308"),
+    ])
+    def test_bracket_past_float_range_exits_3(self, tmp_path, capsys, experiment, potential,
+                                              label):
+        # S_n phi of 1e308 per step, and the cosine's Lipschitz term, overflow to inf:
+        # no estimate is reported from such a bracket
+        cfg = _write(tmp_path, "huge.cfg",
+                     f"system = {CONFIG_DIR / 'cat.system'}\nexperiment = {experiment}\n"
+                     f"seed = 1\npotential = {potential}\npotentials = zero {potential}\n"
+                     "measures = haar atomic:0,0\nentropy_samples = 4\nbirkhoff_samples = 4\n"
+                     "delta = 0.05\nn_grid = 3:5\neps_grid = 0.04\nbase_grid = 1\n")
+        with np.errstate(over="ignore"):
+            code = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("estimator error:") and f"of {label} at n = " in err
         assert not (tmp_path / "out").exists()
 
     def test_smb_on_the_3_torus(self, tmp_path):

@@ -24,6 +24,7 @@ from uthermo import (
     topological_entropy,
 )
 from uthermo import oseledets
+from uthermo.equilibria import PHIU_FRAME_STEPS
 from uthermo.oseledets import (
     _covariant_frames, _householder_qr, _jacobians, _positive_q, _qr_walk, _symbol_windows,
 )
@@ -199,12 +200,13 @@ class TestOrbitEngine:
         cocycle = perturbed_cat_cocycle
         path = sample_path(trivial_system, 300, 2)
         rep = lyapunov_spectra(cocycle, [path], [TorusPoint((0.3, 0.6))], 200)[0]
-        phiu = geometric_potential(cocycle, rep, frame_steps=60)
+        phiu = geometric_potential(cocycle, rep)
         pts = np.random.default_rng(5).random((7, 2))
         got = phiu.values(path, pts)
         q0 = oracles.seeded_frame(2, 0)
+        steps = PHIU_FRAME_STEPS  # within the path's half-window of 300
         for row, val in zip(pts, got):
-            q = oracles.scalar_qr_walk(cocycle, path, row, -60, 60, q0)[0]
+            q = oracles.scalar_qr_walk(cocycle, path, row, -steps, steps, q0)[0]
             assert val == oracles.scalar_phiu(cocycle, path, row, q, 1)
 
     def test_empty_batch(self, cat_cocycle):

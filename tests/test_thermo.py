@@ -311,6 +311,19 @@ class TestPressurePipeline:
             assert sizes == packed
             assert all(len(e.cells) == cells for e in est)
 
+    def test_stand_in_table_is_shared_not_copied(self, iid_cocycle, iid_system):
+        # with no x-dependent member the first base point's table is recorded under
+        # every x_index of its path as one object
+        grid = GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04, 0.08), base_grid=2,
+                        omega_samples=2)
+        est, = pressure_estimates(iid_cocycle, iid_system, [constant_potential(0.3)], grid, 3)
+        seeds = list(dict.fromkeys(t[0] for t in est.tables))
+        assert [t[:2] for t in est.tables] == [(s, xi) for s in seeds for xi in range(4)]
+        for start in (0, 4):
+            first = est.tables[start][2]
+            assert len(first) == 2 * 3 * 2
+            assert all(t[2] is first for t in est.tables[start : start + 4])
+
     @pytest.mark.parametrize("names", [("iid_cocycle", "iid_system"),
                                        ("cat_cocycle", "trivial_system")], ids=["iid", "cat"])
     def test_cells_match_packing_every_cell(self, request, names):
@@ -423,6 +436,18 @@ class TestPropertySuite:
         assert not failing, failing
         by_name = {c.name: c for c in report.checks}
         assert by_name["constant-shift"].slack >= -1e-9
+
+    def test_suite_estimates_carry_their_cell_tables(self, iid_cocycle, iid_system):
+        # every family member's estimate holds a table per path and base point
+        grid = GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04, 0.08), base_grid=2,
+                        omega_samples=2)
+        family = [zero_potential(), coordinate_potential(0.4, [1, 0], label="cosx1")]
+        report = pressure_property_suite(iid_cocycle, iid_system, family, grid, 21)
+        assert len(report.estimates) > len(family)
+        for label, est in report.estimates.items():
+            assert len(est.tables) == 2 * 4, label
+            assert len(est.cells) == 2 * 4 * 3 * 2, label
+            assert all(c.potential_id == label for c in est.cells)
 
     def test_needs_two_potentials(self, cat_cocycle, trivial_system):
         grid = GridSpec(delta=0.05, n_grid=(5, 6), eps_grid=(0.04,), base_grid=2,
@@ -821,7 +846,7 @@ class TestPackingWalk:
         class Captured(Exception):
             pass
 
-        def capture(cocycle, system, family, grid, seed, keep_cells=True):
+        def capture(cocycle, system, family, grid, seed):
             raise Captured(family)
 
         monkeypatch.setattr(thermo, "pressure_estimates", capture)
@@ -1121,7 +1146,7 @@ class TestLeafSums:
         class Captured(Exception):
             pass
 
-        def capture(cocycle, system, family, grid, seed, keep_cells=True):
+        def capture(cocycle, system, family, grid, seed):
             raise Captured(family)
 
         monkeypatch.setattr(thermo, "pressure_estimates", capture)
