@@ -7,6 +7,11 @@ spectra and expanding bundles, builds local leaf charts, packs separated
 sets for pressure and entropy growth rates, verifies the conditional
 information calculus on exact finite models, and scans candidate
 measures against the variational inequality.
+
+`import uthermo` loads the four layers that every experiment reads (rds,
+oseledets, leafgeom, thermo).  The names of measures and equilibria are
+resolved on first use (PEP 562), so a run that reads neither never
+compiles them.
 """
 
 from .rds import (
@@ -22,11 +27,9 @@ from .rds import (
     WindowExhausted,
     compose,
     derivative,
-    integrability_check,
     load_system,
     parse_system_text,
     sample_path,
-    skew_step,
     torus_distance,
 )
 from .oseledets import (
@@ -36,12 +39,8 @@ from .oseledets import (
     lyapunov_spectra,
 )
 from .leafgeom import (
-    OffLeafError,
     TrivialLeafError,
     UnstableDisk,
-    bowen_distance,
-    leaf_distance,
-    leaf_volume,
     unstable_disk,
 )
 from .thermo import (
@@ -54,36 +53,51 @@ from .thermo import (
     combine_potentials,
     constant_potential,
     maximal_separated_sets,
-    per_symbol_potential,
     pressure_estimates,
     pressure_property_suite,
     topological_entropy,
     zero_potential,
 )
-from .measures import (
-    EntropyEstimate,
-    FiniteSkewSpace,
-    MeasureSampler,
-    PartitionPair,
-    bowen_ball_entropy,
-    build_partition_pair,
-    conditional_information,
-    convex_combo_sampler,
-    haar_sampler,
-    partition_entropy_rate,
-    periodic_atomic_sampler,
-    smb_trace,
-    entropy_estimator_gap,
-)
-from .equilibria import (
-    EquilibriumReport,
-    GibbsDefect,
-    cohomologous_transform,
-    dual_vp_check,
-    equilibrium_scan,
-    geometric_potential,
-    gibbs_defect,
-    mixing_inequality_check,
-)
+
+# each late layer and the names it exports through the package
+_LATE = {
+    "measures": (
+        "EntropyEstimate",
+        "FiniteSkewSpace",
+        "MeasureSampler",
+        "PartitionPair",
+        "bowen_ball_entropy",
+        "build_partition_pair",
+        "conditional_information",
+        "convex_combo_sampler",
+        "haar_sampler",
+        "partition_entropy_rate",
+        "periodic_atomic_sampler",
+        "smb_trace",
+    ),
+    "equilibria": (
+        "EquilibriumReport",
+        "GibbsDefect",
+        "dual_vp_check",
+        "equilibrium_scan",
+        "geometric_potential",
+        "gibbs_defect",
+    ),
+}
+_LATE_LAYER_OF = {name: layer for layer, names in _LATE.items() for name in names}
+
+# the public names bound above (the four layer modules among them) and the late ones
+__all__ = [name for name in globals() if not name.startswith("_")] + [*_LATE, *_LATE_LAYER_OF]
+
+
+def __getattr__(name):
+    layer = name if name in _LATE else _LATE_LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{layer}")
+    return module if name == layer else getattr(module, name)
+
 
 __version__ = "0.1.0"

@@ -30,19 +30,14 @@ from .thermo import (
     GridSpec,
     Potential,
     PressureEstimate,
-    _logsumexp,
     birkhoff_sum,
     combine_potentials,
-    constant_potential,
-    per_symbol_potential,
     pressure_estimates,
-    theta_coboundary,
 )
 from .measures import MeasureSampler, _bowen_ball_entropy, bowen_ball_entropy
 
 __all__ = [
     "geometric_potential",
-    "cohomologous_transform",
     "birkhoff_integral",
     "GibbsDefect",
     "gibbs_defect",
@@ -50,7 +45,6 @@ __all__ = [
     "EquilibriumReport",
     "equilibrium_scan",
     "dual_vp_check",
-    "mixing_inequality_check",
 ]
 
 
@@ -116,22 +110,6 @@ def geometric_potential(cocycle: Cocycle, report: OseledetsReport) -> Potential:
         l1_bound=sup_bound,
         lipschitz=lip_bound,
         vector_fn=vec,
-    )
-
-
-def cohomologous_transform(cocycle: Cocycle, phi: Potential, sigma: Potential, c) -> Potential:
-    """phi + sigma o Theta - sigma - c, with bounds propagated.
-
-    c may be a scalar or a per-symbol table; its mean shifts the pressure
-    down by the base average of c while the coboundary leaves it unchanged.
-    """
-    if np.isscalar(c):
-        c_pot = constant_potential(float(c), label=f"c:{float(c):g}")
-    else:
-        c_pot = per_symbol_potential(c, label="c-table")
-    return combine_potentials(
-        [(1.0, phi), (1.0, theta_coboundary(cocycle, sigma)), (-1.0, c_pot)],
-        label=f"{phi.label}+cob({sigma.label})-c",
     )
 
 
@@ -409,25 +387,3 @@ def dual_vp_check(
             )
         best = min(best, pressure.value - integral - entropy)
     return float(best)
-
-
-def mixing_inequality_check(p, a) -> tuple[bool, float]:
-    """Weighted log-sum inequality: sum p_i (a_i - log p_i) <= s (log sum e^a - log s).
-
-    p entries must lie in [0, 1] with positive total s (s > 1 allowed);
-    0 log 0 reads as 0.  Returns (holds, slack) with slack = rhs - lhs.
-    """
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if p.shape != a.shape:
-        raise ValueError("p and a must have the same shape")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("p entries must lie in [0, 1]")
-    s = float(p.sum())
-    if s <= 0.0:
-        raise ValueError("sum of p must be positive")
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    lhs = float(np.sum(p * a) - np.sum(plogp))
-    rhs = s * (_logsumexp(a) - math.log(s))
-    slack = rhs - lhs
-    return bool(slack >= -1e-12), float(slack)

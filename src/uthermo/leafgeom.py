@@ -1,4 +1,4 @@
-"""Local expanding-leaf geometry: disks, intrinsic and dynamical metrics, volume.
+"""Local expanding-leaf geometry: disks, leaf growth factors and Bowen step arcs.
 
 Disks are charts over the expanding direction at a base state, arc-length
 parametrized.  Constant-Jacobian cocycles get exact affine charts; sheared
@@ -9,7 +9,6 @@ radius <= 0.25 so charts are injective on the torus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,8 @@ from .oseledets import OseledetsReport
 
 __all__ = [
     "TrivialLeafError",
-    "OffLeafError",
     "UnstableDisk",
     "unstable_disk",
-    "leaf_distance",
-    "bowen_distance",
-    "leaf_volume",
     "leaf_growth_factors_batch",
     "bowen_step_arcs",
 ]
@@ -50,10 +45,6 @@ class TrivialLeafError(EstimatorError, ValueError):
     """The expanding bundle is trivial; the leaf through the point is a point,
     and what needs a leaf direction (a chart, the geometric potential) is
     undefined there."""
-
-
-class OffLeafError(ValueError):
-    """A queried point does not lie on the disk within tolerance."""
 
 
 @dataclass(frozen=True)
@@ -103,45 +94,6 @@ class UnstableDisk:
         if np.asarray(t).ndim == 0:
             return TorusPoint(tuple(pts.reshape(-1)))
         return pts
-
-    def param_of(self, y: TorusPoint, tol: float = 1e-8, radius_slack: float = 1.0):
-        """Invert the chart at y; raises OffLeafError beyond tolerance."""
-        ya = y.as_array()
-        if self.construction == "linear-exact":
-            diff = ya - self.base_lift
-            diff -= np.round(diff)
-            t = self.frame.T @ diff
-            residual = float(np.linalg.norm(diff - self.frame @ t))
-            if residual > tol:
-                raise OffLeafError(f"point off leaf (residual {residual:.2e})")
-            if np.any(np.abs(t) > self.radius * radius_slack + tol):
-                raise OffLeafError("point outside the chart domain")
-            return float(t[0]) if self.leaf_dim == 1 else t
-        # polyline: nearest vertex, then projection on the adjacent segment
-        diffs = self.points_lift - ya
-        diffs -= np.round(diffs)
-        d2 = np.einsum("ij,ij->i", diffs, diffs)
-        i = int(np.argmin(d2))
-        best_t, best_res = self.params[i], math.sqrt(d2[i])
-        for j in (i - 1, i):
-            if 0 <= j < len(self.params) - 1:
-                a = self.points_lift[j]
-                b = self.points_lift[j + 1]
-                ya_loc = ya + np.round(a - ya)
-                seg = b - a
-                denom = float(seg @ seg)
-                if denom == 0.0:
-                    continue
-                lam = float(np.clip((ya_loc - a) @ seg / denom, 0.0, 1.0))
-                proj = a + lam * seg
-                res = float(np.linalg.norm(proj - ya_loc))
-                if res < best_res:
-                    best_res = res
-                    best_t = self.params[j] + lam * (self.params[j + 1] - self.params[j])
-        if best_res > tol:
-            raise OffLeafError(f"point off leaf (residual {best_res:.2e})")
-        return float(best_t)
-
 
 def _arc_lengths(pts: np.ndarray) -> np.ndarray:
     """Arc length along a polyline (N, d) from its first vertex to each vertex.
@@ -245,15 +197,6 @@ def unstable_disk(
     raise EstimatorError("graph transform did not converge")
 
 
-def leaf_distance(disk: UnstableDisk, y1: TorusPoint, y2: TorusPoint, tol: float = 1e-8) -> float:
-    """Arc length along the leaf between two points of the disk."""
-    t1 = disk.param_of(y1, tol=tol)
-    t2 = disk.param_of(y2, tol=tol)
-    if disk.leaf_dim == 1:
-        return abs(float(t1) - float(t2))
-    return float(np.linalg.norm(np.asarray(t1) - np.asarray(t2)))
-
-
 def _image_norms(cocycle: Cocycle, disks, vecs: np.ndarray, n: int) -> np.ndarray:
     """Norms (S, n) of tangent vectors vecs (S, d) at each disk's base under j-step
     derivatives along its path, j = 0..n-1."""
@@ -305,37 +248,3 @@ def bowen_step_arcs(cocycle: Cocycle, disk: UnstableDisk, n: int, params: np.nda
     for j, image in enumerate(walk, start=1):
         out[j] = np.interp(params, disk.params, _centred_arcs(image))
     return out
-
-
-def bowen_distance(
-    cocycle: Cocycle, disk: UnstableDisk, n: int, y1: TorusPoint, y2: TorusPoint
-) -> float:
-    """Dynamical leaf distance: max over steps 0..n-1 of image leaf distance."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if disk.leaf_dim == 1:
-        t1 = disk.param_of(y1, radius_slack=1.0 + 1e-9)
-        t2 = disk.param_of(y2, radius_slack=1.0 + 1e-9)
-        arcs = bowen_step_arcs(cocycle, disk, n, np.array([t1, t2]))
-        return float(np.max(np.abs(arcs[:, 0] - arcs[:, 1])))
-    t1 = np.asarray(disk.param_of(y1))
-    t2 = np.asarray(disk.param_of(y2))
-    diff = disk.frame @ (t1 - t2)
-    return float(np.max(_image_norms(cocycle, [disk], diff[None], n)))
-
-
-def leaf_volume(disk: UnstableDisk, region=None) -> float:
-    """Leaf volume (length for 1-d leaves) of a parameter region of the disk."""
-    if disk.leaf_dim == 1:
-        if region is None:
-            return 2.0 * disk.radius
-        a, b = float(region[0]), float(region[1])
-        lo = max(min(a, b), -disk.radius)
-        hi = min(max(a, b), disk.radius)
-        return max(0.0, hi - lo)
-    if region is None:
-        return (2.0 * disk.radius) ** 2
-    (a1, b1), (a2, b2) = region
-    lo1, hi1 = max(min(a1, b1), -disk.radius), min(max(a1, b1), disk.radius)
-    lo2, hi2 = max(min(a2, b2), -disk.radius), min(max(a2, b2), disk.radius)
-    return max(0.0, hi1 - lo1) * max(0.0, hi2 - lo2)

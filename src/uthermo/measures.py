@@ -58,8 +58,6 @@ __all__ = [
     "bowen_ball_entropy",
     "partition_entropy_rate",
     "smb_trace",
-    "EntropyGapReport",
-    "entropy_estimator_gap",
 ]
 
 # Forward steps behind each entropy sample's expanding frame.
@@ -125,9 +123,18 @@ class FiniteSkewSpace:
         return lab
 
     def join(self, label_list) -> np.ndarray:
-        stacked = np.stack([np.asarray(l) for l in label_list], axis=1)
-        _, inv = np.unique(stacked, axis=0, return_inverse=True)
-        return inv.astype(np.int64)
+        """Labels of the common refinement of partitions given by non-negative
+        integer labels, numbered in the lexicographic order of the label tuples.
+
+        The partitions fold in one at a time: the pair (key, l) orders as
+        key * (l.max() + 1) + l, and each fold renumbers the key below n_atoms,
+        so it cannot overflow.
+        """
+        key = np.zeros(self.n_atoms, dtype=np.int64)
+        for labels in label_list:
+            l = np.asarray(labels, dtype=np.int64)
+            _, key = np.unique(key * (l.max() + 1) + l, return_inverse=True)
+        return key
 
     def refined_history(self, labels: np.ndarray, n: int) -> np.ndarray:
         """The join of the pullbacks over steps 0..n-1."""
@@ -868,17 +875,3 @@ def smb_trace(
         traces=traces,
         trace_sd=tuple(float(v) for v in sd_trace),
     )
-
-
-@dataclass(frozen=True)
-class EntropyGapReport:
-    gap: float
-    combined_ci: float
-    passed: bool
-
-
-def entropy_estimator_gap(bowen: EntropyEstimate, partition: EntropyEstimate) -> EntropyGapReport:
-    """Absolute disagreement of the two leafwise entropy estimators."""
-    gap = abs(bowen.value - partition.value)
-    ci = bowen.ci + partition.ci
-    return EntropyGapReport(gap=gap, combined_ci=ci, passed=gap <= ci)

@@ -32,8 +32,6 @@ __all__ = [
     "sample_path",
     "compose",
     "derivative",
-    "skew_step",
-    "integrability_check",
     "torus_distance",
     "reduce_mod1",
     "load_system",
@@ -598,39 +596,6 @@ def derivative(cocycle: Cocycle, path: SymbolPath, n: int, x: TorusPoint) -> np.
     for step in np.linalg.inv(steps) if n < 0 else steps:
         jac = step @ jac
     return jac
-
-
-def skew_step(cocycle: Cocycle, state: SkewState, n: int = 1) -> SkewState:
-    """Apply the skew product (or its inverse) n times."""
-    pt = compose(cocycle, state.path, n, state.point)
-    return SkewState(path=state.path.shifted(n), point=pt)
-
-
-def integrability_check(
-    system: DrivingSystem, cocycle: Cocycle, samples: int, seed: int = 0
-) -> float:
-    """Monte-Carlo estimate of the mean positive-log smoothness of one step.
-
-    Averages log+ of the stored forward and backward C^2 bounds over
-    symbols drawn from the stationary law, and asserts the result finite.
-    """
-    if samples < 1:
-        raise InvalidSystem("samples must be >= 1")
-    for i, m in enumerate(cocycle.maps):
-        if m.c2_bound is None or m.c2_bound_inverse is None:
-            raise InvalidSystem(f"map {i} is missing a c2 bound")
-    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xC2])
-    draws = rng.choice(system.symbol_count, size=samples, p=system.distribution_array)
-    logplus = np.array(
-        [
-            max(math.log(m.c2_bound), 0.0) + max(math.log(m.c2_bound_inverse), 0.0)
-            for m in cocycle.maps
-        ]
-    )
-    estimate = float(np.mean(logplus[draws]))
-    if not math.isfinite(estimate):
-        raise EstimatorError("integrability estimate is not finite")
-    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ __all__ = [
     "Potential",
     "zero_potential",
     "constant_potential",
-    "per_symbol_potential",
     "coordinate_potential",
     "combine_potentials",
     "theta_coboundary",
@@ -134,16 +133,6 @@ def constant_potential(c: float, label: str | None = None) -> Potential:
         l1_bound=abs(c),
         lipschitz=0.0,
         symbol_fn=lambda s, c=float(c): c,
-    )
-
-
-def per_symbol_potential(table, label: str | None = None) -> Potential:
-    tab = tuple(float(v) for v in table)
-    return Potential(
-        label=label or "per-symbol",
-        l1_bound=max(abs(v) for v in tab),
-        lipschitz=0.0,
-        symbol_fn=lambda s, tab=tab: tab[s],
     )
 
 
@@ -449,19 +438,6 @@ class SeparatedSetResult:
     log_upper: float
     method: str
     potential_label: str = ""
-
-    def verify_separation(self, cocycle: Cocycle, disk: UnstableDisk, tol: float = 0.0) -> bool:
-        """Exact pairwise check (quadratic; meant for small sets in tests)."""
-        from .leafgeom import bowen_distance
-
-        if self.points is None:
-            raise EstimatorError("points were not materialized for this set")
-        pts = [disk.chart(float(t)) for t in np.atleast_1d(self.points)]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if bowen_distance(cocycle, disk, self.n, pts[i], pts[j]) <= self.epsilon - tol:
-                    return False
-        return True
 
 
 def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately primitive (loops, dicts, finite
 differences, brute-force enumeration) and shares no code with the package
-paths it checks.
+paths it checks.  The last section is the exception: checkers and
+transforms that only the tests call, built on the package's public API.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -801,3 +803,214 @@ def wave_phase_scale(cocycle, disk, potential, n: int, radius: float) -> float:
             + abs(phase) for j in steps)
 
     return scale(potential, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Checkers and transforms that only the tests call
+# ---------------------------------------------------------------------------
+
+
+def skew_step(cocycle, state, n: int = 1):
+    """Apply the skew product (or its inverse) n times."""
+    from uthermo import SkewState, compose
+
+    pt = compose(cocycle, state.path, n, state.point)
+    return SkewState(path=state.path.shifted(n), point=pt)
+
+
+def integrability_check(system, cocycle, samples: int, seed: int = 0) -> float:
+    """Monte-Carlo estimate of the mean positive-log smoothness of one step.
+
+    Averages log+ of the stored forward and backward C^2 bounds over
+    symbols drawn from the stationary law, and asserts the result finite.
+    """
+    from uthermo import EstimatorError, InvalidSystem
+
+    if samples < 1:
+        raise InvalidSystem("samples must be >= 1")
+    for i, m in enumerate(cocycle.maps):
+        if m.c2_bound is None or m.c2_bound_inverse is None:
+            raise InvalidSystem(f"map {i} is missing a c2 bound")
+    rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xC2])
+    draws = rng.choice(system.symbol_count, size=samples, p=system.distribution_array)
+    logplus = np.array(
+        [
+            max(math.log(m.c2_bound), 0.0) + max(math.log(m.c2_bound_inverse), 0.0)
+            for m in cocycle.maps
+        ]
+    )
+    estimate = float(np.mean(logplus[draws]))
+    if not math.isfinite(estimate):
+        raise EstimatorError("integrability estimate is not finite")
+    return estimate
+
+
+class OffLeafError(ValueError):
+    """A queried point does not lie on the disk within tolerance."""
+
+
+def param_of(disk, y, tol: float = 1e-8, radius_slack: float = 1.0):
+    """Invert disk's chart at y; raises OffLeafError beyond tolerance."""
+    ya = y.as_array()
+    if disk.construction == "linear-exact":
+        diff = ya - disk.base_lift
+        diff -= np.round(diff)
+        t = disk.frame.T @ diff
+        residual = float(np.linalg.norm(diff - disk.frame @ t))
+        if residual > tol:
+            raise OffLeafError(f"point off leaf (residual {residual:.2e})")
+        if np.any(np.abs(t) > disk.radius * radius_slack + tol):
+            raise OffLeafError("point outside the chart domain")
+        return float(t[0]) if disk.leaf_dim == 1 else t
+    # polyline: nearest vertex, then projection on the adjacent segment
+    diffs = disk.points_lift - ya
+    diffs -= np.round(diffs)
+    d2 = np.einsum("ij,ij->i", diffs, diffs)
+    i = int(np.argmin(d2))
+    best_t, best_res = disk.params[i], math.sqrt(d2[i])
+    for j in (i - 1, i):
+        if 0 <= j < len(disk.params) - 1:
+            a = disk.points_lift[j]
+            b = disk.points_lift[j + 1]
+            ya_loc = ya + np.round(a - ya)
+            seg = b - a
+            denom = float(seg @ seg)
+            if denom == 0.0:
+                continue
+            lam = float(np.clip((ya_loc - a) @ seg / denom, 0.0, 1.0))
+            proj = a + lam * seg
+            res = float(np.linalg.norm(proj - ya_loc))
+            if res < best_res:
+                best_res = res
+                best_t = disk.params[j] + lam * (disk.params[j + 1] - disk.params[j])
+    if best_res > tol:
+        raise OffLeafError(f"point off leaf (residual {best_res:.2e})")
+    return float(best_t)
+
+
+def leaf_distance(disk, y1, y2, tol: float = 1e-8) -> float:
+    """Arc length along the leaf between two points of the disk."""
+    t1 = param_of(disk, y1, tol=tol)
+    t2 = param_of(disk, y2, tol=tol)
+    if disk.leaf_dim == 1:
+        return abs(float(t1) - float(t2))
+    return float(np.linalg.norm(np.asarray(t1) - np.asarray(t2)))
+
+
+def bowen_distance(cocycle, disk, n: int, y1, y2) -> float:
+    """Dynamical leaf distance: max over steps 0..n-1 of image leaf distance."""
+    from uthermo.leafgeom import _image_norms, bowen_step_arcs
+
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if disk.leaf_dim == 1:
+        t1 = param_of(disk, y1, radius_slack=1.0 + 1e-9)
+        t2 = param_of(disk, y2, radius_slack=1.0 + 1e-9)
+        arcs = bowen_step_arcs(cocycle, disk, n, np.array([t1, t2]))
+        return float(np.max(np.abs(arcs[:, 0] - arcs[:, 1])))
+    t1 = np.asarray(param_of(disk, y1))
+    t2 = np.asarray(param_of(disk, y2))
+    diff = disk.frame @ (t1 - t2)
+    return float(np.max(_image_norms(cocycle, [disk], diff[None], n)))
+
+
+def leaf_volume(disk, region=None) -> float:
+    """Leaf volume (length for 1-d leaves) of a parameter region of the disk."""
+    if disk.leaf_dim == 1:
+        if region is None:
+            return 2.0 * disk.radius
+        a, b = float(region[0]), float(region[1])
+        lo = max(min(a, b), -disk.radius)
+        hi = min(max(a, b), disk.radius)
+        return max(0.0, hi - lo)
+    if region is None:
+        return (2.0 * disk.radius) ** 2
+    (a1, b1), (a2, b2) = region
+    lo1, hi1 = max(min(a1, b1), -disk.radius), min(max(a1, b1), disk.radius)
+    lo2, hi2 = max(min(a2, b2), -disk.radius), min(max(a2, b2), disk.radius)
+    return max(0.0, hi1 - lo1) * max(0.0, hi2 - lo2)
+
+
+def verify_separation(result, cocycle, disk, tol: float = 0.0) -> bool:
+    """Exact pairwise check that a SeparatedSetResult's points are (n, eps)-separated
+    (quadratic; meant for small sets)."""
+    from uthermo import EstimatorError
+
+    if result.points is None:
+        raise EstimatorError("points were not materialized for this set")
+    pts = [disk.chart(float(t)) for t in np.atleast_1d(result.points)]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if bowen_distance(cocycle, disk, result.n, pts[i], pts[j]) <= result.epsilon - tol:
+                return False
+    return True
+
+
+def per_symbol_potential(table, label: str | None = None):
+    """A potential that reads one constant per symbol from table."""
+    from uthermo import Potential
+
+    tab = tuple(float(v) for v in table)
+    return Potential(
+        label=label or "per-symbol",
+        l1_bound=max(abs(v) for v in tab),
+        lipschitz=0.0,
+        symbol_fn=lambda s, tab=tab: tab[s],
+    )
+
+
+def cohomologous_transform(cocycle, phi, sigma, c):
+    """phi + sigma o Theta - sigma - c, with bounds propagated.
+
+    c may be a scalar or a per-symbol table; its mean shifts the pressure
+    down by the base average of c while the coboundary leaves it unchanged.
+    """
+    from uthermo import combine_potentials, constant_potential
+    from uthermo.thermo import theta_coboundary
+
+    if np.isscalar(c):
+        c_pot = constant_potential(float(c), label=f"c:{float(c):g}")
+    else:
+        c_pot = per_symbol_potential(c, label="c-table")
+    return combine_potentials(
+        [(1.0, phi), (1.0, theta_coboundary(cocycle, sigma)), (-1.0, c_pot)],
+        label=f"{phi.label}+cob({sigma.label})-c",
+    )
+
+
+def mixing_inequality_check(p, a) -> tuple[bool, float]:
+    """Weighted log-sum inequality: sum p_i (a_i - log p_i) <= s (log sum e^a - log s).
+
+    p entries must lie in [0, 1] with positive total s (s > 1 allowed);
+    0 log 0 reads as 0.  Returns (holds, slack) with slack = rhs - lhs.
+    """
+    from uthermo.thermo import _logsumexp
+
+    p = np.asarray(p, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if p.shape != a.shape:
+        raise ValueError("p and a must have the same shape")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise ValueError("p entries must lie in [0, 1]")
+    s = float(p.sum())
+    if s <= 0.0:
+        raise ValueError("sum of p must be positive")
+    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    lhs = float(np.sum(p * a) - np.sum(plogp))
+    rhs = s * (_logsumexp(a) - math.log(s))
+    slack = rhs - lhs
+    return bool(slack >= -1e-12), float(slack)
+
+
+@dataclass(frozen=True)
+class EntropyGapReport:
+    gap: float
+    combined_ci: float
+    passed: bool
+
+
+def entropy_estimator_gap(bowen, partition) -> EntropyGapReport:
+    """Absolute disagreement of the two leafwise entropy estimators."""
+    gap = abs(bowen.value - partition.value)
+    ci = bowen.ci + partition.ci
+    return EntropyGapReport(gap=gap, combined_ci=ci, passed=gap <= ci)

@@ -28,13 +28,11 @@ from uthermo import (
     geometric_potential,
     gibbs_defect,
     haar_sampler,
-    mixing_inequality_check,
     partition_entropy_rate,
     periodic_atomic_sampler,
     pressure_estimates,
     pressure_property_suite,
     smb_trace,
-    entropy_estimator_gap,
     topological_entropy,
     zero_potential,
 )
@@ -151,7 +149,7 @@ def test_criterion_5_two_entropy_estimators_agree(
     grid = tuple(range(6, 19))
     bowen_cat = bowen_ball_entropy(cat_cocycle, cat_haar, 0.1, grid, (0.02, 0.04), 24, seed=5)
     part_cat = partition_entropy_rate(cat_cocycle, cat_haar, pair, grid, 48, seed=7, delta=0.1)
-    gap_cat = entropy_estimator_gap(bowen_cat, part_cat)
+    gap_cat = oracles.entropy_estimator_gap(bowen_cat, part_cat)
 
     iid_haar = haar_sampler(iid_system, dim=2)
     pair2 = build_partition_pair(iid_system, [], 16, offset_seed=3)
@@ -159,7 +157,7 @@ def test_criterion_5_two_entropy_estimators_agree(
     bowen_iid = bowen_ball_entropy(iid_cocycle, iid_haar, 0.1, grid2, (0.02,), 128, seed=5)
     part_iid = partition_entropy_rate(iid_cocycle, iid_haar, pair2, grid2, 128, seed=7,
                                       delta=0.1)
-    gap_iid = entropy_estimator_gap(bowen_iid, part_iid)
+    gap_iid = oracles.entropy_estimator_gap(bowen_iid, part_iid)
     ok = gap_cat.gap <= 0.05 and gap_iid.gap <= 0.10
     _criterion(
         "5 ball-decay vs partition-rate agreement",
@@ -264,7 +262,7 @@ def test_criterion_10_weighted_log_sum_inequality():
         if p.sum() > 1.0:
             n_large_mass += 1
         a = rng.normal(0.0, 2.0, m)
-        ok, slack = mixing_inequality_check(p, a)
+        ok, slack = oracles.mixing_inequality_check(p, a)
         worst = min(worst, slack)
         if not ok:
             break

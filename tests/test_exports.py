@@ -1,8 +1,15 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import uthermo
+from conftest import CONFIG_DIR, REPO_ROOT
 from uthermo import rds
 
 LAYERS = ("rds", "oseledets", "leafgeom", "thermo", "measures", "equilibria")
@@ -46,3 +53,84 @@ def test_only_rds_calls_the_maps():
         and node.func.attr in MAP_METHODS
     ]
     assert calls == []
+
+
+LATE = ("uthermo.measures", "uthermo.equilibria")
+
+
+def _fresh_python(code: str):
+    # a new interpreter: this one imported every layer long ago; the script prints JSON last
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=path))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_the_late_layers():
+    code = ("import json, sys, uthermo.cli\n"
+            f"print(json.dumps([m for m in {LATE!r} if m in sys.modules]))")
+    assert _fresh_python(code) == []
+
+
+def test_every_package_name_resolves_on_first_use():
+    code = f"""
+import json, sys, uthermo
+late = [m for m in {LATE!r} if m in sys.modules]
+public = sorted(n for n in vars(uthermo) if not n.startswith("_"))
+missing = [n for n in uthermo.__all__ if not hasattr(uthermo, n)]
+star = {{}}
+exec("from uthermo import *", star)
+unbound = sorted(set(uthermo.__all__) - star.keys())
+print(json.dumps([late, public, uthermo.__all__, missing, unbound]))
+"""
+    late, public, exported, missing, unbound = _fresh_python(code)
+    assert late == []
+    assert set(public) <= set(exported)  # no helper name (importlib, ...) leaks into the package
+    assert {"measures", "equilibria", "smb_trace", "gibbs_defect"} <= set(exported)
+    assert missing == [] and unbound == []
+    # each name is its layer's own object
+    modules = [importlib.import_module(f"uthermo.{layer}") for layer in LAYERS]
+    for name in set(exported) - set(LAYERS):
+        owners = [mod for mod in modules if name in mod.__all__]
+        assert len(owners) == 1 and getattr(uthermo, name) is getattr(owners[0], name), name
+
+
+def _cli_runs(configs, out):
+    """Exit codes, the late layers loaded at each load_system call, and those loaded at the end."""
+    return _fresh_python(f"""
+import json, sys
+from uthermo import cli
+seen = []
+load_system = cli.load_system
+
+def spy(*args, **kwargs):
+    seen.append([m for m in {LATE!r} if m in sys.modules])
+    return load_system(*args, **kwargs)
+
+cli.load_system = spy
+codes = [cli.main(["--config", cfg, "--out", {str(out)!r}])
+         for cfg in {[str(c) for c in configs]!r}]
+print(json.dumps([codes, seen, [m for m in {LATE!r} if m in sys.modules]]))
+""")
+
+
+@pytest.mark.parametrize("potential_run", [False, True])
+def test_late_layers_load_before_load_system(potential_run, tmp_path):
+    # their compile time is setup, never the experiment's
+    config = CONFIG_DIR / "cat_gibbs.cfg"
+    if potential_run:
+        config = tmp_path / "phiu.cfg"
+        config.write_text((CONFIG_DIR / "cat_trig_pressure.cfg").read_text()
+                          .replace("cat.system", str(CONFIG_DIR / "cat.system"))
+                          .replace("cos:0.8:1,1", "phiu"))
+    codes, seen, _ = _cli_runs([config], tmp_path / "out")
+    assert codes == [0]
+    assert seen == [list(LATE)]
+
+
+def test_core_runs_never_import_the_late_layers(tmp_path):
+    names = ("cat_entropy", "cat_spectrum", "t3_certify", "cat_trig_pressure",
+             "cat_property_suite")
+    codes, seen, loaded = _cli_runs([CONFIG_DIR / f"{n}.cfg" for n in names], tmp_path)
+    assert codes == [0] * len(names)
+    assert seen == [[]] * len(names) and loaded == []

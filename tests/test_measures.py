@@ -13,7 +13,6 @@ from uthermo import (
     FiniteSkewSpace,
     InvalidSystem,
     MapDescriptor,
-    OffLeafError,
     SkewState,
     TorusPoint,
     bowen_ball_entropy,
@@ -26,7 +25,6 @@ from uthermo import (
     periodic_atomic_sampler,
     sample_path,
     smb_trace,
-    entropy_estimator_gap,
     unstable_disk,
 )
 from uthermo import measures
@@ -126,6 +124,34 @@ class TestConditionalInformation:
                 fiber_maps=[np.array([1, 0])],
                 weights=[0.7, 0.3],
             )
+
+
+class TestJoin:
+    @staticmethod
+    def _row_unique(labels):
+        # the reference numbering: the rank of each atom's label tuple among the distinct tuples
+        _, inv = np.unique(np.stack(labels, axis=1), axis=0, return_inverse=True)
+        return inv.reshape(-1)
+
+    def test_fold_equals_row_unique_on_random_labels(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            sp = random_finite_skew_space(rng, max_total=40)
+            labels = [random_partition(rng, sp, max_classes=int(rng.integers(1, 9)))
+                      for _ in range(int(rng.integers(1, 6)))]
+            got = sp.join(labels)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self._row_unique(labels))
+
+    def test_single_and_constant_partitions(self):
+        sp = FiniteSkewSpace(omega_probs=[1.0], base_perm=[0], fiber_counts=[8],
+                             fiber_maps=[np.arange(8)], weights=np.full(8, 0.125))
+        gappy = np.array([7, 0, 3, 7, 3, 0, 9, 9])
+        constant = np.full(8, 5)
+        for labels in ([gappy], [constant], [constant, gappy], [gappy, constant, gappy]):
+            assert np.array_equal(sp.join(labels), self._row_unique(labels))
+        assert np.array_equal(sp.join([gappy]), [2, 0, 1, 2, 1, 0, 3, 3])
+        assert np.array_equal(sp.join([constant]), np.zeros(8))
 
 
 class TestSamplers:
@@ -445,10 +471,10 @@ class TestPointMass:
             path = sample_path(system, 300, k)
             disk = unstable_disk(cocycle, SkewState(path, x), 0.1,
                                  lyapunov_spectra(cocycle, [path], [x], 200)[0])
-            assert disk.param_of(x) == pytest.approx(0.0, abs=1e-12)
+            assert oracles.param_of(disk, x) == pytest.approx(0.0, abs=1e-12)
             for y in orbit[:k] + orbit[k + 1:]:
-                with pytest.raises(OffLeafError):
-                    disk.param_of(y, tol=1e-8)
+                with pytest.raises(oracles.OffLeafError):
+                    oracles.param_of(disk, y, tol=1e-8)
 
     def test_one_entry_grid_fails_before_sampling(self, monkeypatch, cat_cocycle,
                                                   trivial_system):
@@ -479,7 +505,7 @@ class TestEntropyGapReport:
         grid = tuple(range(6, 19))
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 24, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 48, seed=7, delta=0.1)
-        gap = entropy_estimator_gap(bowen, part)
+        gap = oracles.entropy_estimator_gap(bowen, part)
         assert gap.gap <= 0.05
         assert gap.passed
 
@@ -489,7 +515,7 @@ class TestEntropyGapReport:
         grid = (4, 6, 8, 10)
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 8, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 8, seed=7, delta=0.1)
-        assert entropy_estimator_gap(bowen, part).gap == 0.0
+        assert oracles.entropy_estimator_gap(bowen, part).gap == 0.0
 
 
 class TestPolylineLengths:

