@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from importlib import import_module
 from pathlib import Path
 
@@ -71,30 +70,52 @@ class ConfigError(ValueError):
     """Bad or unknown experiment configuration."""
 
 
-@dataclass
 class ExperimentConfig:
     """Parsed experiment description; grids must be strictly increasing."""
 
-    system: str = ""
-    experiment: str = ""
-    seed: int = 0
-    samples: int = 1
-    out: str = "results"
-    delta: float = 0.1
-    n_grid: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14)
-    eps_grid: tuple[float, ...] = (0.02, 0.04)
-    base_grid: int = 5
-    potential: str = "zero"
-    potentials: tuple[str, ...] = ()
-    grid_k: int = 16
-    entropy_samples: int = 64
-    birkhoff_n: int = 64
-    birkhoff_samples: int = 64
-    spaces: int = 100
-    measures: tuple[str, ...] = ("haar", "atomic:0,0")
-    certify_n: int = 40
-    spectrum_n: int = 2000
-    config_dir: Path = field(default_factory=Path)
+    def __init__(
+        self,
+        system: str = "",
+        experiment: str = "",
+        seed: int = 0,
+        samples: int = 1,
+        out: str = "results",
+        delta: float = 0.1,
+        n_grid: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14),
+        eps_grid: tuple[float, ...] = (0.02, 0.04),
+        base_grid: int = 5,
+        potential: str = "zero",
+        potentials: tuple[str, ...] = (),
+        grid_k: int = 16,
+        entropy_samples: int = 64,
+        birkhoff_n: int = 64,
+        birkhoff_samples: int = 64,
+        spaces: int = 100,
+        measures: tuple[str, ...] = ("haar", "atomic:0,0"),
+        certify_n: int = 40,
+        spectrum_n: int = 2000,
+        config_dir: Path = Path(),
+    ):
+        self.system = system
+        self.experiment = experiment
+        self.seed = seed
+        self.samples = samples
+        self.out = out
+        self.delta = delta
+        self.n_grid = n_grid
+        self.eps_grid = eps_grid
+        self.base_grid = base_grid
+        self.potential = potential
+        self.potentials = potentials
+        self.grid_k = grid_k
+        self.entropy_samples = entropy_samples
+        self.birkhoff_n = birkhoff_n
+        self.birkhoff_samples = birkhoff_samples
+        self.spaces = spaces
+        self.measures = measures
+        self.certify_n = certify_n
+        self.spectrum_n = spectrum_n
+        self.config_dir = config_dir
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
@@ -252,10 +273,16 @@ def _resolve_measure(spec: str, cocycle: Cocycle, system: DrivingSystem):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+class _CellText(dict):
+    """CSV text of cell values keyed by (id, value), so each value object is
+    formatted once: a float as %.12g, anything else as str.  Keys hold their
+    values, so no id is reused while a table is written; equal values of other
+    types or signs (1 and 1.0, 0.0 and -0.0) keep their own text."""
+
+    def __missing__(self, key):
+        value = key[1]
+        text = self[key] = f"{value:.12g}" if isinstance(value, float) else str(value)
+        return text
 
 
 def _json_default(obj):
@@ -281,8 +308,10 @@ def emit_report(out_dir, experiment: str, seed: int, header, rows, json_obj, log
     csv_path = out / f"{base}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+        # rows share value objects: t3_entropy's 112,000 cells are 361 objects
+        cell = _CellText().__getitem__
+        for row in map(tuple, rows):  # read twice below, so a row may be any iterable
+            fh.write(",".join(map(cell, zip(map(id, row), row))) + "\n")
     json_path = out / f"{base}.json"
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(json_obj, fh, sort_keys=True, indent=2, default=_json_default)

@@ -10,7 +10,7 @@ as a boolean claim of exact equality.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,8 +173,7 @@ def _known_integral(known, cocycle, potential, sampler, n, samples, seed):
     return known[key]
 
 
-@dataclass(frozen=True)
-class GibbsDefect:
+class GibbsDefect(NamedTuple):
     """Distance of a measure from the geometric-potential equality cases."""
 
     pressure_at_phiu: float
@@ -187,7 +186,7 @@ class GibbsDefect:
     integral_ci: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _report_for(cocycle, system, seed):
@@ -230,8 +229,7 @@ def gibbs_defect(
     )
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     measure_id: str
     h_estimate: float
     h_ci: float
@@ -242,8 +240,7 @@ class CandidateRecord:
     equilibrium_within_ci: bool
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     """Defect table of candidate measures against one potential's pressure."""
 
     potential_id: str

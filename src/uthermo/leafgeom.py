@@ -9,7 +9,7 @@ radius <= 0.25 so charts are injective on the torus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ class TrivialLeafError(EstimatorError, ValueError):
     undefined there."""
 
 
-@dataclass(frozen=True)
-class UnstableDisk:
+class UnstableDisk(NamedTuple):
     """Local expanding-leaf chart of radius `radius` at `base`.
 
     Linear-exact charts map parameters t to base + frame @ t (mod 1) and

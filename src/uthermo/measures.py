@@ -14,7 +14,7 @@ rejected rather than approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .rds import (
     torus_distance,
 )
 from .oseledets import lyapunov_spectra
-from .leafgeom import leaf_growth_factors_batch, unstable_disk
+from .leafgeom import UnstableDisk, leaf_growth_factors_batch, unstable_disk
 from .thermo import CI_FLOOR, fit_slope, upper_half
 
 __all__ = [
@@ -141,8 +141,7 @@ class FiniteSkewSpace:
         return self.join([self.theta_partition(labels, -k) for k in range(n)])
 
 
-@dataclass(frozen=True)
-class InfoTable:
+class InfoTable(NamedTuple):
     """Pointwise conditional information (nan off support) and its mean."""
 
     information: np.ndarray
@@ -355,8 +354,7 @@ def coarsen_partition(rng: np.random.Generator, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasureSampler:
+class MeasureSampler(NamedTuple):
     """Seeded sampler of (path, point) pairs from a supported invariant measure."""
 
     kind: str
@@ -472,8 +470,7 @@ def convex_combo_sampler(components, weights, label: str | None = None) -> Measu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionPair:
+class PartitionPair(NamedTuple):
     """Per-symbol offset grid partition of the torus plus its leaf sections.
 
     The fiber partition over a symbol is the grid_k^dim cube grid shifted by
@@ -514,7 +511,7 @@ def build_partition_pair(
     """Seeded offset-grid partition compatible with the given leaf disks."""
     if grid_k < 2:
         raise InvalidSystem("grid_k must be >= 2")
-    disk_list = disks if isinstance(disks, (list, tuple)) else [disks]
+    disk_list = [disks] if isinstance(disks, UnstableDisk) else disks
     if dim is None:
         dim = disk_list[0].dim if disk_list else 2
     for d in disk_list:
@@ -530,8 +527,7 @@ def build_partition_pair(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     """A leafwise entropy estimate with its n-profile and confidence width."""
 
     value: float

@@ -11,7 +11,7 @@ resolution"), never proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -46,8 +46,7 @@ POSITIVE_MARGIN = CLUSTER_GAP / 2.0
 CERTIFY_MARGIN = 0.02
 
 
-@dataclass(frozen=True)
-class OseledetsReport:
+class OseledetsReport(NamedTuple):
     """Estimated Lyapunov data at one sampled state.
 
     exponents are cluster means in decreasing order, multiplicities the
@@ -79,8 +78,7 @@ class OseledetsReport:
         }
 
 
-@dataclass(frozen=True)
-class HyperbolicityCertificate:
+class HyperbolicityCertificate(NamedTuple):
     """Sampled evidence for domination plus uniform leafwise expansion."""
 
     domination_ratio_log: float

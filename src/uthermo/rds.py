@@ -14,7 +14,8 @@ table read by symbol, or any other cocycle's stack read in walk order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +55,24 @@ class EstimatorError(RuntimeError):
     """A numerical estimator could not produce a usable result."""
 
 
+class _Validated:
+    """Base of a namedtuple type whose __new__ checks its fields: _make, and so
+    _replace, build through that __new__ too (namedtuple's own skip it)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 # ---------------------------------------------------------------------------
 # Driving system and symbol paths
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DrivingSystem:
+class DrivingSystem(_Validated, namedtuple("DrivingSystem",
+                                           "kind symbol_count distribution transition seed")):
     """Ergodic base process over a finite symbol alphabet.
 
     kind is one of "iid", "markov", "deterministic-trivial".  For iid the
@@ -68,31 +80,34 @@ class DrivingSystem:
     of the supplied transition matrix.
     """
 
-    kind: str
-    symbol_count: int
-    distribution: tuple[float, ...]
-    transition: tuple[tuple[float, ...], ...] | None = None
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("iid", "markov", "deterministic-trivial"):
-            raise InvalidSystem(f"unknown base kind {self.kind!r}")
-        if self.symbol_count < 1:
+    def __new__(
+        cls,
+        kind: str,
+        symbol_count: int,
+        distribution: tuple[float, ...],
+        transition: tuple[tuple[float, ...], ...] | None = None,
+        seed: int = 0,
+    ):
+        if kind not in ("iid", "markov", "deterministic-trivial"):
+            raise InvalidSystem(f"unknown base kind {kind!r}")
+        if symbol_count < 1:
             raise InvalidSystem("symbol_count must be positive")
-        dist = np.asarray(self.distribution, dtype=float)
-        if dist.shape != (self.symbol_count,):
+        dist = np.asarray(distribution, dtype=float)
+        if dist.shape != (symbol_count,):
             raise InvalidSystem("distribution length must equal symbol_count")
         if np.any(dist < -_PROB_TOL):
             raise InvalidSystem("distribution entries must be nonnegative")
         if abs(dist.sum() - 1.0) > _PROB_TOL:
             raise InvalidSystem("distribution must sum to 1")
-        if self.kind == "deterministic-trivial" and self.symbol_count != 1:
+        if kind == "deterministic-trivial" and symbol_count != 1:
             raise InvalidSystem("deterministic-trivial base needs symbol_count = 1")
-        if self.kind == "markov":
-            if self.transition is None:
+        if kind == "markov":
+            if transition is None:
                 raise InvalidSystem("markov base needs a transition matrix")
-            q = np.asarray(self.transition, dtype=float)
-            if q.shape != (self.symbol_count, self.symbol_count):
+            q = np.asarray(transition, dtype=float)
+            if q.shape != (symbol_count, symbol_count):
                 raise InvalidSystem("transition matrix has wrong shape")
             if np.any(q < -_PROB_TOL):
                 raise InvalidSystem("transition entries must be nonnegative")
@@ -100,16 +115,16 @@ class DrivingSystem:
                 raise InvalidSystem("transition rows must sum to 1")
             if np.max(np.abs(dist @ q - dist)) > _STATIONARY_TOL:
                 raise InvalidSystem("supplied vector is not stationary for the transition")
-        elif self.transition is not None:
+        elif transition is not None:
             raise InvalidSystem("transition matrix only makes sense for a markov base")
+        return super().__new__(cls, kind, symbol_count, distribution, transition, seed)
 
     @property
     def distribution_array(self) -> np.ndarray:
         return np.asarray(self.distribution, dtype=float)
 
 
-@dataclass(frozen=True)
-class SymbolPath:
+class SymbolPath(_Validated, namedtuple("SymbolPath", "symbols half_window origin_offset")):
     """A sampled two-sided symbol window with a movable time origin.
 
     Symbols are fixed at sampling time for absolute times in
@@ -117,13 +132,12 @@ class SymbolPath:
     Accessing a symbol beyond the window raises WindowExhausted.
     """
 
-    symbols: tuple[int, ...]
-    half_window: int
-    origin_offset: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.symbols) != 2 * self.half_window + 1:
+    def __new__(cls, symbols: tuple[int, ...], half_window: int, origin_offset: int = 0):
+        if len(symbols) != 2 * half_window + 1:
             raise InvalidSystem("symbol window length must be 2*half_window + 1")
+        return super().__new__(cls, symbols, half_window, origin_offset)
 
     def symbol(self, j: int) -> int:
         """Symbol at relative time j (absolute time origin_offset + j)."""
@@ -136,7 +150,7 @@ class SymbolPath:
 
     def shifted(self, k: int) -> "SymbolPath":
         """The path seen from time origin moved by k steps (the base shift)."""
-        return replace(self, origin_offset=self.origin_offset + k)
+        return SymbolPath(self.symbols, self.half_window, self.origin_offset + k)
 
     @property
     def backward_reach(self) -> int:
@@ -195,15 +209,14 @@ def _add_shift(out: np.ndarray, shift) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(_Validated, namedtuple("TorusPoint", "coords")):
     """A point on the d-torus with coordinates reduced into [0, 1)."""
 
-    coords: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        reduced = tuple(float(c) for c in reduce_mod1(np.asarray(self.coords, dtype=float)))
-        object.__setattr__(self, "coords", reduced)
+    def __new__(cls, coords: tuple[float, ...]):
+        reduced = tuple(float(c) for c in reduce_mod1(np.asarray(coords, dtype=float)))
+        return super().__new__(cls, reduced)
 
     @property
     def dim(self) -> int:
@@ -226,7 +239,6 @@ def torus_distance(x: TorusPoint | np.ndarray, y: TorusPoint | np.ndarray) -> fl
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ShearTerm:
     """Volume-preserving shear x -> x + a*sin(2*pi*k.x + phase)*v with k.v = 0.
 
@@ -235,12 +247,8 @@ class ShearTerm:
     formula with a negated amplitude (an exact diffeomorphism for any a).
     """
 
-    amplitude: float
-    wavevector: tuple[int, ...]
-    phase: float = 0.0
-
-    def __post_init__(self):
-        k = np.asarray(self.wavevector, dtype=float)
+    def __init__(self, amplitude: float, wavevector: tuple[int, ...], phase: float = 0.0):
+        k = np.asarray(wavevector, dtype=float)
         if k.ndim != 1 or k.shape[0] not in (2, 3):
             raise InvalidSystem("shear wavevector must have dimension 2 or 3")
         if not np.any(k):
@@ -255,10 +263,13 @@ class ShearTerm:
             e[int(np.argmin(np.abs(k)))] = 1.0
             v = np.cross(k, e)
         v = v / np.linalg.norm(v)
-        object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_direction", v)
-        object.__setattr__(self, "_outer", np.einsum("i,j->ij", v, k))
-        object.__setattr__(self, "_eye", np.eye(k.shape[0]))
+        self.amplitude = amplitude
+        self.wavevector = wavevector
+        self.phase = phase
+        self._k = k
+        self._direction = v
+        self._outer = np.einsum("i,j->ij", v, k)
+        self._eye = np.eye(k.shape[0])
 
     @property
     def direction(self) -> np.ndarray:
@@ -290,7 +301,7 @@ class ShearTerm:
 
 
 class _AutoBound:
-    """Sentinel: compute a conservative smoothness bound at construction."""
+    """Sentinel: a smoothness bound computed in closed form when read."""
 
     def __repr__(self):  # pragma: no cover
         return "AUTO"
@@ -309,48 +320,58 @@ def _unimodular_inverse(matrix: np.ndarray) -> np.ndarray:
     return inv
 
 
-@dataclass(frozen=True)
 class MapDescriptor:
     """One fiber map f(x) = A.(S_m o ... o S_1)(x) + b  (mod 1).
 
     A is a unimodular integer matrix, the S_i are shear terms, and b is a
     translation.  c2_bound / c2_bound_inverse are bounds on the C^2 size of
-    the map and its inverse; left at AUTO they are filled with a
-    conservative closed form, while an explicit None marks them missing.
+    the map and its inverse; left at AUTO they read as a conservative closed
+    form, computed when read, while an explicit None marks them missing.
     """
 
-    matrix: np.ndarray
-    shears: tuple[ShearTerm, ...] = ()
-    translation: tuple[float, ...] | None = None
-    c2_bound: float | None = AUTO
-    c2_bound_inverse: float | None = AUTO
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix)
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        shears: tuple[ShearTerm, ...] = (),
+        translation: tuple[float, ...] | None = None,
+        c2_bound: float | None = AUTO,
+        c2_bound_inverse: float | None = AUTO,
+    ):
+        m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
             raise InvalidSystem("matrix must be square of dimension 2 or 3")
         if not np.allclose(m, np.round(m)):
             raise InvalidSystem("matrix must be integer")
         m = np.round(m).astype(np.int64)
-        object.__setattr__(self, "matrix", m)
         inv = _unimodular_inverse(m)
-        object.__setattr__(self, "_inverse_matrix", inv)
-        for s in self.shears:
+        for s in shears:
             if len(s.wavevector) != m.shape[0]:
                 raise InvalidSystem("shear dimension does not match matrix")
-        if self.translation is None:
-            object.__setattr__(self, "translation", (0.0,) * m.shape[0])
-        elif len(self.translation) != m.shape[0]:
+        if translation is None:
+            translation = (0.0,) * m.shape[0]
+        elif len(translation) != m.shape[0]:
             raise InvalidSystem("translation dimension does not match matrix")
-        if self.c2_bound is AUTO:
-            object.__setattr__(self, "c2_bound", self._default_c2(m))
-        if self.c2_bound_inverse is AUTO:
-            object.__setattr__(self, "c2_bound_inverse", self._default_c2(inv))
+        self.matrix = m
+        self.shears = shears
+        self.translation = translation
+        self._c2_bound = c2_bound
+        self._c2_bound_inverse = c2_bound_inverse
+        self._inverse_matrix = inv
         # float forms of the matrices and translation, built once for apply/jacobian
-        object.__setattr__(self, "_matrix_float", m.astype(float))
-        object.__setattr__(self, "_matrix_t", m.T.astype(float))
-        object.__setattr__(self, "_inverse_t", inv.T.astype(float))
-        object.__setattr__(self, "_shift", np.asarray(self.translation))
+        self._matrix_float = m.astype(float)
+        self._matrix_t = m.T.astype(float)
+        self._inverse_t = inv.T.astype(float)
+        self._shift = np.asarray(translation)
+
+    @property
+    def c2_bound(self) -> float | None:
+        bound = self._c2_bound
+        return self._default_c2(self.matrix) if bound is AUTO else bound
+
+    @property
+    def c2_bound_inverse(self) -> float | None:
+        bound = self._c2_bound_inverse
+        return self._default_c2(self._inverse_matrix) if bound is AUTO else bound
 
     def _default_c2(self, mat: np.ndarray) -> float:
         base = float(np.linalg.norm(mat.astype(float), 2))
@@ -410,18 +431,16 @@ class MapDescriptor:
         return base
 
 
-@dataclass(frozen=True)
 class Cocycle:
     """The family of per-symbol fiber maps driven by a symbol path."""
 
-    maps: tuple[MapDescriptor, ...]
-
-    def __post_init__(self):
-        if not self.maps:
+    def __init__(self, maps: tuple[MapDescriptor, ...]):
+        if not maps:
             raise InvalidSystem("cocycle needs at least one map")
-        dims = {m.dim for m in self.maps}
+        dims = {m.dim for m in maps}
         if len(dims) != 1:
             raise InvalidSystem("all maps must share the fiber dimension")
+        self.maps = maps
 
     @property
     def dim(self) -> int:
@@ -442,8 +461,7 @@ class Cocycle:
         return max(m.lipschitz for m in self.maps)
 
 
-@dataclass(frozen=True)
-class SkewState:
+class SkewState(NamedTuple):
     """A point of the product space: symbol path plus torus point."""
 
     path: SymbolPath

@@ -10,8 +10,8 @@ additive constants and most of the disk-boundary transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .rds import (
     SkewState,
     SymbolPath,
     TorusPoint,
+    _Validated,
     _map_step,
     _symbol_windows,
     _tangent_images,
@@ -81,8 +82,7 @@ _MAX_MATERIALIZED = 2_000_000
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """A potential on (symbol path, torus point), continuous in the point.
 
     x-independent potentials carry symbol_fn (value per current symbol) and
@@ -421,8 +421,7 @@ def _greedy_windows(order, lo, hi, n_candidates: int) -> np.ndarray:
     return np.sort(np.asarray(selected, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class SeparatedSetResult:
+class SeparatedSetResult(NamedTuple):
     """A packed separated subset of a leaf disk with its weighted orbit sum.
 
     log_weighted_sum is the packing lower bound for the sup; log_upper the
@@ -527,8 +526,7 @@ def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray
     return total
 
 
-@dataclass(frozen=True)
-class _LineGrid:
+class _LineGrid(NamedTuple):
     """The points of a linear-exact 1-d packing cell: chart(params), params the
     candidates -radius + step * i, then chart(extra), the cover points that are
     not candidates.
@@ -880,31 +878,33 @@ def _separated_sets_2d(cocycle, disk, potentials, n, epsilon, max_candidates):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Validated, namedtuple("GridSpec", "delta n_grid eps_grid base_grid omega_samples")):
     """Shared estimator grids: leaf radius, time grid, scales, base points."""
 
-    delta: float = 0.1
-    n_grid: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14)
-    eps_grid: tuple[float, ...] = (0.02, 0.04)
-    base_grid: int = 5
-    omega_samples: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.n_grid or any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
+    def __new__(
+        cls,
+        delta: float = 0.1,
+        n_grid: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14),
+        eps_grid: tuple[float, ...] = (0.02, 0.04),
+        base_grid: int = 5,
+        omega_samples: int = 1,
+    ):
+        if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
-        if self.n_grid[0] < 1:
+        if n_grid[0] < 1:
             raise ValueError("n_grid entries must be >= 1")
-        if not self.eps_grid or any(b <= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
+        if not eps_grid or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
             raise ValueError("eps_grid must be strictly increasing")
-        if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+        if not all(math.isfinite(e) and e > 0 for e in eps_grid):
             raise ValueError("eps_grid entries must be finite and positive")
-        if self.base_grid < 1 or self.omega_samples < 1:
+        if base_grid < 1 or omega_samples < 1:
             raise ValueError("base_grid and omega_samples must be >= 1")
+        return super().__new__(cls, delta, n_grid, eps_grid, base_grid, omega_samples)
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(NamedTuple):
     omega_seed: int
     x_index: int
     delta: float
@@ -941,8 +941,7 @@ def fit_slope(ns, ys) -> tuple[float, float, float]:
     return slope, se, float(np.max(np.abs(resid)))
 
 
-@dataclass(frozen=True)
-class PressureEstimate:
+class PressureEstimate(NamedTuple):
     """Fitted leafwise pressure with its bracket tables and spread diagnostics.
 
     value is the slope of log(weighted sum) against n over the upper half
@@ -994,7 +993,7 @@ class PressureEstimate:
         rows = [[seed, xi, self.delta, n, eps, lower, upper, self.potential_label]
                 for seed, xi, brackets in self.tables
                 for (n, eps), lower, upper in zip(grid, brackets[::2], brackets[1::2])]
-        return [f.name for f in fields(CellRecord)], rows
+        return list(CellRecord._fields), rows
 
 
 def pressure_estimates(
@@ -1161,16 +1160,14 @@ def topological_entropy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     passed: bool
     slack: float
     detail: str
 
 
-@dataclass(frozen=True)
-class PropertySuiteReport:
+class PropertySuiteReport(NamedTuple):
     checks: tuple[PropertyCheck, ...]
     estimates: dict
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -9,8 +8,10 @@ import pytest
 
 import oracles
 from conftest import CONFIG_DIR
-from uthermo import equilibria, measures, thermo
-from uthermo.cli import emit_report, load_config, main, parse_config_text, ConfigError
+from uthermo import equilibria, load_system, measures, thermo
+from uthermo.cli import (
+    ConfigError, _resolve_measure, emit_report, load_config, main, parse_config_text,
+)
 from uthermo.oseledets import lyapunov_spectra
 
 
@@ -88,18 +89,18 @@ class TestRunner:
         # made and none is copied, though the stand-in base point's cells fill
         # every x_index
         made = []
-        init, replace = thermo.CellRecord.__init__, dataclasses.replace
+        new, make = thermo.CellRecord.__new__, thermo.CellRecord._make
 
-        def counted_init(self, *args, **kwargs):
-            made.append("init")
-            init(self, *args, **kwargs)
+        def counted_new(cls, *args, **kwargs):
+            made.append("new")
+            return new(cls, *args, **kwargs)
 
-        def counted_replace(obj, **changes):
-            made.append("replace")
-            return replace(obj, **changes)
+        def counted_make(cls, iterable):  # _replace copies through _make
+            made.append("make")
+            return make(iterable)
 
-        monkeypatch.setattr(thermo.CellRecord, "__init__", counted_init)
-        monkeypatch.setattr(dataclasses, "replace", counted_replace)
+        monkeypatch.setattr(thermo.CellRecord, "__new__", counted_new)
+        monkeypatch.setattr(thermo.CellRecord, "_make", classmethod(counted_make))
         code = main(["--config", str(CONFIG_DIR / "t3_entropy.cfg"), "--out", str(tmp_path)])
         assert code == 0
         assert made == []
@@ -146,6 +147,13 @@ class TestRunner:
         summary = json.loads((tmp_path / "vp_scan_13.json").read_text())
         assert [c["measure_id"] for c in summary["candidates"]] == [
             "haar", "atomic:0,0", "combo(0.5*haar+0.5*atomic:0,0)"]
+        # the sharing keys on (sampler, seed): samplers resolved from one spec are
+        # equal values with equal hashes
+        system, cocycle = load_system(CONFIG_DIR / "cat.system")
+        for spec in ("haar", "atomic:0,0", "combo:0.5*haar+0.5*atomic:0,0"):
+            first, second = (_resolve_measure(spec, cocycle, system) for _ in range(2))
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
 
     def test_vp_scan_integrates_each_potential_once(self, tmp_path, monkeypatch):
         # the scanned potential (zero) is also in the dual family, and the dual
@@ -227,6 +235,18 @@ class TestRunner:
     def test_empty_result_set_header_only(self, tmp_path):
         emit_report(tmp_path, "entropy", 9, ["a", "b"], [], {"experiment": "entropy"}, ["x"])
         assert (tmp_path / "entropy_9.csv").read_text() == "a,b\n"
+
+    def test_cells_keep_their_type_and_sign(self, tmp_path):
+        # each value object is formatted once, and equal values of other types or
+        # signs keep their own text; a row may be any iterable
+        zero = 0.0
+        rows = [[1, 1.0, True, zero, -zero, None, "s", np.float64(0.1), np.int64(3)],
+                (v for v in [1.0, 1, -0.0, zero, math.nan, 1 / 3, 2.0**70, 10**20, False])]
+        emit_report(tmp_path, "entropy", 9, list("abcdefghi"), rows, {}, ["x"])
+        assert (tmp_path / "entropy_9.csv").read_text().splitlines()[1:] == [
+            "1,1,True,0,-0,None,s,0.1,3",
+            "1,1,-0,0,nan,0.333333333333,1.18059162072e+21,100000000000000000000,False",
+        ]
 
     def test_directory_run_all(self, tmp_path):
         cfg_dir = tmp_path / "cfgs"

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -134,3 +135,75 @@ def test_core_runs_never_import_the_late_layers(tmp_path):
     codes, seen, loaded = _cli_runs([CONFIG_DIR / f"{n}.cfg" for n in names], tmp_path)
     assert codes == [0] * len(names)
     assert seen == [[]] * len(names) and loaded == []
+
+
+def test_no_layer_imports_dataclasses():
+    # every type is a namedtuple or a plain class, so no import generates code
+    code = ("import json, sys, uthermo.cli, uthermo.measures, uthermo.equilibria\n"
+            "print(json.dumps('dataclasses' in sys.modules))")
+    assert _fresh_python(code) is False
+
+
+# each public class's constructor parameters, annotations left out, as of the
+# change that made the dataclasses namedtuples and plain classes
+SIGNATURES = {
+    "DrivingSystem": "(kind, symbol_count, distribution, transition=None, seed=0)",
+    "SymbolPath": "(symbols, half_window, origin_offset=0)",
+    "TorusPoint": "(coords)",
+    "ShearTerm": "(amplitude, wavevector, phase=0.0)",
+    "MapDescriptor": "(matrix, shears=(), translation=None, c2_bound=AUTO, c2_bound_inverse=AUTO)",
+    "Cocycle": "(maps)",
+    "SkewState": "(path, point)",
+    "OseledetsReport": "(exponents, multiplicities, unstable_index, eu_frame, orbit_length, "
+                       "raw_exponents, log_det_sum=nan)",
+    "HyperbolicityCertificate": "(domination_ratio_log, expansion_lower, constants, samples, "
+                                "verdict, per_sample=())",
+    "UnstableDisk": "(base, radius, frame, construction, params=None, points_lift=None)",
+    "Potential": "(label, l1_bound, lipschitz, symbol_fn=None, vector_fn=None, terms=(), "
+                 "coboundary=None, wave=None)",
+    "SeparatedSetResult": "(points, count, n, epsilon, log_weighted_sum, log_upper, method, "
+                          "potential_label='')",
+    "GridSpec": "(delta=0.1, n_grid=(8, 9, 10, 11, 12, 13, 14), eps_grid=(0.02, 0.04), "
+                "base_grid=5, omega_samples=1)",
+    "CellRecord": "(omega_seed, x_index, delta, n, epsilon, log_lower, log_upper, potential_id)",
+    "PressureEstimate": "(value, slope_ci, per_n_log, eps_grid, delta, n_grid, omega_samples, "
+                        "spread, residual, omega_values, tables, potential_label, bracket_ok)",
+    "PropertyCheck": "(name, passed, slack, detail)",
+    "PropertySuiteReport": "(checks, estimates)",
+    "FiniteSkewSpace": "(omega_probs, base_perm, fiber_counts, fiber_maps, weights)",
+    "InfoTable": "(information, entropy)",
+    "MeasureSampler": "(kind, label, system, dim, half_window, orbit=(), components=(), "
+                      "weights=())",
+    "PartitionPair": "(grid_k, dim, offsets, offset_seed)",
+    "EntropyEstimate": "(value, method, n_grid, samples, ci, per_n, eps_values=None, "
+                       "traces=None, trace_sd=None)",
+    "GibbsDefect": "(pressure_at_phiu, pesin_gap, measure_id, pressure_ci, entropy, entropy_ci, "
+                   "integral_minus_phiu, integral_ci)",
+    "CandidateRecord": "(measure_id, h_estimate, h_ci, integral_estimate, integral_ci, defect, "
+                       "combined_ci, equilibrium_within_ci)",
+    "EquilibriumReport": "(potential_id, pressure, candidates, best)",
+}
+
+
+def test_public_classes_keep_their_constructors():
+    found, plain = {}, set()
+    for layer in LAYERS:
+        mod = importlib.import_module(f"uthermo.{layer}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if not inspect.isclass(obj) or issubclass(obj, BaseException):
+                continue
+            sig = inspect.signature(obj)
+            found[name] = str(sig.replace(
+                parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+                return_annotation=sig.empty))
+            if not issubclass(obj, tuple):
+                plain.add(name)
+                continue
+            # a record rejects assignment to its fields and to any other name
+            record = tuple.__new__(obj, [None] * len(obj._fields))
+            for attr in (*obj._fields, "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, attr, 0)
+    assert found == SIGNATURES
+    assert plain == {"ShearTerm", "MapDescriptor", "Cocycle", "FiniteSkewSpace"}

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -367,7 +366,7 @@ class TestGraphTransformCharts:
         cocycle, states, reports = _sheared_states("fixture", perturbed_cat_cocycle,
                                                    trivial_system)
         u = reports[0].eu_frame[:, 0]
-        stable = dataclasses.replace(reports[0], eu_frame=np.array([[-u[1]], [u[0]]]))
+        stable = reports[0]._replace(eu_frame=np.array([[-u[1]], [u[0]]]))
         with pytest.raises(EstimatorError, match="graph transform diverged"):
             unstable_disk(cocycle, states[0], 0.1, stable)
         with pytest.raises(ValueError, match="shorter than radius"):

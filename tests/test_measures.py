@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -549,7 +548,7 @@ class TestIntervalInformationPush:
         def flatten(*args):
             # the samples listed in trivial get a point for a leaf
             for i, (path, x, rep) in enumerate(real(*args)):
-                drawn.append((path, x, replace(rep, unstable_index=0) if i in trivial else rep))
+                drawn.append((path, x, rep._replace(unstable_index=0) if i in trivial else rep))
             return drawn
 
         monkeypatch.setattr(measures, "_sample_spectra", flatten)

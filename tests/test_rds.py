@@ -92,6 +92,11 @@ class TestSamplePath:
         with pytest.raises(WindowExhausted):
             shifted.symbol(2)
         assert shifted.symbol(1) == 0
+        # a window of the wrong length is refused, also when a copy makes it
+        with pytest.raises(InvalidSystem, match="2\\*half_window"):
+            SymbolPath(symbols=(0, 0), half_window=1)
+        with pytest.raises(InvalidSystem, match="2\\*half_window"):
+            path._replace(half_window=4)
 
     def test_shift_moves_origin_only(self, iid_system):
         path = sample_path(iid_system, 16, seed=3)
@@ -105,6 +110,10 @@ class TestTorusGeometry:
     def test_coordinates_reduced(self):
         p = TorusPoint((1.25, -0.25))
         assert p.coords == (0.25, 0.75)
+        assert p._replace(coords=(2.5, -1.0)).coords == (0.5, 0.0)
+        # a point is its reduced coordinates: equal points compare and hash alike
+        same = TorusPoint((-0.75, 0.75))
+        assert same == p and hash(same) == hash(p)
 
     def test_known_distance(self):
         assert torus_distance(TorusPoint((0.1, 0.9)), TorusPoint((0.9, 0.1))) == pytest.approx(0.2)

@@ -272,6 +272,8 @@ class TestPressurePipeline:
             GridSpec(base_grid=0)
         with pytest.raises(ValueError, match="n_grid"):
             GridSpec(n_grid=(0, 1, 2))
+        with pytest.raises(ValueError, match="eps_grid"):
+            GridSpec()._replace(eps_grid=(0.04, 0.02))
 
     def test_one_entry_grid_fails_before_sampling(self, monkeypatch, cat_cocycle,
                                                   trivial_system):
