@@ -113,7 +113,7 @@ def _householder_qr(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with k <= d.  mat must be a float64 array the caller no longer needs: it is
     overwritten with the factorisation, and the diagonal returned is a view of it."""
     tau = _umath_linalg.qr_r_raw(mat)
-    return _umath_linalg.qr_reduced(mat, tau), np.diagonal(mat, axis1=-2, axis2=-1)
+    return _umath_linalg.qr_reduced(mat, tau), mat.diagonal(0, -2, -1)
 
 
 def _positive_q(mat: np.ndarray) -> np.ndarray:

@@ -354,6 +354,8 @@ def _window_max(a: np.ndarray, k: int) -> np.ndarray:
     while 2 * span <= k:
         m = np.maximum(m[:-span], m[span:])
         span *= 2
+    if span == k:
+        return m
     return np.maximum(m[: len(a) - k + 1], m[k - span :])
 
 
@@ -381,9 +383,8 @@ def _greedy_kernel(weights: np.ndarray, width: int) -> np.ndarray:
     window), so picks chain along slopes.  NaN spreads through the window maxima,
     so no comparison with NaN decides a pick.  The windows of decided picks hold
     no other pick, and the rest lie farther than `width` from every decided pick,
-    so whether those come before or after them changes nothing: the stamping loop
-    over the rest alone, in its own order (a pick marks itself 2 and its window 1),
-    leaves 2 at exactly the picks.
+    so whether those come before or after them changes nothing: the blocking loop
+    over the rest alone, in its own order, adds the other picks.
     """
     n = len(weights)
     rim = np.full(width, -np.inf)
@@ -397,15 +398,15 @@ def _greedy_kernel(weights: np.ndarray, width: int) -> np.ndarray:
     rim = np.zeros(width, dtype=bool)
     covered = _window_max(np.concatenate([rim, picks, rim]), span)
     blocked = bytearray(n + span - 1)  # candidate i sits at i + width
-    marks = np.frombuffer(blocked, dtype=np.uint8)[width : width + n]
-    marks[covered] = 1
-    marks[picks] = 2
+    block = b"\x01" * span
     rest = np.flatnonzero(~covered)
-    block = b"\x01" * width + b"\x02" + b"\x01" * width
+    chosen = []
     for idx in rest[np.argsort(-weights[rest], kind="stable")].tolist():
         if not blocked[idx + width]:
             blocked[idx : idx + span] = block
-    return np.flatnonzero(marks == 2)
+            chosen.append(idx)
+    picks[chosen] = True
+    return np.flatnonzero(picks)
 
 
 def _greedy_windows(order, lo, hi, n_candidates: int) -> np.ndarray:
@@ -714,8 +715,8 @@ def maximal_separated_sets(
     where a product rounds (a map such as A^2, or a wave's k.x).  The pass
     keeps one running sum per leaf, from one plan of its steps and signs, and
     weights them once per potential (_orbit_sums), so each potential's sums,
-    and so its packing, have the bits of packing it alone.  The selection runs
-    once per distinct row of orbit sums.
+    and so its packing, have the bits of packing it alone.  Rows of orbit sums
+    with equal bits share one selection.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -807,21 +808,25 @@ def maximal_separated_sets(
         # one pass: the cover's orbit sums are read off the candidates' (and extra's)
         pts = disk.chart(params) if line is None else None
         sums = _orbit_sums(cocycle, path, walked, pts, n, line)
-        weights, cover_weights = sums[:, : len(params)], sums[:, cover_idx]
-        picks = {}  # bitwise-equal rows of orbit sums share one selection
-        for k, p, w, cw in zip(varying, walked, weights, cover_weights):
-            key = w.tobytes()
-            if key not in picks:
+        # rows with equal bits share picks and sums; a strided sample of bits groups them
+        bits = sums.view(np.int64)
+        shared = {}  # sample -> [(row, (picks, log sum, cover log sum))]
+        for i, (k, p) in enumerate(zip(varying, walked)):
+            same = shared.setdefault(bits[i, ::257].tobytes(), [])
+            got = next((got for j, got in same if np.array_equal(bits[j], bits[i])), None)
+            if got is None:
+                w = sums[i, : len(params)]
                 selected = select(w)
-                picks[key] = selected, _logsumexp(w[selected])
-            selected, log_sum = picks[key]
+                got = selected, _logsumexp(w[selected]), _logsumexp(sums[i, cover_idx])
+                same.append((i, got))
+            selected, log_sum, log_cover = got
             results[k] = SeparatedSetResult(
                 points=params[selected],
                 count=float(len(selected)),
                 n=n,
                 epsilon=epsilon,
                 log_weighted_sum=log_sum,
-                log_upper=_logsumexp(cw) + n * p.lipschitz * epsilon / 2.0,
+                log_upper=log_cover + n * p.lipschitz * epsilon / 2.0,
                 method="grid-exhaustive",
                 potential_label=p.label,
             )
@@ -1196,16 +1201,6 @@ def _fiber_extrema(potential: Potential, system: DrivingSystem, dim: int = 2, gr
     return lo, hi
 
 
-def _pointwise_leq(
-    phi: Potential, psi: Potential, system: DrivingSystem, dim: int = 2, grid: int = 48
-) -> bool:
-    return all(
-        not np.any(a > b + 1e-12)
-        for (_, a), (_, b) in zip(_fiber_values(phi, system, dim, grid),
-                                  _fiber_values(psi, system, dim, grid))
-    )
-
-
 def pressure_property_suite(
     cocycle: Cocycle,
     system: DrivingSystem,
@@ -1263,11 +1258,12 @@ def pressure_property_suite(
     # (i) monotonicity: phi <= psi pointwise forces P(phi) <= P(psi).
     mono_slack = math.inf
     pairs = 0
-    for a in potentials:
-        for b in potentials:
+    fibers = [[v for _, v in _fiber_values(p, system, cocycle.dim, 48)] for p in potentials]
+    for a, fa in zip(potentials, fibers):
+        for b, fb in zip(potentials, fibers):
             if a.label == b.label:
                 continue
-            if _pointwise_leq(a, b, system, dim=cocycle.dim):
+            if all(not np.any(x > y + 1e-12) for x, y in zip(fa, fb)):
                 pairs += 1
                 mono_slack = min(
                     mono_slack,

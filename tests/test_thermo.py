@@ -439,6 +439,10 @@ class TestPropertySuite:
         assert not failing, failing
         by_name = {c.name: c for c in report.checks}
         assert by_name["constant-shift"].slack >= -1e-9
+        ordered = sum(oracles.pointwise_leq(a, b, trivial_system)
+                      for a in family for b in family if a.label != b.label)
+        assert ordered == 3  # -0.2 <= zero <= 0.3
+        assert by_name["monotonicity"].detail == f"{ordered} ordered pairs"
 
     def test_suite_estimates_carry_their_cell_tables(self, iid_cocycle, iid_system):
         # every family member's estimate holds a table per path and base point
@@ -686,27 +690,55 @@ class TestOneCodePath:
             for a in family:
                 assert potential_norm(a, system) == oracles.fiber_sup_norm(a, system)
                 assert thermo._fiber_extrema(a, system) == oracles.fiber_extrema(a, system)
-                for b in family:
-                    assert thermo._pointwise_leq(a, b, system) == oracles.pointwise_leq(
-                        a, b, system)
 
     def test_equal_weight_rows_share_one_selection(self, cat_cocycle, cat_setup, monkeypatch):
+        """Rows with equal bits share the selection and both log-sum-exps; rows equal
+        as floats but not in bits (signed zeros, NaN payloads) each get their own."""
         _, _, disk = cat_setup
         cos = coordinate_potential(0.4, [1, 0], label="cos")
         sin = coordinate_potential(0.4, [1, 0], fn="sin", label="sin")
         family = [cos, sin, combine_potentials([(0.0, cos), (1.0, sin)], label="seg0"),
                   combine_potentials([(1.0, cos), (0.0, sin)], label="seg1")]
+
+        def at_1(value):
+            return lambda r: np.where(np.arange(len(r)) == 1, value, r)
+
+        # rows set by label: +0.0 and -0.0 everywhere; a NaN at index 1 only, where the
+        # strided sample of a row does not look, twice with one payload and once with another
+        payload = np.array([0x7FF8000000000001]).view(np.float64)[0]
+        crafted = {"zero+": lambda r: np.zeros_like(r), "zero-": lambda r: np.full_like(r, -0.0),
+                   "nan": at_1(np.nan), "nan-copy": at_1(np.nan), "nan-payload": at_1(payload)}
+        family += [coordinate_potential(0.4, [1, 0], label=label) for label in crafted]
+        orbit_sums = thermo._orbit_sums
+
+        def crafted_sums(cocycle, path, potentials, *args):
+            sums = orbit_sums(cocycle, path, potentials, *args)
+            for row, p in zip(sums, potentials):
+                if p.label in crafted:
+                    row[...] = crafted[p.label](row)
+            return sums
+
+        monkeypatch.setattr(thermo, "_orbit_sums", crafted_sums)
         alone = [maximal_separated_sets(cat_cocycle, disk, [p], 4, 0.04)[0] for p in family]
-        calls = []
-        kernel = thermo._greedy_kernel
-        monkeypatch.setattr(thermo, "_greedy_kernel",
-                            lambda *a: calls.append(1) or kernel(*a))
+        calls = {"kernel": 0, "logsumexp": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(thermo, "_greedy_kernel", counted("kernel", thermo._greedy_kernel))
+        monkeypatch.setattr(thermo, "_logsumexp", counted("logsumexp", thermo._logsumexp))
         together = thermo.maximal_separated_sets(cat_cocycle, disk, family, 4, 0.04)
-        assert len(calls) == 2
+        # distinct rows: cos, sin, zero+, zero-, nan, nan-payload
+        assert calls == {"kernel": 6, "logsumexp": 12}
         for res, ref in zip(together, alone):
             assert np.array_equal(res.points, ref.points)
-            assert (res.count, res.log_weighted_sum, res.log_upper, res.potential_label) == (
-                ref.count, ref.log_weighted_sum, ref.log_upper, ref.potential_label)
+            assert (res.count, res.potential_label) == (ref.count, ref.potential_label)
+            for got, want in ((res.log_weighted_sum, ref.log_weighted_sum),
+                              (res.log_upper, ref.log_upper)):
+                assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
 
 
 class TestKernels:
@@ -763,6 +795,25 @@ class TestKernels:
             got = thermo._greedy_kernel(w, width)
             assert got.dtype == np.int64
             assert np.array_equal(got, self.window_pass(w, width)), (w, width)
+
+    def test_window_max_matches_direct_windows(self):
+        """Every window length, powers of two included, gives max(a[j : j + k]);
+        NaN spreads through each window that holds one."""
+        rng = np.random.default_rng(6)
+        rows = [rng.standard_normal(60), np.round(rng.standard_normal(45), 1),
+                rng.random(33) < 0.2]
+        for fill in ([np.nan], [np.inf], [-np.inf], [np.nan, np.inf, -np.inf]):
+            w = rng.standard_normal(50)
+            w[rng.integers(0, 50, 6)] = rng.choice(fill, 6)
+            rows.append(w)
+        rows.append(np.full(20, -np.inf))
+        for a in rows:
+            for k in range(1, 21):
+                for row in (a, a[:k]):
+                    want = np.array([np.max(row[j : j + k]) for j in range(len(row) - k + 1)])
+                    got = thermo._window_max(row, k)
+                    assert got.dtype == row.dtype, k
+                    assert np.array_equal(got, want, equal_nan=True), (row, k)
 
     def test_logsumexp_bitwise_equal_scipy(self):
         from scipy.special import logsumexp
