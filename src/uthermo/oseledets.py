@@ -269,13 +269,14 @@ def _covariant_frames(table: np.ndarray, index: np.ndarray, q: np.ndarray,
     """The frames (keep, S, d, d) at steps 0 .. keep-1 of one walk pulling q (S, d, d)
     back through the inverses of the Jacobians (table, index) (rds._jacobians), last
     step first: their leading columns converge onto E^cs there (Ginelli et al. 2007).
-    Signs are LAPACK's.  The table is inverted once, before the steps are gathered."""
-    invs = np.linalg.inv(table)[index[::-1]]
+    Signs are LAPACK's.  The table is inverted once; the steps before the kept frames
+    go through _qr_walk on it (a table walk once their frames close), whose sign fold
+    the next step's QR undoes, Householder QR being odd in each column."""
+    invs = np.linalg.inv(table)
+    q = _qr_walk(invs, index[keep:][::-1], q)
     out = np.empty((keep,) + q.shape)
-    for t, inv in zip(range(len(invs) - 1, -1, -1), invs):
-        q = _householder_qr(inv @ q)[0]
-        if t < keep:
-            out[t] = q
+    for t, inv in zip(range(keep - 1, -1, -1), invs[index[:keep][::-1]]):
+        q = out[t] = _householder_qr(inv @ q)[0]
     return out
 
 

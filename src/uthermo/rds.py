@@ -194,8 +194,12 @@ def reduce_mod1(values: np.ndarray) -> np.ndarray:
     values - floor(values), reduced in one new float array (of values' dtype
     when that is floating); the input is not changed.
     """
-    out = np.floor(values, dtype=np.result_type(values, 0.0))
-    np.subtract(values, out, out=out)
+    return _mod1(np.array(values, dtype=np.result_type(values, 0.0)))
+
+
+def _mod1(out: np.ndarray) -> np.ndarray:
+    """reduce_mod1 of a fresh float array out, made in place in it."""
+    out -= np.floor(out)
     out[out >= 1.0] = 0.0
     return out
 
@@ -270,6 +274,9 @@ class ShearTerm:
         self._direction = v
         self._outer = np.einsum("i,j->ij", v, k)
         self._eye = np.eye(k.shape[0])
+        # apply's constants as 0-d arrays, which numpy takes faster than floats
+        self._two_pi, self._phase = np.array(2.0 * math.pi), np.array(float(phase))
+        self._amps = np.array(float(amplitude)), np.array(-float(amplitude))  # [inverse]
 
     @property
     def direction(self) -> np.ndarray:
@@ -277,12 +284,18 @@ class ShearTerm:
         return self._direction
 
     def _phase_values(self, pts: np.ndarray) -> np.ndarray:
-        return 2.0 * math.pi * (pts @ self._k) + self.phase
+        arg = pts @ self._k
+        arg *= self._two_pi
+        arg += self._phase
+        return arg
 
     def apply(self, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
-        amp = -self.amplitude if inverse else self.amplitude
-        disp = amp * np.sin(self._phase_values(pts))
-        return pts + disp[..., None] * self._direction
+        """The displacement is made in place in one new array, then pts added onto it."""
+        disp = np.sin(self._phase_values(pts))
+        disp *= self._amps[inverse]
+        out = disp[..., None] * self._direction
+        out += pts
+        return out
 
     def jacobian(self, pts: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Jacobian I + 2*pi*a*cos(...)*v k^T at each point (..., d, d)."""
@@ -362,6 +375,7 @@ class MapDescriptor:
         self._matrix_t = m.T.astype(float)
         self._inverse_t = inv.T.astype(float)
         self._shift = np.asarray(translation)
+        self._moves = bool(self._shift.any() or np.signbit(self._shift).any())  # not all +0.0
 
     @property
     def c2_bound(self) -> float | None:
@@ -386,29 +400,41 @@ class MapDescriptor:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply_lift(self, pts: np.ndarray) -> np.ndarray:
-        """Apply the map to lifted points in R^d (no mod 1)."""
+    # apply and inverse_apply reduce their lifts mod 1 in place (_mod1) and skip a
+    # translation of +0.0 in every coordinate, bitwise: x - 0.0 is x, and x + 0.0
+    # differs from x only at -0.0, which the reduction sends to +0.0 either way
+    def _unshifted(self, pts: np.ndarray) -> np.ndarray:
+        """A.(S_m o ... o S_1)(x) at points pts, in a new array."""
         out = np.asarray(pts, dtype=float)
         for s in self.shears:
             out = s.apply(out)
-        return _add_shift(out @ self._matrix_t, self._shift)
+        return out @ self._matrix_t
+
+    def apply_lift(self, pts: np.ndarray) -> np.ndarray:
+        """Apply the map to lifted points in R^d (no mod 1)."""
+        return _add_shift(self._unshifted(pts), self._shift)
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
-        return reduce_mod1(self.apply_lift(pts))
+        out = self._unshifted(pts)
+        return _mod1(_add_shift(out, self._shift) if self._moves else out)
 
-    def inverse_apply_lift(self, pts: np.ndarray) -> np.ndarray:
-        shifted = np.asarray(pts, dtype=float) - self._shift
+    def _inverse_unshifted(self, shifted: np.ndarray) -> np.ndarray:
+        """(S_1^-1 o ... o S_m^-1)(A^-1 y) at points y = shifted, in a new array."""
         # column by column, so a row rounds alike alone and stacked (a pulled-back
         # orbit is where every frame from the past is read)
         out = shifted[..., 0, None] * self._inverse_t[0]
         for k in range(1, self.dim):
-            out = out + shifted[..., k, None] * self._inverse_t[k]
+            out += shifted[..., k, None] * self._inverse_t[k]
         for s in reversed(self.shears):
             out = s.apply(out, inverse=True)
         return out
 
+    def inverse_apply_lift(self, pts: np.ndarray) -> np.ndarray:
+        return self._inverse_unshifted(np.asarray(pts, dtype=float) - self._shift)
+
     def inverse_apply(self, pts: np.ndarray) -> np.ndarray:
-        return reduce_mod1(self.inverse_apply_lift(pts))
+        pts = np.asarray(pts, dtype=float)
+        return _mod1(self._inverse_unshifted(pts - self._shift if self._moves else pts))
 
     def jacobian(self, pts: np.ndarray) -> np.ndarray:
         """Derivative at each point, shape (..., d, d); exact chain rule."""
@@ -447,10 +473,9 @@ class Cocycle:
         return self.maps[0].dim
 
     def map_for(self, symbol: int) -> MapDescriptor:
-        try:
+        if 0 <= symbol < len(self.maps):
             return self.maps[symbol]
-        except IndexError:
-            raise InvalidSystem(f"no map for symbol {symbol}") from None
+        raise InvalidSystem(f"no map for symbol {symbol}")
 
     @property
     def has_constant_jacobian(self) -> bool:
@@ -520,20 +545,31 @@ def _map_step(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str) 
     return out
 
 
+def _one_map(cocycle: Cocycle, syms: np.ndarray) -> MapDescriptor | None:
+    """The map of every symbol in syms when they name one map, else None.  Raises
+    InvalidSystem, as Cocycle.map_for does, for a symbol of syms with no map."""
+    if not syms.size:
+        return None
+    lo, hi = int(syms.min()), int(syms.max())
+    first, _ = cocycle.map_for(lo), cocycle.map_for(hi)
+    return first if lo == hi else None
+
+
 def _walk(cocycle: Cocycle, syms: np.ndarray, pts: np.ndarray, method: str = "apply"):
     """Yield points pts (S, d), then each step's points along syms (S, steps).
 
     Step j moves the last points by the map of column j through the
     MapDescriptor method named (apply, apply_lift or inverse_apply), one
     stacked call per step; a one-row syms moves every point by its symbol.
+    When syms name one map (_one_map), its method is looked up once per walk.
     The one loop that steps orbits: _orbit stores it, and a walk that only
     reads each step once streams it.
     """
-    if syms.size:  # InvalidSystem, as Cocycle.map_for raises, for a symbol with no map
-        cocycle.map_for(int(syms.max()))
+    only = _one_map(cocycle, syms)
+    step = None if only is None else getattr(only, method)
     yield pts
     for col in syms.T:
-        pts = _map_step(cocycle, col, pts, method)
+        pts = _map_step(cocycle, col, pts, method) if step is None else step(pts)
         yield pts
 
 
@@ -564,8 +600,7 @@ def _jacobians(
     order.  Raises InvalidSystem, as Cocycle.map_for does, for a symbol of
     syms with no map.
     """
-    if syms.size:
-        cocycle.map_for(int(syms.max()))
+    _one_map(cocycle, syms)
     if cocycle.has_constant_jacobian:
         origin = np.zeros(cocycle.dim)
         return np.stack([m.jacobian(origin) for m in cocycle.maps]), syms.T

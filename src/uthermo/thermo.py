@@ -75,6 +75,7 @@ GRID_FACTOR = 8
 PRESSURE_FRAME_STEPS = 256
 
 _MAX_MATERIALIZED = 2_000_000
+_MAX_CANDIDATES = 6_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,16 @@ def _greedy_windows(order, lo, hi, n_candidates: int) -> np.ndarray:
     return np.sort(np.asarray(selected, dtype=np.int64))
 
 
+def _index_order_picks(hi: np.ndarray) -> list[int]:
+    """_greedy_windows in index order for windows i..hi[i] or wider to the left, hi
+    nondecreasing: a pick blocks up to its hi, so the picks are 0, hi[0] + 1, ..."""
+    hi = hi.tolist()
+    picks = [0]
+    while hi[picks[-1]] + 1 < len(hi):
+        picks.append(hi[picks[-1]] + 1)
+    return picks
+
+
 class SeparatedSetResult(NamedTuple):
     """A packed separated subset of a leaf disk with its weighted orbit sum.
 
@@ -481,7 +492,8 @@ def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray
     sums = {key: own[key] if key in own else next(spare) for key in plan}
     if line is not None:  # an affine leaf: its waves in closed form, the rest walked
         waves = {key: e for key, e in plan.items() if e[0].wave}
-        if waves:
+        orbit = line.orbit
+        if waves and orbit is None:
             orbit = _line_orbit(cocycle, path, line.disk, max(max(e[1]) for e in waves.values()))
         for kind in dict.fromkeys(e[1:] for e in waves.values()):  # each (steps, signs)
             targets = {key: e[0].wave for key, e in waves.items() if e[1:] == kind}
@@ -534,13 +546,14 @@ class _LineGrid(NamedTuple):
 
     The chart is affine, x(t) = b + t f, and every map is affine with an
     integer matrix, so x_j(t) = c_j + t w_j (mod 1), with c_j the orbit of b
-    and w_j = D_j f its tangent images.
+    and w_j = D_j f its tangent images; orbit is their _line_orbit, or None.
     """
 
     disk: UnstableDisk
     params: np.ndarray
     step: float
     extra: np.ndarray
+    orbit: tuple | None = None
 
     @property
     def size(self) -> int:
@@ -557,7 +570,8 @@ def _line_orbit(cocycle, path, disk: UnstableDisk, steps: int):
 
     The base point and the maps' translations are floats, so dyadic rationals
     with one power-of-two denominator scale; integer matrices keep the orbit
-    on that lattice, and it is carried in exact integers mod scale.
+    on that lattice, and it is carried in exact integers mod scale.  A longer
+    walk's step j holds the same rationals, so its prefix serves.
     """
     maps = [cocycle.map_for(s) for s in _symbol_windows([path], 0, steps)[0].tolist()]
     values = [*disk.base_lift.tolist(), *(float(v) for m in maps for v in m.translation)]
@@ -689,7 +703,7 @@ def maximal_separated_sets(
     potentials,
     n: int,
     epsilon: float,
-    max_candidates: int = 6_000_000,
+    max_candidates: int = _MAX_CANDIDATES,
     growth: np.ndarray | None = None,
 ) -> list[SeparatedSetResult]:
     """Greedy weighted packing of the disk at dynamical scale (n, epsilon), per potential.
@@ -718,6 +732,12 @@ def maximal_separated_sets(
     and so its packing, have the bits of packing it alone.  Rows of orbit sums
     with equal bits share one selection.
     """
+    return _separated_sets(cocycle, disk, potentials, n, epsilon, max_candidates, growth, None)
+
+
+def _separated_sets(cocycle, disk, potentials, n, epsilon, max_candidates, growth, orbit):
+    """maximal_separated_sets, given a linear-exact 1-d disk's _line_orbit through at
+    least n steps for its waves (or None)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if epsilon <= 0:
@@ -764,7 +784,7 @@ def maximal_separated_sets(
             cover_idx = GRID_FACTOR * np.arange(n_cover) + GRID_FACTOR // 2
             on_grid = cover_idx < n_cand
             on_grid[on_grid] = params[cover_idx[on_grid]] == cover_params[on_grid]
-            line = _LineGrid(disk, params, h, cover_params[~on_grid])
+            line = _LineGrid(disk, params, h, cover_params[~on_grid], orbit)
             cover_idx[~on_grid] = n_cand + np.arange(len(line.extra))
     else:
         params = disk.params
@@ -773,16 +793,11 @@ def maximal_separated_sets(
         if np.max(np.diff(arcs, axis=1)) > epsilon / (2.0 * GRID_FACTOR):
             raise EstimatorError("grid too coarse for requested epsilon; refine the disk")
         lo, hi = _profile_windows(arcs, epsilon)
-        # the left-to-right lattice is the greedy pass in index order
-        pack = _greedy_windows(np.arange(m), lo, hi, m)
+        pack = _index_order_picks(hi)  # the left-to-right lattice
         # cover by (n, eps/2)-balls: the first uncovered index's farthest
         # neighbour within eps/2 is the centre, which reaches eps/2 past itself
         half_hi = _profile_windows(arcs, epsilon / 2.0)[1]
-        cover_idx = []
-        edge = 0
-        while edge < m:
-            cover_idx.append(half_hi[edge])
-            edge = half_hi[cover_idx[-1]] + 1
+        cover_idx = half_hi[_index_order_picks(half_hi[half_hi])]
         pack_count, pack_pts = len(pack), params[pack]
         logs = _count_logs(pack_count, len(cover_idx), sums, n)
 
@@ -1045,6 +1060,8 @@ def pressure_estimates(
     cell_grid = [(n, eps) for n in grid.n_grid for eps in grid.eps_grid]
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
     fixed = [k for k, p in enumerate(potentials) if p.x_independent]
+    waves = any(leaf.wave or leaf.coboundary and leaf.coboundary[1].wave
+                for k in varying for leaf in _leaves(potentials[k]))
     # a constant-Jacobian path gives every base point one spectrum, one frame
     # and one leaf growth
     shared_frame = cocycle.has_constant_jacobian
@@ -1091,9 +1108,11 @@ def pressure_estimates(
             brackets = np.empty((count, len(cell_grid), 2))  # (log lower, log upper)
             if lattice is not None:
                 brackets[fixed] = lattice
+            # a linear-exact 1-d disk's cells read one exact orbit for their waves
+            orbit = _line_orbit(cocycle, path, disk, n_max) if lattice is not None and waves else None
             for c, (n, eps) in enumerate(cell_grid if packed else ()):
-                results = maximal_separated_sets(
-                    cocycle, disk, [potentials[j] for j in packed], n, eps, growth=peak)
+                results = _separated_sets(cocycle, disk, [potentials[j] for j in packed], n,
+                                          eps, _MAX_CANDIDATES, peak, orbit)
                 brackets[packed, c] = [(r.log_weighted_sum, r.log_upper) for r in results]
             bad = np.argwhere(~np.isfinite(brackets))
             if len(bad):

@@ -210,6 +210,21 @@ def stepwise_qr_walk(jacs, q0, logs0):
     return np.stack(qs), np.stack(logs), np.stack(flips)
 
 
+def stepwise_covariant_frames(jacs, q0, keep: int):
+    """A backward QR walk one sample and one step at a time: frames q0 (S, d, d) pulled
+    back through the inverses of jacs (steps, S, d, d), last step first, each step
+    np.linalg.qr of inv(J_t).Q with LAPACK's signs.  Returns the frames (keep, S, d, d)
+    reached at steps 0 .. keep-1."""
+    out = np.empty((keep,) + q0.shape)
+    for i in range(len(q0)):
+        q = q0[i]
+        for t in range(len(jacs) - 1, -1, -1):
+            q = np.linalg.qr(np.linalg.inv(jacs[t, i]) @ q)[0]
+            if t < keep:
+                out[t, i] = q
+    return out
+
+
 def scalar_qr_walk(cocycle, path, x0, start: int, steps: int, q0):
     """One sample, one step at a time: (final Q, summed log diag R, summed log|det J|).
 

@@ -398,6 +398,40 @@ class TestTableWalk:
         got = _covariant_frames(table, index, q0, 40)
         assert got.tobytes() == _covariant_frames(*_stack(table[syms]), q0, 40).tobytes()
 
+    @pytest.mark.parametrize("name", ["cat_cocycle", "iid_cocycle", "t3_cocycle",
+                                      "perturbed_cat_cocycle"])
+    @pytest.mark.parametrize("keep", [0, 1, 40, 300])
+    def test_covariant_frames_bitwise_equal_stepwise_walk(self, name, keep, request):
+        # the steps before the kept frames are a _qr_walk (a table walk once its
+        # frames close), and the kept frames still carry LAPACK's signs
+        cocycle = request.getfixturevalue(name)
+        rng = np.random.default_rng(9)
+        syms = rng.integers(0, len(cocycle.maps), (300, 3))
+        table, index = _jacobians(cocycle, syms.T, rng.random((3, cocycle.dim)))
+        q0 = np.stack([oracles.seeded_frame(cocycle.dim, s) for s in range(3)])
+        got = _covariant_frames(table, index, q0, keep)
+        assert got.tobytes() == oracles.stepwise_covariant_frames(table[index], q0, keep).tobytes()
+
+    @pytest.mark.parametrize("name", ["cat_cocycle", "t3_cocycle", "perturbed_cat_cocycle"])
+    def test_certificate_equals_stepwise_backward_walk(self, name, request, monkeypatch,
+                                                       trivial_system, t3_system):
+        cocycle = request.getfixturevalue(name)
+        system = t3_system if name == "t3_cocycle" else trivial_system
+        calls = []
+        real = oseledets._householder_qr
+        monkeypatch.setattr(oseledets, "_householder_qr", lambda m: calls.append(1) or real(m))
+        got = certify_partial_hyperbolicity(cocycle, system, samples=10, n=40, seed=4)
+        with_table = len(calls)
+        calls.clear()
+        monkeypatch.setattr(oseledets, "_covariant_frames", lambda table, index, q, keep:
+                            oracles.stepwise_covariant_frames(table[index], q, keep))
+        want = certify_partial_hyperbolicity(cocycle, system, samples=10, n=40, seed=4)
+        assert repr(got) == repr(want)
+        if name == "cat_cocycle":
+            # the backward walk made 40 + 512 QR calls, one per step; now the 512 steps
+            # before its kept frames close into a table walk
+            assert with_table - len(calls) < 40 + 60
+
     def test_degenerate_jacobian_off_the_path_is_not_read(self, cat_cocycle, trivial_system):
         # the singular map's symbol has probability 0, so no path visits it
         a = np.array([[2, 1], [1, 1]])

@@ -236,6 +236,47 @@ class TestMapDescriptor:
                 # the input is not changed
                 assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
 
+    def test_mod1_methods_equal_reduced_lifts(self, cat_cocycle, t3_cocycle,
+                                              perturbed_cat_cocycle):
+        # apply and inverse_apply reduce their own array in place and skip a
+        # translation of +0.0 in every coordinate: the bits of reducing the lifts
+        eye = np.eye(2, dtype=np.int64)
+        maps = [*self._maps(cat_cocycle, t3_cocycle, perturbed_cat_cocycle),
+                MapDescriptor(matrix=eye), MapDescriptor(matrix=eye, translation=(0.0, -0.0)),
+                MapDescriptor(matrix=eye, shears=(ShearTerm(0.2, (1, 2), 0.4),))]
+        for m in maps:
+            pts = _signed_zero_points(m.dim)
+            pts[80:84] = -1e-20  # the identity's images land on 1.0 after the floor
+            pts[84, 0] = pts[85, -1] = np.nan
+            pts[86] = np.nextafter(1.0, 0.0)
+            for x in (pts, pts[7], pts[25], pts[81], pts[84], pts[:1]):
+                before = x.copy()
+                for method, lift in ((m.apply, m.apply_lift),
+                                     (m.inverse_apply, m.inverse_apply_lift)):
+                    got, want = method(x), reduce_mod1(lift(x))
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), method
+                    assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+        lift = maps[-3].apply_lift(pts)
+        assert np.any(lift - np.floor(lift) == 1.0)
+
+    def test_shear_bitwise_equal_formulas(self):
+        # apply builds its displacement in place; the bits of the broadcast formula
+        for s in (ShearTerm(0.015, (0, 1), 0.3), ShearTerm(0.2, (1, 1)),
+                  ShearTerm(0.01, (0, 0, 1), 0.2), ShearTerm(-0.3, (1, 2, 0), -0.5)):
+            pts = _signed_zero_points(len(s.wavevector))
+            for x in (pts, pts[3], pts[30]):
+                for inverse in (False, True):
+                    amp = -s.amplitude if inverse else s.amplitude
+                    arg = 2.0 * math.pi * (x @ np.asarray(s.wavevector, dtype=float)) + s.phase
+                    want = x + (amp * np.sin(arg))[..., None] * s.direction
+                    got = s.apply(x, inverse)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    want = np.eye(len(x.T)) + (2.0 * math.pi * amp * np.cos(arg))[
+                        ..., None, None] * np.outer(s.direction, s.wavevector)
+                    got = s.jacobian(x, inverse)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_non_unimodular_rejected(self):
         with pytest.raises(InvalidSystem):
             MapDescriptor(matrix=np.array([[2, 0], [0, 1]]))
@@ -357,6 +398,28 @@ class TestOneOrbitEngine:
             with pytest.raises(WindowExhausted):
                 walk(iid_cocycle, path, n, x)
 
+    def test_negative_symbol_has_no_map(self, perturbed_cat_cocycle):
+        # a negative symbol is refused, not read as a map counted from the end
+        from conftest import CONFIG_DIR
+
+        _, aa2 = load_system(CONFIG_DIR / "iid_aa2.system")
+        path = SymbolPath(symbols=(0, -1, 1), half_window=1)
+        x = TorusPoint((0.2, 0.7))
+        with pytest.raises(InvalidSystem, match="no map for symbol -1"):
+            aa2.map_for(-1)
+        for walk in (compose, derivative):
+            with pytest.raises(InvalidSystem, match="no map for symbol -1"):
+                walk(aa2, path, 1, x)
+            walk(aa2, path, -1, x)  # time -1 holds symbol 0
+        for cocycle in (aa2, perturbed_cat_cocycle):
+            for syms in (np.array([[0, -1, 0]]), np.full((2, 3), -1)):
+                pts = np.zeros((len(syms), 2))
+                for backward in (False, True):
+                    with pytest.raises(InvalidSystem, match="no map for symbol -1"):
+                        _jacobians(cocycle, syms, pts, backward)
+                with pytest.raises(InvalidSystem, match="no map for symbol -1"):
+                    _orbit(cocycle, syms, pts)
+
 
 def _two_map_sheared_cocycle():
     a = np.array([[2, 1], [1, 1]])
@@ -366,9 +429,41 @@ def _two_map_sheared_cocycle():
                          MapDescriptor(matrix=a @ a, shears=(second,), translation=(0.125, 0.3))))
 
 
+def _two_map_sheared_t3_cocycle():
+    m = np.array([[1, 1, 0], [1, 2, 1], [0, 1, 2]])
+    return Cocycle(maps=(
+        MapDescriptor(matrix=m, shears=(ShearTerm(amplitude=0.01, wavevector=(0, 0, 1),
+                                                  phase=0.2),)),
+        MapDescriptor(matrix=m, translation=(0.25, -0.0, 0.5),
+                      shears=(ShearTerm(amplitude=0.02, wavevector=(1, 0, 1), phase=0.5),
+                              ShearTerm(amplitude=0.01, wavevector=(0, 1, 0), phase=0.1)))))
+
+
 class TestWalk:
     """_walk is the one loop that steps orbits: _orbit stores it, and a one-row
     symbol array moves every point by its symbol's map."""
+
+    @pytest.mark.parametrize("name", ["perturbed_cat_cocycle", "sheared",
+                                      "sheared_plane_leaf_cocycle", "sheared_t3"])
+    @pytest.mark.parametrize("method", ["apply", "apply_lift", "inverse_apply"])
+    def test_orbit_rows_equal_stepwise_map_steps(self, name, method, request):
+        # a walk whose symbols name one map calls its method directly
+        cocycle = {"sheared": _two_map_sheared_cocycle,
+                   "sheared_t3": _two_map_sheared_t3_cocycle}.get(
+                       name, lambda: request.getfixturevalue(name))()
+        rng = np.random.default_rng(13)
+        pts = rng.random((6, cocycle.dim)) * 3.0 - 1.0
+        pts[0] = -0.0
+        last = len(cocycle.maps) - 1
+        for syms in (rng.integers(0, last + 1, (6, 15)), np.full((6, 15), last),
+                     rng.integers(0, last + 1, (1, 15)), np.zeros((6, 0), dtype=np.int64)):
+            orbit = _orbit(cocycle, syms, pts, method)
+            assert orbit.shape == (syms.shape[1] + 1,) + pts.shape
+            row = pts
+            assert orbit[0].tobytes() == row.tobytes()
+            for j, col in enumerate(syms.T):
+                row = _map_step(cocycle, col, row, method)
+                assert orbit[j + 1].tobytes() == row.tobytes(), (j, syms[:, 0])
 
     @pytest.mark.parametrize("name", ["iid_cocycle", "sheared"])
     @pytest.mark.parametrize("method", ["apply", "apply_lift", "inverse_apply", "jacobian"])

@@ -293,24 +293,33 @@ class TestPressurePipeline:
     def test_shared_frame_packs_nothing_empty(self, monkeypatch, iid_cocycle, iid_system):
         # on a shared frame the x-independent cells are table reads: a family of
         # such members makes no packing call, and otherwise every base point and
-        # cell packs the x-dependent members only
+        # cell packs the x-dependent members only; a wave's exact orbit is made
+        # once per base point, through the largest n, and every cell reads it
         grid = GridSpec(delta=0.05, n_grid=(3, 4, 5), eps_grid=(0.04, 0.08), base_grid=2,
                         omega_samples=2)
-        cells = grid.omega_samples * grid.base_grid ** 2 * len(grid.n_grid) * len(grid.eps_grid)
-        sizes = []
-        pack = thermo.maximal_separated_sets
+        points = grid.omega_samples * grid.base_grid ** 2
+        cells = points * len(grid.n_grid) * len(grid.eps_grid)
+        sizes, orbits = [], []
+        pack, line_orbit = thermo._separated_sets, thermo._line_orbit
 
-        def counted(cocycle, disk, potentials, *args, **kwargs):
+        def counted(cocycle, disk, potentials, *args):
             sizes.append(len(potentials))
-            return pack(cocycle, disk, potentials, *args, **kwargs)
+            return pack(cocycle, disk, potentials, *args)
 
-        monkeypatch.setattr(thermo, "maximal_separated_sets", counted)
+        def counted_orbit(cocycle, path, disk, steps):
+            orbits.append(steps)
+            return line_orbit(cocycle, path, disk, steps)
+
+        monkeypatch.setattr(thermo, "_separated_sets", counted)
+        monkeypatch.setattr(thermo, "_line_orbit", counted_orbit)
         fixed = [zero_potential(), constant_potential(0.3)]
         for family, packed in ((fixed, []), ([fixed[0], coordinate_potential(0.4, [1, 0]),
                                               fixed[1]], [1] * cells)):
             sizes.clear()
+            orbits.clear()
             est = thermo.pressure_estimates(iid_cocycle, iid_system, family, grid, seed=3)
             assert sizes == packed
+            assert orbits == [5] * (points if packed else 0)
             assert all(len(e.cells) == cells for e in est)
 
     def test_stand_in_table_is_shared_not_copied(self, iid_cocycle, iid_system):
@@ -742,6 +751,35 @@ class TestOneCodePath:
 
 
 class TestKernels:
+    def test_index_order_picks_equal_greedy_pass(self, perturbed_cat_cocycle, trivial_system):
+        """A polyline packs in index order as a jump chain: on windows whose right
+        ends never decrease, the picks of _greedy_windows in index order."""
+        rng = np.random.default_rng(12)
+        for m in (1, 2, 3, 17, 1025):
+            for reach in (0, 1, 4, 40, 2000):
+                at = np.arange(m)
+                hi = np.minimum(np.maximum.accumulate(at + rng.integers(0, reach + 1, m)), m - 1)
+                lo = np.maximum(at - rng.integers(0, reach + 1, m), 0)
+                want = thermo._greedy_windows(at, lo, hi, m)
+                assert thermo._index_order_picks(hi) == want.tolist(), (m, reach)
+        # the windows of the sheared cat map's cells (perfbench's sheared workload)
+        path = sample_path(trivial_system, 800, 5)
+        for x in ((0.25, 0.25), (0.75, 0.25), (0.2, 0.5)):
+            state = SkewState(path=path, point=TorusPoint(x))
+            rep = lyapunov_spectra(perturbed_cat_cocycle, [path], [state.point], 600)[0]
+            disk = unstable_disk(perturbed_cat_cocycle, state, 0.1, rep)
+            m = len(disk.params)
+            for n in (1, 2, 3, 8):
+                arcs = bowen_step_arcs(perturbed_cat_cocycle, disk, n, disk.params)
+                for eps in (0.02, 0.04):
+                    lo, hi = thermo._profile_windows(arcs, eps)
+                    want = thermo._greedy_windows(np.arange(m), lo, hi, m)
+                    assert thermo._index_order_picks(hi) == want.tolist(), (x, n, eps)
+                    if np.max(np.diff(arcs, axis=1)) <= eps / (2 * thermo.GRID_FACTOR):
+                        res = maximal_separated_sets(perturbed_cat_cocycle, disk,
+                                                     [zero_potential()], n, eps)[0]
+                        assert res.points.tobytes() == disk.params[want].tobytes()
+
     @staticmethod
     def window_pass(w, width):
         """The greedy pass over explicit windows in the stable order of -w."""
