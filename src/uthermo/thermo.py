@@ -24,6 +24,7 @@ from .rds import (
     TorusPoint,
     _Validated,
     _map_step,
+    _one_map,
     _symbol_windows,
     _tangent_images,
     _walk,
@@ -240,17 +241,16 @@ def _sum_terms(terms, value, out: np.ndarray) -> np.ndarray:
     scalar that broadcasts to out; terms that expand are summed from their own
     terms first.  This is the one combiner of x-dependent sums, so a sum gives
     the same bits wherever its leaves' values come from.  The first term is
-    added as w * v + 0.0 (addition commutes, signed zeros included), and a
-    weight of 1.0 adds v itself, whose product it is bit for bit.
+    added as w * v + 0.0 (addition commutes, signed zeros included), its
+    product made in out and 0.0 added there in place; a weight of 1.0 adds v
+    itself, whose product it is bit for bit.
     """
     for i, (w, p) in enumerate(terms):
         v = _sum_terms(p.terms, value, np.empty_like(out)) if _expands(p) else value(p)
-        if w != 1.0:
-            v = np.multiply(w, v)
         if i:
-            out += v
-        else:
-            np.add(v, 0.0, out=out)
+            out += v if w == 1.0 else np.multiply(w, v)
+        else:  # a weighted first term is made in out
+            np.add(v if w == 1.0 else np.multiply(w, v, out=out), 0.0, out=out)
     return out
 
 
@@ -295,22 +295,24 @@ def _fiber_values(potential: Potential, system: DrivingSystem, dim: int, grid: i
         yield p, potential.values(SymbolPath(symbols=(s,) * 3, half_window=1), pts)
 
 
-def _symbol_prefix(potential: Potential, path: SymbolPath, n: int) -> np.ndarray:
+def _symbol_prefix(cocycle, potential: Potential, path: SymbolPath, n: int) -> np.ndarray:
     """Prefix table of an x-independent potential's orbit sums: out[m] = S_m phi, the
     sum over steps 0..m-1 added left to right onto 0.0, for m = 0..n (a step outside
-    the sampled window raises WindowExhausted, through _symbol_windows).
+    the sampled window raises WindowExhausted, through _symbol_windows, and a
+    symbol with no map of the cocycle raises InvalidSystem, as a walk does).
 
     symbol_fn is called once per distinct symbol; the running sum is one
     np.add.accumulate, which adds in order.
     """
     syms, at = np.unique(_symbol_windows([path], 0, n)[0], return_inverse=True)
+    _one_map(cocycle, syms)
     values = np.array([float(potential.symbol_fn(s)) for s in syms.tolist()])
     return np.add.accumulate(np.concatenate([[0.0], values[at]]))
 
 
-def _symbol_sum(potential: Potential, path: SymbolPath, n: int) -> float:
+def _symbol_sum(cocycle, potential: Potential, path: SymbolPath, n: int) -> float:
     """Orbit sum over steps 0..n-1 of an x-independent potential, read off _symbol_prefix."""
-    return float(_symbol_prefix(potential, path, n)[n])
+    return float(_symbol_prefix(cocycle, potential, path, n)[n])
 
 
 def birkhoff_sum(
@@ -320,7 +322,7 @@ def birkhoff_sum(
     if n < 1:
         raise ValueError("need n >= 1")
     if potential.x_independent:
-        return _symbol_sum(potential, path, n)
+        return _symbol_sum(cocycle, potential, path, n)
     return float(_orbit_sums(cocycle, path, [potential], x.as_array()[None], n)[0, 0])
 
 
@@ -331,12 +333,29 @@ def birkhoff_sum(
 
 def _logsumexp(a) -> float:
     """log(sum(exp(a))) over all entries, by the arithmetic of scipy.special.logsumexp:
-    the (tied) maxima are split off the shifted sum, so results are bitwise equal to it."""
+    the (tied) maxima are split off the shifted sum, so results are bitwise equal to it.
+
+    A finite maximum below 2**970, where no a - a_max can overflow, makes the
+    shifts in one array, sets the maxima to -inf there, and exps and sums it in
+    place.  A non-finite maximum, a larger one, and a non-finite result take the
+    guarded form, whose warnings are silenced.
+    """
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.size == 0:
         return -math.inf
+    a_max = np.max(a)
+    if -math.inf < a_max < 2.0 ** 970:
+        shifted = a - a_max
+        at_max = a == a_max
+        shifted[at_max] = -np.inf
+        m = np.float64(np.count_nonzero(at_max))
+        s = np.sum(np.exp(shifted, out=shifted))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if math.isfinite(out):
+            return float(out)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
         at_max = a == a_max
         m = np.sum(at_max, dtype=float)
         s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
@@ -360,14 +379,22 @@ def _window_max(a: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(m[: len(a) - k + 1], m[k - span :])
 
 
-def _chains(seeds: np.ndarray, steps: np.ndarray, stride: int) -> np.ndarray:
-    """The seeds and every i reached from one by steps of `stride` on which
-    `steps` holds, by doubling the step length."""
-    got, reach = seeds.copy(), steps.copy()
-    while stride < len(got) and reach[stride:].any():
-        got[stride:] |= got[:-stride] & reach[stride:]
-        reach[stride:] &= reach[:-stride]
+def _chains(seeds: np.ndarray, right: np.ndarray, left: np.ndarray, stride: int) -> np.ndarray:
+    """The seeds and every i reached from one by steps of `stride` toward higher
+    indices on which `right` holds, or toward lower ones on which `left` holds, by
+    doubling the step length.  Both directions run in place on arrays in forward
+    order, so all three arrays are overwritten: right and left become their
+    direction's reach, and seeds the chains toward lower indices."""
+    got, step = seeds.copy(), stride
+    while step < len(got) and right[step:].any():
+        got[step:] |= got[:-step] & right[step:]
+        right[step:] &= right[:-step]
+        step *= 2
+    while stride < len(got) and left[:-stride].any():
+        seeds[:-stride] |= seeds[stride:] & left[:-stride]
+        left[:-stride] &= left[stride:]
         stride *= 2
+    got |= seeds
     return got
 
 
@@ -393,8 +420,7 @@ def _greedy_kernel(weights: np.ndarray, width: int) -> np.ndarray:
     right = weights >= near[width + 1 :]
     left = weights > near[:n]
     peaks = left & right
-    picks = (_chains(peaks, right, width + 1)
-             | _chains(peaks[::-1], left[::-1], width + 1)[::-1])
+    picks = _chains(peaks, right, left, width + 1)
     span = 2 * width + 1
     rim = np.zeros(width, dtype=bool)
     covered = _window_max(np.concatenate([rim, picks, rim]), span)
@@ -529,7 +555,7 @@ def _orbit_sums(cocycle, path, potentials, pts, n: int, line=None) -> np.ndarray
                 else:
                     row -= v
             trig = v = None  # step j's arrays go before step j + 1's are made
-    sums.update((key, _symbol_sum(leaf, path, n))
+    sums.update((key, _symbol_sum(cocycle, leaf, path, n))
                 for key, leaf in leaves.items() if leaf.x_independent)
     for row, p in zip(rows, potentials):
         if _expands(p):
@@ -600,7 +626,8 @@ def _line_wave_sums(line: _LineGrid, orbit, group, steps, signs) -> dict:
     each step costs about 2 sqrt(N) complex exponentials, and one real matrix
     product adds up the real and imaginary parts of heads^T tails over the steps
     into one (2 Q, width) block: its first Q rows hold the cos sums and the rest
-    the sin sums, the candidates' first in C order.  The extra points are
+    the sin sums, the candidates' first in C order.  The product's left factor
+    is filled into one array, with np.block's bits.  The extra points are
     evaluated directly.
     """
     c, scale, w = orbit
@@ -621,10 +648,14 @@ def _line_wave_sums(line: _LineGrid, orbit, group, steps, signs) -> dict:
     signs = np.asarray(signs)
     heads *= signs[:, None]
     extra = signs @ np.exp(1j * (theta[:, None] + line.extra * beta[:, None]))
-    # Re(h t) = h.re t.re - h.im t.im and Im(h t) = h.im t.re + h.re t.im
-    left = np.block([[heads.real, heads.imag], [-heads.imag, heads.real]])
+    # Re(h t) = h.re t.re - h.im t.im and Im(h t) = h.im t.re + h.re t.im: the rows
+    # [[re, im], [-im, re]] of heads
+    rows, height = heads.shape
+    left = np.empty((2 * rows, 2 * height))
+    left[:rows, :height] = left[rows:, height:] = heads.real
+    left[:rows, height:] = heads.imag
+    np.negative(heads.imag, out=left[rows:, :height])
     block = left.T @ np.concatenate([tails.real, tails.imag])
-    height = heads.shape[1]
     return {"cos": (block[:height].reshape(-1)[:count], extra.real),
             "sin": (block[height:].reshape(-1)[:count], extra.imag)}
 
@@ -750,7 +781,7 @@ def _separated_sets(cocycle, disk, potentials, n, epsilon, max_candidates, growt
     length = 2.0 * disk.radius
     varying = [k for k, p in enumerate(potentials) if not p.x_independent]
     fixed = [k for k, p in enumerate(potentials) if p.x_independent]
-    sums = [_symbol_prefix(potentials[k], path, n) for k in fixed]
+    sums = [_symbol_prefix(cocycle, potentials[k], path, n) for k in fixed]
 
     if disk.construction == "linear-exact":
         if growth is None or len(growth) < n:
@@ -1100,7 +1131,7 @@ def pressure_estimates(
             disk = unstable_disk(cocycle, SkewState(path=path, point=x), grid.delta, report)
             if lattice is None and disk.construction == "linear-exact" and disk.leaf_dim == 1:
                 peak = np.maximum.accumulate(leaf_growth_factors_batch(cocycle, [disk], n_max)[0])
-                sums = [_symbol_prefix(potentials[j], path, n_max) for j in fixed]
+                sums = [_symbol_prefix(cocycle, potentials[j], path, n_max) for j in fixed]
                 cells = [logs for _, _, logs in _lattice_cells(2.0 * grid.delta, peak, sums,
                                                                cell_grid)]
                 lattice = np.array(cells).reshape(len(cells), len(fixed), 2).swapaxes(0, 1)

@@ -412,6 +412,61 @@ def greedy_kernel(order, lo, hi, n_candidates):
     return np.asarray(selected, dtype=np.int64)
 
 
+def line_wave_sums_by_block(line, orbit, group, steps, signs) -> dict:
+    """thermo._line_wave_sums with its real (2n, 2Q) block assembled by np.block."""
+    c, scale, w = orbit
+    k, phase = group
+    ints = [int(v) for v in k]
+    steps = list(steps)
+    theta = np.array([sum(a * v for a, v in zip(ints, c[j])) % scale / scale for j in steps])
+    theta *= 2.0 * math.pi
+    theta += phase
+    beta = w[steps] @ np.asarray(k)
+    beta *= 2.0 * math.pi
+    count = len(line.params)
+    width = math.isqrt(count - 1) + 1
+    start = theta - line.disk.radius * beta
+    stride = line.step * beta
+    heads = np.exp(1j * (start[:, None] + np.arange(0, count, width) * stride[:, None]))
+    tails = np.exp(1j * (np.arange(width) * stride[:, None]))
+    signs = np.asarray(signs)
+    heads *= signs[:, None]
+    extra = signs @ np.exp(1j * (theta[:, None] + line.extra * beta[:, None]))
+    left = np.block([[heads.real, heads.imag], [-heads.imag, heads.real]])
+    block = left.T @ np.concatenate([tails.real, tails.imag])
+    height = heads.shape[1]
+    return {"cos": (block[:height].reshape(-1)[:count], extra.real),
+            "sin": (block[height:].reshape(-1)[:count], extra.imag)}
+
+
+def sum_terms_two_step(terms, value, out):
+    """thermo._sum_terms with each weighted term made as its own product first, then
+    added onto out (the first as w * v + 0.0)."""
+    from uthermo.thermo import _expands
+
+    for i, (w, p) in enumerate(terms):
+        v = sum_terms_two_step(p.terms, value, np.empty_like(out)) if _expands(p) else value(p)
+        if w != 1.0:
+            v = np.multiply(w, v)
+        if i:
+            out += v
+        else:
+            np.add(v, 0.0, out=out)
+    return out
+
+
+def chains_by_steps(seeds, right, left, stride):
+    """thermo._chains one seed and one step at a time."""
+    got = np.array(seeds, dtype=bool)
+    for i in np.flatnonzero(seeds).tolist():
+        for step, holds in ((stride, right), (-stride, left)):
+            j = i + step
+            while 0 <= j < len(got) and holds[j]:
+                got[j] = True
+                j += step
+    return got
+
+
 def scalar_values(potential, path, pts):
     """A potential's values at pts, a weighted sum's added term by term onto zeros."""
     return _scalar_terms(potential, lambda leaf: leaf.values(path, pts), pts.shape[0])

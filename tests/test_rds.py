@@ -135,6 +135,12 @@ def _reduce_mod1_by_where(values):
     return np.where(out >= 1.0, 0.0, out)
 
 
+def _mod1_by_where(out):
+    """rds._mod1 as _reduce_mod1_by_where of out, written back into out."""
+    out[...] = _reduce_mod1_by_where(out)
+    return out
+
+
 class TestReduceMod1:
     def _cases(self):
         rng = np.random.default_rng(23)
@@ -188,6 +194,7 @@ class TestReduceMod1:
         got = run()
         for module in (rds, leafgeom, equilibria):
             monkeypatch.setattr(module, "reduce_mod1", _reduce_mod1_by_where)
+        monkeypatch.setattr(rds, "_mod1", _mod1_by_where)  # apply and inverse_apply's
         want = run()
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))

@@ -11,6 +11,7 @@ from uthermo import (
     WindowExhausted,
     GridSpec,
     SkewState,
+    SymbolPath,
     TorusPoint,
     birkhoff_sum,
     combine_potentials,
@@ -111,27 +112,61 @@ class TestBirkhoffSum:
             birkhoff_sum(iid_cocycle, pot, path.shifted(-7), x, 1)
 
     def test_symbol_prefix_is_the_left_to_right_sum(self):
-        from uthermo import DrivingSystem
+        from uthermo import Cocycle, DrivingSystem, MapDescriptor
         from uthermo.rds import _symbol_windows
 
         rng = np.random.default_rng(22)
         system = DrivingSystem(kind="iid", symbol_count=3, distribution=(0.2, 0.3, 0.5))
+        cocycle = Cocycle(maps=(MapDescriptor(matrix=np.array([[2, 1], [1, 1]])),) * 3)
         for seed in range(6):
             pot = oracles.per_symbol_potential(
                 rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3))
             path = sample_path(system, 40, seed).shifted(int(rng.integers(-30, 30)))
             reach = path.forward_reach + 1  # steps 0..n-1 read times up to the window's edge
-            table = thermo._symbol_prefix(pot, path, reach)
+            table = thermo._symbol_prefix(cocycle, pot, path, reach)
             acc = 0.0
             for n in range(1, reach + 1):
                 acc += pot.symbol_fn(path.symbol(n - 1))
                 assert table[n].hex() == acc.hex()
-                assert thermo._symbol_sum(pot, path, n).hex() == acc.hex()
+                assert thermo._symbol_sum(cocycle, pot, path, n).hex() == acc.hex()
             for read in (thermo._symbol_prefix, thermo._symbol_sum):
                 with pytest.raises(WindowExhausted):
-                    read(pot, path, reach + 1)
+                    read(cocycle, pot, path, reach + 1)
             with pytest.raises(WindowExhausted):
                 _symbol_windows([path], 0, reach + 1)
+
+    def test_symbol_with_no_map_raises(self, iid_cocycle, iid_system, monkeypatch):
+        """A symbol with no map (negative, or past the last map) raises InvalidSystem
+        for every orbit sum that takes the cocycle, an x-independent potential's
+        table read included, as the walks do; no table entry is read for it."""
+        from uthermo import InvalidSystem
+        from uthermo.leafgeom import leaf_growth_factors_batch
+
+        table = oracles.per_symbol_potential([0.25, -1.5, 7.0])
+        wave = coordinate_potential(0.4, [1, 0])
+        family = [table, wave, combine_potentials([(1.0, table), (0.5, wave)])]
+        x = TorusPoint((0.2, 0.7))
+        clean = sample_path(iid_system, 300, 4)
+        rep = lyapunov_spectra(iid_cocycle, [clean], [x], 200)[0]
+        disk = unstable_disk(iid_cocycle, SkewState(path=clean, point=x), 0.05, rep)
+        growth = leaf_growth_factors_batch(iid_cocycle, [disk], 5)[0]
+        real_sample_path = thermo.sample_path
+        for bad in (-1, 2):
+            path = SymbolPath(symbols=(0, 0, bad, 1, 0), half_window=2)
+            for pot in family:
+                with pytest.raises(InvalidSystem, match=f"no map for symbol {bad}"):
+                    birkhoff_sum(iid_cocycle, pot, path, x, 2)
+            assert birkhoff_sum(iid_cocycle, table, path.shifted(1), x, 2) == -1.25
+            symbols = list(clean.symbols)
+            symbols[clean.half_window + 3] = bad
+            marked = SymbolPath(symbols=tuple(symbols), half_window=clean.half_window)
+            with pytest.raises(InvalidSystem, match=f"no map for symbol {bad}"):
+                maximal_separated_sets(iid_cocycle, disk._replace(base=SkewState(marked, x)),
+                                       [table], 5, 0.04, growth=growth)
+            monkeypatch.setattr(thermo, "sample_path", lambda *args, marked=marked: marked)
+            with pytest.raises(InvalidSystem, match=f"no map for symbol {bad}"):
+                pressure_estimates(iid_cocycle, iid_system, [table], GridSpec(n_grid=(5, 6)), 1)
+            monkeypatch.setattr(thermo, "sample_path", real_sample_path)
 
     def test_single_step_is_value(self, cat_cocycle, cat_setup):
         path, _, _ = cat_setup
@@ -854,12 +889,25 @@ class TestKernels:
                     assert np.array_equal(got, want, equal_nan=True), (row, k)
 
     def test_logsumexp_bitwise_equal_scipy(self):
+        """Ties, -inf and all -inf, +inf, NaN, empty and one-entry arrays, and spreads
+        past float range, on both the fast path and the guarded form, with no
+        warning."""
+        import warnings
+
         from scipy.special import logsumexp
 
+        big = np.finfo(float).max
+        edge = np.nextafter(2.0 ** 970, 0.0)  # the largest maximum on the fast path
         rng = np.random.default_rng(11)
         cases = [np.array([]), np.array([np.inf]), np.array([-np.inf, -np.inf]),
                  np.array([np.nan, 1.0]), np.array([np.inf, -np.inf, 2.0]),
-                 np.array([np.inf, np.inf]), np.array([800.0, 800.0, 1.0])]
+                 np.array([np.inf, np.inf]), np.array([800.0, 800.0, 1.0]),
+                 np.array([-np.inf]), np.array([np.nan]), np.array([3.5]), np.array([-0.0]),
+                 np.array([0.0, -0.0]), np.full(7, -np.inf), np.array([-np.inf, 1.0, 1.0]),
+                 np.array([-big, big]), np.array([big, big, -big]), np.array([-big, 1e300]),
+                 np.array([-big, edge]), np.array([-big, 2.0 ** 970]), np.array([-big, -big]),
+                 np.array([big, -np.inf]), np.array([-big, 0.0, big, np.nan]),
+                 np.array([5e-324, -5e-324]), np.array([-1e308, -1.5e308, -big])]
         for i in range(600):
             a = rng.standard_normal(int(rng.integers(1, 500))) * rng.choice([1e-3, 1.0, 300.0])
             if i % 4 == 1:
@@ -869,8 +917,15 @@ class TestKernels:
             elif i % 4 == 3:
                 a = np.full(len(a), a[0])
             cases.append(a)
+        for scale in (1e300, 1e307, big):  # spreads past float range
+            cases += [rng.uniform(-1.0, 1.0, 40) * scale, rng.uniform(-1.0, 0.5, 40) * scale]
         for a in cases:
-            got, want = thermo._logsumexp(a), float(logsumexp(a))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = float(logsumexp(a))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = thermo._logsumexp(a)
             assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True), a
             assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(got)
 
@@ -886,6 +941,114 @@ class TestKernels:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=path))
         assert out.stdout.strip() == "False"
+
+
+    def test_chains_equal_stepwise_walks(self):
+        """Both directions' chains, run in place, reach what a walk from each seed
+        reaches, on long runs that take many doublings."""
+        rng = np.random.default_rng(12)
+        for stride in range(1, 12):
+            for n in (0, 1, stride, stride + 1, 5 * stride + 3, 700):
+                for density in (0.0, 0.5, 0.9, 1.0):
+                    seeds = rng.random(n) < 0.02
+                    if n:
+                        seeds[rng.integers(0, n)] = True
+                    right, left = rng.random(n) < density, rng.random(n) < density
+                    want = oracles.chains_by_steps(seeds, right, left, stride)
+                    got = thermo._chains(seeds.copy(), right.copy(), left.copy(), stride)
+                    assert np.array_equal(got, want), (stride, n, density)
+
+    def test_greedy_kernel_long_chains(self):
+        """Rows whose picks chain over many doublings toward higher and lower
+        indices: long monotone runs, plateaus, valleys and ridges, with NaN and
+        +-inf, at lengths around multiples of width + 1."""
+        import warnings
+
+        for width in range(1, 11):
+            for k in (1, 2, 7, 64):
+                for n in (k * (width + 1) - 1, k * (width + 1), k * (width + 1) + 1):
+                    x = np.arange(n, dtype=float)
+                    valley = np.abs(x - n // 2)
+                    rows = [x, -x, valley, -valley, np.repeat(x, 3)[:n], -np.repeat(x, 3)[:n],
+                            np.floor(x / (width + 1)), np.round(np.sin(0.002 * x), 3)]
+                    for fill in (np.nan, np.inf, -np.inf):
+                        for w in (x, -x, -valley):
+                            w = w.copy()
+                            w[n // 3 : n // 3 + 1] = fill
+                            w[n - 1 :] = fill
+                            rows.append(w)
+                    for w in rows:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            got = thermo._greedy_kernel(w, width)
+                        assert np.array_equal(got, self.window_pass(w, width)), (width, n, w)
+
+    def test_sum_terms_bitwise_equal_two_step_form(self):
+        """A weighted first term made in out has the bits of w * v + 0.0: first
+        weights 0.0, -1.0, 0.25 and 1.0 on array and scalar leaves and on nested
+        sums, signed zeros and NaN included."""
+        rng = np.random.default_rng(13)
+        size = 64
+        arrays = [coordinate_potential(0.4, [1, 0], label=f"a{i}") for i in range(3)]
+        scalars = [constant_potential(0.1 * i, label=f"c{i}") for i in range(2)]
+        values = {}
+        for i, leaf in enumerate(arrays):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+            v[:8] = [0.0, -0.0, 0.0, -0.0, np.nan, 5e-324, -5e-324, 1e308]
+            values[id(leaf)] = np.roll(v, 3 * i)
+        values[id(arrays[2])][-2:] = [np.inf, -np.inf]
+        values.update({id(scalars[0]): -0.0, id(scalars[1]): 0.7})
+        nested = combine_potentials([(0.25, arrays[1]), (-1.0, arrays[2]), (0.5, scalars[0])])
+        twice = combine_potentials([(-1.0, nested), (0.0, arrays[0])])
+        leaves = arrays + scalars + [nested, twice]
+        for first in (0.0, -1.0, 0.25, 1.0, -0.0):
+            for lead in leaves:
+                for rest in ([], [(1.0, arrays[2])], [(-1.0, scalars[1]), (0.25, nested)]):
+                    terms = [(first, lead)] + rest
+                    got, want = (self._bits_or_warning(
+                        lambda: add(terms, lambda leaf: values[id(leaf)], np.empty(size)))
+                        for add in (thermo._sum_terms, oracles.sum_terms_two_step))
+                    assert got == want, (first, lead.label, len(rest))
+
+    @staticmethod
+    def _bits_or_warning(make):
+        """make()'s bytes, or the text of the first warning it raises (inf * 0.0
+        warns in either form of a sum)."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return make().tobytes()
+            except RuntimeWarning as warning:
+                return str(warning)
+
+    def test_line_wave_sums_bitwise_equal_block_form(self, cat_cocycle, trivial_system,
+                                                     monkeypatch):
+        """The closed form's real block, filled into one array, has np.block's bits
+        in every cell of a cat-map pressure run at n = 5..9."""
+        import warnings
+
+        calls = []
+        line_wave_sums = thermo._line_wave_sums
+
+        def spy(*args):
+            calls.append((args, line_wave_sums(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(thermo, "_line_wave_sums", spy)
+        family = _line_family(cat_cocycle)
+        grid = GridSpec(delta=0.05, n_grid=(5, 6, 7, 8, 9), eps_grid=(0.04,), base_grid=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pressure_estimates(cat_cocycle, trivial_system, family, grid, seed=21)
+        assert len(calls) == 4 * 5 * 3  # base points x cells x (k, phase, steps) groups
+        for args, got in calls:
+            want = oracles.line_wave_sums_by_block(*args)
+            assert got.keys() == want.keys()
+            for fn in got:
+                for a, b in zip(got[fn], want[fn]):
+                    assert a.tobytes() == b.tobytes(), (fn, args[3])
 
 
 class TestPackingWalk:
