@@ -78,7 +78,6 @@ _LATE = {
     "equilibria": (
         "EquilibriumReport",
         "GibbsDefect",
-        "dual_vp_check",
         "equilibrium_scan",
         "geometric_potential",
         "gibbs_defect",

@@ -70,51 +70,53 @@ class ConfigError(ValueError):
     """Bad or unknown experiment configuration."""
 
 
-class ExperimentConfig:
-    """Parsed experiment description; grids must be strictly increasing."""
+def _parse_int_grid(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if ":" in text:
+        lo, hi = text.split(":")
+        return tuple(range(int(lo), int(hi) + 1))
+    return tuple(int(t) for t in text.split())
 
-    def __init__(
-        self,
-        system: str = "",
-        experiment: str = "",
-        seed: int = 0,
-        samples: int = 1,
-        out: str = "results",
-        delta: float = 0.1,
-        n_grid: tuple[int, ...] = (8, 9, 10, 11, 12, 13, 14),
-        eps_grid: tuple[float, ...] = (0.02, 0.04),
-        base_grid: int = 5,
-        potential: str = "zero",
-        potentials: tuple[str, ...] = (),
-        grid_k: int = 16,
-        entropy_samples: int = 64,
-        birkhoff_n: int = 64,
-        birkhoff_samples: int = 64,
-        spaces: int = 100,
-        measures: tuple[str, ...] = ("haar", "atomic:0,0"),
-        certify_n: int = 40,
-        spectrum_n: int = 2000,
-        config_dir: Path = Path(),
-    ):
-        self.system = system
-        self.experiment = experiment
-        self.seed = seed
-        self.samples = samples
-        self.out = out
-        self.delta = delta
-        self.n_grid = n_grid
-        self.eps_grid = eps_grid
-        self.base_grid = base_grid
-        self.potential = potential
-        self.potentials = potentials
-        self.grid_k = grid_k
-        self.entropy_samples = entropy_samples
-        self.birkhoff_n = birkhoff_n
-        self.birkhoff_samples = birkhoff_samples
-        self.spaces = spaces
-        self.measures = measures
-        self.certify_n = certify_n
-        self.spectrum_n = spectrum_n
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+# every config key: its default and the parser of its value
+_KEYS = {
+    "system": ("", str),
+    "experiment": ("", str),
+    "seed": (0, int),
+    "samples": (1, int),
+    "out": ("results", str),
+    "delta": (0.1, float),
+    "n_grid": ((8, 9, 10, 11, 12, 13, 14), _parse_int_grid),
+    "eps_grid": ((0.02, 0.04), lambda text: tuple(float(t) for t in text.split())),
+    "base_grid": (5, int),
+    "potential": ("zero", str),
+    "potentials": ((), _words),
+    "grid_k": (16, int),
+    "entropy_samples": (64, int),
+    "birkhoff_n": (64, int),
+    "birkhoff_samples": (64, int),
+    "spaces": (100, int),
+    "measures": (("haar", "atomic:0,0"), _words),
+    "certify_n": (40, int),
+    "spectrum_n": (2000, int),
+}
+
+# the keys that UTHERMO_<KEY> variables, then the flags of the same name, override
+_OVERRIDES = ("experiment", "seed", "samples", "out")
+
+
+class ExperimentConfig:
+    """Parsed experiment description: an attribute per key of _KEYS, at its
+    default until set, and the config's directory; grids must be strictly
+    increasing."""
+
+    def __init__(self, config_dir: Path = Path()):
+        for key, (default, _) in _KEYS.items():
+            setattr(self, key, default)
         self.config_dir = config_dir
 
     def validate(self):
@@ -150,42 +152,6 @@ class ExperimentConfig:
         )
 
 
-def _parse_int_grid(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split())
-
-
-def _words(text: str) -> tuple[str, ...]:
-    return tuple(text.split())
-
-
-# every config key and the parser of its value
-_PARSERS = {
-    "system": str,
-    "experiment": str,
-    "seed": int,
-    "samples": int,
-    "out": str,
-    "delta": float,
-    "n_grid": _parse_int_grid,
-    "eps_grid": lambda text: tuple(float(t) for t in text.split()),
-    "base_grid": int,
-    "potential": str,
-    "potentials": _words,
-    "grid_k": int,
-    "entropy_samples": int,
-    "birkhoff_n": int,
-    "birkhoff_samples": int,
-    "spaces": int,
-    "measures": _words,
-    "certify_n": int,
-    "spectrum_n": int,
-}
-
-
 def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
     cfg = ExperimentConfig(config_dir=config_dir)
     for raw in text.splitlines():
@@ -195,10 +161,10 @@ def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"malformed config line {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            setattr(cfg, key, _PARSERS[key](val))
+            setattr(cfg, key, _KEYS[key][1](val))
         except ValueError:
             raise ConfigError(f"key {key!r} has a malformed value {val!r}") from None
     return cfg
@@ -206,8 +172,7 @@ def parse_config_text(text: str, config_dir: Path) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    cfg = parse_config_text(path.read_text(encoding="utf-8"), path.parent)
-    return cfg
+    return parse_config_text(path.read_text(encoding="utf-8"), path.parent)
 
 
 def _finite(text: str) -> float:
@@ -413,7 +378,7 @@ def _run_smb(cfg, cocycle, system):
         raise ConfigError(
             f"key 'measures': smb needs one leaf conditional, not the mix {cfg.measures[0]!r}"
         )
-    pair = build_partition_pair(system, [], cfg.grid_k, cfg.seed, dim=cocycle.dim)
+    pair = build_partition_pair(system, cfg.grid_k, cfg.seed, cocycle.dim)
     est = smb_trace(
         cocycle, sampler, pair, cfg.n_grid, cfg.entropy_samples, cfg.seed, delta=cfg.delta
     )
@@ -456,49 +421,28 @@ def _run_gibbs(cfg, cocycle, system):
 
 
 def _run_vp_scan(cfg, cocycle, system):
-    from .equilibria import dual_vp_check, equilibrium_scan
+    from .equilibria import equilibrium_scan
 
-    # one family pass packs the scanned potential and the dual check's family;
-    # the dual check reads from the scan measures[0]'s entropy and its integral
-    # of the scanned potential (at_phi lies past the dual family when the
-    # scanned potential is not in it, and is then never read)
-    pots = cfg.potentials or (cfg.potential,)
-    specs = pots if cfg.potential in pots else pots + (cfg.potential,)
-    resolved = [_resolve_potential(p, cocycle, system, cfg.seed) for p in specs]
-    family = [_resolve_measure(m, cocycle, system) for m in cfg.measures]
-    pressures = pressure_estimates(cocycle, system, resolved, cfg.grid_spec(), cfg.seed)
-    at_phi = specs.index(cfg.potential)
-    phi = resolved[at_phi]
+    # the scanned potential is the dual family's member of its spec, if there is one
+    duals = [_resolve_potential(p, cocycle, system, cfg.seed) for p in cfg.potentials]
+    phi = (duals[cfg.potentials.index(cfg.potential)] if cfg.potential in cfg.potentials
+           else _resolve_potential(cfg.potential, cocycle, system, cfg.seed))
     report = equilibrium_scan(
         cocycle,
         system,
         phi,
-        family,
+        [_resolve_measure(m, cocycle, system) for m in cfg.measures],
         cfg.grid_spec(),
         cfg.seed,
         entropy_samples=cfg.entropy_samples,
         birkhoff_n=cfg.birkhoff_n,
         birkhoff_samples=cfg.birkhoff_samples,
-        pressure=pressures[at_phi],
-    )
-    dual_gap = dual_vp_check(
-        cocycle,
-        system,
-        family[0],
-        resolved[: len(pots)],
-        cfg.grid_spec(),
-        cfg.seed,
-        entropy_samples=cfg.entropy_samples,
-        birkhoff_n=cfg.birkhoff_n,
-        birkhoff_samples=cfg.birkhoff_samples,
-        pressures=pressures[: len(pots)],
-        entropy=report.candidates[0].h_estimate,
-        integrals={at_phi: report.candidates[0].integral_estimate},
+        potential_family=duals,
     )
     header, rows = report.csv_rows()
-    summary = dict(report.to_json_dict(), experiment="vp-scan", dual_gap=dual_gap)
+    summary = dict(report.to_json_dict(), experiment="vp-scan")
     ok = all(c.defect >= -c.combined_ci for c in report.candidates)
-    line = f"vp-scan[{phi.label}]: best {report.best}, dual gap {dual_gap:+.4f}"
+    line = f"vp-scan[{phi.label}]: best {report.best}, dual gap {report.dual_gap:+.4f}"
     return rows, header, summary, ok, line, None
 
 
@@ -587,19 +531,19 @@ def run(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """Overlay UTHERMO_* environment values, then command-line flags, on cfg."""
-    for attr in ("experiment", "seed", "samples", "out"):
-        env_key = ENV_PREFIX + attr.upper()
+def _apply_overrides(cfg: ExperimentConfig, args, keys=_OVERRIDES) -> ExperimentConfig:
+    """Overlay UTHERMO_* environment values, then command-line flags, on cfg's keys."""
+    for key in keys:
+        env_key = ENV_PREFIX + key.upper()
         env_val = os.environ.get(env_key)
         if env_val is not None:
             try:
-                setattr(cfg, attr, _PARSERS[attr](env_val))
+                setattr(cfg, key, _KEYS[key][1](env_val))
             except ValueError:
                 raise ConfigError(f"{env_key} has a malformed value {env_val!r}") from None
-        flag_val = getattr(args, attr, None)
+        flag_val = getattr(args, key, None)
         if flag_val is not None:
-            setattr(cfg, attr, flag_val)
+            setattr(cfg, key, flag_val)
     return cfg
 
 
@@ -626,8 +570,8 @@ def main(argv=None) -> int:
         status = 0
         for cfg_file in sorted(config_path.glob("*.cfg")):
             try:
-                cfg = _apply_overrides(load_config(cfg_file), argparse.Namespace(
-                    experiment=None, seed=args.seed, samples=args.samples, out=args.out))
+                # each config keeps its own experiment
+                cfg = _apply_overrides(load_config(cfg_file), args, _OVERRIDES[1:])
             except ConfigError as exc:
                 print(f"config error in {cfg_file.name}: {exc}", file=sys.stderr)
                 return 2

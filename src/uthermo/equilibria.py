@@ -44,7 +44,6 @@ __all__ = [
     "CandidateRecord",
     "EquilibriumReport",
     "equilibrium_scan",
-    "dual_vp_check",
 ]
 
 
@@ -241,18 +240,21 @@ class CandidateRecord(NamedTuple):
 
 
 class EquilibriumReport(NamedTuple):
-    """Defect table of candidate measures against one potential's pressure."""
+    """Defect table of candidate measures against one potential's pressure,
+    and the dual gap of the first candidate."""
 
     potential_id: str
     pressure: PressureEstimate
     candidates: tuple[CandidateRecord, ...]
     best: str
+    dual_gap: float
 
     def to_json_dict(self) -> dict:
         return {
             "potential_id": self.potential_id,
             "pressure": self.pressure.to_json_dict(),
             "best": self.best,
+            "dual_gap": self.dual_gap,
             "candidates": [
                 {
                     "measure_id": c.measure_id,
@@ -288,25 +290,39 @@ def equilibrium_scan(
     entropy_samples: int = 64,
     birkhoff_n: int = 64,
     birkhoff_samples: int = 64,
-    pressure: PressureEstimate | None = None,
+    potential_family=(),
 ) -> EquilibriumReport:
-    """Evaluate entropy + integral defects of candidate measures against P(phi).
+    """Evaluate entropy + integral defects of candidate measures against P(phi),
+    and the dual gap of the first candidate.
 
     Convex-combination candidates get their entropy by affine combination
     of component estimates and their integrals by affine combination of
-    component integrals; each distinct (measure, seed) entropy and integral,
-    a component's included, is made once.  Candidates whose defect is
-    within the combined confidence width are flagged as numerical
-    equilibrium states.  pressure, if given, is phi's estimate on the same
-    grid and seed, already made.
+    component integrals.  Candidates whose defect is within the combined
+    confidence width are flagged as numerical equilibrium states.
+
+    The dual gap is the min over potential_family (phi alone when it is
+    empty) of P(psi) - integral of psi - entropy, the last two of the first
+    candidate: nonnegative up to confidence width, and near zero when the
+    family holds a potential for which that measure is an equilibrium.
+    One pressure_estimates call makes the family's pressures and then
+    phi's, if phi is not in the family; each distinct (measure, seed)
+    entropy and (potential, measure, seed) integral, a component's
+    included, is made once.
     """
     if len(measure_family) < 2:
         raise ValueError("need at least two candidate measures")
-    if pressure is None:
-        pressure = pressure_estimates(cocycle, system, [phi], grid, seed)[0]
-    records = []
+    duals = list(potential_family) or [phi]
+    family = duals if phi in duals else duals + [phi]
+    pressures = pressure_estimates(cocycle, system, family, grid, seed)
+    pressure = pressures[family.index(phi)]
     known: dict = {}
-    integrals: dict = {}
+    integrals: dict = {}  # potential -> its integrals already made (_known_integral)
+
+    def integral_of(potential, sampler):
+        return _known_integral(integrals.setdefault(potential, {}), cocycle, potential,
+                               sampler, birkhoff_n, birkhoff_samples, seed)
+
+    records = []
     for sampler in measure_family:
         if (sampler, seed) not in known:
             known[sampler, seed] = _bowen_ball_entropy(
@@ -314,9 +330,7 @@ def equilibrium_scan(
                 seed, known,
             )
         h = known[sampler, seed]
-        integral, integral_sem = _known_integral(
-            integrals, cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
-        )
+        integral, integral_sem = integral_of(phi, sampler)
         defect = pressure.value - h.value - integral
         combined = pressure.slope_ci + h.ci + 2.0 * integral_sem
         records.append(
@@ -332,55 +346,13 @@ def equilibrium_scan(
             )
         )
     best = min(records, key=lambda r: r.defect).measure_id
+    first, entropy = measure_family[0], records[0].h_estimate
+    dual_gap = min(est.value - integral_of(psi, first)[0] - entropy
+                   for psi, est in zip(duals, pressures))
     return EquilibriumReport(
         potential_id=phi.label,
         pressure=pressure,
         candidates=tuple(records),
         best=best,
+        dual_gap=float(dual_gap),
     )
-
-
-def dual_vp_check(
-    cocycle: Cocycle,
-    system: DrivingSystem,
-    sampler: MeasureSampler,
-    potential_family,
-    grid: GridSpec,
-    seed: int,
-    entropy_samples: int = 64,
-    birkhoff_n: int = 64,
-    birkhoff_samples: int = 64,
-    pressures: list[PressureEstimate] | None = None,
-    entropy: float | None = None,
-    integrals: dict[int, float] | None = None,
-) -> float:
-    """Min over the family of (pressure - integral) minus the measure's entropy.
-
-    Nonnegative up to confidence width; approaches zero when the family
-    contains a potential for which the measure is an equilibrium.
-    pressures, if given, are the family's estimates on the same grid and
-    seed, already made; entropy, if given, is the measure's Bowen-ball
-    entropy on the same grid, seed and entropy_samples, already made;
-    integrals, if given, maps family positions to the measure's Birkhoff
-    integral of that potential at the same birkhoff_n, birkhoff_samples and
-    seed, already made.
-    """
-    if len(potential_family) < 1:
-        raise ValueError("need a nonempty potential family")
-    if entropy is None:
-        entropy = bowen_ball_entropy(
-            cocycle, sampler, grid.delta, grid.n_grid, grid.eps_grid, entropy_samples, seed
-        ).value
-    if pressures is None:
-        pressures = pressure_estimates(cocycle, system, potential_family, grid, seed)
-    integrals = integrals or {}
-    best = math.inf
-    for k, (phi, pressure) in enumerate(zip(potential_family, pressures)):
-        if k in integrals:
-            integral = integrals[k]
-        else:
-            integral, _ = birkhoff_integral(
-                cocycle, phi, sampler, birkhoff_n, birkhoff_samples, seed
-            )
-        best = min(best, pressure.value - integral - entropy)
-    return float(best)

@@ -35,7 +35,7 @@ from .rds import (
     torus_distance,
 )
 from .oseledets import lyapunov_spectra
-from .leafgeom import UnstableDisk, leaf_growth_factors_batch, unstable_disk
+from .leafgeom import leaf_growth_factors_batch, unstable_disk
 from .thermo import CI_FLOOR, fit_slope, upper_half
 
 __all__ = [
@@ -506,17 +506,11 @@ class PartitionPair(NamedTuple):
 
 
 def build_partition_pair(
-    system: DrivingSystem, disks, grid_k: int, offset_seed: int, dim: int | None = None
+    system: DrivingSystem, grid_k: int, offset_seed: int, dim: int
 ) -> PartitionPair:
-    """Seeded offset-grid partition compatible with the given leaf disks."""
+    """Seeded offset grid partition of the dim-torus over each symbol."""
     if grid_k < 2:
         raise InvalidSystem("grid_k must be >= 2")
-    disk_list = [disks] if isinstance(disks, UnstableDisk) else disks
-    if dim is None:
-        dim = disk_list[0].dim if disk_list else 2
-    for d in disk_list:
-        if d.radius <= 1.0 / grid_k:
-            raise InvalidSystem("disk too small relative to grid: radius must exceed cell size")
     rng = np.random.default_rng([offset_seed & 0xFFFFFFFFFFFFFFFF, 0x0FF5])
     offsets = rng.random((system.symbol_count, dim))
     return PartitionPair(grid_k=grid_k, dim=dim, offsets=offsets, offset_seed=offset_seed)

@@ -23,7 +23,6 @@ from uthermo import (
     constant_potential,
     convex_combo_sampler,
     coordinate_potential,
-    dual_vp_check,
     equilibrium_scan,
     geometric_potential,
     gibbs_defect,
@@ -145,14 +144,14 @@ def test_criterion_4_geometric_potential_identities(
 def test_criterion_5_two_entropy_estimators_agree(
     cat_cocycle, trivial_system, cat_haar, iid_cocycle, iid_system
 ):
-    pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+    pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
     grid = tuple(range(6, 19))
     bowen_cat = bowen_ball_entropy(cat_cocycle, cat_haar, 0.1, grid, (0.02, 0.04), 24, seed=5)
     part_cat = partition_entropy_rate(cat_cocycle, cat_haar, pair, grid, 48, seed=7, delta=0.1)
     gap_cat = oracles.entropy_estimator_gap(bowen_cat, part_cat)
 
     iid_haar = haar_sampler(iid_system, dim=2)
-    pair2 = build_partition_pair(iid_system, [], 16, offset_seed=3)
+    pair2 = build_partition_pair(iid_system, 16, offset_seed=3, dim=2)
     grid2 = tuple(range(6, 17))
     bowen_iid = bowen_ball_entropy(iid_cocycle, iid_haar, 0.1, grid2, (0.02,), 128, seed=5)
     part_iid = partition_entropy_rate(iid_cocycle, iid_haar, pair2, grid2, 128, seed=7,
@@ -167,7 +166,7 @@ def test_criterion_5_two_entropy_estimators_agree(
 
 
 def test_criterion_6_information_traces(cat_cocycle, trivial_system, cat_haar, cat_atom):
-    pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+    pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
     est = smb_trace(cat_cocycle, cat_haar, pair, tuple(range(2, 21)), 40, seed=11, delta=0.1)
     atom_est = smb_trace(cat_cocycle, cat_atom, pair, (4, 8, 12), 10, seed=11, delta=0.1)
     rel = abs(est.value / H_CAT - 1.0)

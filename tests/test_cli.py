@@ -281,6 +281,20 @@ class TestRunner:
         report = json.loads((out / "entropy" / "entropy_1.json").read_text())
         assert report["omega_samples"] == 2
 
+    @pytest.mark.parametrize("env, flags", [
+        ("all", []),  # UTHERMO_EXPERIMENT=all selects the directory run
+        ("spectrum", ["--experiment", "all"]),  # the explicit flag wins
+    ])
+    def test_directory_run_all_keeps_each_experiment(self, tmp_path, monkeypatch, env, flags):
+        cfg_dir = tmp_path / "cfgs"
+        cfg_dir.mkdir()
+        for name in ("cat.system", "cat_entropy.cfg"):
+            (cfg_dir / name).write_text((CONFIG_DIR / name).read_text())
+        monkeypatch.setenv("UTHERMO_EXPERIMENT", env)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_dir), *flags, "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "cat_entropy").glob("*.json")) == ["entropy_1.json"]
+
     @pytest.mark.parametrize("experiment, key, val", [
         ("spectrum", "spectrum_n", "50"),
         ("entropy", "base_grid", "0"),

@@ -9,9 +9,10 @@ from uthermo import (
     TorusPoint,
     TrivialLeafError,
     birkhoff_sum,
+    bowen_ball_entropy,
     constant_potential,
+    convex_combo_sampler,
     coordinate_potential,
-    dual_vp_check,
     equilibrium_scan,
     geometric_potential,
     gibbs_defect,
@@ -21,7 +22,7 @@ from uthermo import (
     sample_path,
     zero_potential,
 )
-from uthermo import Cocycle, MapDescriptor
+from uthermo import Cocycle, MapDescriptor, equilibria, measures
 from uthermo.equilibria import _report_for, birkhoff_integral
 
 
@@ -231,30 +232,112 @@ class TestEquilibriumScan:
 
 
 class TestDualVariational:
+    # the dual gap is the first candidate's; the second is there because a scan
+    # needs two
     def test_haar_attains_zero_gap(self, cat_cocycle, trivial_system, enum_grid):
         haar = haar_sampler(trivial_system, dim=2)
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))
         phiu = geometric_potential(cat_cocycle, _report_for(cat_cocycle, trivial_system, 5))
         fam = [zero_potential(), constant_potential(0.3), constant_potential(-0.3),
                phiu, coordinate_potential(0.4, [1, 0], label="cosx1")]
-        gap = dual_vp_check(cat_cocycle, trivial_system, haar, fam, enum_grid, 13,
-                            entropy_samples=16, birkhoff_samples=8)
+        gap = equilibrium_scan(cat_cocycle, trivial_system, fam[0], [haar, atom], enum_grid, 13,
+                               entropy_samples=16, birkhoff_samples=8,
+                               potential_family=fam).dual_gap
         assert -0.05 <= gap <= 0.1
 
     def test_atomic_gap_is_entropy(self, cat_cocycle, trivial_system, enum_grid):
+        # with no potential family the dual family is phi alone
+        haar = haar_sampler(trivial_system, dim=2)
         atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))
-        gap = dual_vp_check(cat_cocycle, trivial_system, atom, [zero_potential()],
-                            enum_grid, 13, entropy_samples=8, birkhoff_samples=8)
+        gap = equilibrium_scan(cat_cocycle, trivial_system, zero_potential(), [atom, haar],
+                               enum_grid, 13, entropy_samples=8, birkhoff_samples=8).dual_gap
         assert gap == pytest.approx(oracles.CAT_LOG, rel=0.1)
 
     def test_constant_closure_invariance(self, cat_cocycle, trivial_system, enum_grid):
         haar = haar_sampler(trivial_system, dim=2)
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))
         fam = [zero_potential(), constant_potential(0.25)]
         shifted = [constant_potential(0.3), constant_potential(0.55)]
-        g1 = dual_vp_check(cat_cocycle, trivial_system, haar, fam, enum_grid, 13,
-                           entropy_samples=8, birkhoff_samples=8)
-        g2 = dual_vp_check(cat_cocycle, trivial_system, haar, shifted, enum_grid, 13,
-                           entropy_samples=8, birkhoff_samples=8)
+        g1, g2 = (equilibrium_scan(cat_cocycle, trivial_system, f[0], [haar, atom], enum_grid, 13,
+                                   entropy_samples=8, birkhoff_samples=8,
+                                   potential_family=f).dual_gap
+                  for f in (fam, shifted))
         assert g1 == pytest.approx(g2, abs=1e-9)
+
+
+class TestOnePass:
+    """equilibrium_scan makes the defects and the dual gap in one pass."""
+
+    @staticmethod
+    def _measures(cat_cocycle, trivial_system):
+        haar = haar_sampler(trivial_system, dim=2)
+        atom = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))
+        return haar, atom, convex_combo_sampler([haar, atom], [0.5, 0.5])
+
+    @pytest.mark.parametrize("in_family", [True, False])
+    def test_dual_gap_is_bitwise_min_of_separate_estimates(
+        self, in_family, cat_cocycle, trivial_system, enum_grid, monkeypatch
+    ):
+        # a constant's term P(c) - c - h is the zero potential's up to rounding, so
+        # the min reads each term's bits: here P - h - c rounds to another gap
+        haar, atom, combo = self._measures(cat_cocycle, trivial_system)
+        duals = [constant_potential(0.2), constant_potential(1.3)]
+        phi = duals[0] if in_family else coordinate_potential(0.4, [1, 0], label="cos")
+        first = haar if in_family else combo
+        families = []
+        estimate = equilibria.pressure_estimates
+
+        def recorded(cocycle, system, potentials, *args):
+            families.append([p.label for p in potentials])
+            return estimate(cocycle, system, potentials, *args)
+
+        monkeypatch.setattr(equilibria, "pressure_estimates", recorded)
+        report = equilibrium_scan(cat_cocycle, trivial_system, phi, [first, atom], enum_grid, 13,
+                                  entropy_samples=8, birkhoff_samples=8, potential_family=duals)
+        # one pressure pass: the dual family, then phi if it is not a member
+        assert families == [["const:0.2", "const:1.3"] + ([] if in_family else ["cos"])]
+        monkeypatch.undo()
+        h = bowen_ball_entropy(cat_cocycle, first, enum_grid.delta, enum_grid.n_grid,
+                               enum_grid.eps_grid, 8, 13).value
+        terms = [pressure_estimates(cat_cocycle, trivial_system, [psi], enum_grid, 13)[0].value
+                 - birkhoff_integral(cat_cocycle, psi, first, 64, 8, 13)[0] - h
+                 for psi in duals]
+        assert report.dual_gap.hex() == min(terms).hex()
+        assert report.candidates[0].h_estimate == h
+        assert report.pressure == pressure_estimates(cat_cocycle, trivial_system, [phi],
+                                                     enum_grid, 13)[0]
+
+    def test_each_entropy_and_integral_once(self, cat_cocycle, trivial_system, enum_grid,
+                                            monkeypatch):
+        haar, atom, combo = self._measures(cat_cocycle, trivial_system)
+        duals = [zero_potential(), constant_potential(0.3),
+                 coordinate_potential(0.4, [1, 0], label="cos")]
+        entropies, integrals = [], []
+        estimate, integrate = measures._bowen_ball_entropy, equilibria.birkhoff_integral
+
+        def counted_entropy(cocycle, sampler, delta, n_grid, epsilons, samples, seed, known):
+            entropies.append((sampler.label, seed))
+            return estimate(cocycle, sampler, delta, n_grid, epsilons, samples, seed, known)
+
+        def counted_integral(cocycle, potential, sampler, *args):
+            integrals.append((potential.label, sampler.label))
+            return integrate(cocycle, potential, sampler, *args)
+
+        monkeypatch.setattr(measures, "_bowen_ball_entropy", counted_entropy)
+        monkeypatch.setattr(equilibria, "_bowen_ball_entropy", counted_entropy)
+        monkeypatch.setattr(equilibria, "birkhoff_integral", counted_integral)
+        # haar is the first candidate, the combo's first component and the dual
+        # gap's measure; the combo's atom is drawn at seed 13 + 17, and its
+        # closed-orbit integral does not depend on the seed
+        report = equilibrium_scan(cat_cocycle, trivial_system, duals[2], [haar, atom, combo],
+                                  enum_grid, 13, entropy_samples=8, birkhoff_samples=8,
+                                  potential_family=duals)
+        assert sorted(entropies) == sorted([
+            ("haar", 13), ("atomic:0,0", 13), (combo.label, 13), ("atomic:0,0", 30)])
+        assert sorted(integrals) == sorted([
+            ("cos", "haar"), ("cos", "atomic:0,0"), ("cos", combo.label),
+            ("zero", "haar"), ("const:0.3", "haar")])
+        assert math.isfinite(report.dual_gap)
 
 
 class TestMixingInequality:

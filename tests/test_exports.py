@@ -181,7 +181,7 @@ SIGNATURES = {
                    "integral_minus_phiu, integral_ci)",
     "CandidateRecord": "(measure_id, h_estimate, h_ci, integral_estimate, integral_ci, defect, "
                        "combined_ci, equilibrium_within_ci)",
-    "EquilibriumReport": "(potential_id, pressure, candidates, best)",
+    "EquilibriumReport": "(potential_id, pressure, candidates, best, dual_gap)",
 }
 
 

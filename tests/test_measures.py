@@ -220,11 +220,11 @@ class TestSamplers:
 
 class TestPartitionPair:
     def test_cardinality_table(self, trivial_system):
-        pair = build_partition_pair(trivial_system, [], 4, offset_seed=1)
+        pair = build_partition_pair(trivial_system, 4, offset_seed=1, dim=2)
         assert pair.cardinality_table() == {0: 16}
 
     def test_grid_partitions_cover_disjointly(self, trivial_system):
-        pair = build_partition_pair(trivial_system, [], 4, offset_seed=1)
+        pair = build_partition_pair(trivial_system, 4, offset_seed=1, dim=2)
         pts = np.random.default_rng(0).random((4000, 2))
         ids = pair.cell_ids(0, pts)
         assert ids.min() >= 0 and ids.max() < 4
@@ -232,19 +232,10 @@ class TestPartitionPair:
         assert len({tuple(row) for row in ids}) == 16
 
     def test_offset_changes_boundaries_not_count(self, trivial_system):
-        p1 = build_partition_pair(trivial_system, [], 8, offset_seed=1)
-        p2 = build_partition_pair(trivial_system, [], 8, offset_seed=2)
+        p1 = build_partition_pair(trivial_system, 8, offset_seed=1, dim=2)
+        p2 = build_partition_pair(trivial_system, 8, offset_seed=2, dim=2)
         assert p1.cardinality_table() == p2.cardinality_table()
         assert not np.allclose(p1.offsets, p2.offsets)
-
-    def test_disk_radius_must_exceed_cell(self, cat_cocycle, trivial_system):
-        path = sample_path(trivial_system, 600, 1)
-        state = SkewState(path=path, point=TorusPoint((0.0, 0.0)))
-        rep = lyapunov_spectra(cat_cocycle, [path], [state.point], 500)[0]
-        disk = unstable_disk(cat_cocycle, state, 0.05, rep)
-        with pytest.raises(InvalidSystem):
-            build_partition_pair(trivial_system, [disk], 16, offset_seed=1)
-        build_partition_pair(trivial_system, [disk], 32, offset_seed=1)
 
     def test_pair_of_another_dim_fails_before_sampling(self, monkeypatch, t3_cocycle,
                                                        t3_system):
@@ -252,7 +243,7 @@ class TestPartitionPair:
             raise AssertionError("sampled before checking the pair's dim")
 
         monkeypatch.setattr(measures, "_sample_spectra", no_draw)
-        pair = build_partition_pair(t3_system, [], 16, 3)  # no disks and no dim: 2-d
+        pair = build_partition_pair(t3_system, 16, 3, dim=2)  # a 2-d pair on the 3-torus
         sampler = haar_sampler(t3_system, dim=3)
         with pytest.raises(InvalidSystem, match="dim 2"):
             partition_entropy_rate(t3_cocycle, sampler, pair, (8, 9, 10), 4, seed=7)
@@ -262,7 +253,7 @@ class TestPartitionPair:
     def test_disk_must_exceed_cell_in_both_partition_estimators(self, cat_cocycle,
                                                                  trivial_system):
         # delta 0.1 is below the cell size 1/4: the smb trace read 0.84, not log lambda
-        pair = build_partition_pair(trivial_system, [], 4, offset_seed=1, dim=2)
+        pair = build_partition_pair(trivial_system, 4, offset_seed=1, dim=2)
         sampler = haar_sampler(trivial_system, dim=2)
         for estimator in (partition_entropy_rate, smb_trace):
             with pytest.raises(InvalidSystem, match="disk too small relative to grid"):
@@ -270,7 +261,7 @@ class TestPartitionPair:
 
     def test_leaf_section_matches_scan_oracle(self, cat_cocycle, trivial_system):
         # the exact cell-crossing interval against a dense parameter scan
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=5)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=5, dim=2)
         path = sample_path(trivial_system, 600, 1)
         x = TorusPoint((0.31, 0.77))
         rep = lyapunov_spectra(cat_cocycle, [path], [x], 500)[0]
@@ -356,7 +347,7 @@ class TestBowenBallEntropy:
 class TestPartitionRate:
     def test_cat_rate(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         est = partition_entropy_rate(
             cat_cocycle, sampler, pair, tuple(range(6, 19)), 48, seed=7, delta=0.1
         )
@@ -364,7 +355,7 @@ class TestPartitionRate:
 
     def test_first_step_information_vanishes(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         est = partition_entropy_rate(
             cat_cocycle, sampler, pair, (1, 2, 3, 4), 8, seed=7, delta=0.1
         )
@@ -372,7 +363,7 @@ class TestPartitionRate:
 
     def test_t3_rate_ignores_rotation(self, t3_cocycle, t3_system):
         sampler = haar_sampler(t3_system, dim=3)
-        pair = build_partition_pair(t3_system, [], 16, offset_seed=3, dim=3)
+        pair = build_partition_pair(t3_system, 16, offset_seed=3, dim=3)
         est = partition_entropy_rate(
             t3_cocycle, sampler, pair, tuple(range(6, 15)), 48, seed=7, delta=0.1
         )
@@ -382,7 +373,7 @@ class TestPartitionRate:
 class TestSmbTraces:
     def test_cat_traces_converge(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         est = smb_trace(
             cat_cocycle, sampler, pair, tuple(range(4, 21, 2)), 40, seed=11, delta=0.1
         )
@@ -391,13 +382,13 @@ class TestSmbTraces:
 
     def test_atomic_traces_zero(self, cat_cocycle, trivial_system):
         sampler = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.4, 0.2)))
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         est = smb_trace(cat_cocycle, sampler, pair, (4, 8, 12), 10, seed=11, delta=0.1)
         assert est.value == 0.0
 
     def test_seed_consistency(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         grid = tuple(range(6, 17, 2))
         e1 = smb_trace(cat_cocycle, sampler, pair, grid, 24, seed=1, delta=0.1)
         e2 = smb_trace(cat_cocycle, sampler, pair, grid, 24, seed=2, delta=0.1)
@@ -411,13 +402,13 @@ class TestSmbTraces:
              periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.0, 0.0)))],
             [0.5, 0.5],
         )
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         with pytest.raises(EstimatorError, match="conditional family"):
             smb_trace(cat_cocycle, mix, pair, (4, 8), 4, seed=11, delta=0.1)
 
 
 def _three_estimates(cocycle, system, sampler, grid=(4, 6, 8, 10)):
-    pair = build_partition_pair(system, [], 16, offset_seed=3, dim=cocycle.dim)
+    pair = build_partition_pair(system, 16, offset_seed=3, dim=cocycle.dim)
     return [
         bowen_ball_entropy(cocycle, sampler, 0.1, grid, (0.02, 0.04), 8, seed=5),
         partition_entropy_rate(cocycle, sampler, pair, grid, 8, seed=7, delta=0.1),
@@ -481,7 +472,7 @@ class TestPointMass:
             raise AssertionError("sampled before checking n_grid")
 
         monkeypatch.setattr(measures, "_sample_spectra", no_draw)
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         for sampler in (haar_sampler(trivial_system, dim=2),
                         periodic_atomic_sampler(trivial_system, cat_cocycle,
                                                 TorusPoint((0.0, 0.0)))):
@@ -491,7 +482,7 @@ class TestPointMass:
                 partition_entropy_rate(cat_cocycle, sampler, pair, (8,), 4, seed=7)
 
     def test_smb_accepts_one_entry_grid(self, cat_cocycle, trivial_system):
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         est = smb_trace(cat_cocycle, haar_sampler(trivial_system, dim=2), pair, (8,), 4,
                         seed=11, delta=0.1)
         assert est.n_grid == (8,) and est.traces.shape == (4, 1)
@@ -500,7 +491,7 @@ class TestPointMass:
 class TestEntropyGapReport:
     def test_cat_gap_small(self, cat_cocycle, trivial_system):
         sampler = haar_sampler(trivial_system, dim=2)
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         grid = tuple(range(6, 19))
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 24, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 48, seed=7, delta=0.1)
@@ -510,7 +501,7 @@ class TestEntropyGapReport:
 
     def test_atomic_gap_tiny(self, cat_cocycle, trivial_system):
         sampler = periodic_atomic_sampler(trivial_system, cat_cocycle, TorusPoint((0.4, 0.2)))
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=3)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=3, dim=2)
         grid = (4, 6, 8, 10)
         bowen = bowen_ball_entropy(cat_cocycle, sampler, 0.1, grid, (0.02,), 8, seed=5)
         part = partition_entropy_rate(cat_cocycle, sampler, pair, grid, 8, seed=7, delta=0.1)
@@ -520,7 +511,7 @@ class TestEntropyGapReport:
 class TestPolylineLengths:
     def test_equal_point_loop(self, perturbed_cat_cocycle, trivial_system):
         # one apply_lift walk of the chart polyline against one push per step
-        pair = build_partition_pair(trivial_system, [], 16, offset_seed=2, dim=2)
+        pair = build_partition_pair(trivial_system, 16, offset_seed=2, dim=2)
         for seed in (1, 2, 3):
             path = sample_path(trivial_system, 600, seed)
             x = TorusPoint(tuple(np.random.default_rng(seed).random(2)))
@@ -542,7 +533,7 @@ class TestIntervalInformationPush:
                                         trivial_system):
         cocycle = request.getfixturevalue(name)
         system = iid_system if len(cocycle.maps) > 1 else trivial_system
-        pair = build_partition_pair(system, [], 16, offset_seed=5, dim=cocycle.dim)
+        pair = build_partition_pair(system, 16, offset_seed=5, dim=cocycle.dim)
         real, drawn = measures._sample_spectra, []
 
         def flatten(*args):
